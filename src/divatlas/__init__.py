@@ -28,7 +28,6 @@ from .tensors import (
     wedge,
 )
 from .brill_noether import (
-    CurveParams,
     achieved_r,
     big_R,
     lambda_grd,
@@ -48,7 +47,6 @@ from .subspaces import (
 from .atlas import (
     ComponentRecord,
     IntersectionRecord,
-    NSClass,
     atlas_report,
     canonical_analysis,
     component_count,

@@ -21,32 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .brill_noether import achieved_r, big_R, rho, small_r, w_dim, w_top_points
+from .brill_noether import _check_args, achieved_r, big_R, rho, small_r, w_dim, w_top_points
 from .subspaces import e_max, e_max_sym, sec_dim_printed, sub_dim
 from .tensors import SKEW, SYM, check_kind
-
-
-@dataclass(frozen=True)
-class NSClass:
-    """A divisor class on C_k: degree d on the curve plus the kind selector.
-
-    kind = 'skew' is the determinant class of the tautological bundle
-    (sections are skew tensors in the curve's sections), kind = 'sym'
-    the symmetrized class (sections are symmetric tensors).
-    """
-
-    d: int
-    kind: str
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("degree must be >= 1")
-        check_kind(self.kind)
-
-    @classmethod
-    def canonical(cls, g: int) -> "NSClass":
-        """The canonical class of C_k: the skew class of degree 2g-2."""
-        return cls(2 * g - 2, SKEW)
 
 
 @dataclass(frozen=True)
@@ -101,10 +78,7 @@ class IntersectionRecord:
 
 
 def _check_atlas_args(g: int, d: int, k: int):
-    if not isinstance(g, int) or g < 2:
-        raise ValueError(f"genus must be an integer >= 2, got {g}")
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"degree must be a positive integer, got {d}")
+    _check_args(g, d)
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"symmetric-product index k must be an integer >= 2, got {k}")
 

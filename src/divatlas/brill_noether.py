@@ -12,19 +12,7 @@ square root and cross-checked against the sign change of rho.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-
-
-@dataclass(frozen=True)
-class CurveParams:
-    """Genus and degree, with the validity domain enforced."""
-
-    g: int
-    d: int
-
-    def __post_init__(self):
-        _check_args(self.g, self.d)
 
 
 def _check_args(g: int, d: int, r: int | None = None):

@@ -60,7 +60,6 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="include the canonical-class exorbitance analysis",
     )
-    p_comp.add_argument("--seed", type=int, default=0)
 
     p_enc = sub.add_parser("enc", help="enclosing dimension of a tensor from a JSON file")
     p_enc.add_argument("tensor", help="path to a tensor JSON file")

@@ -7,7 +7,9 @@ a predicate, so nothing here is ever computed with floating point.
 
 Rank is computed by clearing denominators row by row (which does not
 change the row space) and running fraction-free Bareiss elimination on
-the resulting integer matrix.  A plain rational Gaussian elimination,
+the resulting integer matrix.  The same kernel, ``_bareiss``, gives
+determinants above 3 x 3 and the change of basis used by the
+membership test.  A plain rational Gaussian elimination,
 ``gauss_rank``, is kept as an independent cross-check; the two share
 no elimination code.
 """
@@ -117,30 +119,31 @@ class RationalMatrix:
         return f"RationalMatrix({[list(map(str, row)) for row in self._m]})"
 
 
-def _int_rows(M: RationalMatrix) -> list:
+def _int_rows(rows) -> list:
     """Rescale each row by the lcm of its denominators (rank-preserving)."""
     out = []
-    for i in range(M.rows):
-        row = M.row(i)
-        den = 1
-        for x in row:
-            d = x.denominator
-            den = den * d // math.gcd(den, d)
-        out.append([int(x.numerator * (den // x.denominator)) for x in row])
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
     return out
 
 
-def _bareiss(mat: list) -> tuple[int, list]:
+def _bareiss(mat: list) -> tuple[int, list, int]:
     """Fraction-free elimination on an integer matrix (destructive).
 
-    Returns (rank, pivot column indices).  The one-step Bareiss update
-    keeps every intermediate entry equal to a minor of the input, so
-    the integer divisions below are exact.
+    Returns (rank, pivot column indices, sign * last pivot), where sign
+    tracks the row swaps.  The one-step Bareiss update keeps every
+    intermediate entry equal to a minor of the input, so the integer
+    divisions below are exact, and the k-th pivot is the leading k x k
+    minor of the row-swapped input: for a square matrix of full rank the
+    third value is its determinant.  Every step is an invertible row
+    operation, which the change of basis in is_in_power_of relies on.
     """
     n_rows = len(mat)
     n_cols = len(mat[0]) if n_rows else 0
     r = 0
     prev = 1
+    sign = 1
     pivot_cols = []
     for col in range(n_cols):
         piv = None
@@ -152,6 +155,7 @@ def _bareiss(mat: list) -> tuple[int, list]:
             continue
         if piv != r:
             mat[r], mat[piv] = mat[piv], mat[r]
+            sign = -sign
         pc = mat[r][col]
         for i in range(r + 1, n_rows):
             ric = mat[i][col]
@@ -165,17 +169,17 @@ def _bareiss(mat: list) -> tuple[int, list]:
         r += 1
         if r == n_rows:
             break
-    return r, pivot_cols
+    return r, pivot_cols, sign * prev
 
 
 def rank(M: RationalMatrix) -> int:
     """Exact rank over the rationals (Bareiss elimination)."""
-    return _bareiss(_int_rows(M))[0]
+    return _bareiss(_int_rows(M._m))[0]
 
 
 def image_basis(M: RationalMatrix) -> list:
     """Pivot columns of M: a basis of the column space, length = rank(M)."""
-    _, pivots = _bareiss(_int_rows(M))
+    _, pivots, _ = _bareiss(_int_rows(M._m))
     return [M.column(j) for j in pivots]
 
 
@@ -229,78 +233,24 @@ def lin_indep(vectors) -> bool:
     return rank(RationalMatrix.from_columns(vs)) == len(vs)
 
 
-def inverse(M: RationalMatrix) -> RationalMatrix:
-    """Exact inverse of a square matrix; raises ValueError if singular."""
-    if M.rows != M.cols:
-        raise ValueError("inverse of a non-square matrix")
-    n = M.rows
-    a = [list(M.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return RationalMatrix([row[n:] for row in a])
-
-
 def exact_det(rows) -> Fraction:
-    """Determinant of a small square matrix given as nested sequences."""
+    """Determinant of a square rational matrix given as nested sequences.
+
+    Scaling a row by the lcm of its denominators scales the determinant
+    by the same factor, so the integer determinant of the rescaled rows
+    is divided by the product of the row scales.
+    """
     m = [[as_fraction(x) for x in row] for row in rows]
     n = len(m)
     for row in m:
         if len(row) != n:
             raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    # scale rows to integers, run integer Bareiss, divide the scale back out
-    scale = Fraction(1)
-    im = []
-    for row in m:
-        den = 1
-        for x in row:
-            d = x.denominator
-            den = den * d // math.gcd(den, d)
-        scale *= den
-        im.append([int(x.numerator * (den // x.denominator)) for x in row])
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        piv = None
-        for i in range(col, n):
-            if im[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            im[col], im[piv] = im[piv], im[col]
-            sign = -sign
-        pc = im[col][col]
-        for i in range(col + 1, n):
-            ric = im[i][col]
-            for j in range(col + 1, n):
-                im[i][j] = (pc * im[i][j] - ric * im[col][j]) // prev
-            im[i][col] = 0
-        prev = pc
-    return Fraction(sign * im[n - 1][n - 1]) / scale
+    scale = math.prod(math.lcm(*(x.denominator for x in row)) for row in m)
+    return Fraction(int_det(_int_rows(m)), scale)
 
 
 def int_det(rows) -> int:
-    """Determinant of an integer matrix (Bareiss, pure int arithmetic)."""
+    """Determinant of an integer matrix: closed forms up to 3 x 3, Bareiss above."""
     n = len(rows)
     if n == 0:
         return 1
@@ -313,28 +263,8 @@ def int_det(rows) -> int:
         d, e, f = rows[1]
         g, h, i = rows[2]
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    im = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        piv = None
-        for i in range(col, n):
-            if im[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            im[col], im[piv] = im[piv], im[col]
-            sign = -sign
-        pc = im[col][col]
-        for i in range(col + 1, n):
-            ric = im[i][col]
-            for j in range(col + 1, n):
-                im[i][j] = (pc * im[i][j] - ric * im[col][j]) // prev
-            im[i][col] = 0
-        prev = pc
-    return sign * im[n - 1][n - 1]
+    r, _, det = _bareiss([list(row) for row in rows])
+    return det if r == n else 0
 
 
 def random_matrix(rows: int, cols: int, rng: random.Random, lo: int = -9, hi: int = 9) -> RationalMatrix:

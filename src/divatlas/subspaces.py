@@ -26,8 +26,9 @@ from .tensors import (
     SYM,
     SkewTensor,
     SymTensor,
-    _poly_mul,
+    _substitution,
     check_kind,
+    enc,
     exponent_vectors,
     random_tensor,
     wedge,
@@ -205,28 +206,7 @@ def _sym_jacobian_columns(a_cols, omega: SymTensor, n: int, k: int):
     derivative of w along j, substituted, times the i-th basis vector.
     """
     e = len(a_cols)
-    one = {tuple([0] * n): Fraction(1)}
-    forms = [
-        {tuple(1 if r == i else 0 for r in range(n)): a_cols[j][i] for i in range(n) if a_cols[j][i]}
-        for j in range(e)
-    ]
-    pow_cache = {}
-
-    def form_power(j, p):
-        if p == 0:
-            return one
-        key = (j, p)
-        if key not in pow_cache:
-            pow_cache[key] = _poly_mul(form_power(j, p - 1), forms[j])
-        return pow_cache[key]
-
-    def substituted(alpha):
-        term = one
-        for j, a in enumerate(alpha):
-            if a:
-                term = _poly_mul(term, form_power(j, a))
-        return term
-
+    substituted = _substitution(a_cols, n)
     target = exponent_vectors(n, k)
     target_pos = {a: i for i, a in enumerate(target)}
     cols = []
@@ -264,8 +244,10 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0, max_retries: int 
     Evaluates the Jacobian of the parametrization (A, w) -> (power of A
     applied to w), with A a full-rank n x e rational matrix and w a
     random degree-k tensor on QQ^e, and returns its exact rank minus 1
-    (the projectivization).  Rank-deficient samples of A are redrawn a
-    bounded number of times.
+    (the projectivization).  Degenerate samples are redrawn a bounded
+    number of times: a rank-deficient A, and a w whose enclosing
+    dimension is below the maximum on QQ^e (a vector, k = 1, encloses
+    only its own line), since such a w lies in a smaller Sub_e.
     """
     check_kind(kind)
     if k < 1:
@@ -273,13 +255,17 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0, max_retries: int 
     floor = 1 if kind == SYM else k
     if not floor <= e <= n:
         raise ValueError(f"need {floor} <= e <= n, got k={k}, e={e}, n={n}")
+    if k == 1:
+        full = 1
+    else:
+        full = e_max(k, e) if kind == SKEW else e
     rng = random.Random(f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}")
     for _ in range(max_retries):
         a_cols = [tuple(Fraction(rng.randint(-9, 9)) for _ in range(n)) for _ in range(e)]
         if rank(RationalMatrix.from_columns(a_cols)) < e:
             continue
         omega = random_tensor(e, k, kind, rng)
-        if omega.is_zero:
+        if enc(omega) < full:
             continue
         if kind == SKEW:
             cols = _skew_jacobian_columns(a_cols, omega, n, k)

@@ -23,13 +23,13 @@ from fractions import Fraction
 
 from .linalg import (
     RationalMatrix,
+    _bareiss,
     _int_rows,
     as_fraction,
     as_vector,
     exact_det,
     image_basis,
     int_det,
-    inverse,
     lin_indep,
     rank,
 )
@@ -323,12 +323,6 @@ def sym_product(f: SymTensor, g: SymTensor) -> SymTensor:
     return SymTensor(f.n, f.k + g.k, coeffs)
 
 
-def variable(n: int, i: int) -> SymTensor:
-    """The i-th coordinate vector as a degree-1 symmetric tensor."""
-    alpha = tuple(1 if j == i else 0 for j in range(n))
-    return SymTensor(n, 1, {alpha: 1})
-
-
 def _poly_mul(p: dict, q: dict) -> dict:
     out = {}
     for a, ca in p.items():
@@ -340,6 +334,38 @@ def _poly_mul(p: dict, q: dict) -> dict:
             elif key in out:
                 del out[key]
     return out
+
+
+def _substitution(columns, n_out: int):
+    """The map alpha -> x^alpha with variable i replaced by the linear form
+    columns[i] in n_out variables, as a polynomial dict.
+
+    Powers of each form are cached across calls; the returned polynomials
+    are shared and must not be mutated.
+    """
+    one = {(0,) * n_out: Fraction(1)}
+    forms = [
+        {tuple(1 if r == j else 0 for r in range(n_out)): c for j, c in enumerate(col) if c}
+        for col in columns
+    ]
+    pow_cache = {}
+
+    def form_power(i, p):
+        if p == 0:
+            return one
+        key = (i, p)
+        if key not in pow_cache:
+            pow_cache[key] = _poly_mul(form_power(i, p - 1), forms[i])
+        return pow_cache[key]
+
+    def substituted(alpha):
+        term = one
+        for i, a in enumerate(alpha):
+            if a:
+                term = _poly_mul(term, form_power(i, a))
+        return term
+
+    return substituted
 
 
 # ---------------------------------------------------------------------------
@@ -449,28 +475,11 @@ def apply_linear_map(mat, t):
         return SkewTensor(n_out, t.k, coeffs)
     if isinstance(t, SymTensor):
         # substitute variable i by the linear form given by column i
-        forms = [
-            {tuple(1 if r == j else 0 for r in range(n_out)): rows[j][i] for j in range(n_out) if rows[j][i]}
-            for i in range(n_in)
-        ]
-        pow_cache = {}
-
-        def form_power(i, p):
-            if p == 0:
-                return {tuple([0] * n_out): Fraction(1)}
-            key = (i, p)
-            if key not in pow_cache:
-                pow_cache[key] = _poly_mul(form_power(i, p - 1), forms[i])
-            return pow_cache[key]
-
+        substituted = _substitution(list(zip(*rows)), n_out)
         out = {}
         for alpha, c in t.coeffs.items():
-            term = {tuple([0] * n_out): c}
-            for i, a in enumerate(alpha):
-                if a:
-                    term = _poly_mul(term, form_power(i, a))
-            for key, v in term.items():
-                w = out.get(key, 0) + v
+            for key, v in substituted(alpha).items():
+                w = out.get(key, 0) + c * v
                 if w:
                     out[key] = w
                 elif key in out:
@@ -479,30 +488,15 @@ def apply_linear_map(mat, t):
     raise TypeError(f"not a tensor: {type(t).__name__}")
 
 
-def complete_basis(W: SubspaceBasis) -> RationalMatrix:
-    """Square matrix whose first dim(W) columns are W and whose remaining
-    columns are standard basis vectors completing W to a basis."""
-    n = W.ambient_dim
-    cols = list(W.vectors)
-    for i in range(n):
-        if len(cols) == n:
-            break
-        e_i = tuple(Fraction(int(j == i)) for j in range(n))
-        if rank(RationalMatrix.from_columns(cols + [e_i])) > len(cols):
-            cols.append(e_i)
-    if len(cols) != n:
-        raise ValueError("could not complete basis")  # unreachable for valid W
-    return RationalMatrix.from_columns(cols)
-
-
 def is_in_power_of(t, W: SubspaceBasis) -> bool:
     """True iff t lies in the k-th exterior (resp. symmetric) power of span(W).
 
-    Computed honestly: W is completed to a basis of the ambient space,
-    the tensor is rewritten in that basis, and every coefficient that
-    involves a complement vector must vanish.  Row rescalings of the
-    coordinate-change matrix only rescale the rewritten coefficients,
-    so the test runs on integers.
+    Computed honestly: Bareiss elimination on the integer rows of
+    [W | I] leaves an invertible matrix A in the right-hand block, and
+    A W is zero below row dim(W) because W has full column rank, so A
+    maps span(W) onto the first dim(W) coordinates.  The tensor is
+    rewritten through A, and every coefficient that involves a later
+    coordinate must vanish.  A is integral, so the test runs on integers.
     """
     if W.ambient_dim != t.n:
         raise ValueError("subspace ambient dimension does not match tensor")
@@ -514,9 +508,10 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
         return True
     if m == 0:
         return False
-    P = complete_basis(W)
-    A = inverse(P)  # maps old coordinates to coordinates in the completed basis
-    a_rows = _int_rows(A)  # row rescaling only rescales output coefficients
+    # integer rows of [W | I]; scaling a row is one more invertible row operation
+    aug = _int_rows([[w[i] for w in W.vectors] + [int(i == j) for j in range(n)] for i in range(n)])
+    _bareiss(aug)
+    a_rows = [row[m:] for row in aug]
 
     if isinstance(t, SkewTensor):
         if m < t.k:
@@ -622,7 +617,7 @@ def tensor_from_json(obj: dict):
     if missing:
         raise ValueError(f"tensor JSON is missing keys: {sorted(missing)}")
     n, k, kind, terms = obj["n"], obj["k"], obj["kind"], obj["terms"]
-    if not isinstance(n, int) or not isinstance(k, int) or n < 0 or k < 0:
+    if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in (n, k)):
         raise ValueError("n and k must be nonnegative integers")
     check_kind(kind)
     if not isinstance(terms, list):
@@ -632,7 +627,7 @@ def tensor_from_json(obj: dict):
         if not isinstance(term, dict) or "index" not in term or "coeff" not in term:
             raise ValueError(f"malformed term: {term!r}")
         idx = term["index"]
-        if not isinstance(idx, list) or any(not isinstance(x, int) for x in idx):
+        if not isinstance(idx, list) or any(not isinstance(x, int) or isinstance(x, bool) for x in idx):
             raise ValueError(f"malformed index: {idx!r}")
         c = term["coeff"]
         if not isinstance(c, (str, int)):

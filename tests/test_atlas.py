@@ -3,7 +3,6 @@ import math
 import pytest
 
 from divatlas.atlas import (
-    NSClass,
     atlas_report,
     canonical_analysis,
     class_to_kind,
@@ -225,11 +224,6 @@ def test_sym_count_off_by_one_is_noted():
 
 
 def test_nsclass():
-    assert NSClass.canonical(5) == NSClass(8, SKEW)
-    with pytest.raises(ValueError):
-        NSClass(0, SKEW)
-    with pytest.raises(ValueError):
-        NSClass(3, "other")
     assert class_to_kind("n") == SKEW
     assert class_to_kind("t") == SYM
     with pytest.raises(ValueError):

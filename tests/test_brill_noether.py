@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from divatlas.brill_noether import (
-    CurveParams,
     achieved_r,
     big_R,
     lambda_grd,
@@ -121,9 +120,5 @@ def test_genus_domain_enforced():
     for g in (0, 1):
         with pytest.raises(ValueError):
             rho(g, 0, 2)
-        with pytest.raises(ValueError):
-            CurveParams(g, 2)
-    with pytest.raises(ValueError):
-        CurveParams(3, 0)
     with pytest.raises(ValueError):
         rho(3, -1, 2)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from divatlas.cli import main
 
 
@@ -135,6 +137,23 @@ def test_enc_malformed_json_exits_2(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "enc", str(path2))
     assert rc == 2
     assert err
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"n": True, "k": 1, "kind": "skew", "terms": [{"index": [0], "coeff": "1"}]}, "n and k"),
+        ({"n": 2, "k": 2, "kind": "skew", "terms": [{"index": [False, True], "coeff": "1"}]}, "malformed index"),
+    ],
+    ids=["bool-n", "bool-index"],
+)
+def test_enc_json_booleans_exit_2(tmp_path, capsys, obj, message):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(obj))
+    rc, out, err = run_cli(capsys, "enc", str(path))
+    assert rc == 2
+    assert out == ""
+    assert message in err
 
 
 def test_enc_missing_file_exits_2(tmp_path, capsys):

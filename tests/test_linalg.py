@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from divatlas.linalg import (
     image_basis,
     in_span,
     int_det,
-    inverse,
     lin_indep,
     random_matrix,
     rank,
@@ -114,27 +114,41 @@ def test_columns_lie_in_image_basis_span():
             assert in_span(M.column(j), basis)
 
 
-def test_inverse_round_trip():
-    M = RationalMatrix([[2, 1, 0], [0, 1, 3], [1, 0, 1]])
-    inv = inverse(M)
-    prod = [
-        [sum(M[i, l] * inv[l, j] for l in range(3)) for j in range(3)]
-        for i in range(3)
-    ]
-    assert RationalMatrix(prod) == RationalMatrix.identity(3)
+def _leibniz_det(rows):
+    """Permutation-sum determinant, independent of any elimination."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, p in enumerate(perm):
+            term *= rows[i][p]
+        total += term
+    return total
 
 
-def test_inverse_singular_raises():
-    with pytest.raises(ValueError):
-        inverse(RationalMatrix([[1, 2], [2, 4]]))
-
-
-def test_exact_det_matches_int_det():
+def test_det_matches_leibniz():
     rng = random.Random("det")
-    for _ in range(50):
-        n = rng.randint(1, 5)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert exact_det(rows) == int_det(rows)
+    cases = []
+    for n in range(6):
+        for _ in range(20):
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            cases.append(rows)
+            if n >= 2:
+                # a zero pivot: the first column needs a row swap
+                cases.append([[0] + rows[0][1:]] + rows[1:])
+                # singular: the last row is the sum of the first two
+                cases.append(rows[:-1] + [[a + b for a, b in zip(rows[0], rows[1])]])
+    for rows in cases:
+        expected = _leibniz_det(rows)
+        assert int_det(rows) == expected
+        assert exact_det(rows) == expected
+    for n in range(6):
+        for _ in range(10):
+            rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+            assert exact_det(rows) == _leibniz_det(rows)
+    with pytest.raises(ValueError):
+        exact_det([[1, 2]])
 
 
 def test_det_fractional():

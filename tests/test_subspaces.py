@@ -112,6 +112,13 @@ def test_tangent_oracle_sym_spot_checks():
     assert sub_dim_tangent(3, 3, 5, SYM, seed=0) == sub_dim(3, 3, 5, SYM)
 
 
+def test_tangent_oracle_redraws_degenerate_omega():
+    # the first w drawn at each seed has enclosing dimension below e, so
+    # it lies in a smaller Sub_e and its tangent rank is too low
+    assert sub_dim_tangent(2, 2, 6, SYM, 12) == sub_dim(2, 2, 6, SYM)
+    assert sub_dim_tangent(2, 2, 5, SYM, 454578482) == sub_dim(2, 2, 5, SYM)
+
+
 def test_tangent_oracle_small_grid():
     # the full grid runs in the acceptance suite; spot a diagonal here
     for kind in (SKEW, SYM):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from divatlas.linalg import RationalMatrix, rank
+from divatlas.linalg import RationalMatrix, in_span, rank
 from divatlas.subspaces import e_max
 from divatlas.tensors import (
     SKEW,
@@ -321,6 +321,46 @@ def test_sym_membership():
     off = SubspaceBasis(3, ((1, 0, 0), (0, 0, 1)))
     assert is_in_power_of(t, inside)
     assert not is_in_power_of(t, off)
+
+
+def _rational_span(vectors, dim, n, rng):
+    """A basis of dim independent random combinations of the vectors, with
+    non-integer coefficients."""
+    while True:
+        combos = []
+        for _ in range(dim):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in vectors]
+            combos.append(tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(n)))
+        try:
+            return SubspaceBasis(n, tuple(combos))
+        except ValueError:
+            continue
+
+
+def test_is_in_power_of_matches_enclosing_space_oracle():
+    # membership holds exactly when the enclosing space lies in span(W);
+    # the oracle is a span test and never rewrites the tensor
+    rng = random.Random("membership-oracle")
+    outcomes = {True: 0, False: 0}
+    for kind, n, k in [(SKEW, 5, 2), (SKEW, 7, 3), (SYM, 4, 2), (SYM, 5, 3)]:
+        for s in range(12):
+            t = random_decomposable(n, k, kind, f"oracle:{kind}:{s}:a")
+            if s % 2:
+                t = t + random_decomposable(n, k, kind, f"oracle:{kind}:{s}:b")
+            U = list(enclosing_space(t).vectors)
+            extra = [random_vector(n, rng) for _ in range(n)]
+            dim = rng.randint(len(U), n - 1)
+            if s % 3 == 0:  # contains U
+                W = _rational_span(U + extra[: dim - len(U)], dim, n, rng)
+            elif s % 3 == 1:  # a hyperplane of U plus other directions
+                W = _rational_span(U[:-1] + extra[: dim - len(U) + 1], dim, n, rng)
+            else:  # a random subspace
+                W = _rational_span(extra, dim, n, rng)
+            assert any(x.denominator > 1 for w in W.vectors for x in w)
+            expected = all(in_span(u, W.vectors) for u in U)
+            assert is_in_power_of(t, W) == expected
+            outcomes[expected] += 1
+    assert min(outcomes.values()) >= 10
 
 
 def test_sym_decomposable_enc():
