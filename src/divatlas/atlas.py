@@ -254,7 +254,9 @@ def canonical_analysis(g: int, k: int) -> dict:
     negative for k = 2, positive for most k >= 3, and when positive the
     canonical system cannot lie inside the main component.  The two
     always meet along the subspace variety Sub_(g-1) of the canonical
-    section space, of codimension C(g-1, k-1) - (g-1) in |K|.
+    section space, whose codimension in |K| is taken from sub_dim, so
+    it goes through normalize_e.  It exceeds the hand count
+    C(g-1, k-1) - (g-1) by one at k = 2 with even g and at k = g-2.
     """
     if not isinstance(g, int) or g < 3:
         raise ValueError(f"genus must be an integer >= 3, got {g}")
@@ -272,7 +274,7 @@ def canonical_analysis(g: int, k: int) -> dict:
         "gap": gap,
         "exorbitant": exorbitant,
         "locus": {"e": g - 1, "k": k, "ambient": g, "kind": SKEW},
-        "locus_codim": math.comb(g - 1, k - 1) - (g - 1),
+        "locus_codim": canonical_dim - sub_dim(g - 1, k, g, SKEW),
     }
 
 

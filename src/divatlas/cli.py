@@ -12,7 +12,7 @@ import json
 import sys
 
 from .atlas import atlas_report, class_to_kind
-from .tensors import enc, enclosing_space, tensor_from_json
+from .tensors import enclosing_space, tensor_from_json
 from .verify import SUITES, run_suites
 
 
@@ -175,8 +175,8 @@ def _cmd_enc(args) -> int:
         print(f"divatlas: {args.tensor} is not valid JSON: {exc}", file=sys.stderr)
         return 2
     t = tensor_from_json(obj)
-    value = enc(t)
     basis = enclosing_space(t)
+    value = basis.dim
     result = {
         "n": t.n,
         "k": t.k,

@@ -76,7 +76,7 @@ class RationalMatrix:
         for (i, j), v in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry index ({i}, {j}) out of bounds")
-            data[i][j] = as_fraction(v)
+            data[i][j] = v
         return cls(data, cols=cols)
 
     @classmethod

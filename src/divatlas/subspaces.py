@@ -38,13 +38,16 @@ from .tensors import (
 def e_max(k: int, n: int) -> int:
     """Maximum enclosing dimension of a degree-k skew tensor on QQ^n.
 
-    n-1 when k = n-1, or when k = 2 and n is odd; n otherwise (0 when
-    the whole exterior power vanishes because n < k).
+    At most 1 for k = 1 (a vector encloses only its own line); n-1 when
+    k = n-1, or when k = 2 and n is odd; n otherwise (0 when the whole
+    exterior power vanishes because n < k).
     """
     if k < 1:
         raise ValueError("degree k must be >= 1")
     if n < 0:
         raise ValueError("dimension n must be >= 0")
+    if k == 1:
+        return min(n, 1)
     if n < k:
         return 0
     if k == n - 1 or (k == 2 and n % 2 == 1):
@@ -55,17 +58,20 @@ def e_max(k: int, n: int) -> int:
 def e_max_sym(k: int, n: int, paper_compat: bool = False) -> int:
     """Maximum enclosing dimension of a degree-k symmetric tensor on QQ^n.
 
-    The faithful default is n for every n >= 1: the generic symmetric
-    tensor has a full-rank catalecticant in any dimension (for k = 2
-    take x_1^2 + ... + x_n^2).  The compat mode instead drops to n-1
-    for k = 2 and odd n, mirroring the parity rule for skew 2-tensors;
-    it is exposed so that both conventions can be compared, not because
-    odd catalecticant ranks fail to occur.
+    The faithful default is n for every n >= 1 and k >= 2: the generic
+    symmetric tensor has a full-rank catalecticant in any dimension (for
+    k = 2 take x_1^2 + ... + x_n^2).  A vector (k = 1) encloses only its
+    own line, so the bound is min(n, 1) there.  The compat mode instead
+    drops to n-1 for k = 2 and odd n, mirroring the parity rule for skew
+    2-tensors; it is exposed so that both conventions can be compared,
+    not because odd catalecticant ranks fail to occur.
     """
     if k < 1:
         raise ValueError("degree k must be >= 1")
     if n < 0:
         raise ValueError("dimension n must be >= 0")
+    if k == 1:
+        return min(n, 1)
     if n == 0:
         return 0
     if paper_compat and k == 2 and n % 2 == 1:
@@ -246,8 +252,8 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0, max_retries: int 
     random degree-k tensor on QQ^e, and returns its exact rank minus 1
     (the projectivization).  Degenerate samples are redrawn a bounded
     number of times: a rank-deficient A, and a w whose enclosing
-    dimension is below the maximum on QQ^e (a vector, k = 1, encloses
-    only its own line), since such a w lies in a smaller Sub_e.
+    dimension is below the maximum on QQ^e, since such a w lies in a
+    smaller Sub_e.
     """
     check_kind(kind)
     if k < 1:
@@ -255,10 +261,7 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0, max_retries: int 
     floor = 1 if kind == SYM else k
     if not floor <= e <= n:
         raise ValueError(f"need {floor} <= e <= n, got k={k}, e={e}, n={n}")
-    if k == 1:
-        full = 1
-    else:
-        full = e_max(k, e) if kind == SKEW else e
+    full = e_max(k, e) if kind == SKEW else e_max_sym(k, e)
     rng = random.Random(f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}")
     for _ in range(max_retries):
         a_cols = [tuple(Fraction(rng.randint(-9, 9)) for _ in range(n)) for _ in range(e)]

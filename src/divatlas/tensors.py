@@ -3,14 +3,18 @@
 A skew tensor of degree k on an n-dimensional space is stored as a
 sparse map from strictly increasing index k-tuples to coefficients; a
 symmetric tensor as a map from exponent vectors (length n, entries
-summing to k) to the coefficient of the corresponding monomial.
+summing to k) to the coefficient of the corresponding monomial.  Both
+classes share one container, _Tensor, for validation, coordinates and
+arithmetic; each adds only its kind, its key check and its basis.
 
 The central computation is the enclosing space of a tensor: the
 smallest subspace U such that the tensor lies in the k-th exterior
 (resp. symmetric) power of U.  It is obtained as the column space of a
 contraction matrix, a signed rearrangement of the coefficients in the
 skew case and the first catalecticant in the symmetric case, so the
-enclosing dimension is an exact matrix rank.
+enclosing dimension is an exact matrix rank.  Each contraction matrix
+is filled in one pass over the coefficients: each entry comes from a
+single coefficient, so nothing is accumulated.
 """
 
 from __future__ import annotations
@@ -110,99 +114,13 @@ def exponent_vectors(n: int, k: int):
 # tensor containers
 
 
-def _normalize_skew_coeffs(n, k, coeffs):
-    out = {}
-    for idx, c in coeffs.items():
-        idx = tuple(idx)
-        if len(idx) != k:
-            raise ValueError(f"index {idx} does not have degree {k}")
-        prev = -1
-        for x in idx:
-            if not isinstance(x, int) or x <= prev or x >= n:
-                raise ValueError(
-                    f"index {idx} is not a strictly increasing subset of range({n})"
-                )
-            prev = x
-        c = as_fraction(c)
-        if c:
-            out[idx] = out.get(idx, Fraction(0)) + c
-            if not out[idx]:
-                del out[idx]
-    return out
-
-
-def _normalize_sym_coeffs(n, k, coeffs):
-    out = {}
-    for alpha, c in coeffs.items():
-        alpha = tuple(alpha)
-        if len(alpha) != n:
-            raise ValueError(f"exponent vector {alpha} does not have length {n}")
-        if any(not isinstance(a, int) or a < 0 for a in alpha) or sum(alpha) != k:
-            raise ValueError(f"exponent vector {alpha} does not have total degree {k}")
-        c = as_fraction(c)
-        if c:
-            out[alpha] = out.get(alpha, Fraction(0)) + c
-            if not out[alpha]:
-                del out[alpha]
-    return out
-
-
 @dataclass(frozen=True)
-class SkewTensor:
-    """Element of the k-th exterior power of QQ^n, sparse in the wedge basis."""
+class _Tensor:
+    """Sparse body shared by SkewTensor and SymTensor.
 
-    n: int
-    k: int
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.n < 0 or self.k < 0:
-            raise ValueError("n and k must be nonnegative")
-        object.__setattr__(self, "coeffs", _normalize_skew_coeffs(self.n, self.k, self.coeffs))
-
-    @property
-    def kind(self) -> str:
-        return SKEW
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, idx) -> Fraction:
-        return self.coeffs.get(tuple(idx), Fraction(0))
-
-    def coordinates(self):
-        """Dense coefficient vector in lexicographic basis order."""
-        return tuple(self.coeffs.get(I, Fraction(0)) for I in k_subsets(self.n, self.k))
-
-    def __add__(self, other):
-        if not isinstance(other, SkewTensor) or (other.n, other.k) != (self.n, self.k):
-            raise ValueError("can only add skew tensors of the same shape")
-        merged = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            merged[idx] = merged.get(idx, Fraction(0)) + c
-        return SkewTensor(self.n, self.k, merged)
-
-    def __neg__(self):
-        return SkewTensor(self.n, self.k, {i: -c for i, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        s = as_fraction(scalar)
-        return SkewTensor(self.n, self.k, {i: s * c for i, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class SymTensor:
-    """Element of the k-th symmetric power of QQ^n.
-
-    Coefficients follow the monomial convention: coeffs[alpha] is the
-    coefficient of x^alpha when the tensor is written as a homogeneous
-    polynomial of degree k in the basis coordinates.
+    coeffs maps basis keys to nonzero Fractions; a subclass names its
+    kind, validates its keys (_check_index) and lists its basis in
+    order (_basis).  Arithmetic returns the subclass of self.
     """
 
     n: int
@@ -212,41 +130,87 @@ class SymTensor:
     def __post_init__(self):
         if self.n < 0 or self.k < 0:
             raise ValueError("n and k must be nonnegative")
-        object.__setattr__(self, "coeffs", _normalize_sym_coeffs(self.n, self.k, self.coeffs))
-
-    @property
-    def kind(self) -> str:
-        return SYM
+        out = {}
+        for key, c in self.coeffs.items():
+            key = tuple(key)
+            self._check_index(key)
+            c = as_fraction(c)
+            if c:
+                out[key] = out.get(key, Fraction(0)) + c
+                if not out[key]:
+                    del out[key]
+        object.__setattr__(self, "coeffs", out)
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, alpha) -> Fraction:
-        return self.coeffs.get(tuple(alpha), Fraction(0))
+    def coefficient(self, key) -> Fraction:
+        return self.coeffs.get(tuple(key), Fraction(0))
 
     def coordinates(self):
-        return tuple(self.coeffs.get(a, Fraction(0)) for a in exponent_vectors(self.n, self.k))
+        """Dense coefficient vector in basis order."""
+        return tuple(self.coeffs.get(key, Fraction(0)) for key in self._basis())
 
     def __add__(self, other):
-        if not isinstance(other, SymTensor) or (other.n, other.k) != (self.n, self.k):
-            raise ValueError("can only add symmetric tensors of the same shape")
+        if not isinstance(other, type(self)) or (other.n, other.k) != (self.n, self.k):
+            raise ValueError(f"can only add {self.kind} tensors of the same shape")
         merged = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            merged[a] = merged.get(a, Fraction(0)) + c
-        return SymTensor(self.n, self.k, merged)
+        for key, c in other.coeffs.items():
+            merged[key] = merged.get(key, Fraction(0)) + c
+        return type(self)(self.n, self.k, merged)
 
     def __neg__(self):
-        return SymTensor(self.n, self.k, {a: -c for a, c in self.coeffs.items()})
+        return type(self)(self.n, self.k, {key: -c for key, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
         s = as_fraction(scalar)
-        return SymTensor(self.n, self.k, {a: s * c for a, c in self.coeffs.items()})
+        return type(self)(self.n, self.k, {key: s * c for key, c in self.coeffs.items()})
 
     __rmul__ = __mul__
+
+
+class SkewTensor(_Tensor):
+    """Element of the k-th exterior power of QQ^n, sparse in the wedge basis."""
+
+    kind = SKEW
+
+    def _check_index(self, idx):
+        if len(idx) != self.k:
+            raise ValueError(f"index {idx} does not have degree {self.k}")
+        prev = -1
+        for x in idx:
+            if not isinstance(x, int) or x <= prev or x >= self.n:
+                raise ValueError(
+                    f"index {idx} is not a strictly increasing subset of range({self.n})"
+                )
+            prev = x
+
+    def _basis(self):
+        return k_subsets(self.n, self.k)
+
+
+class SymTensor(_Tensor):
+    """Element of the k-th symmetric power of QQ^n.
+
+    Coefficients follow the monomial convention: coeffs[alpha] is the
+    coefficient of x^alpha when the tensor is written as a homogeneous
+    polynomial of degree k in the basis coordinates.
+    """
+
+    kind = SYM
+
+    def _check_index(self, alpha):
+        if len(alpha) != self.n:
+            raise ValueError(f"exponent vector {alpha} does not have length {self.n}")
+        if any(not isinstance(a, int) or a < 0 for a in alpha) or sum(alpha) != self.k:
+            raise ValueError(f"exponent vector {alpha} does not have total degree {self.k}")
+
+    def _basis(self):
+        return exponent_vectors(self.n, self.k)
 
 
 @dataclass(frozen=True)
@@ -372,6 +336,17 @@ def _substitution(columns, n_out: int):
 # contraction matrices and enclosing spaces
 
 
+MAX_CONTRACTION_ENTRIES = 10**6
+
+
+def _check_contraction_size(t, cols: int) -> None:
+    if t.n * cols > MAX_CONTRACTION_ENTRIES:
+        raise ValueError(
+            f"contraction matrix of the {t.kind} tensor with n={t.n}, k={t.k} would be "
+            f"{t.n} x {cols}, above the limit of {MAX_CONTRACTION_ENTRIES} entries"
+        )
+
+
 def contraction_matrix_skew(t: SkewTensor) -> RationalMatrix:
     """Matrix of the contraction pairing a skew tensor against (k-1)-covectors.
 
@@ -384,16 +359,13 @@ def contraction_matrix_skew(t: SkewTensor) -> RationalMatrix:
         raise ValueError("contraction needs degree k >= 1")
     n, k = t.n, t.k
     cols = math.comb(n, k - 1)
+    _check_contraction_size(t, cols)
+    col_of = {J: j for j, J in enumerate(itertools.combinations(range(n), k - 1))}
+    # each (i, J) comes from the single coefficient on J + {i}
     entries = {}
-    for jc, J in enumerate(itertools.combinations(range(n), k - 1)):
-        for idx, c in t.coeffs.items():
-            # idx = J + {i} for exactly one i when J subset idx
-            extra = [i for i in idx if i not in J]
-            if len(extra) != 1 or any(j not in idx for j in J):
-                continue
-            i = extra[0]
-            pos = idx.index(i)
-            entries[(i, jc)] = entries.get((i, jc), Fraction(0)) + (-1) ** pos * c
+    for idx, c in t.coeffs.items():
+        for pos, i in enumerate(idx):
+            entries[(i, col_of[idx[:pos] + idx[pos + 1 :]])] = -c if pos % 2 else c
     return RationalMatrix.from_entries(n, cols, entries)
 
 
@@ -408,15 +380,17 @@ def contraction_matrix_sym(t: SymTensor) -> RationalMatrix:
     if t.k < 1:
         raise ValueError("contraction needs degree k >= 1")
     n, k = t.n, t.k
-    col_index = exponent_vectors(n, k - 1)
+    # max(., 0): for n = 0, k = 1 the one column is the empty exponent vector
+    cols = math.comb(max(n + k - 2, 0), k - 1)
+    _check_contraction_size(t, cols)
+    col_of = {a: j for j, a in enumerate(exponent_vectors(n, k - 1))}
+    # each (i, a) comes from the single coefficient on beta = a + e_i
     entries = {}
-    for jc, alpha in enumerate(col_index):
-        for i in range(n):
-            beta = tuple(a + (1 if j == i else 0) for j, a in enumerate(alpha))
-            c = t.coeffs.get(beta)
-            if c:
-                entries[(i, jc)] = (alpha[i] + 1) * c
-    return RationalMatrix.from_entries(n, len(col_index), entries)
+    for beta, c in t.coeffs.items():
+        for i, b in enumerate(beta):
+            if b:
+                entries[(i, col_of[beta[:i] + (b - 1,) + beta[i + 1 :]])] = b * c
+    return RationalMatrix.from_entries(n, cols, entries)
 
 
 def contraction_matrix(t) -> RationalMatrix:

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from divatlas import verify
-from divatlas.atlas import atlas_report, canonical_analysis, components, intersections
+from divatlas.atlas import atlas_report, components, intersections
 from divatlas.brill_noether import lambda_grd, w_dim, w_top_points
 from divatlas.subspaces import sub_dim
 from divatlas.tensors import SKEW
@@ -99,22 +99,7 @@ def test_criterion_8_tangent_oracle_agreement():
 
 
 def test_criterion_9_exorbitance_gap():
-    ok = True
-    detail = "gap < 0 for k = 2; gap > 0 and codim > 0 for 3 <= k <= g-2, g <= 30"
-    for g in range(3, 31):
-        if canonical_analysis(g, 2)["gap"] >= 0:
-            ok, detail = False, f"gap not negative at g={g}, k=2"
-            break
-    if ok:
-        for g in range(6, 31):
-            for k in range(3, g - 1):
-                report = canonical_analysis(g, k)
-                codim = math.comb(g - 1, k - 1) - (g - 1)
-                if report["gap"] <= 0 or report["locus_codim"] != codim or codim == 0:
-                    ok, detail = False, f"gap/codim failed at g={g}, k={k}"
-                    break
-            if not ok:
-                break
+    ok, detail = verify.check_exorbitance(seed=0)
     _report(9, ok, detail)
 
 

@@ -179,7 +179,10 @@ def test_canonical_analysis_gap_signs():
     report = canonical_analysis(5, 3)
     assert report["gap"] == math.comb(4, 2) - 5 == 1
     assert report["exorbitant"]
-    assert report["locus_codim"] == math.comb(4, 2) - 4
+    # Sub_4 = Sub_3 (normalize_e): codim 9 - sub_dim(3, 3, 5) = 9 - 6
+    assert report["locus_codim"] == 3
+    # Sub_3 = Sub_2 is the Grassmannian hypersurface in |K| = P^5
+    assert canonical_analysis(4, 2)["locus_codim"] == 1
 
 
 def test_canonical_analysis_even_genus_k2_exorbitant():

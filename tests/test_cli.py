@@ -156,6 +156,23 @@ def test_enc_json_booleans_exit_2(tmp_path, capsys, obj, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 200, "k": 10, "kind": "skew", "terms": [{"index": list(range(10)), "coeff": "1"}]},
+        {"n": 200, "k": 10, "kind": "sym", "terms": [{"index": [10] + [0] * 199, "coeff": "1"}]},
+    ],
+    ids=["skew", "sym"],
+)
+def test_enc_oversized_contraction_exits_2(tmp_path, capsys, obj):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    rc, out, err = run_cli(capsys, "enc", str(path))
+    assert rc == 2
+    assert out == ""
+    assert f"{obj['kind']} tensor with n=200, k=10" in err
+
+
 def test_enc_missing_file_exits_2(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "enc", str(tmp_path / "absent.json"))
     assert rc == 2

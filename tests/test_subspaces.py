@@ -146,3 +146,11 @@ def test_e_max_attained_by_random_tensors():
     for k, n in [(2, 4), (2, 5), (3, 4), (3, 5), (3, 6)]:
         best = max(enc(random_tensor(n, k, SKEW, s)) for s in range(100))
         assert best == e_max(k, n)
+
+
+def test_e_max_degree_one_matches_observed_enc():
+    # a vector encloses only its own line
+    for n in range(6):
+        for kind, bound in ((SKEW, e_max), (SYM, e_max_sym)):
+            best = max(enc(random_tensor(n, 1, kind, s)) for s in range(20))
+            assert bound(1, n) == best == min(n, 1)

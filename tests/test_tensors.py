@@ -19,7 +19,9 @@ from divatlas.tensors import (
     contraction_matrix_sym,
     enc,
     enclosing_space,
+    exponent_vectors,
     is_in_power_of,
+    k_subsets,
     random_decomposable,
     random_subspace,
     random_tensor,
@@ -176,6 +178,52 @@ def test_contraction_sym_fermat_explicit():
     # columns indexed by exponent vectors (2,0), (1,1), (0,2)
     assert M == RationalMatrix([[3, 0, 0], [0, 0, 3]])
     assert rank(M) == 2
+
+
+def _scan_skew(t):
+    # reference: column J holds (-1)^pos coeff(J + {i}) at every i with J + {i} in the support
+    cols = list(itertools.combinations(range(t.n), t.k - 1))
+    data = [[Fraction(0)] * len(cols) for _ in range(t.n)]
+    for jc, J in enumerate(cols):
+        for idx, c in t.coeffs.items():
+            extra = [i for i in idx if i not in J]
+            if len(extra) == 1 and all(j in idx for j in J):
+                data[extra[0]][jc] += (-1) ** idx.index(extra[0]) * c
+    return RationalMatrix(data, cols=len(cols))
+
+
+def _scan_sym(t):
+    # reference: column a holds (a_i + 1) coeff(a + e_i) in row i
+    cols = exponent_vectors(t.n, t.k - 1)
+    data = [[Fraction(0)] * len(cols) for _ in range(t.n)]
+    for jc, alpha in enumerate(cols):
+        for i in range(t.n):
+            beta = tuple(a + (j == i) for j, a in enumerate(alpha))
+            data[i][jc] = (alpha[i] + 1) * t.coefficient(beta)
+    return RationalMatrix(data, cols=len(cols))
+
+
+def _sparse_rational(keys, rng):
+    chosen = rng.sample(keys, rng.randint(0, min(len(keys), 6)))
+    return {key: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for key in chosen}
+
+
+def test_contraction_builders_match_reference_scan():
+    rng = random.Random("contraction-scan")
+    builders = [
+        (SkewTensor, k_subsets, contraction_matrix_skew, _scan_skew),
+        (SymTensor, exponent_vectors, contraction_matrix_sym, _scan_sym),
+    ]
+    for _ in range(150):
+        n, k = rng.randint(0, 8), rng.randint(1, 4)
+        for cls, basis, build, scan in builders:
+            keys = basis(n, k)
+            a = cls(n, k, _sparse_rational(keys, rng))
+            # b repeats some terms of a, so a - b has cancelled coefficients
+            shared = {key: c for key, c in a.coeffs.items() if rng.random() < 0.5}
+            t = a - cls(n, k, {**_sparse_rational(keys, rng), **shared})
+            for tensor in (a, t):
+                assert build(tensor) == scan(tensor)
 
 
 # ---------------------------------------------------------------------------
