@@ -9,8 +9,11 @@ For k = 2 the loci are the classical rank strata of (skew-)symmetric
 matrices and their dimensions are computed determinantally; for k >= 3
 they come from the Grassmannian-bundle parametrization.  An independent
 tangent-space oracle, sub_dim_tangent, recomputes each dimension as the
-exact rank of the Jacobian of that parametrization at a random rational
-point, and the two are required to agree in the test suites.
+exact rank of the Jacobian of that parametrization at a random integer
+point, and the two are required to agree in the test suites.  At an
+integer point the Jacobian is integral: its entries are minors of A
+(skew) or coefficients of substituted monomials (symmetric), built on
+Python ints throughout.
 """
 
 from __future__ import annotations
@@ -18,20 +21,17 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 
 from .linalg import RationalMatrix, rank
 from .tensors import (
     SKEW,
     SYM,
-    SkewTensor,
-    SymTensor,
+    _minors,
     _substitution,
     check_kind,
     enc,
     exponent_vectors,
     random_tensor,
-    wedge,
 )
 
 
@@ -148,64 +148,37 @@ def sec_dim_printed(s: int, n: int, kind: str) -> int:
 # tangent-space oracle
 
 
-def _skew_partial(t: SkewTensor, j: int) -> SkewTensor:
-    """Interior derivative of a skew tensor along source variable j."""
-    coeffs = {}
-    for I, c in t.coeffs.items():
-        if j in I:
-            pos = I.index(j)
-            rest = I[:pos] + I[pos + 1 :]
-            coeffs[rest] = coeffs.get(rest, Fraction(0)) + (-1) ** pos * c
-    return SkewTensor(t.n, t.k - 1, coeffs)
+def _skew_jacobian_columns(a_cols, w: dict, n: int, k: int):
+    """Columns of the differential of (A, w) -> (wedge^k A)(w), on integers.
 
-
-def _wedge_basis_vector(t: SkewTensor, i: int) -> SkewTensor:
-    """t ^ e_i for a standard basis vector of the ambient space."""
-    kk = t.k
-    coeffs = {}
-    for M, c in t.coeffs.items():
-        if i in M:
-            continue
-        I = tuple(sorted(M + (i,)))
-        pos = I.index(i)
-        sign = (-1) ** (kk - pos)  # move e_i left past the larger indices
-        coeffs[I] = coeffs.get(I, Fraction(0)) + sign * c
-    return SkewTensor(t.n, kk + 1, coeffs)
-
-
-def _skew_jacobian_columns(a_cols, omega: SkewTensor, n: int, k: int):
-    """Columns of the differential of (A, w) -> (wedge^k A)(w)."""
+    The coordinate of (wedge^k A)(e_I) on J is the minor of A on rows J
+    and columns I.  Along an entry A[i][j] the factor A e_j of each term
+    is replaced by e_i, so the column is e_i ^ psi_j with psi_j the image
+    under wedge^(k-1) A of the interior derivative of w along e_j.
+    """
     e = len(a_cols)
-    cols = []
-    wedge_cache = {}
-
-    def col_wedge(J):
-        if J not in wedge_cache:
-            wedge_cache[J] = wedge([a_cols[j] for j in J])
-        return wedge_cache[J]
-
-    # directions along the tensor coordinates
-    for J in itertools.combinations(range(e), k):
-        cols.append(col_wedge(J).coordinates())
-    # directions along the matrix entries (Leibniz terms)
+    minors = _minors(a_cols, k)
+    rows = {J: r for r, J in enumerate(itertools.combinations(range(n), k))}
+    cols = [tuple(minors[I].get(J, 0) for J in rows) for I in itertools.combinations(range(e), k)]
     for j in range(e):
-        part = _skew_partial(omega, j)
-        if k == 1:
-            # the map is linear here; the derivative along A[i][j] is w_j e_i
-            scalar = part.coeffs.get((), Fraction(0))
-            for i in range(n):
-                cols.append(tuple(scalar if r == i else Fraction(0) for r in range(n)))
-            continue
-        psi = SkewTensor(n, k - 1, {})
-        for M, c in part.coeffs.items():
-            psi = psi + c * col_wedge(M)
+        psi = {}
+        for I, c in w.items():
+            if j in I:
+                q = I.index(j)
+                for M, d in minors[I[:q] + I[q + 1 :]].items():
+                    psi[M] = psi.get(M, 0) + (-c if q % 2 else c) * d
         for i in range(n):
-            cols.append(_wedge_basis_vector(psi, i).coordinates())
+            col = [0] * len(rows)
+            for M, v in psi.items():
+                if i not in M:
+                    p = sum(x < i for x in M)  # moving e_i past p smaller indices
+                    col[rows[M[:p] + (i,) + M[p:]]] = -v if p % 2 else v
+            cols.append(tuple(col))
     return cols
 
 
-def _sym_jacobian_columns(a_cols, omega: SymTensor, n: int, k: int):
-    """Columns of the differential of (A, w) -> (S^k A)(w).
+def _sym_jacobian_columns(a_cols, w: dict, n: int, k: int):
+    """Columns of the differential of (A, w) -> (S^k A)(w), on integers.
 
     The map substitutes source variable j by the linear form given by
     column j of A; its derivative along an entry A[i][j] is the partial
@@ -218,25 +191,25 @@ def _sym_jacobian_columns(a_cols, omega: SymTensor, n: int, k: int):
     cols = []
     for alpha in exponent_vectors(e, k):
         poly = substituted(alpha)
-        col = [Fraction(0)] * len(target)
+        col = [0] * len(target)
         for key, v in poly.items():
             col[target_pos[key]] = v
         cols.append(tuple(col))
     for j in range(e):
         # substituted partial derivative along source variable j
         dpoly = {}
-        for alpha, c in omega.coeffs.items():
+        for alpha, c in w.items():
             if alpha[j] == 0:
                 continue
             down = tuple(a - 1 if idx == j else a for idx, a in enumerate(alpha))
             for key, v in substituted(down).items():
-                w = dpoly.get(key, 0) + alpha[j] * c * v
-                if w:
-                    dpoly[key] = w
+                total = dpoly.get(key, 0) + alpha[j] * c * v
+                if total:
+                    dpoly[key] = total
                 elif key in dpoly:
                     del dpoly[key]
         for i in range(n):
-            col = [Fraction(0)] * len(target)
+            col = [0] * len(target)
             for key, v in dpoly.items():
                 lifted = tuple(a + 1 if idx == i else a for idx, a in enumerate(key))
                 col[target_pos[lifted]] += v
@@ -264,16 +237,13 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0, max_retries: int 
     full = e_max(k, e) if kind == SKEW else e_max_sym(k, e)
     rng = random.Random(f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}")
     for _ in range(max_retries):
-        a_cols = [tuple(Fraction(rng.randint(-9, 9)) for _ in range(n)) for _ in range(e)]
+        a_cols = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(e)]
         if rank(RationalMatrix.from_columns(a_cols)) < e:
             continue
         omega = random_tensor(e, k, kind, rng)
         if enc(omega) < full:
             continue
-        if kind == SKEW:
-            cols = _skew_jacobian_columns(a_cols, omega, n, k)
-        else:
-            cols = _sym_jacobian_columns(a_cols, omega, n, k)
-        jac = RationalMatrix.from_columns(cols)
-        return rank(jac) - 1
+        w = {key: c.numerator for key, c in omega.coeffs.items()}  # integral by construction
+        build = _skew_jacobian_columns if kind == SKEW else _sym_jacobian_columns
+        return rank(RationalMatrix.from_columns(build(a_cols, w, n, k))) - 1
     raise RuntimeError(f"no nondegenerate sample after {max_retries} retries")

@@ -229,6 +229,15 @@ class SubspaceBasis:
             raise ValueError("basis vectors are linearly dependent")
         object.__setattr__(self, "vectors", vs)
 
+    @classmethod
+    def _independent(cls, ambient_dim: int, vectors: tuple) -> "SubspaceBasis":
+        """Wrap vectors of length ambient_dim that are independent by construction
+        (pivot columns), without a second elimination to check it."""
+        basis = object.__new__(cls)
+        object.__setattr__(basis, "ambient_dim", ambient_dim)
+        object.__setattr__(basis, "vectors", vectors)
+        return basis
+
     @property
     def dim(self) -> int:
         return len(self.vectors)
@@ -236,6 +245,34 @@ class SubspaceBasis:
 
 # ---------------------------------------------------------------------------
 # constructors
+
+
+def _minors(columns, k: int) -> dict:
+    """All m x m minors, m <= k, of the matrix with the given columns.
+
+    Returns {I: {J: minor}}, with I an increasing m-subset of the columns
+    and J one of the rows; zero minors are left out.  Each minor is
+    expanded along its last column from the level below, using ring
+    operations only, so integer columns give integer minors.
+    """
+    n = len(columns[0])
+    table = {(): {(): 1}}
+    for m in range(1, k + 1):
+        for I in itertools.combinations(range(len(columns)), m):
+            col = columns[I[-1]]
+            out = {}
+            for R, d in table[I[:-1]].items():
+                lo = 0
+                for p, hi in enumerate(R + (n,)):
+                    # row r lands at position p of J; its cofactor sign is (-1)^(p + m - 1)
+                    for r in range(lo, hi):
+                        if col[r]:
+                            J = R[:p] + (r,) + R[p:]
+                            term = col[r] * d
+                            out[J] = out.get(J, 0) + (term if (p + m) % 2 else -term)
+                    lo = hi + 1
+            table[I] = {J: v for J, v in out.items() if v}
+    return table
 
 
 def wedge(vectors) -> SkewTensor:
@@ -252,12 +289,7 @@ def wedge(vectors) -> SkewTensor:
     if any(len(v) != n for v in vs):
         raise ValueError("vectors of unequal length")
     k = len(vs)
-    coeffs = {}
-    for I in itertools.combinations(range(n), k):
-        d = exact_det([[vs[j][i] for j in range(k)] for i in I])
-        if d:
-            coeffs[I] = d
-    return SkewTensor(n, k, coeffs)
+    return SkewTensor(n, k, _minors(vs, k)[tuple(range(k))])
 
 
 def sym_power(v, k: int) -> SymTensor:
@@ -305,9 +337,10 @@ def _substitution(columns, n_out: int):
     columns[i] in n_out variables, as a polynomial dict.
 
     Powers of each form are cached across calls; the returned polynomials
-    are shared and must not be mutated.
+    are shared and must not be mutated.  The constant is the int 1, so
+    integer forms give integer polynomials and Fraction forms Fractions.
     """
-    one = {(0,) * n_out: Fraction(1)}
+    one = {(0,) * n_out: 1}
     forms = [
         {tuple(1 if r == j else 0 for r in range(n_out)): c for j, c in enumerate(col) if c}
         for col in columns
@@ -405,8 +438,8 @@ def enclosing_space(t) -> SubspaceBasis:
     """Basis of the smallest subspace U with t in the k-th power of U."""
     if t.k == 0:
         # degree-0 tensors are scalars; no vectors are needed to enclose them
-        return SubspaceBasis(t.n, ())
-    return SubspaceBasis(t.n, tuple(image_basis(contraction_matrix(t))))
+        return SubspaceBasis._independent(t.n, ())
+    return SubspaceBasis._independent(t.n, tuple(image_basis(contraction_matrix(t))))
 
 
 def enc(t) -> int:

@@ -109,12 +109,15 @@ def check_enc_oracle(seed: int = 0, samples: int = 100, hyperplanes: int = 3) ->
 
 
 def check_subdim_tangent_grid(seed: int = 0, seeds_per_cell: int = 3, n_max: int = 7) -> tuple:
-    """Tangent-space dimension oracle agrees with the closed-form dimensions."""
+    """Tangent-space dimension oracle agrees with the closed-form dimensions.
+
+    Skew k = 2..4 with e from k, symmetric k = 2, 3 with e from 1.
+    """
     checked = 0
-    for kind in (SKEW, SYM):
-        for k in (2, 3):
+    for kind, ks in ((SKEW, (2, 3, 4)), (SYM, (2, 3))):
+        for k in ks:
             for n in range(k, n_max + 1):
-                for e in range(k, n + 1):
+                for e in range(1 if kind == SYM else k, n + 1):
                     if normalize_e(e, k, kind) != e:
                         continue
                     expected = sub_dim(e, k, n, kind)

@@ -1,6 +1,11 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from divatlas.subspaces import (
+    _skew_jacobian_columns,
+    _sym_jacobian_columns,
     e_max,
     e_max_sym,
     normalize_e,
@@ -8,7 +13,17 @@ from divatlas.subspaces import (
     sub_dim,
     sub_dim_tangent,
 )
-from divatlas.tensors import SKEW, SYM, enc, random_tensor
+from divatlas.tensors import (
+    SKEW,
+    SYM,
+    SkewTensor,
+    SymTensor,
+    apply_linear_map,
+    enc,
+    exponent_vectors,
+    k_subsets,
+    random_tensor,
+)
 
 
 def test_e_max_parity_and_codegree_drops():
@@ -128,6 +143,52 @@ def test_tangent_oracle_small_grid():
                     if normalize_e(e, k, kind) != e:
                         continue
                     assert sub_dim_tangent(e, k, n, kind, seed=3) == sub_dim(e, k, n, kind)
+
+
+def _linear_coefficient(values):
+    """Coefficient of x in the polynomial of degree < len(values) that
+    takes values[t] at x = t (Newton forward differences)."""
+    diffs = list(values)
+    coeff = Fraction(0)
+    for m in range(1, len(values)):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        coeff += Fraction((-1) ** (m - 1), m) * diffs[0]
+    return coeff
+
+
+@pytest.mark.parametrize("kind", [SKEW, SYM])
+def test_integer_jacobian_matches_apply_linear_map(kind):
+    # independent route: the Fraction push-forward apply_linear_map.  The
+    # column along a tensor coordinate is the image of that basis tensor;
+    # the column along A[i][j] is the coefficient of eps in the image of w
+    # under A + eps E_ij, interpolated at eps = 0..k (degree <= k in eps).
+    # The Fraction route is slow, so a few seeded entries per cell are checked.
+    rng = random.Random(f"jacobian-oracle:{kind}")
+    tensor = SkewTensor if kind == SKEW else SymTensor
+    build = _skew_jacobian_columns if kind == SKEW else _sym_jacobian_columns
+    for k in range(1, 5):
+        for n in range(k, 7):
+            e = rng.randint(1 if kind == SYM else k, n)
+            a_cols = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(e)]
+            basis = k_subsets(e, k) if kind == SKEW else exponent_vectors(e, k)
+            # the columns are linear in w, so a few terms exercise every rule
+            w = {key: rng.choice((-9, -2, 1, 3, 7)) for key in rng.sample(basis, min(4, len(basis)))}
+            cols = build(a_cols, w, n, k)
+            assert len(cols) == len(basis) + e * n
+            assert all(type(x) is int for col in cols for x in col)
+
+            rows = [[col[i] for col in a_cols] for i in range(n)]
+            for key, col in zip(basis, cols):
+                assert col == apply_linear_map(rows, tensor(e, k, {key: 1})).coordinates()
+            omega = tensor(e, k, w)
+            for j, i in rng.sample([(j, i) for j in range(e) for i in range(n)], min(4, e * n)):
+                images = []
+                for eps in range(k + 1):
+                    moved = [list(r) for r in rows]
+                    moved[i][j] += eps
+                    images.append(apply_linear_map(moved, omega).coordinates())
+                expected = tuple(_linear_coefficient(v) for v in zip(*images))
+                assert cols[len(basis) + j * n + i] == expected, (kind, k, n, e, i, j)
 
 
 def test_membership_dimension_coherence():

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from divatlas.linalg import RationalMatrix, in_span, rank
+from divatlas import tensors
+from divatlas.linalg import RationalMatrix, exact_det, in_span, rank
 from divatlas.subspaces import e_max
 from divatlas.tensors import (
     SKEW,
@@ -93,6 +94,21 @@ def test_wedge_multilinearity():
         shifted = [list(v) for v in u]
         shifted[0] = [a + c * b for a, b in zip(u[0], u[2])]
         assert wedge(shifted) == wedge(u)
+
+
+def test_wedge_matches_exact_det_minors():
+    # wedge expands its minors itself; exact_det is the reference, on
+    # rational entries and with k = 4 on its Bareiss path
+    rng = random.Random("wedge-minors")
+    for k in range(1, 5):
+        for n in range(k, 7):
+            vs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(k)]
+            expected = {}
+            for I in itertools.combinations(range(n), k):
+                d = exact_det([[v[i] for v in vs] for i in I])
+                if d:
+                    expected[I] = d
+            assert wedge(vs).coeffs == expected
 
 
 def test_skew_tensor_validation():
@@ -314,6 +330,14 @@ def test_is_in_power_of_examples():
     small = SubspaceBasis(4, ((0, 1, 0, 0), (0, 0, 1, 0)))
     assert is_in_power_of(t, big)
     assert not is_in_power_of(t, small)
+
+
+def test_enclosing_space_skips_independence_recheck(monkeypatch):
+    # pivot columns are independent by construction, so no second
+    # elimination runs; user-built bases are still checked (next test)
+    monkeypatch.setattr(tensors, "lin_indep", lambda vs: pytest.fail("independence re-checked"))
+    assert enclosing_space(random_tensor(5, 2, SKEW, 1)).dim == 4
+    assert enclosing_space(random_tensor(4, 3, SYM, 1)).dim == 4
 
 
 def test_is_in_power_of_dependent_basis_rejected():
