@@ -20,37 +20,46 @@ import math
 import random
 from fractions import Fraction
 
-Vector = tuple  # tuple of Fraction
+Vector = tuple  # tuple of exact scalars (see as_exact)
 
 
-def as_fraction(x) -> Fraction:
-    """Coerce an int, a string like '3/4', or a Fraction. Floats are rejected."""
-    if isinstance(x, Fraction):
-        return x
+def as_exact(x) -> int | Fraction:
+    """Coerce an int, a Fraction or a string like '3/4' to an exact scalar.
+
+    This is the one place the number type is decided: every integral
+    value comes back as a plain int (so Fraction(4, 2) and '6/3' give 2),
+    and only a non-integral value as a Fraction.  Python's int and
+    Fraction mix exactly, so the rest of the package uses plain
+    arithmetic.  Floats and bools are rejected.
+    """
     if isinstance(x, bool):
         raise TypeError("expected an exact rational, got bool")
     if isinstance(x, int):
-        return Fraction(x)
+        return x
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 def as_vector(entries) -> Vector:
-    return tuple(as_fraction(x) for x in entries)
+    return tuple(as_exact(x) for x in entries)
 
 
 class RationalMatrix:
-    """Immutable dense matrix of Fractions.
+    """Immutable dense matrix of exact rationals.
 
     Construct from a row-major nested sequence, or use one of the
-    classmethods.  Entries may be ints, Fractions or 'p/q' strings.
+    classmethods.  Entries may be ints, Fractions or 'p/q' strings;
+    they are stored as as_exact gives them: ints, and Fractions only
+    where not integral.
     """
 
     __slots__ = ("rows", "cols", "_m")
 
     def __init__(self, data, cols: int | None = None):
-        m = tuple(tuple(as_fraction(x) for x in row) for row in data)
+        m = tuple(tuple(as_exact(x) for x in row) for row in data)
         widths = {len(row) for row in m}
         if len(widths) > 1:
             raise ValueError("rows have unequal lengths")
@@ -72,7 +81,7 @@ class RationalMatrix:
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: dict) -> "RationalMatrix":
         """Build from a sparse {(row, col): value} map; missing entries are 0."""
-        data = [[Fraction(0)] * cols for _ in range(rows)]
+        data = [[0] * cols for _ in range(rows)]
         for (i, j), v in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry index ({i}, {j}) out of bounds")
@@ -81,7 +90,7 @@ class RationalMatrix:
 
     @classmethod
     def from_columns(cls, columns, rows: int | None = None) -> "RationalMatrix":
-        cols = [as_vector(c) for c in columns]
+        cols = list(columns)
         if cols:
             heights = {len(c) for c in cols}
             if len(heights) > 1:
@@ -91,7 +100,7 @@ class RationalMatrix:
             rows = 0
         return cls([[c[i] for c in cols] for i in range(rows)], cols=len(cols))
 
-    def __getitem__(self, key) -> Fraction:
+    def __getitem__(self, key) -> int | Fraction:
         i, j = key
         return self._m[i][j]
 
@@ -185,16 +194,8 @@ def image_basis(M: RationalMatrix) -> list:
 
 def in_span(v, basis) -> bool:
     """True iff v lies in the linear span of the given vectors."""
-    v = as_vector(v)
-    vs = [as_vector(b) for b in basis]
-    for b in vs:
-        if len(b) != len(v):
-            raise ValueError("vectors of unequal length")
-    if not vs:
-        return all(x == 0 for x in v)
-    r0 = rank(RationalMatrix.from_columns(vs))
-    r1 = rank(RationalMatrix.from_columns(vs + [v]))
-    return r0 == r1
+    vs = list(basis)
+    return rank(RationalMatrix.from_columns(vs)) == rank(RationalMatrix.from_columns(vs + [v]))
 
 
 def gauss_rank(M: RationalMatrix) -> int:
@@ -214,7 +215,7 @@ def gauss_rank(M: RationalMatrix) -> int:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
+        inv = Fraction(1, m[r][col])
         m[r] = [x * inv for x in m[r]]
         for i in range(n_rows):
             if i != r and m[i][col] != 0:
@@ -227,26 +228,26 @@ def gauss_rank(M: RationalMatrix) -> int:
 
 
 def lin_indep(vectors) -> bool:
-    vs = [as_vector(v) for v in vectors]
+    vs = list(vectors)
     if not vs:
         return True
     return rank(RationalMatrix.from_columns(vs)) == len(vs)
 
 
-def exact_det(rows) -> Fraction:
+def exact_det(rows) -> int | Fraction:
     """Determinant of a square rational matrix given as nested sequences.
 
     Scaling a row by the lcm of its denominators scales the determinant
     by the same factor, so the integer determinant of the rescaled rows
     is divided by the product of the row scales.
     """
-    m = [[as_fraction(x) for x in row] for row in rows]
+    m = [as_vector(row) for row in rows]
     n = len(m)
     for row in m:
         if len(row) != n:
             raise ValueError("determinant of a non-square matrix")
     scale = math.prod(math.lcm(*(x.denominator for x in row)) for row in m)
-    return Fraction(int_det(_int_rows(m)), scale)
+    return as_exact(Fraction(int_det(_int_rows(m)), scale))
 
 
 def int_det(rows) -> int:

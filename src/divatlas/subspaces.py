@@ -243,7 +243,6 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0, max_retries: int 
         omega = random_tensor(e, k, kind, rng)
         if enc(omega) < full:
             continue
-        w = {key: c.numerator for key, c in omega.coeffs.items()}  # integral by construction
         build = _skew_jacobian_columns if kind == SKEW else _sym_jacobian_columns
-        return rank(RationalMatrix.from_columns(build(a_cols, w, n, k))) - 1
+        return rank(RationalMatrix.from_columns(build(a_cols, omega.coeffs, n, k))) - 1
     raise RuntimeError(f"no nondegenerate sample after {max_retries} retries")

@@ -29,7 +29,7 @@ from .linalg import (
     RationalMatrix,
     _bareiss,
     _int_rows,
-    as_fraction,
+    as_exact,
     as_vector,
     exact_det,
     image_basis,
@@ -118,7 +118,8 @@ def exponent_vectors(n: int, k: int):
 class _Tensor:
     """Sparse body shared by SkewTensor and SymTensor.
 
-    coeffs maps basis keys to nonzero Fractions; a subclass names its
+    coeffs maps basis keys to nonzero exact scalars, normalized by
+    as_exact (ints, and Fractions only where not integral); a subclass names its
     kind, validates its keys (_check_index) and lists its basis in
     order (_basis).  Arithmetic returns the subclass of self.
     """
@@ -134,30 +135,27 @@ class _Tensor:
         for key, c in self.coeffs.items():
             key = tuple(key)
             self._check_index(key)
-            c = as_fraction(c)
-            if c:
-                out[key] = out.get(key, Fraction(0)) + c
-                if not out[key]:
-                    del out[key]
-        object.__setattr__(self, "coeffs", out)
+            c = as_exact(c)
+            out[key] = as_exact(out[key] + c) if key in out else c
+        object.__setattr__(self, "coeffs", {key: c for key, c in out.items() if c})
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, key) -> Fraction:
-        return self.coeffs.get(tuple(key), Fraction(0))
+    def coefficient(self, key) -> int | Fraction:
+        return self.coeffs.get(tuple(key), 0)
 
     def coordinates(self):
         """Dense coefficient vector in basis order."""
-        return tuple(self.coeffs.get(key, Fraction(0)) for key in self._basis())
+        return tuple(self.coeffs.get(key, 0) for key in self._basis())
 
     def __add__(self, other):
         if not isinstance(other, type(self)) or (other.n, other.k) != (self.n, self.k):
             raise ValueError(f"can only add {self.kind} tensors of the same shape")
         merged = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            merged[key] = merged.get(key, Fraction(0)) + c
+            merged[key] = merged.get(key, 0) + c
         return type(self)(self.n, self.k, merged)
 
     def __neg__(self):
@@ -167,7 +165,7 @@ class _Tensor:
         return self + (-other)
 
     def __mul__(self, scalar):
-        s = as_fraction(scalar)
+        s = as_exact(scalar)
         return type(self)(self.n, self.k, {key: s * c for key, c in self.coeffs.items()})
 
     __rmul__ = __mul__
@@ -300,9 +298,9 @@ def sym_power(v, k: int) -> SymTensor:
         raise ValueError("negative power")
     coeffs = {}
     for alpha in exponent_vectors(n, k):
-        c = Fraction(math.factorial(k))
+        c = math.factorial(k)
         for a in alpha:
-            c /= math.factorial(a)
+            c //= math.factorial(a)
         for x, a in zip(vec, alpha):
             if a:
                 c *= x**a
@@ -456,7 +454,7 @@ def enc(t) -> int:
 def _matrix_rows(mat) -> list:
     if isinstance(mat, RationalMatrix):
         return [list(mat.row(i)) for i in range(mat.rows)]
-    return [[as_fraction(x) for x in row] for row in mat]
+    return [list(as_vector(row)) for row in mat]
 
 
 def apply_linear_map(mat, t):
@@ -474,7 +472,7 @@ def apply_linear_map(mat, t):
     if isinstance(t, SkewTensor):
         coeffs = {}
         for J in itertools.combinations(range(n_out), t.k):
-            s = Fraction(0)
+            s = 0
             for I, c in t.coeffs.items():
                 s += c * exact_det([[rows[j][i] for i in I] for j in J])
             if s:
@@ -503,11 +501,13 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
     A W is zero below row dim(W) because W has full column rank, so A
     maps span(W) onto the first dim(W) coordinates.  The tensor is
     rewritten through A, and every coefficient that involves a later
-    coordinate must vanish.  A is integral, so the test runs on integers.
+    coordinate must vanish.  A is integral, so an integer tensor is
+    tested on integers.
     """
     if W.ambient_dim != t.n:
         raise ValueError("subspace ambient dimension does not match tensor")
-    if t.is_zero:
+    if t.is_zero or t.k == 0:
+        # a scalar lies in the 0-th power, QQ, of every subspace
         return True
     m = W.dim
     n = t.n
@@ -523,16 +523,11 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
     if isinstance(t, SkewTensor):
         if m < t.k:
             return False
-        den = 1
-        for c in t.coeffs.values():
-            d = c.denominator
-            den = den * d // math.gcd(den, d)
-        terms = [(I, int(c * den)) for I, c in t.coeffs.items()]
         for J in itertools.combinations(range(n), t.k):
             if J[-1] < m:
                 continue
             s = 0
-            for I, c in terms:
+            for I, c in t.coeffs.items():
                 s += c * int_det([[a_rows[j][i] for i in I] for j in J])
             if s:
                 return False
@@ -555,7 +550,7 @@ def _rng(seed) -> random.Random:
 
 
 def random_vector(n: int, rng: random.Random, lo: int = -9, hi: int = 9):
-    return tuple(Fraction(rng.randint(lo, hi)) for _ in range(n))
+    return tuple(rng.randint(lo, hi) for _ in range(n))
 
 
 def random_tensor(n: int, k: int, kind: str, seed):
@@ -590,9 +585,10 @@ def random_subspace(n: int, dim: int, seed) -> SubspaceBasis:
         raise ValueError("subspace dimension out of range")
     rng = _rng(seed)
     for _ in range(64):
-        vs = [random_vector(n, rng) for _ in range(dim)]
-        if lin_indep(vs):
-            return SubspaceBasis(n, tuple(vs))
+        try:
+            return SubspaceBasis(n, tuple(random_vector(n, rng) for _ in range(dim)))
+        except ValueError:
+            continue
     raise RuntimeError("failed to sample an independent spanning set")
 
 
@@ -640,11 +636,11 @@ def tensor_from_json(obj: dict):
         if not isinstance(c, (str, int)):
             raise ValueError(f"coefficient must be an int or a 'p/q' string: {c!r}")
         try:
-            val = as_fraction(c)
+            val = as_exact(c)
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise ValueError(f"bad coefficient {c!r}: {exc}") from exc
         key = tuple(idx)
-        coeffs[key] = coeffs.get(key, Fraction(0)) + val
+        coeffs[key] = coeffs.get(key, 0) + val
     if kind == SKEW:
         return SkewTensor(n, k, coeffs)
     return SymTensor(n, k, coeffs)

@@ -1,11 +1,15 @@
+import ast
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import divatlas
 from divatlas.linalg import (
     RationalMatrix,
+    as_exact,
     exact_det,
     gauss_rank,
     image_basis,
@@ -70,6 +74,31 @@ def test_in_span_dimension_mismatch():
 def test_floats_rejected():
     with pytest.raises(TypeError):
         RationalMatrix([[0.5]])
+
+
+def test_as_exact_decides_number_type():
+    assert type(as_exact("6/3")) is int and as_exact("6/3") == 2
+    assert type(as_exact(Fraction(4, 2))) is int
+    assert as_exact("1/2") == Fraction(1, 2) and type(as_exact("1/2")) is Fraction
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            as_exact(bad)
+    M = RationalMatrix.from_columns([(1, Fraction(4, 2)), ("6/3", "1/2")])
+    assert [type(x) for col in M.columns() for x in col] == [int, int, int, Fraction]
+    assert type(exact_det([["1/2", 0], [0, 4]])) is int
+
+
+def test_gauss_rank_pivots_stay_exact():
+    # a float reciprocal of the pivot would round 10**17 + 1 to 10**17
+    assert gauss_rank(RationalMatrix([[1, 10**17 + 1], [1, 10**17]])) == 2
+
+
+def test_no_true_division_in_package():
+    # an int / int is a float, so exact code divides only through Fraction or //
+    for path in sorted(pathlib.Path(divatlas.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                pytest.fail(f"true division at {path.name}:{node.lineno}")
 
 
 def test_rank_transpose_random():

@@ -340,6 +340,39 @@ def test_enclosing_space_skips_independence_recheck(monkeypatch):
     assert enclosing_space(random_tensor(4, 3, SYM, 1)).dim == 4
 
 
+def test_is_in_power_of_degree_zero():
+    # a nonzero scalar lies in the 0-th power, QQ, of every subspace
+    n = 4
+    for t in (SkewTensor(n, 0, {(): 5}), SymTensor(n, 0, {(0,) * n: 5})):
+        assert is_in_power_of(t, enclosing_space(t))
+        for dim in (0, 1, n):
+            assert is_in_power_of(t, random_subspace(n, dim, f"deg0:{dim}"))
+
+
+def test_random_subspace_eliminates_once(monkeypatch):
+    calls = []
+    lin_indep = tensors.lin_indep
+    monkeypatch.setattr(tensors, "lin_indep", lambda vs: calls.append(1) or lin_indep(vs))
+    W = random_subspace(6, 3, "x")
+    assert len(calls) == 1
+    rng = random.Random("x")
+    assert W.vectors == tuple(random_vector(6, rng) for _ in range(3))
+
+
+def test_integral_values_are_ints():
+    def types(t):
+        return {type(c) for c in t.coeffs.values()}
+
+    assert type(SkewTensor(2, 1, {(0,): Fraction(4, 2)}).coefficient((0,))) is int
+    assert type(SymTensor(1, 1, {(1,): "1/2"}).coefficient((1,))) is Fraction
+    assert types(SymTensor(1, 1, {(1,): "1/2"}) * 2) == {int}
+    assert types(sym_power((1, 2), 3)) == {int}
+    assert types(wedge([(1, 2, 3), (4, 5, 7)])) == {int}
+    for kind, n, k in [(SKEW, 5, 2), (SYM, 4, 3)]:
+        basis = enclosing_space(random_tensor(n, k, kind, 0))
+        assert {type(x) for v in basis.vectors for x in v} == {int}
+
+
 def test_is_in_power_of_dependent_basis_rejected():
     with pytest.raises(ValueError):
         SubspaceBasis(4, ((1, 0, 0, 0), (2, 0, 0, 0)))
