@@ -12,6 +12,13 @@ determinants above 3 x 3 and the change of basis used by the
 membership test.  A plain rational Gaussian elimination,
 ``gauss_rank``, is kept as an independent cross-check; the two share
 no elimination code.
+
+``_certified_rank`` serves the tangent-space oracle, whose integer
+Jacobians have independent columns in the generic case: it takes the
+rank modulo the prime 2^61 - 1, which can only be at or below the rank
+over QQ, so a rank mod p equal to the column count is certified and
+anything less is redone exactly by ``_bareiss``.  It is not used where deficient ranks are expected (the
+contraction matrices of enc, the membership test).
 """
 
 from __future__ import annotations
@@ -129,9 +136,14 @@ class RationalMatrix:
 
 
 def _int_rows(rows) -> list:
-    """Rescale each row by the lcm of its denominators (rank-preserving)."""
+    """Fresh integer rows: each row with a Fraction entry is rescaled by
+    the lcm of its denominators (rank-preserving); an integral row is
+    copied as it is."""
     out = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
         den = math.lcm(*(x.denominator for x in row))
         out.append([x.numerator * (den // x.denominator) for x in row])
     return out
@@ -179,6 +191,37 @@ def _bareiss(mat: list) -> tuple[int, list, int]:
         if r == n_rows:
             break
     return r, pivot_cols, sign * prev
+
+
+# a Mersenne prime: a rank mod p is at most the rank over QQ
+RANK_PRIME = 2**61 - 1
+
+
+def _certified_rank(columns) -> int:
+    """Exact rank of integer vectors, given as they are (no conversion).
+
+    The rank mod RANK_PRIME never exceeds the rank over QQ, so if the
+    vectors are independent mod p they are independent over QQ.  At the
+    first dependency mod p the exact rank is taken by _bareiss on the
+    same vectors instead; a deficient rank mod p is never returned.
+    Each pivot row is kept normalized to 1 and trimmed to start at its
+    pivot.
+    """
+    p = RANK_PRIME
+    pivots = []
+    for col in columns:
+        v = list(col)
+        for j, prow in pivots:
+            f = v[j] % p
+            if f:
+                v[j:] = [a - f * b for a, b in zip(v[j:], prow)]
+        v = [x % p for x in v]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is None:
+            return _bareiss([list(c) for c in columns])[0]
+        inv = pow(v[lead], -1, p)
+        pivots.append((lead, [x * inv % p for x in v[lead:]]))
+    return len(pivots)
 
 
 def rank(M: RationalMatrix) -> int:

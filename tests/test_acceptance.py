@@ -94,7 +94,7 @@ def test_criterion_7_enclosing_dimension_oracle():
 
 
 def test_criterion_8_tangent_oracle_agreement():
-    ok, detail = verify.check_subdim_tangent_grid(seed=0, seeds_per_cell=3, n_max=7)
+    ok, detail = verify.check_subdim_tangent_grid(seed=0, seeds_per_cell=3)
     _report(8, ok, detail)
 
 

@@ -7,8 +7,12 @@ from fractions import Fraction
 import pytest
 
 import divatlas
+from divatlas import linalg
 from divatlas.linalg import (
+    RANK_PRIME,
     RationalMatrix,
+    _certified_rank,
+    _int_rows,
     as_exact,
     exact_det,
     gauss_rank,
@@ -197,3 +201,77 @@ def test_from_entries_sparse():
     assert M[0, 1] == 0
     with pytest.raises(ValueError):
         RationalMatrix.from_entries(2, 2, {(2, 0): 1})
+
+
+def test_int_rows_copies_integral_rows_without_rescaling(monkeypatch):
+    class NoLcm:
+        def lcm(self, *args):
+            raise AssertionError("lcm taken on an integral row")
+
+    row = (3, -4, 0)
+    monkeypatch.setattr(linalg, "math", NoLcm())
+    out = _int_rows([row])
+    assert out == [[3, -4, 0]] and type(out[0]) is list
+    out[0][0] = 7  # a fresh row, safe for the destructive _bareiss
+    assert row == (3, -4, 0)
+    monkeypatch.undo()
+    assert _int_rows([(Fraction(1, 2), 1), (2, Fraction(2, 3))]) == [[1, 2], [6, 2]]
+
+
+def _count_fallbacks(monkeypatch) -> list:
+    calls = []
+    bareiss = linalg._bareiss
+
+    def counting(mat):
+        calls.append(len(mat))
+        return bareiss(mat)
+
+    monkeypatch.setattr(linalg, "_bareiss", counting)
+    return calls
+
+
+def test_certified_rank_never_returns_a_rank_lost_mod_p(monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    # full rank over QQ, smaller rank mod p: each takes the exact pass
+    for columns in (
+        [(1, 0), (0, RANK_PRIME)],
+        [(1, 1), (1, 1 + RANK_PRIME)],
+        [(RANK_PRIME, 2 * RANK_PRIME, 0)],
+        [(1, 2, 3, 0), (2, 4, 6 + RANK_PRIME, 0), (0, 0, 1, 1)],
+    ):
+        fallbacks.clear()
+        got = _certified_rank(columns)
+        assert len(fallbacks) == 1
+        assert got == rank(RationalMatrix.from_columns(columns)) == len(columns)
+    # only independence certifies: more vectors than their length always
+    # take the exact pass
+    fallbacks.clear()
+    assert _certified_rank([(1, 2), (0, 1), (5, 0)]) == 2
+    assert len(fallbacks) == 1
+
+
+def test_certified_rank_agrees_with_rank(monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    rng = random.Random("certified-rank")
+    certified = 0
+    assert _certified_rank([]) == 0
+    assert _certified_rank([(), ()]) == 0
+    for _ in range(120):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        inner = rng.randint(0, min(rows, cols))
+        if rng.randint(0, 1):
+            M = random_matrix(rows, cols, rng, -(10**20), 10**20)
+        else:
+            # a product through QQ^inner: rank at most inner
+            L, R = random_matrix(rows, inner, rng), random_matrix(inner, cols, rng)
+            M = RationalMatrix(
+                [[sum(L[i, t] * R[t, j] for t in range(inner)) for j in range(cols)] for i in range(rows)],
+                cols=cols,
+            )
+        fallbacks.clear()
+        got = _certified_rank([tuple(c) for c in M.columns()])
+        # an exact pass exactly when the columns are dependent
+        assert len(fallbacks) == (got < cols)
+        assert got == rank(M) == gauss_rank(M)
+        certified += got == cols
+    assert 20 < certified < 100

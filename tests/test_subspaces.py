@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from divatlas import linalg, subspaces
+from divatlas.linalg import RationalMatrix, _certified_rank, rank
 from divatlas.subspaces import (
     _skew_jacobian_columns,
     _sym_jacobian_columns,
@@ -134,15 +136,26 @@ def test_tangent_oracle_redraws_degenerate_omega():
     assert sub_dim_tangent(2, 2, 5, SYM, 454578482) == sub_dim(2, 2, 5, SYM)
 
 
-def test_tangent_oracle_small_grid():
-    # the full grid runs in the acceptance suite; spot a diagonal here
+def test_tangent_oracle_small_grid(monkeypatch):
+    # the full grid runs in the acceptance suite; spot a diagonal here.
+    # Each evaluation ranks the chart Jacobian, which has exactly
+    # sub_dim + 1 columns when e is normalized.
+    widths = []
+
+    def recording(columns):
+        widths.append(len(columns))
+        return _certified_rank(columns)
+
+    monkeypatch.setattr(subspaces, "_certified_rank", recording)
     for kind in (SKEW, SYM):
         for k in (2, 3):
             for n in range(k, 6):
                 for e in range(k, n + 1):
                     if normalize_e(e, k, kind) != e:
                         continue
+                    widths.clear()
                     assert sub_dim_tangent(e, k, n, kind, seed=3) == sub_dim(e, k, n, kind)
+                    assert widths == [sub_dim(e, k, n, kind) + 1]
 
 
 def _linear_coefficient(values):
@@ -176,6 +189,9 @@ def test_integer_jacobian_matches_apply_linear_map(kind):
             cols = build(a_cols, w, n, k)
             assert len(cols) == len(basis) + e * n
             assert all(type(x) is int for col in cols for x in col)
+            # the chart's rows are a slice of the same columns
+            chart = [cols[len(basis) + j * n + i] for j in range(e) for i in range(e, n)]
+            assert build(a_cols, w, n, k, range(e, n)) == cols[: len(basis)] + chart
 
             rows = [[col[i] for col in a_cols] for i in range(n)]
             for key, col in zip(basis, cols):
@@ -189,6 +205,55 @@ def test_integer_jacobian_matches_apply_linear_map(kind):
                     images.append(apply_linear_map(moved, omega).coordinates())
                 expected = tuple(_linear_coefficient(v) for v in zip(*images))
                 assert cols[len(basis) + j * n + i] == expected, (kind, k, n, e, i, j)
+
+
+def test_chart_rank_equals_full_jacobian_rank(monkeypatch):
+    # At a chart point A = [I_e ; B] the columns along the top e rows of A
+    # add nothing to the image of the differential: they are GL_e-orbit
+    # directions plus tensor directions.  So the chart's certified rank is
+    # the exact rank of the full Jacobian (every row of A varied, ranked
+    # through RationalMatrix).  In a collapsed cell (normalize_e(e) != e)
+    # the chart has more columns than the rank, so the mod-p rank cannot
+    # certify it and the exact fallback must still give sub_dim + 1.
+    fallbacks = []
+    bareiss = linalg._bareiss
+
+    def counting(mat):
+        fallbacks.append(len(mat))
+        return bareiss(mat)
+
+    deficient = 0
+    for kind in (SKEW, SYM):
+        build = _skew_jacobian_columns if kind == SKEW else _sym_jacobian_columns
+        top = e_max if kind == SKEW else e_max_sym
+        for k in (2, 3):
+            for n in range(k, 7):
+                for e in range(1 if kind == SYM else k, n + 1):
+                    rng = random.Random(f"chart:{kind}:{k}:{n}:{e}")
+                    b_rows = [[rng.randint(-9, 9) for _ in range(e)] for _ in range(n - e)]
+                    a_cols = [
+                        tuple(int(i == j) for i in range(e)) + tuple(row[j] for row in b_rows)
+                        for j in range(e)
+                    ]
+                    omega = random_tensor(e, k, kind, rng)
+                    while enc(omega) < top(k, e):
+                        omega = random_tensor(e, k, kind, rng)
+                    chart = build(a_cols, omega.coeffs, n, k, range(e, n))
+                    expected = sub_dim(e, k, n, kind) + 1
+                    monkeypatch.setattr(linalg, "_bareiss", counting)
+                    fallbacks.clear()
+                    got = _certified_rank(chart)
+                    monkeypatch.undo()
+                    full = rank(RationalMatrix.from_columns(build(a_cols, omega.coeffs, n, k)))
+                    assert got == full == expected, (kind, k, n, e)
+                    if normalize_e(e, k, kind) == e:
+                        assert len(chart) == expected and not fallbacks, (kind, k, n, e)
+                    else:
+                        # deficient unless e = n, where the chart is the whole power
+                        assert (len(chart) > expected) is (e < n), (kind, k, n, e)
+                        assert len(fallbacks) == (e < n), (kind, k, n, e)
+                        deficient += e < n
+    assert deficient == 6
 
 
 def test_membership_dimension_coherence():
