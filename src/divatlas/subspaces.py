@@ -15,13 +15,14 @@ integer point the Jacobian is integral: its entries are minors of A
 (skew) or coefficients of substituted monomials (symmetric), built on
 Python ints throughout.
 
-The point is drawn on the Grassmannian chart A = [I_e ; B] and only the
-rows of B are varied: the GL_e-orbit directions lie in the kernel of
-the differential, so dropping them leaves the rank unchanged and leaves
-e(n-e) + dim(power of QQ^e) columns, exactly the generic rank when e is
-normalized.  That rank is certified by a rank mod 2^61 - 1
-(linalg._certified_rank): columns independent mod p are independent
-over QQ, and anything less is recomputed exactly.
+The parametrization is GL_n-equivariant and every injective A lies in
+the GL_n-orbit of A = [I_e ; 0], so the rank is taken there and only
+the rows of A below the identity block are varied: the top rows give
+GL_e-orbit directions, which add nothing to the image of the
+differential.  That leaves e(n-e) + dim(power of QQ^e) columns, exactly
+the generic rank when e is normalized.  The rank is certified by a rank
+mod 2^61 - 1 (linalg._certified_rank): columns independent mod p are
+independent over QQ, and anything less is recomputed exactly.
 """
 
 from __future__ import annotations
@@ -238,14 +239,14 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0, max_retries: int 
     """Dimension of Sub_e measured at a random point, independent of sub_dim.
 
     Evaluates the Jacobian of the parametrization (A, w) -> (power of A
-    applied to w) at a random integer point of the chart A = [I_e ; B],
-    with w a random degree-k tensor on QQ^e, and returns its exact rank
-    minus 1 (the projectivization).  Every A with an invertible top e x e
-    block is GL_e-equivalent to a chart point, and the GL_e-orbit
-    directions lie in the kernel of the differential, so only the rows
-    of A below the identity block are varied: e(n-e) + dim(power of
-    QQ^e) columns, the generic rank in every cell whose e is normalized.
-    The rank is certified mod a prime, with an exact fallback
+    applied to w) at A = [I_e ; 0], with w a random integer degree-k
+    tensor on QQ^e, and returns its exact rank minus 1 (the
+    projectivization).  The map is GL_n-equivariant, so the rank at any
+    injective A equals the rank at [I_e ; 0] and depends on w alone.
+    Only the rows of A below the identity block are varied, since the
+    top rows give GL_e-orbit directions: e(n-e) + dim(power of QQ^e)
+    columns, the generic rank in every cell whose e is normalized.  The
+    rank is certified mod a prime, with an exact fallback
     (linalg._certified_rank).  A w whose enclosing dimension is below
     the maximum on QQ^e lies in a smaller Sub_e; it is redrawn a bounded
     number of times.
@@ -258,8 +259,7 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0, max_retries: int 
         raise ValueError(f"need {floor} <= e <= n, got k={k}, e={e}, n={n}")
     full = e_max(k, e) if kind == SKEW else e_max_sym(k, e)
     rng = random.Random(f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}")
-    b_rows = [[rng.randint(-9, 9) for _ in range(e)] for _ in range(n - e)]
-    a_cols = [tuple(int(i == j) for i in range(e)) + tuple(row[j] for row in b_rows) for j in range(e)]
+    a_cols = [tuple(int(i == j) for i in range(n)) for j in range(e)]
     build = _skew_jacobian_columns if kind == SKEW else _sym_jacobian_columns
     for _ in range(max_retries):
         omega = random_tensor(e, k, kind, rng)
