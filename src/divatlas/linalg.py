@@ -8,8 +8,9 @@ a predicate, so nothing here is ever computed with floating point.
 Rank is computed by clearing denominators row by row (which does not
 change the row space) and running fraction-free Bareiss elimination on
 the resulting integer matrix.  The same kernel, ``_bareiss``, gives
-determinants above 3 x 3 and the change of basis used by the
-membership test.  A plain rational Gaussian elimination,
+determinants above 3 x 3 and, on [W | I], the integer covectors that
+annihilate span(W), which the membership test contracts the tensor
+with.  A plain rational Gaussian elimination,
 ``gauss_rank``, is kept as an independent cross-check; the two share
 no elimination code.
 
@@ -158,7 +159,10 @@ def _bareiss(mat: list) -> tuple[int, list, int]:
     divisions below are exact, and the k-th pivot is the leading k x k
     minor of the row-swapped input: for a square matrix of full rank the
     third value is its determinant.  Every step is an invertible row
-    operation, which the change of basis in is_in_power_of relies on.
+    operation, so on [W | I] with W of full column rank m the rows from
+    m on are zero on the W block and their right-hand blocks are
+    independent covectors annihilating span(W), which is_in_power_of
+    relies on.
     """
     n_rows = len(mat)
     n_cols = len(mat[0]) if n_rows else 0

@@ -92,16 +92,21 @@ def e_max_sym(k: int, n: int, paper_compat: bool = False) -> int:
 def normalize_e(e: int, k: int, kind: str) -> int:
     """Smallest e' with Sub_e' = Sub_e.
 
-    Skew: for k = 2 round down to even (skew matrix ranks are even);
-    for k >= 3 the only coincidence is e = k+1, which collapses to k
-    (a k-vector enclosed in k+1 dimensions is already decomposable).
-    Symmetric tensors attain every enclosing dimension down to 1 (k-th
-    powers of vectors), so e is returned unchanged.
+    For k = 1, of either kind, a nonzero vector encloses only its own
+    line, so Sub_e is all of P^(n-1) for every e >= 1 and e collapses
+    to 1.  Skew: for k = 2 round down to even (skew matrix ranks are
+    even); for k >= 3 the only coincidence is e = k+1, which collapses
+    to k (a k-vector enclosed in k+1 dimensions is already
+    decomposable).  Symmetric tensors of degree k >= 2 attain every
+    enclosing dimension down to 1 (k-th powers of vectors), so e is
+    returned unchanged.
     """
     check_kind(kind)
     floor = 1 if kind == SYM else k
     if e < floor:
         raise ValueError(f"e = {e} below the minimum enclosing dimension {floor}")
+    if k == 1:
+        return 1
     if kind == SYM:
         return e
     if k == 2:
@@ -115,10 +120,10 @@ def sub_dim(e: int, k: int, n: int, kind: str) -> int:
     """Dimension of Sub_e inside the projectivized k-th power of QQ^n.
 
     k = 2 uses the determinantal rank-stratification dimensions
-    (C(n,2) - C(n-e',2) - 1 skew, C(n+1,2) - C(n-e+1,2) - 1 symmetric);
-    k >= 3 uses the Grassmannian-bundle count e'(n-e') + C(e',k) - 1
-    (skew) and e(n-e) + C(e+k-1,k) - 1 (symmetric), with e' the
-    normalized enclosing bound.
+    (C(n,2) - C(n-e',2) - 1 skew, C(n+1,2) - C(n-e'+1,2) - 1 symmetric);
+    k = 1 and k >= 3 use the Grassmannian-bundle count
+    e'(n-e') + C(e',k) - 1 (skew) and e'(n-e') + C(e'+k-1,k) - 1
+    (symmetric), with e' the normalized enclosing bound.
     """
     check_kind(kind)
     if k < 1:
@@ -130,10 +135,10 @@ def sub_dim(e: int, k: int, n: int, kind: str) -> int:
     if k == 2:
         if kind == SKEW:
             return math.comb(n, 2) - math.comb(n - e_norm, 2) - 1
-        return math.comb(n + 1, 2) - math.comb(n - e + 1, 2) - 1
+        return math.comb(n + 1, 2) - math.comb(n - e_norm + 1, 2) - 1
     if kind == SKEW:
         return e_norm * (n - e_norm) + math.comb(e_norm, k) - 1
-    return e * (n - e) + math.comb(e + k - 1, k) - 1
+    return e_norm * (n - e_norm) + math.comb(e_norm + k - 1, k) - 1
 
 
 def sec_dim_printed(s: int, n: int, kind: str) -> int:

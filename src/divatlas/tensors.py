@@ -33,7 +33,6 @@ from .linalg import (
     as_vector,
     exact_det,
     image_basis,
-    int_det,
     lin_indep,
     rank,
 )
@@ -448,7 +447,7 @@ def enc(t) -> int:
 
 
 # ---------------------------------------------------------------------------
-# change of basis and membership in powers of a subspace
+# push-forward and membership in powers of a subspace
 
 
 def _matrix_rows(mat) -> list:
@@ -496,49 +495,53 @@ def apply_linear_map(mat, t):
 def is_in_power_of(t, W: SubspaceBasis) -> bool:
     """True iff t lies in the k-th exterior (resp. symmetric) power of span(W).
 
-    Computed honestly: Bareiss elimination on the integer rows of
-    [W | I] leaves an invertible matrix A in the right-hand block, and
-    A W is zero below row dim(W) because W has full column rank, so A
-    maps span(W) onto the first dim(W) coordinates.  The tensor is
-    rewritten through A, and every coefficient that involves a later
-    coordinate must vanish.  A is integral, so an integer tensor is
-    tested on integers.
+    Uses the identity that the k-th exterior power of W is the common
+    kernel of the contractions i_b by the covectors b vanishing on W
+    (and, over QQ, the k-th symmetric power is the common kernel of the
+    derivations d_b).  Bareiss elimination on the integer rows of
+    [W | I] is a chain of invertible row operations that leaves rows
+    dim(W)..n-1 zero on the W block, because W has full column rank;
+    their right-hand blocks are therefore independent integer covectors
+    that annihilate span(W), and they span the annihilator.  The tensor
+    is contracted with each in one pass over its coefficients, and the
+    first nonzero contraction decides False.
+
+    This is a route of its own: it never builds a contraction matrix or
+    takes a rank, so it can be checked against enclosing_space.
     """
     if W.ambient_dim != t.n:
         raise ValueError("subspace ambient dimension does not match tensor")
-    if t.is_zero or t.k == 0:
-        # a scalar lies in the 0-th power, QQ, of every subspace
-        return True
     m = W.dim
     n = t.n
-    if m == n:
-        return True
-    if m == 0:
-        return False
+    if isinstance(t, SkewTensor):
+        # i_b e_I has (-1)^pos * b[i] on I minus its pos-th index i
+        def contraction(b):
+            out = {}
+            for idx, c in t.coeffs.items():
+                for pos, i in enumerate(idx):
+                    if b[i]:
+                        key = idx[:pos] + idx[pos + 1 :]
+                        v = b[i] * c
+                        out[key] = out.get(key, 0) + (-v if pos % 2 else v)
+            return out
+
+    elif isinstance(t, SymTensor):
+        # d_b x^alpha has alpha_i * b[i] on alpha - e_i
+        def contraction(b):
+            out = {}
+            for alpha, c in t.coeffs.items():
+                for i, a in enumerate(alpha):
+                    if a and b[i]:
+                        key = alpha[:i] + (a - 1,) + alpha[i + 1 :]
+                        out[key] = out.get(key, 0) + a * b[i] * c
+            return out
+
+    else:
+        raise TypeError(f"not a tensor: {type(t).__name__}")
     # integer rows of [W | I]; scaling a row is one more invertible row operation
     aug = _int_rows([[w[i] for w in W.vectors] + [int(i == j) for j in range(n)] for i in range(n)])
     _bareiss(aug)
-    a_rows = [row[m:] for row in aug]
-
-    if isinstance(t, SkewTensor):
-        if m < t.k:
-            return False
-        for J in itertools.combinations(range(n), t.k):
-            if J[-1] < m:
-                continue
-            s = 0
-            for I, c in t.coeffs.items():
-                s += c * int_det([[a_rows[j][i] for i in I] for j in J])
-            if s:
-                return False
-        return True
-
-    # symmetric case: substitute and inspect exponents on complement variables
-    image = apply_linear_map(a_rows, t)
-    for alpha in image.coeffs:
-        if any(alpha[i] for i in range(m, n)):
-            return False
-    return True
+    return not any(any(contraction(row[m:]).values()) for row in aug[m:])
 
 
 # ---------------------------------------------------------------------------

@@ -427,17 +427,29 @@ def check_membership_flip(seed: int = 0, samples: int = 4) -> tuple:
     """Membership in Sub_e flips exactly at e = enc(t).
 
     Realized with subspaces: for e >= enc(t) a containing subspace of
-    dimension e exists, for e < enc(t) sampled candidates all fail.
+    dimension e exists, for e < enc(t) sampled candidates all fail.  The
+    skew samples are random tensors; the symmetric ones are sums of one
+    to `samples` k-th powers, so that their enclosing dimensions, and
+    with them the flip, spread from the symmetric floor of 1 upward.
     """
-    for k, n in ((2, 5), (3, 5)):
+    for kind, k, n in ((SKEW, 2, 5), (SKEW, 3, 5), (SYM, 2, 5), (SYM, 3, 5)):
+        floor, bound = (k, e_max(k, n)) if kind == SKEW else (1, e_max_sym(k, n))
+        tag = "" if kind == SKEW else "sym:"
         for s in range(samples):
-            t = random_tensor(n, k, SKEW, f"flip:{seed}:{k}:{n}:{s}")
+            if kind == SKEW:
+                t = random_tensor(n, k, SKEW, f"flip:{seed}:{k}:{n}:{s}")
+            else:
+                t = random_decomposable(n, k, SYM, f"flip:{seed}:{tag}{k}:{n}:{s}:0")
+                for j in range(1, s + 1):
+                    t = t + random_decomposable(n, k, SYM, f"flip:{seed}:{tag}{k}:{n}:{s}:{j}")
             m = enc(t)
-            if m < k:
+            if m > bound:
+                return False, f"enc {m} above its bound {bound} at (kind,k,n)=({kind},{k},{n})"
+            if m < floor:
                 continue
             space = enclosing_space(t)
-            rng = random.Random(f"flip-sub:{seed}:{k}:{n}:{s}")
-            for e in range(k, n + 1):
+            rng = random.Random(f"flip-sub:{seed}:{tag}{k}:{n}:{s}")
+            for e in range(floor, n + 1):
                 if e >= m:
                     member = is_in_power_of(t, _fatten(space, e, rng))
                 else:
@@ -445,8 +457,8 @@ def check_membership_flip(seed: int = 0, samples: int = 4) -> tuple:
                         is_in_power_of(t, _probe_subspace(space, e, rng)) for _ in range(10)
                     )
                 if member != (m <= e):
-                    return False, f"membership does not flip at enc at (k,n)=({k},{n}) e={e}"
-    return True, "subspace search flips exactly at e = enc over the sample grid"
+                    return False, f"membership does not flip at enc at (kind,k,n)=({kind},{k},{n}) e={e}"
+    return True, "skew and sym: subspace search flips exactly at e = enc over the sample grid"
 
 
 SUITES = {

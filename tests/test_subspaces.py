@@ -50,6 +50,8 @@ def test_normalize_e():
     assert normalize_e(4, 3, SKEW) == 3
     assert normalize_e(5, 3, SKEW) == 5
     assert normalize_e(5, 2, SYM) == 5
+    # a vector encloses only its own line
+    assert normalize_e(3, 1, SKEW) == normalize_e(3, 1, SYM) == 1
     with pytest.raises(ValueError):
         normalize_e(1, 2, SKEW)
 
@@ -65,6 +67,15 @@ def test_sub_dim_veronese():
     for k in (2, 3, 4):
         for n in (3, 5, 7):
             assert sub_dim(1, k, n, SYM) == n - 1
+
+
+def test_sub_dim_matches_tangent_oracle_at_every_e():
+    # unnormalized e included; k = 1 gave e(n-e) + e - 1 for 1 < e < n
+    for kind in (SKEW, SYM):
+        for k in range(1, 5):
+            for n in range(k, 8):
+                for e in range(1 if kind == SYM else k, n + 1):
+                    assert sub_dim(e, k, n, kind) == sub_dim_tangent(e, k, n, kind), (e, k, n, kind)
 
 
 def test_sub_dim_grassmannian():

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from divatlas import tensors
-from divatlas.linalg import RationalMatrix, exact_det, in_span, rank
+from divatlas import linalg, tensors
+from divatlas.linalg import RationalMatrix, _bareiss, _int_rows, exact_det, in_span, rank
 from divatlas.subspaces import e_max
 from divatlas.tensors import (
     SKEW,
@@ -330,6 +330,10 @@ def test_is_in_power_of_examples():
     small = SubspaceBasis(4, ((0, 1, 0, 0), (0, 0, 1, 0)))
     assert is_in_power_of(t, big)
     assert not is_in_power_of(t, small)
+    # the covectors vanishing on span(e1, e2) come out as e0*, e3*; only
+    # the second one detects these
+    assert not is_in_power_of(wedge([(0, 1, 0, 0), (0, 0, 0, 1)]), small)
+    assert not is_in_power_of(SymTensor(4, 2, {(0, 1, 0, 1): 1}), small)
 
 
 def test_enclosing_space_skips_independence_recheck(monkeypatch):
@@ -466,6 +470,71 @@ def test_is_in_power_of_matches_enclosing_space_oracle():
             assert is_in_power_of(t, W) == expected
             outcomes[expected] += 1
     assert min(outcomes.values()) >= 10
+
+
+def _transport_membership(t, W):
+    """Reference membership test by change of basis: Bareiss on the integer
+    rows of [W | I] leaves in its right block an invertible A that maps
+    span(W) onto the first dim(W) coordinates; t lies in the power of
+    span(W) iff no coefficient of A t touches a later coordinate."""
+    m, n = W.dim, t.n
+    aug = _int_rows([[w[i] for w in W.vectors] + [int(i == j) for j in range(n)] for i in range(n)])
+    _bareiss(aug)
+    image = apply_linear_map([row[m:] for row in aug], t)
+    if t.kind == SKEW:
+        return all(max(idx, default=-1) < m for idx in image.coeffs)
+    return all(not any(alpha[m:]) for alpha in image.coeffs)
+
+
+def test_is_in_power_of_matches_transport_reference():
+    rng = random.Random("membership-transport")
+    outcomes = {True: 0, False: 0}
+    fractions = {"tensor": 0, "space": 0}
+    cells = [(SKEW, 1, 4), (SKEW, 2, 5), (SKEW, 3, 7), (SKEW, 4, 6)]
+    cells += [(SYM, k, 4) for k in range(1, 5)]
+    for kind, k, n in cells:
+        for s in range(8):
+            t = random_decomposable(n, k, kind, f"transport:{kind}:{k}:{s}:a")
+            if s >= 4 and 2 * k < n:
+                t = t + random_decomposable(n, k, kind, f"transport:{kind}:{k}:{s}:b")
+            if s % 4 >= 2:
+                t = t * Fraction(rng.randint(1, 9), rng.randint(2, 5))
+            fractions["tensor"] += any(type(c) is Fraction for c in t.coeffs.values())
+            U = list(enclosing_space(t).vectors)
+            extra = [random_vector(n, rng) for _ in range(n)]
+            dim = rng.randint(len(U), n - 1) if len(U) < n else n
+            if s % 2 == 0:  # contains U
+                W = _rational_span(U + extra[: dim - len(U)], dim, n, rng)
+            else:  # a hyperplane of U plus other directions
+                W = _rational_span(U[1:] + extra[: dim - len(U) + 1], dim, n, rng)
+            fractions["space"] += any(type(x) is Fraction for w in W.vectors for x in w)
+            got = is_in_power_of(t, W)
+            assert got == _transport_membership(t, W) == (s % 2 == 0), (kind, k, n, s)
+            outcomes[got] += 1
+    assert min(outcomes.values()) >= 10
+    assert min(fractions.values()) >= 10
+
+
+def test_is_in_power_of_avoids_the_oracle_side(monkeypatch):
+    # membership must stay a route independent of enclosing_space, which
+    # the tests check it against
+    cases = []
+    for kind, n, k in [(SKEW, 6, 2), (SKEW, 6, 3), (SYM, 5, 2), (SYM, 5, 3)]:
+        t = random_decomposable(n, k, kind, f"independent:{kind}:{k}:a")
+        t = t + random_decomposable(n, k, kind, f"independent:{kind}:{k}:b")
+        space = enclosing_space(t)
+        hyper = SubspaceBasis(n, space.vectors[1:])
+        cases += [(t, space, True), (t, hyper, False)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle-side function called")
+
+    for name in ("contraction_matrix", "enclosing_space", "enc", "rank", "image_basis", "apply_linear_map"):
+        for module in (tensors, linalg):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for t, W, expected in cases:
+        assert is_in_power_of(t, W) is expected
 
 
 def test_sym_decomposable_enc():

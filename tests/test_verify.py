@@ -11,9 +11,13 @@ from divatlas.verify import SUITES, run_suites
 
 ALL_CHECKS = [(name, chk) for name, checks in SUITES.items() for chk in checks]
 
-# the three expensive seeded suites already run at seed 0 in the
-# acceptance module; here they run once with another seed
-LIGHT = [(n, c) for n, c in ALL_CHECKS if n not in ("enc-oracle", "subdim-oracle")]
+# the two expensive seeded suites and check_exorbitance already run at
+# seed 0 in the acceptance module; the suites run here once with another seed
+LIGHT = [
+    (n, c)
+    for n, c in ALL_CHECKS
+    if n not in ("enc-oracle", "subdim-oracle") and c.__name__ != "check_exorbitance"
+]
 
 
 @pytest.mark.parametrize("name,check", LIGHT, ids=[c.__name__ for _, c in LIGHT])
