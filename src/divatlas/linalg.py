@@ -7,19 +7,25 @@ a predicate, so nothing here is ever computed with floating point.
 
 Rank is computed by clearing denominators row by row (which does not
 change the row space) and running fraction-free Bareiss elimination on
-the resulting integer matrix.  The same kernel, ``_bareiss``, gives
-determinants above 3 x 3 and, on [W | I], the integer covectors that
-annihilate span(W), which the membership test contracts the tensor
-with.  A plain rational Gaussian elimination,
-``gauss_rank``, is kept as an independent cross-check; the two share
-no elimination code.
+the resulting integer matrix.  The kernel, ``_bareiss``, is
+left-looking: it reads the matrix column by column, carries each column
+through the pivot steps recorded so far only when it reaches it, and
+stops at full row rank, so the columns after the last pivot are never
+read.  A contraction matrix is n x C(n, k-1), and a generic one reaches
+full row rank well before its last column.  The same kernel gives
+determinants above 3 x 3 and, through ``_reduce``, carries the unit
+covectors through the pivot steps of a subspace basis, which gives the
+integer covectors that annihilate its span (the membership test).  A
+plain rational Gaussian elimination, ``gauss_rank``, is kept as an
+independent cross-check; the two share no elimination code.
 
 ``_certified_rank`` serves the tangent-space oracle, whose integer
 Jacobians have independent columns in the generic case: it takes the
 rank modulo the prime 2^61 - 1, which can only be at or below the rank
 over QQ, so a rank mod p equal to the column count is certified and
-anything less is redone exactly by ``_bareiss``.  It is not used where deficient ranks are expected (the
-contraction matrices of enc, the membership test).
+anything less is redone exactly by ``_bareiss``.  It is not used where
+deficient ranks are expected (the contraction matrices of enc, the
+membership test).
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import random
 from fractions import Fraction
 
 Vector = tuple  # tuple of exact scalars (see as_exact)
+_INT = frozenset((int,))  # _INT.issuperset(map(type, xs)): every x is a plain int
 
 
 def as_exact(x) -> int | Fraction:
@@ -64,7 +71,7 @@ class RationalMatrix:
     where not integral.
     """
 
-    __slots__ = ("rows", "cols", "_m")
+    __slots__ = ("rows", "cols", "_m", "_integral")
 
     def __init__(self, data, cols: int | None = None):
         m = tuple(tuple(as_exact(x) for x in row) for row in data)
@@ -77,6 +84,20 @@ class RationalMatrix:
         self.rows = len(m)
         self.cols = width
         self._m = m
+        self._integral = False
+
+    @classmethod
+    def _exact(cls, rows: list, cols: int, integral: bool) -> "RationalMatrix":
+        """Wrap rows of width cols whose entries are already exact, as
+        as_exact gives them, without coercing them again; integral says
+        that every entry is an int, so the rank kernel can read the rows
+        as they are."""
+        mat = object.__new__(cls)
+        mat.rows = len(rows)
+        mat.cols = cols
+        mat._m = tuple(map(tuple, rows))
+        mat._integral = integral
+        return mat
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -142,7 +163,7 @@ def _int_rows(rows) -> list:
     copied as it is."""
     out = []
     for row in rows:
-        if all(type(x) is int for x in row):
+        if _INT.issuperset(map(type, row)):
             out.append(list(row))
             continue
         den = math.lcm(*(x.denominator for x in row))
@@ -150,51 +171,81 @@ def _int_rows(rows) -> list:
     return out
 
 
-def _bareiss(mat: list) -> tuple[int, list, int]:
-    """Fraction-free elimination on an integer matrix (destructive).
+def _reduce(v: list, steps: list) -> list:
+    """Carry the column v (a list over the rows) through the recorded
+    pivot steps of _bareiss, in order, and return its rows from
+    len(steps) down; v itself may be changed.
+
+    Step s holds (swap, pivot, mult): it swaps row s with row s + swap,
+    then gives every row i > s the one-step Bareiss update
+    (pivot * v[i] - mult[i - s - 1] * v[s]) // previous pivot, where mult
+    is the pivot column below its pivot.  Row s is final after step s,
+    so each step drops it, and with a step per row nothing is left to
+    carry.  Where v[s] is 0 the update only scales the rows below by
+    pivot / previous pivot.  Such scalings telescope, so they are left
+    out: v then holds the values times held / (pivot of the step just
+    taken), where held is the pivot of the last step that did update
+    it, and the next update divides by held instead.  A column that is
+    zero from row s down stays zero, so it stops there.
+    """
+    size = len(v) - len(steps)
+    if not size:
+        return []
+    held = 1
+    for swap, pivot, mult in steps:
+        if swap:
+            v[0], v[swap] = v[swap], v[0]
+        a = v[0]
+        if a:
+            v = [(pivot * x - a * m) // held for x, m in zip(v[1:], mult)]
+            held = pivot
+        else:
+            del v[0]
+            if not any(v):
+                return [0] * size
+    last = steps[-1][1] if steps else 1
+    if held != last:
+        v = [x * last // held for x in v]
+    return v
+
+
+def _bareiss(mat, steps: list | None = None) -> tuple[int, list, int]:
+    """Left-looking fraction-free elimination on the integer rows mat.
 
     Returns (rank, pivot column indices, sign * last pivot), where sign
-    tracks the row swaps.  The one-step Bareiss update keeps every
-    intermediate entry equal to a minor of the input, so the integer
-    divisions below are exact, and the k-th pivot is the leading k x k
-    minor of the row-swapped input: for a square matrix of full rank the
-    third value is its determinant.  Every step is an invertible row
-    operation, so on [W | I] with W of full column rank m the rows from
-    m on are zero on the W block and their right-hand blocks are
-    independent covectors annihilating span(W), which is_in_power_of
-    relies on.
+    tracks the row swaps.  The matrix is read one column at a time, left
+    to right, and never written: each nonzero column is carried through
+    the pivot steps recorded so far (_reduce) only when the loop reaches
+    it, a zero column is passed over, and the loop stops once the rank
+    equals the row count, so no column after the last pivot is read.
+    The one-step Bareiss update keeps every intermediate entry equal to
+    a minor of the input, so the integer divisions are exact, and the
+    k-th pivot is the leading k x k minor of the row-swapped input: for
+    a square matrix of full rank the third value is its determinant.
+    Given a list as steps, the pivot steps are recorded in it, so that
+    _reduce can carry more columns through them (is_in_power_of).
     """
     n_rows = len(mat)
-    n_cols = len(mat[0]) if n_rows else 0
-    r = 0
-    prev = 1
-    sign = 1
+    steps = [] if steps is None else steps
     pivot_cols = []
-    for col in range(n_cols):
-        piv = None
-        for i in range(r, n_rows):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
+    sign = 1
+    for col, entries in enumerate(zip(*mat)):
+        if not any(entries):
             continue
-        if piv != r:
-            mat[r], mat[piv] = mat[piv], mat[r]
+        v = _reduce(list(entries), steps) if steps else list(entries)
+        for piv, x in enumerate(v):
+            if x:
+                break
+        else:
+            continue
+        if piv:
+            v[0], v[piv] = v[piv], v[0]
             sign = -sign
-        pc = mat[r][col]
-        for i in range(r + 1, n_rows):
-            ric = mat[i][col]
-            mrow = mat[r]
-            irow = mat[i]
-            for j in range(col + 1, n_cols):
-                irow[j] = (pc * irow[j] - ric * mrow[j]) // prev
-            irow[col] = 0
-        prev = pc
+        steps.append((piv, v[0], v[1:]))
         pivot_cols.append(col)
-        r += 1
-        if r == n_rows:
+        if len(steps) == n_rows:
             break
-    return r, pivot_cols, sign * prev
+    return len(steps), pivot_cols, sign * (steps[-1][1] if steps else 1)
 
 
 # a Mersenne prime: a rank mod p is at most the rank over QQ
@@ -222,20 +273,24 @@ def _certified_rank(columns) -> int:
         v = [x % p for x in v]
         lead = next((j for j, x in enumerate(v) if x), None)
         if lead is None:
-            return _bareiss([list(c) for c in columns])[0]
+            return _bareiss(columns)[0]
         inv = pow(v[lead], -1, p)
         pivots.append((lead, [x * inv % p for x in v[lead:]]))
     return len(pivots)
 
 
+def _kernel_rows(M: RationalMatrix):
+    return M._m if M._integral else _int_rows(M._m)
+
+
 def rank(M: RationalMatrix) -> int:
     """Exact rank over the rationals (Bareiss elimination)."""
-    return _bareiss(_int_rows(M._m))[0]
+    return _bareiss(_kernel_rows(M))[0]
 
 
 def image_basis(M: RationalMatrix) -> list:
     """Pivot columns of M: a basis of the column space, length = rank(M)."""
-    _, pivots, _ = _bareiss(_int_rows(M._m))
+    _, pivots, _ = _bareiss(_kernel_rows(M))
     return [M.column(j) for j in pivots]
 
 
@@ -275,10 +330,12 @@ def gauss_rank(M: RationalMatrix) -> int:
 
 
 def lin_indep(vectors) -> bool:
-    vs = list(vectors)
-    if not vs:
-        return True
-    return rank(RationalMatrix.from_columns(vs)) == len(vs)
+    """True iff the vectors are independent.  They are eliminated as rows,
+    so _bareiss stops as soon as each of them has a pivot."""
+    vs = [as_vector(v) for v in vectors]
+    if len({len(v) for v in vs}) > 1:
+        raise ValueError("columns have unequal lengths")
+    return _bareiss(_int_rows(vs))[0] == len(vs)
 
 
 def exact_det(rows) -> int | Fraction:
@@ -311,7 +368,7 @@ def int_det(rows) -> int:
         d, e, f = rows[1]
         g, h, i = rows[2]
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    r, _, det = _bareiss([list(row) for row in rows])
+    r, _, det = _bareiss(rows)
     return det if r == n else 0
 
 

@@ -26,9 +26,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import (
+    _INT,
     RationalMatrix,
     _bareiss,
     _int_rows,
+    _reduce,
     as_exact,
     as_vector,
     exact_det,
@@ -119,8 +121,8 @@ class _Tensor:
 
     coeffs maps basis keys to nonzero exact scalars, normalized by
     as_exact (ints, and Fractions only where not integral); a subclass names its
-    kind, validates its keys (_check_index) and lists its basis in
-    order (_basis).  Arithmetic returns the subclass of self.
+    kind, validates its keys (_check_index(key, n, k)) and lists its basis
+    in order (_basis).  Arithmetic returns the subclass of self.
     """
 
     n: int
@@ -133,10 +135,21 @@ class _Tensor:
         out = {}
         for key, c in self.coeffs.items():
             key = tuple(key)
-            self._check_index(key)
+            self._check_index(key, self.n, self.k)
             c = as_exact(c)
             out[key] = as_exact(out[key] + c) if key in out else c
         object.__setattr__(self, "coeffs", {key: c for key, c in out.items() if c})
+
+    @classmethod
+    def _exact(cls, n: int, k: int, coeffs: dict):
+        """Wrap coefficients that are valid by construction (tuple keys that
+        pass _check_index, nonzero values as as_exact gives them) without
+        a second pass over them."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "n", n)
+        object.__setattr__(t, "k", k)
+        object.__setattr__(t, "coeffs", coeffs)
+        return t
 
     @property
     def is_zero(self) -> bool:
@@ -175,15 +188,14 @@ class SkewTensor(_Tensor):
 
     kind = SKEW
 
-    def _check_index(self, idx):
-        if len(idx) != self.k:
-            raise ValueError(f"index {idx} does not have degree {self.k}")
+    @staticmethod
+    def _check_index(idx, n: int, k: int):
+        if len(idx) != k:
+            raise ValueError(f"index {idx} does not have degree {k}")
         prev = -1
         for x in idx:
-            if not isinstance(x, int) or x <= prev or x >= self.n:
-                raise ValueError(
-                    f"index {idx} is not a strictly increasing subset of range({self.n})"
-                )
+            if not isinstance(x, int) or x <= prev or x >= n:
+                raise ValueError(f"index {idx} is not a strictly increasing subset of range({n})")
             prev = x
 
     def _basis(self):
@@ -200,11 +212,17 @@ class SymTensor(_Tensor):
 
     kind = SYM
 
-    def _check_index(self, alpha):
-        if len(alpha) != self.n:
-            raise ValueError(f"exponent vector {alpha} does not have length {self.n}")
-        if any(not isinstance(a, int) or a < 0 for a in alpha) or sum(alpha) != self.k:
-            raise ValueError(f"exponent vector {alpha} does not have total degree {self.k}")
+    @staticmethod
+    def _check_index(alpha, n: int, k: int):
+        if len(alpha) != n:
+            raise ValueError(f"exponent vector {alpha} does not have length {n}")
+        # plain ints need only min and sum; other entries are checked one by one
+        if _INT.issuperset(map(type, alpha)):
+            nonnegative = min(alpha, default=0) >= 0
+        else:
+            nonnegative = all(isinstance(a, int) and a >= 0 for a in alpha)
+        if not nonnegative or sum(alpha) != k:
+            raise ValueError(f"exponent vector {alpha} does not have total degree {k}")
 
     def _basis(self):
         return exponent_vectors(self.n, self.k)
@@ -391,12 +409,14 @@ def contraction_matrix_skew(t: SkewTensor) -> RationalMatrix:
     cols = math.comb(n, k - 1)
     _check_contraction_size(t, cols)
     col_of = {J: j for j, J in enumerate(itertools.combinations(range(n), k - 1))}
-    # each (i, J) comes from the single coefficient on J + {i}
-    entries = {}
+    # each (i, J) comes from the single coefficient on J + {i}; the
+    # (k-1)-subsets of idx come last index left out first
+    rows = [[0] * cols for _ in range(n)]
     for idx, c in t.coeffs.items():
-        for pos, i in enumerate(idx):
-            entries[(i, col_of[idx[:pos] + idx[pos + 1 :]])] = -c if pos % 2 else c
-    return RationalMatrix.from_entries(n, cols, entries)
+        signed = (c, -c)
+        for pos, J in zip(range(k - 1, -1, -1), itertools.combinations(idx, k - 1)):
+            rows[idx[pos]][col_of[J]] = signed[pos % 2]
+    return RationalMatrix._exact(rows, cols, _integral(t))
 
 
 def contraction_matrix_sym(t: SymTensor) -> RationalMatrix:
@@ -413,14 +433,27 @@ def contraction_matrix_sym(t: SymTensor) -> RationalMatrix:
     # max(., 0): for n = 0, k = 1 the one column is the empty exponent vector
     cols = math.comb(max(n + k - 2, 0), k - 1)
     _check_contraction_size(t, cols)
-    col_of = {a: j for j, a in enumerate(exponent_vectors(n, k - 1))}
-    # each (i, a) comes from the single coefficient on beta = a + e_i
-    entries = {}
+    # columns in exponent_vectors order, keyed by the index multiset of a
+    col_of = {J: j for j, J in enumerate(itertools.combinations_with_replacement(range(n), k - 1))}
+    integral = _integral(t)
+    # each (i, a) comes from the single coefficient on beta = a + e_i;
+    # the (k-1)-submultisets of beta come last index left out first (a
+    # repeated index gives the same entry more than once)
+    rows = [[0] * cols for _ in range(n)]
+    positions = range(n)
     for beta, c in t.coeffs.items():
-        for i, b in enumerate(beta):
-            if b:
-                entries[(i, col_of[beta[:i] + (b - 1,) + beta[i + 1 :]])] = b * c
-    return RationalMatrix.from_entries(n, cols, entries)
+        multiset = tuple(itertools.compress(positions, beta))
+        if len(multiset) < k:
+            multiset = tuple(i for i in multiset for _ in range(beta[i]))
+        for i, J in zip(reversed(multiset), itertools.combinations(multiset, k - 1)):
+            v = beta[i] * c
+            rows[i][col_of[J]] = v if integral else as_exact(v)
+    return RationalMatrix._exact(rows, cols, integral)
+
+
+def _integral(t) -> bool:
+    # coefficients are as as_exact gives them: ints, or non-integral Fractions
+    return _INT.issuperset(map(type, t.coeffs.values()))
 
 
 def contraction_matrix(t) -> RationalMatrix:
@@ -498,12 +531,15 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
     Uses the identity that the k-th exterior power of W is the common
     kernel of the contractions i_b by the covectors b vanishing on W
     (and, over QQ, the k-th symmetric power is the common kernel of the
-    derivations d_b).  Bareiss elimination on the integer rows of
-    [W | I] is a chain of invertible row operations that leaves rows
-    dim(W)..n-1 zero on the W block, because W has full column rank;
-    their right-hand blocks are therefore independent integer covectors
-    that annihilate span(W), and they span the annihilator.  The tensor
-    is contracted with each in one pass over its coefficients, and the
+    derivations d_b).  Each row of W is scaled by the lcm of its
+    denominators, and _bareiss eliminates the W block alone: m = dim(W)
+    pivot steps, one per column, since W has full column rank.  The
+    same steps carry the unit columns, each scaled like its row, so
+    they give the right block of [W | I] after a chain of invertible row
+    operations that leaves rows m..n-1 zero on the W block.  Those rows
+    of the right block are therefore independent integer covectors that
+    annihilate span(W), and they span the annihilator.  The tensor is
+    contracted with each in one pass over its coefficients, and the
     first nonzero contraction decides False.
 
     This is a route of its own: it never builds a contraction matrix or
@@ -538,10 +574,18 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
 
     else:
         raise TypeError(f"not a tensor: {type(t).__name__}")
-    # integer rows of [W | I]; scaling a row is one more invertible row operation
-    aug = _int_rows([[w[i] for w in W.vectors] + [int(i == j) for j in range(n)] for i in range(n)])
-    _bareiss(aug)
-    return not any(any(contraction(row[m:]).values()) for row in aug[m:])
+    # integer rows of W; the 1 after each row comes out as its scale
+    scaled = _int_rows([[w[i] for w in W.vectors] + [1] for i in range(n)])
+    steps = []
+    _bareiss([row[:m] for row in scaled], steps)
+    # the scaled unit columns carried through the same steps: rows m..n-1
+    # of the right block of [W | I] after them, column by column
+    right = []
+    for i, row in enumerate(scaled):
+        v = [0] * n
+        v[i] = row[m]
+        right.append(_reduce(v, steps))
+    return not any(any(contraction(b).values()) for b in zip(*right))
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +659,43 @@ def tensor_to_json(t) -> dict:
     }
 
 
+def _coeff_from_json(c):
+    """A term's coefficient as an exact scalar.  A JSON int, or a string of
+    digits with an optional leading '-', is converted by int() alone;
+    anything else takes as_exact, whose errors are reported."""
+    if type(c) is int:
+        return c
+    if type(c) is str and (c[1:] if c[:1] == "-" else c).isdigit():
+        try:
+            return int(c)
+        except ValueError:
+            # "²" is a digit to isdigit() but not to int(), and a literal
+            # can exceed int's digit limit: as_exact reports either
+            pass
+    if not isinstance(c, (str, int)):
+        raise ValueError(f"coefficient must be an int or a 'p/q' string: {c!r}")
+    try:
+        return as_exact(c)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise ValueError(f"bad coefficient {c!r}: {exc}") from exc
+
+
+def _int_list(idx) -> bool:
+    """idx is a list of ints, bools excluded.  A list of plain ints passes
+    on its set of types alone; int subclasses take the slower test."""
+    return isinstance(idx, list) and (
+        _INT.issuperset(map(type, idx))
+        or not any(not isinstance(x, int) or isinstance(x, bool) for x in idx)
+    )
+
+
 def tensor_from_json(obj: dict):
-    """Parse the tensor interchange format, validating all invariants."""
+    """Parse the tensor interchange format, validating all invariants.
+
+    Each term is checked and its coefficient converted once, and each
+    distinct index is checked once by its kind's _check_index; the
+    tensor is then built without a second pass over them.
+    """
     if not isinstance(obj, dict):
         raise ValueError("tensor JSON must be an object")
     missing = {"n", "k", "kind", "terms"} - set(obj)
@@ -628,22 +707,27 @@ def tensor_from_json(obj: dict):
     check_kind(kind)
     if not isinstance(terms, list):
         raise ValueError("terms must be a list")
+    cls = SkewTensor if kind == SKEW else SymTensor
     coeffs = {}
+    bad_index = None
     for term in terms:
         if not isinstance(term, dict) or "index" not in term or "coeff" not in term:
             raise ValueError(f"malformed term: {term!r}")
         idx = term["index"]
-        if not isinstance(idx, list) or any(not isinstance(x, int) or isinstance(x, bool) for x in idx):
+        if not _int_list(idx):
             raise ValueError(f"malformed index: {idx!r}")
-        c = term["coeff"]
-        if not isinstance(c, (str, int)):
-            raise ValueError(f"coefficient must be an int or a 'p/q' string: {c!r}")
-        try:
-            val = as_exact(c)
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise ValueError(f"bad coefficient {c!r}: {exc}") from exc
+        val = _coeff_from_json(term["coeff"])
         key = tuple(idx)
-        coeffs[key] = coeffs.get(key, 0) + val
-    if kind == SKEW:
-        return SkewTensor(n, k, coeffs)
-    return SymTensor(n, k, coeffs)
+        if key in coeffs:
+            coeffs[key] = as_exact(coeffs[key] + val)
+        else:
+            coeffs[key] = val
+            if bad_index is None:
+                try:
+                    cls._check_index(key, n, k)
+                except ValueError as exc:
+                    bad_index = exc
+    # as from the public constructor: the first bad index, after every term
+    if bad_index is not None:
+        raise bad_index
+    return cls._exact(n, k, {key: c for key, c in coeffs.items() if c})

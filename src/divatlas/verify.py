@@ -13,6 +13,7 @@ package.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -47,23 +48,32 @@ def check_rank_oracle(seed: int = 0, count: int = 100) -> tuple:
     return True, f"{count} random matrices up to 12x12 agree with the elimination oracle"
 
 
-ENC_GRID = ((2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5))
+# (kind, k, n); the bound of a cell is e_max for skew and e_max_sym for sym
+ENC_GRID = (
+    (SKEW, 2, 4),
+    (SKEW, 2, 5),
+    (SKEW, 2, 6),
+    (SKEW, 3, 4),
+    (SKEW, 3, 5),
+    (SKEW, 3, 6),
+    (SKEW, 4, 5),
+    (SYM, 2, 3),
+    (SYM, 2, 4),
+    (SYM, 3, 4),
+    (SYM, 4, 4),
+)
 
 
 def _random_hyperplane(basis: SubspaceBasis, rng: random.Random) -> SubspaceBasis:
     """A random codimension-1 subspace of the span of the given basis."""
     m = basis.dim
     n = basis.ambient_dim
+    coords = list(zip(*basis.vectors))  # coords[i]: the i-th entries of the vectors
     for _ in range(32):
         combos = []
         for _ in range(m - 1):
             coeffs = [rng.randint(-9, 9) for _ in range(m)]
-            combos.append(
-                tuple(
-                    sum(c * v[i] for c, v in zip(coeffs, basis.vectors))
-                    for i in range(n)
-                )
-            )
+            combos.append(tuple(sum(map(operator.mul, coeffs, coord)) for coord in coords))
         try:
             return SubspaceBasis(n, tuple(combos))
         except ValueError:
@@ -74,38 +84,48 @@ def _random_hyperplane(basis: SubspaceBasis, rng: random.Random) -> SubspaceBasi
 def check_enc_oracle(seed: int = 0, samples: int = 100, hyperplanes: int = 3) -> tuple:
     """Genericity and self-consistency of the enclosing dimension.
 
-    Over the (k, n) grid: decomposables have enc = k, the maximum
-    observed enc over random tensors equals the closed-form bound
-    (including both parity drops), every sample lies in the power of
-    its own enclosing space, and no sampled codimension-1 subspace of
-    that space contains it.
+    Over the (kind, k, n) grid: decomposables (wedges, k-th powers) have
+    enc = k (skew) or 1 (sym), the maximum observed enc over random
+    tensors equals the closed-form bound (e_max with both parity drops,
+    or e_max_sym), every sample lies in the power of its own enclosing
+    space, and no sampled codimension-1 subspace of that space contains
+    it.  A symmetric cell takes a quarter of the samples: its bound is
+    attained by almost every sample.
     """
-    for k, n in ENC_GRID:
+    for kind, k, n in ENC_GRID:
+        where = f"(k,n)=({k},{n})" if kind == SKEW else f"sym (k,n)=({k},{n})"
+        tag = f"{seed}:{k}:{n}" if kind == SKEW else f"sym:{seed}:{k}:{n}"
+        rank_one = k if kind == SKEW else 1
+        bound = e_max(k, n) if kind == SKEW else e_max_sym(k, n)
+        count = samples if kind == SKEW else max(1, samples // 4)
         observed = 0
-        for s in range(samples):
-            d = random_decomposable(n, k, SKEW, f"enc-dec:{seed}:{k}:{n}:{s}")
-            if enc(d) != k:
-                return False, f"decomposable with enc != {k} at (k,n)=({k},{n}) seed {s}"
-            t = random_tensor(n, k, SKEW, f"enc-rand:{seed}:{k}:{n}:{s}")
+        for s in range(count):
+            d = random_decomposable(n, k, kind, f"enc-dec:{tag}:{s}")
+            if enc(d) != rank_one:
+                return False, f"decomposable with enc != {rank_one} at {where} seed {s}"
+            t = random_tensor(n, k, kind, f"enc-rand:{tag}:{s}")
             m = enc(t)
             observed = max(observed, m)
             space = enclosing_space(t)
             if len(space.vectors) != m:
-                return False, f"enclosing basis size != enc at (k,n)=({k},{n}) seed {s}"
+                return False, f"enclosing basis size != enc at {where} seed {s}"
             if not is_in_power_of(t, space):
-                return False, f"self-enclosure failed at (k,n)=({k},{n}) seed {s}"
+                return False, f"self-enclosure failed at {where} seed {s}"
             if m >= 1:
-                rng = random.Random(f"enc-hyp:{seed}:{k}:{n}:{s}")
+                rng = random.Random(f"enc-hyp:{tag}:{s}")
                 for _ in range(hyperplanes):
                     hyp = _random_hyperplane(space, rng)
                     if is_in_power_of(t, hyp):
-                        return False, f"minimality failed at (k,n)=({k},{n}) seed {s}"
-        if observed != e_max(k, n):
-            return (
-                False,
-                f"max enc {observed} != e_max({k},{n}) = {e_max(k, n)} over {samples} samples",
-            )
-    return True, f"{len(ENC_GRID)} (k,n) cells x {samples} samples: bounds attained, enclosure exact"
+                        return False, f"minimality failed at {where} seed {s}"
+        if observed != bound:
+            name = "e_max" if kind == SKEW else "e_max_sym"
+            return False, f"max enc {observed} != {name}({k},{n}) = {bound} over {count} samples"
+    skew = sum(kind == SKEW for kind, _, _ in ENC_GRID)
+    return (
+        True,
+        f"{skew} skew (k,n) cells x {samples} samples and {len(ENC_GRID) - skew} sym cells x "
+        f"{max(1, samples // 4)}: bounds attained, enclosure exact",
+    )
 
 
 # (kind, degrees, largest n); symmetric k = 4 at n = 9 alone would cost

@@ -173,6 +173,15 @@ def test_enc_oversized_contraction_exits_2(tmp_path, capsys, obj):
     assert f"{obj['kind']} tensor with n=200, k=10" in err
 
 
+def test_enc_superscript_digit_coefficient_exits_2(tmp_path, capsys):
+    # "\u00b2".isdigit() is true, but neither int() nor Fraction reads it
+    path = tmp_path / "sup.json"
+    path.write_text(json.dumps({"n": 2, "k": 1, "kind": "skew", "terms": [{"index": [1], "coeff": "\u00b2"}]}))
+    rc, out, err = run_cli(capsys, "enc", str(path))
+    assert (rc, out) == (2, "")
+    assert err == "divatlas: bad coefficient '\u00b2': Invalid literal for Fraction: '\u00b2'\n"
+
+
 def test_enc_missing_file_exits_2(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "enc", str(tmp_path / "absent.json"))
     assert rc == 2

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import operator
 import pathlib
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from divatlas import linalg
 from divatlas.linalg import (
     RANK_PRIME,
     RationalMatrix,
+    _bareiss,
     _certified_rank,
     _int_rows,
     as_exact,
@@ -212,7 +214,7 @@ def test_int_rows_copies_integral_rows_without_rescaling(monkeypatch):
     monkeypatch.setattr(linalg, "math", NoLcm())
     out = _int_rows([row])
     assert out == [[3, -4, 0]] and type(out[0]) is list
-    out[0][0] = 7  # a fresh row, safe for the destructive _bareiss
+    out[0][0] = 7  # a fresh row, safe to change
     assert row == (3, -4, 0)
     monkeypatch.undo()
     assert _int_rows([(Fraction(1, 2), 1), (2, Fraction(2, 3))]) == [[1, 2], [6, 2]]
@@ -275,3 +277,104 @@ def test_certified_rank_agrees_with_rank(monkeypatch):
         assert got == rank(M) == gauss_rank(M)
         certified += got == cols
     assert 20 < certified < 100
+
+
+def _right_looking_bareiss(mat):
+    """Reference: right-looking fraction-free elimination, in place.  Each
+    pivot step updates every column to its right at once."""
+    n_rows = len(mat)
+    n_cols = len(mat[0]) if n_rows else 0
+    r = 0
+    prev = 1
+    sign = 1
+    pivot_cols = []
+    for col in range(n_cols):
+        piv = None
+        for i in range(r, n_rows):
+            if mat[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            mat[r], mat[piv] = mat[piv], mat[r]
+            sign = -sign
+        pc = mat[r][col]
+        for i in range(r + 1, n_rows):
+            ric = mat[i][col]
+            mrow = mat[r]
+            irow = mat[i]
+            for j in range(col + 1, n_cols):
+                irow[j] = (pc * irow[j] - ric * mrow[j]) // prev
+            irow[col] = 0
+        prev = pc
+        pivot_cols.append(col)
+        r += 1
+        if r == n_rows:
+            break
+    return r, pivot_cols, sign * prev
+
+
+def _kernel_cases(rng):
+    """Seeded integer matrices: empty shapes, zero columns, forced row
+    swaps, dependent rows, and wide n x 800 shapes."""
+    digits = range(-9, 10)
+    sparse = [0] * 40 + list(digits)
+    yield []
+    for rows, cols in ((0, 0), (1, 0), (3, 0), (1, 1), (2, 5)):
+        yield [[0] * cols for _ in range(rows)]
+    for _ in range(2000):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 12)
+        shape = rng.randrange(4)
+        # shape 0: sparse, with zero columns
+        mat = [rng.choices(sparse if shape == 0 else digits, k=cols) for _ in range(rows)]
+        if shape == 1:  # a zero top-left block: the first pivots need row swaps
+            lead = rng.randint(1, cols)
+            for row in mat[: rng.randint(1, rows)]:
+                row[:lead] = [0] * lead
+        elif shape == 2 and rows > 1:  # each later row a combination of the first few
+            base = rng.randint(1, rows - 1)
+            for i in range(base, rows):
+                w = rng.choices(range(-3, 4), k=base)
+                mat[i] = [sum(map(operator.mul, w, col)) for col in zip(*mat[:base])]
+        yield mat
+    for n in (4, 16):
+        mat = [rng.choices(digits, k=800) for _ in range(n)]
+        yield mat
+        # row 0 first nonzero in the last column: the rank is full only there
+        yield [[0] * 799 + [1]] + mat[1:]
+        for inner in (1, n // 2):  # rank inner: every column is reached
+            weights = [rng.choices(range(-3, 4), k=inner) for _ in range(n)]
+            yield [[sum(map(operator.mul, w, col)) for col in zip(*mat[:inner])] for w in weights]
+
+
+def test_bareiss_matches_right_looking_reference():
+    rng = random.Random("left-looking")
+    count = swapped = deficient = wide = 0
+    for mat in _kernel_cases(rng):
+        frozen = tuple(map(tuple, mat))
+        got = _bareiss(frozen)
+        assert got == _right_looking_bareiss([list(row) for row in mat]), mat
+        count += 1
+        swapped += bool(got[1]) and mat[0][got[1][0]] == 0  # the first pivot took a row swap
+        deficient += got[0] < min(len(mat), len(mat[0]) if mat else 0)
+        wide += bool(mat) and len(mat[0]) == 800
+    assert count >= 2000
+    assert swapped >= 100 and deficient >= 300 and wide == 8
+
+
+class _Untouchable:
+    """An entry that fails on any arithmetic or truth test."""
+
+    def _refuse(self, *args):
+        raise AssertionError("an entry after full row rank was used")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+    __floordiv__ = __rfloordiv__ = __neg__ = __bool__ = _refuse
+
+
+def test_bareiss_stops_at_full_row_rank():
+    for n in (1, 2, 5):
+        for width in (1, 7):
+            mat = [[int(i == j) for j in range(n)] + [_Untouchable() for _ in range(width)] for i in range(n)]
+            assert _bareiss(mat) == (n, list(range(n)), 1)

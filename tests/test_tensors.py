@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from divatlas import linalg, tensors
-from divatlas.linalg import RationalMatrix, _bareiss, _int_rows, exact_det, in_span, rank
+from divatlas.linalg import RationalMatrix, _int_rows, exact_det, in_span, rank
 from divatlas.subspaces import e_max
 from divatlas.tensors import (
     SKEW,
@@ -239,7 +239,10 @@ def test_contraction_builders_match_reference_scan():
             shared = {key: c for key, c in a.coeffs.items() if rng.random() < 0.5}
             t = a - cls(n, k, {**_sparse_rational(keys, rng), **shared})
             for tensor in (a, t):
-                assert build(tensor) == scan(tensor)
+                M = build(tensor)
+                assert M == scan(tensor)
+                # stored as as_exact gives them: (a_i + 1) * c can be integral
+                assert all(type(x) is int or x.denominator > 1 for i in range(M.rows) for x in M.row(i))
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +475,32 @@ def test_is_in_power_of_matches_enclosing_space_oracle():
     assert min(outcomes.values()) >= 10
 
 
+def _eliminate_block(aug, m):
+    """Right-looking elimination of the first m columns of the integer
+    rows aug, in place: each row operation (a swap, or replacing a row by
+    an integer combination with the pivot row, divided by its content)
+    is applied across the whole row.  The first m columns must have full
+    column rank."""
+    for col in range(m):
+        piv = next(i for i in range(col, len(aug)) if aug[i][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        for i in range(col + 1, len(aug)):
+            f = aug[i][col]
+            if f:
+                row = [p * a - f * b for a, b in zip(aug[i], aug[col])]
+                g = math.gcd(*row)
+                aug[i] = [x // g for x in row]
+
+
 def _transport_membership(t, W):
-    """Reference membership test by change of basis: Bareiss on the integer
-    rows of [W | I] leaves in its right block an invertible A that maps
+    """Reference membership test by change of basis: eliminating the W
+    block of [W | I] leaves in its right block an invertible A that maps
     span(W) onto the first dim(W) coordinates; t lies in the power of
     span(W) iff no coefficient of A t touches a later coordinate."""
     m, n = W.dim, t.n
     aug = _int_rows([[w[i] for w in W.vectors] + [int(i == j) for j in range(n)] for i in range(n)])
-    _bareiss(aug)
+    _eliminate_block(aug, m)
     image = apply_linear_map([row[m:] for row in aug], t)
     if t.kind == SKEW:
         return all(max(idx, default=-1) < m for idx in image.coeffs)
@@ -568,6 +589,59 @@ def test_json_coefficient_strings():
     t = tensor_from_json(obj)
     assert t.coefficient((1, 1)) == Fraction(2, 3)
     assert t.coefficient((2, 0)) == 4
+
+
+@pytest.mark.parametrize(
+    "coeff, expected",
+    [
+        ("+3", 3),
+        (" 5 ", 5),
+        ("1_0", 10),
+        ("-0", 0),
+        ("007", 7),
+        ("1.5", Fraction(3, 2)),
+        ("1e3", 1000),
+        ("3/6", Fraction(1, 2)),
+        (4, 4),
+    ],
+)
+def test_json_coefficient_spellings(coeff, expected):
+    # every spelling Fraction accepts keeps its value and number type
+    obj = {"n": 2, "k": 1, "kind": "skew", "terms": [{"index": [1], "coeff": coeff}]}
+    got = tensor_from_json(obj).coefficient((1,))
+    assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize(
+    "kind, n, k, terms, message",
+    [
+        # term errors come before index errors, whatever the order of the terms
+        (SKEW, 3, 2, [([1, 0], "1"), ([0, 1], "x")], "bad coefficient 'x': Invalid literal for Fraction: 'x'"),
+        (SKEW, 2, 1, [([1], "\u00b2")], "bad coefficient '\u00b2': Invalid literal for Fraction: '\u00b2'"),
+        (SKEW, 2, 1, [([1], True)], "bad coefficient True: expected an exact rational, got bool"),
+        # the first bad index is reported
+        (
+            SKEW,
+            3,
+            2,
+            [([0, 1], "1"), ([2, 5], "2"), ([1, 0], "1")],
+            "index (2, 5) is not a strictly increasing subset of range(3)",
+        ),
+        (
+            SYM,
+            3,
+            2,
+            [([1, 1, 0], "1"), ([1, 1], "2"), ([3, 0, 0], "1")],
+            "exponent vector (1, 1) does not have length 3",
+        ),
+        (SYM, 2, 2, [([3, -1], "1")], "exponent vector (3, -1) does not have total degree 2"),
+    ],
+)
+def test_json_error_messages(kind, n, k, terms, message):
+    obj = {"n": n, "k": k, "kind": kind, "terms": [{"index": i, "coeff": c} for i, c in terms]}
+    with pytest.raises(ValueError) as err:
+        tensor_from_json(obj)
+    assert str(err.value) == message
 
 
 def test_json_malformed_rejected():
