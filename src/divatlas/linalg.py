@@ -20,16 +20,19 @@ plain rational Gaussian elimination, ``gauss_rank``, is kept as an
 independent cross-check; the two share no elimination code.
 
 ``_certified_rank`` serves the tangent-space oracle, whose integer
-Jacobians have independent columns in the generic case: it takes the
-rank modulo the prime 2^61 - 1, which can only be at or below the rank
-over QQ, so a rank mod p equal to the column count is certified and
-anything less is redone exactly by ``_bareiss``.  It is not used where
-deficient ranks are expected (the contraction matrices of enc, the
-membership test).
+Jacobians have independent columns in the generic case and are mostly
+zeros: it takes sparse columns, {row: nonzero int} maps, and their rank
+modulo the prime 2^61 - 1 by an elimination that touches only nonzero
+entries.  That rank can only be at or below the rank over QQ, so a rank
+mod p equal to the column count is certified, and anything less is
+redone exactly by ``_bareiss`` on the densified columns.  It is not
+used where deficient ranks are expected (the contraction matrices of
+enc, the membership test).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -106,16 +109,6 @@ class RationalMatrix:
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, entries: dict) -> "RationalMatrix":
-        """Build from a sparse {(row, col): value} map; missing entries are 0."""
-        data = [[0] * cols for _ in range(rows)]
-        for (i, j), v in entries.items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry index ({i}, {j}) out of bounds")
-            data[i][j] = v
-        return cls(data, cols=cols)
 
     @classmethod
     def from_columns(cls, columns, rows: int | None = None) -> "RationalMatrix":
@@ -253,29 +246,47 @@ RANK_PRIME = 2**61 - 1
 
 
 def _certified_rank(columns) -> int:
-    """Exact rank of integer vectors, given as they are (no conversion).
+    """Exact rank of sparse integer vectors, each a {row: nonzero int} map.
 
     The rank mod RANK_PRIME never exceeds the rank over QQ, so if the
     vectors are independent mod p they are independent over QQ.  At the
     first dependency mod p the exact rank is taken by _bareiss on the
-    same vectors instead; a deficient rank mod p is never returned.
-    Each pivot row is kept normalized to 1 and trimmed to start at its
-    pivot.
+    same vectors, densified, instead; a deficient rank mod p is never
+    returned.
+
+    The elimination mod p touches only nonzero entries.  Each vector
+    that gains a pivot is stored under its lead row (its smallest
+    nonzero row after reduction), divided by its lead entry, which is
+    then left out: a stored vector has entries only below its lead row.
+    A new vector is reduced by the stored vectors of the lead rows it
+    meets, smallest row first, from a heap.  A subtraction changes only
+    rows below the one it clears (fill-in), and a lead row it fills is
+    pushed, so the vector leaves with a zero on every lead row.
     """
     p = RANK_PRIME
-    pivots = []
+    pivots = {}
     for col in columns:
-        v = list(col)
-        for j, prow in pivots:
-            f = v[j] % p
-            if f:
-                v[j:] = [a - f * b for a, b in zip(v[j:], prow)]
-        v = [x % p for x in v]
-        lead = next((j for j, x in enumerate(v) if x), None)
+        v = {r: x % p for r, x in col.items()}
+        todo = [r for r in v if r in pivots]
+        heapq.heapify(todo)
+        while todo:
+            r = heapq.heappop(todo)
+            f = v.pop(r)
+            if not f:
+                continue
+            for s, b in pivots[r].items():
+                if s in v:
+                    v[s] = (v[s] - f * b) % p
+                else:
+                    v[s] = -f * b % p
+                    if s in pivots:
+                        heapq.heappush(todo, s)
+        lead = min((r for r, x in v.items() if x), default=None)
         if lead is None:
-            return _bareiss(columns)[0]
-        inv = pow(v[lead], -1, p)
-        pivots.append((lead, [x * inv % p for x in v[lead:]]))
+            height = 1 + max((r for c in columns for r in c), default=-1)
+            return _bareiss([[c.get(r, 0) for r in range(height)] for c in columns])[0]
+        inv = pow(v.pop(lead), -1, p)
+        pivots[lead] = {s: x * inv % p for s, x in v.items() if x}
     return len(pivots)
 
 

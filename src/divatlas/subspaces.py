@@ -13,7 +13,10 @@ exact rank of the Jacobian of that parametrization at a random integer
 point, and the two are required to agree in the test suites.  At an
 integer point the Jacobian is integral: its entries are minors of A
 (skew) or coefficients of substituted monomials (symmetric), built on
-Python ints throughout.
+Python ints throughout.  The builders emit each column as a sparse
+{row: nonzero int} map, since the Jacobian is mostly zeros (at the
+chart below, a unit block beside n - e copies of the contraction
+columns of w), and the rank is taken on that form.
 
 The parametrization is GL_n-equivariant and every injective A lies in
 the GL_n-orbit of A = [I_e ; 0], so the rank is taken there and only
@@ -21,12 +24,14 @@ the rows of A below the identity block are varied: the top rows give
 GL_e-orbit directions, which add nothing to the image of the
 differential.  That leaves e(n-e) + dim(power of QQ^e) columns, exactly
 the generic rank when e is normalized.  The rank is certified by a rank
-mod 2^61 - 1 (linalg._certified_rank): columns independent mod p are
-independent over QQ, and anything less is recomputed exactly.
+mod 2^61 - 1 (linalg._certified_rank, a sparse elimination): columns
+independent mod p are independent over QQ, and anything less is
+recomputed exactly.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -166,18 +171,21 @@ def sec_dim_printed(s: int, n: int, kind: str) -> int:
 def _skew_jacobian_columns(a_cols, w: dict, n: int, k: int, varied=None):
     """Columns of the differential of (A, w) -> (wedge^k A)(w), on integers.
 
-    The coordinate of (wedge^k A)(e_I) on J is the minor of A on rows J
-    and columns I.  Along an entry A[i][j] the factor A e_j of each term
-    is replaced by e_i, so the column is e_i ^ psi_j with psi_j the image
-    under wedge^(k-1) A of the interior derivative of w along e_j.  The
-    tensor-direction columns come first, then the entries A[i][j] for
-    each j and each row i in varied (all n rows by default).
+    Each column is a sparse {row: nonzero int} map, its rows indexed by
+    the k-subsets of range(n) in combinations order.  The coordinate of
+    (wedge^k A)(e_I) on J is the minor of A on rows J and columns I.
+    Along an entry A[i][j] the factor A e_j of each term is replaced by
+    e_i, so the column is e_i ^ psi_j with psi_j the image under
+    wedge^(k-1) A of the interior derivative of w along e_j; for a fixed
+    i distinct M give distinct M + {i}, so each entry comes from one term
+    of psi_j.  The tensor-direction columns come first, then the entries
+    A[i][j] for each j and each row i in varied (all n rows by default).
     """
     e = len(a_cols)
     varied = range(n) if varied is None else varied
     minors = _minors(a_cols, k)
     rows = {J: r for r, J in enumerate(itertools.combinations(range(n), k))}
-    cols = [tuple(minors[I].get(J, 0) for J in rows) for I in itertools.combinations(range(e), k)]
+    cols = [{rows[J]: v for J, v in minors[I].items()} for I in itertools.combinations(range(e), k)]
     for j in range(e):
         psi = {}
         for I, c in w.items():
@@ -185,58 +193,44 @@ def _skew_jacobian_columns(a_cols, w: dict, n: int, k: int, varied=None):
                 q = I.index(j)
                 for M, d in minors[I[:q] + I[q + 1 :]].items():
                     psi[M] = psi.get(M, 0) + (-c if q % 2 else c) * d
+        psi = [(M, v) for M, v in psi.items() if v]
         for i in varied:
-            col = [0] * len(rows)
-            for M, v in psi.items():
-                if i not in M:
-                    p = sum(x < i for x in M)  # moving e_i past p smaller indices
+            col = {}
+            for M, v in psi:
+                p = bisect.bisect_left(M, i)  # moving e_i past p smaller indices
+                if M[p : p + 1] != (i,):  # i not in M
                     col[rows[M[:p] + (i,) + M[p:]]] = -v if p % 2 else v
-            cols.append(tuple(col))
+            cols.append(col)
     return cols
 
 
 def _sym_jacobian_columns(a_cols, w: dict, n: int, k: int, varied=None):
     """Columns of the differential of (A, w) -> (S^k A)(w), on integers.
 
-    The map substitutes source variable j by the linear form given by
-    column j of A; its derivative along an entry A[i][j] is the partial
-    derivative of w along j, substituted, times the i-th basis vector.
-    Column order and varied are as in _skew_jacobian_columns.
+    Each column is a sparse {row: nonzero int} map, its rows indexed by
+    the exponent vectors of degree k on n variables in exponent_vectors
+    order.  The map substitutes source variable j by the linear form
+    given by column j of A; its derivative along an entry A[i][j] is the
+    partial derivative of w along j, substituted, times the i-th basis
+    vector, and multiplying by x_i sends distinct monomials to distinct
+    monomials.  Column order and varied are as in _skew_jacobian_columns.
     """
     e = len(a_cols)
     varied = range(n) if varied is None else varied
     substituted = _substitution(a_cols, n)
-    target = exponent_vectors(n, k)
-    target_pos = {a: i for i, a in enumerate(target)}
-    cols = []
-    lower = {}  # substituted monomials of degree k-1, shared by every j
-    for alpha in exponent_vectors(e, k):
-        poly = substituted(alpha)
-        col = [0] * len(target)
-        for key, v in poly.items():
-            col[target_pos[key]] = v
-        cols.append(tuple(col))
+    target_pos = {a: r for r, a in enumerate(exponent_vectors(n, k))}
+    cols = [{target_pos[key]: v for key, v in substituted(alpha).items()} for alpha in exponent_vectors(e, k)]
     for j in range(e):
         # substituted partial derivative along source variable j
         dpoly = {}
         for alpha, c in w.items():
-            if alpha[j] == 0:
-                continue
-            down = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
-            if down not in lower:
-                lower[down] = substituted(down)
-            for key, v in lower[down].items():
-                total = dpoly.get(key, 0) + alpha[j] * c * v
-                if total:
-                    dpoly[key] = total
-                elif key in dpoly:
-                    del dpoly[key]
+            a = alpha[j]
+            if a:
+                for key, v in substituted(alpha[:j] + (a - 1,) + alpha[j + 1 :]).items():
+                    dpoly[key] = dpoly.get(key, 0) + a * c * v
+        dpoly = [(key, v) for key, v in dpoly.items() if v]
         for i in varied:
-            col = [0] * len(target)
-            for key, v in dpoly.items():
-                lifted = tuple(a + 1 if idx == i else a for idx, a in enumerate(key))
-                col[target_pos[lifted]] += v
-            cols.append(tuple(col))
+            cols.append({target_pos[key[:i] + (key[i] + 1,) + key[i + 1 :]]: v for key, v in dpoly})
     return cols
 
 

@@ -351,31 +351,29 @@ def _substitution(columns, n_out: int):
     """The map alpha -> x^alpha with variable i replaced by the linear form
     columns[i] in n_out variables, as a polynomial dict.
 
-    Powers of each form are cached across calls; the returned polynomials
-    are shared and must not be mutated.  The constant is the int 1, so
-    integer forms give integer polynomials and Fraction forms Fractions.
+    Each monomial is the one below it (alpha less its last variable)
+    times that variable's form, and every monomial built is memoized
+    for the life of the returned map, so monomials share their lower
+    products and each costs one product with a form.  The returned
+    polynomials are shared and must not be mutated.  The constant is the
+    int 1, so integer forms give integer polynomials and Fraction forms
+    Fractions.
     """
-    one = {(0,) * n_out: 1}
     forms = [
         {tuple(1 if r == j else 0 for r in range(n_out)): c for j, c in enumerate(col) if c}
         for col in columns
     ]
-    pow_cache = {}
-
-    def form_power(i, p):
-        if p == 0:
-            return one
-        key = (i, p)
-        if key not in pow_cache:
-            pow_cache[key] = _poly_mul(form_power(i, p - 1), forms[i])
-        return pow_cache[key]
+    memo = {(0,) * len(forms): {(0,) * n_out: 1}}
 
     def substituted(alpha):
-        term = one
-        for i, a in enumerate(alpha):
-            if a:
-                term = _poly_mul(term, form_power(i, a))
-        return term
+        poly = memo.get(alpha)
+        if poly is None:
+            i = len(alpha) - 1
+            while not alpha[i]:
+                i -= 1
+            below = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
+            poly = memo[alpha] = _poly_mul(substituted(below), forms[i])
+        return poly
 
     return substituted
 
@@ -601,14 +599,23 @@ def random_vector(n: int, rng: random.Random, lo: int = -9, hi: int = 9):
 
 
 def random_tensor(n: int, k: int, kind: str, seed):
-    """Deterministic random tensor with integer coefficients in [-9, 9]."""
+    """Deterministic random tensor with integer coefficients in [-9, 9].
+
+    Every basis key is drawn in basis order, zeros included, so a seed
+    gives the same tensor as the public constructor would; the keys and
+    int values are valid by construction, so the tensor is wrapped
+    without a second pass over them.
+    """
     check_kind(kind)
+    if n < 0 or k < 0:
+        raise ValueError("n and k must be nonnegative")
     rng = _rng(seed)
     if kind == SKEW:
-        coeffs = {I: rng.randint(-9, 9) for I in k_subsets(n, k)}
-        return SkewTensor(n, k, coeffs)
-    coeffs = {a: rng.randint(-9, 9) for a in exponent_vectors(n, k)}
-    return SymTensor(n, k, coeffs)
+        cls, basis = SkewTensor, k_subsets(n, k)
+    else:
+        cls, basis = SymTensor, exponent_vectors(n, k)
+    draws = ((key, rng.randint(-9, 9)) for key in basis)
+    return cls._exact(n, k, {key: c for key, c in draws if c})
 
 
 def random_decomposable(n: int, k: int, kind: str, seed):

@@ -196,15 +196,6 @@ def test_lin_indep():
     assert lin_indep([])
 
 
-def test_from_entries_sparse():
-    M = RationalMatrix.from_entries(2, 3, {(0, 0): 1, (1, 2): "2/3"})
-    assert M[0, 0] == 1
-    assert M[1, 2] == Fraction(2, 3)
-    assert M[0, 1] == 0
-    with pytest.raises(ValueError):
-        RationalMatrix.from_entries(2, 2, {(2, 0): 1})
-
-
 def test_int_rows_copies_integral_rows_without_rescaling(monkeypatch):
     class NoLcm:
         def lcm(self, *args):
@@ -218,6 +209,11 @@ def test_int_rows_copies_integral_rows_without_rescaling(monkeypatch):
     assert row == (3, -4, 0)
     monkeypatch.undo()
     assert _int_rows([(Fraction(1, 2), 1), (2, Fraction(2, 3))]) == [[1, 2], [6, 2]]
+
+
+def _sparse(columns) -> list:
+    """Dense integer columns as the {row: nonzero int} maps _certified_rank takes."""
+    return [{r: x for r, x in enumerate(col) if x} for col in columns]
 
 
 def _count_fallbacks(monkeypatch) -> list:
@@ -242,14 +238,54 @@ def test_certified_rank_never_returns_a_rank_lost_mod_p(monkeypatch):
         [(1, 2, 3, 0), (2, 4, 6 + RANK_PRIME, 0), (0, 0, 1, 1)],
     ):
         fallbacks.clear()
-        got = _certified_rank(columns)
+        got = _certified_rank(_sparse(columns))
         assert len(fallbacks) == 1
         assert got == rank(RationalMatrix.from_columns(columns)) == len(columns)
     # only independence certifies: more vectors than their length always
     # take the exact pass
     fallbacks.clear()
-    assert _certified_rank([(1, 2), (0, 1), (5, 0)]) == 2
+    assert _certified_rank(_sparse([(1, 2), (0, 1), (5, 0)])) == 2
     assert len(fallbacks) == 1
+
+
+def test_sparse_certified_rank_fill_in_and_lost_ranks(monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    # a chain: column i has lead row i and fills row i + 1, so reducing
+    # e_0 fills every lead row in turn before it reaches row m
+    m = 6
+    chain = [{i: 1, i + 1: 1} for i in range(m)]
+    assert _certified_rank(chain + [{0: 1}]) == m + 1
+    assert not fallbacks
+    # e_0 - (-1)^m e_m lies in the span of the chain: a dependency found
+    # only through the filled rows
+    assert _certified_rank(chain + [{0: 1, m: (-1) ** (m + 1)}]) == m
+    assert len(fallbacks) == 1
+    # deficient mod p, through entries that vanish mod p (the first three,
+    # of full rank over QQ) or a dependency over QQ (the last): each takes
+    # the exact pass on the dense columns, where rows missing from every
+    # column are zero rows, which do not change the rank
+    for columns, expected in (
+        ([{0: 1, 5: 1}, {0: 1, 5: 1 + RANK_PRIME}], 2),
+        ([{3: RANK_PRIME}], 1),
+        ([{2: 1}, {2: 1 + RANK_PRIME, 7: RANK_PRIME}], 2),
+        ([{0: 2, 4: 1}, {0: 4, 4: 2}], 1),
+    ):
+        fallbacks.clear()
+        assert _certified_rank(columns) == expected
+        assert len(fallbacks) == 1
+    # random sparse columns against the dense rank
+    rng = random.Random("sparse-certified-rank")
+    for _ in range(150):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 10)
+        dense = [
+            tuple(rng.choice((0, 0, 0, 0, 1, -1, 3, RANK_PRIME)) for _ in range(rows)) for _ in range(cols)
+        ]
+        dense += [tuple(a - b for a, b in zip(dense[0], dense[-1]))] * rng.randint(0, 1)
+        fallbacks.clear()
+        got = _certified_rank(_sparse(dense))
+        # one exact pass at most, and always when the rank is deficient
+        assert len(fallbacks) <= 1 and (got == len(dense) or fallbacks)
+        assert got == rank(RationalMatrix.from_columns(dense))
 
 
 def test_certified_rank_agrees_with_rank(monkeypatch):
@@ -257,7 +293,7 @@ def test_certified_rank_agrees_with_rank(monkeypatch):
     rng = random.Random("certified-rank")
     certified = 0
     assert _certified_rank([]) == 0
-    assert _certified_rank([(), ()]) == 0
+    assert _certified_rank(_sparse([(), ()])) == 0
     for _ in range(120):
         rows, cols = rng.randint(1, 9), rng.randint(1, 9)
         inner = rng.randint(0, min(rows, cols))
@@ -271,7 +307,7 @@ def test_certified_rank_agrees_with_rank(monkeypatch):
                 cols=cols,
             )
         fallbacks.clear()
-        got = _certified_rank([tuple(c) for c in M.columns()])
+        got = _certified_rank(_sparse(M.columns()))
         # an exact pass exactly when the columns are dependent
         assert len(fallbacks) == (got < cols)
         assert got == rank(M) == gauss_rank(M)

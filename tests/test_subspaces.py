@@ -179,6 +179,16 @@ def test_tangent_oracle_small_grid(monkeypatch):
                     assert widths == [sub_dim(e, k, n, kind) + 1]
 
 
+def _dense(columns, height: int) -> list:
+    """Sparse {row: value} Jacobian columns as dense tuples of the given height."""
+    assert all(0 <= r < height for col in columns for r in col)
+    return [tuple(col.get(r, 0) for r in range(height)) for col in columns]
+
+
+def _power_dim(kind: str, k: int, n: int) -> int:
+    return len(k_subsets(n, k) if kind == SKEW else exponent_vectors(n, k))
+
+
 def _linear_coefficient(values):
     """Coefficient of x in the polynomial of degree < len(values) that
     takes values[t] at x = t (Newton forward differences)."""
@@ -209,10 +219,11 @@ def test_integer_jacobian_matches_apply_linear_map(kind):
             w = {key: rng.choice((-9, -2, 1, 3, 7)) for key in rng.sample(basis, min(4, len(basis)))}
             cols = build(a_cols, w, n, k)
             assert len(cols) == len(basis) + e * n
-            assert all(type(x) is int for col in cols for x in col)
+            assert all(type(r) is int and type(x) is int and x for col in cols for r, x in col.items())
             # the chart's rows are a slice of the same columns
             chart = [cols[len(basis) + j * n + i] for j in range(e) for i in range(e, n)]
             assert build(a_cols, w, n, k, range(e, n)) == cols[: len(basis)] + chart
+            cols = _dense(cols, _power_dim(kind, k, n))
 
             rows = [[col[i] for col in a_cols] for i in range(n)]
             for key, col in zip(basis, cols):
@@ -265,7 +276,8 @@ def test_chart_rank_equals_full_jacobian_rank(monkeypatch):
                     fallbacks.clear()
                     got = _certified_rank(chart)
                     monkeypatch.undo()
-                    full = rank(RationalMatrix.from_columns(build(a_cols, omega.coeffs, n, k)))
+                    full_cols = _dense(build(a_cols, omega.coeffs, n, k), _power_dim(kind, k, n))
+                    full = rank(RationalMatrix.from_columns(full_cols))
                     assert got == full == expected, (kind, k, n, e)
                     if normalize_e(e, k, kind) == e:
                         assert len(chart) == expected and not fallbacks, (kind, k, n, e)

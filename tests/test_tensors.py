@@ -366,6 +366,67 @@ def test_random_subspace_eliminates_once(monkeypatch):
     assert W.vectors == tuple(random_vector(6, rng) for _ in range(3))
 
 
+def test_random_tensor_matches_the_public_constructor(monkeypatch):
+    # the draws are wrapped without a second validation pass; they must
+    # give the tensor the public constructor gives for the same draws
+    cases = [(0, 0), (3, 0), (1, 1), (2, 3), (4, 2), (5, 3), (4, 4), (6, 3)]
+    expected = {}
+    for kind, cls, basis in ((SKEW, SkewTensor, k_subsets), (SYM, SymTensor, exponent_vectors)):
+        for n, k in cases:
+            rng = random.Random(f"draw:{kind}:{n}:{k}")
+            expected[kind, n, k] = cls(n, k, {key: rng.randint(-9, 9) for key in basis(n, k)})
+
+    def no_check(*args):
+        raise AssertionError("a seeded draw was validated")
+
+    for cls in (SkewTensor, SymTensor):
+        monkeypatch.setattr(cls, "_check_index", staticmethod(no_check))
+    for (kind, n, k), want in expected.items():
+        got = random_tensor(n, k, kind, random.Random(f"draw:{kind}:{n}:{k}"))
+        assert type(got) is type(want) and got == want, (kind, n, k)
+        assert all(type(c) is int and c for c in got.coeffs.values())
+    for kind in (SKEW, SYM):
+        for n, k in [(-1, 2), (2, -1)]:
+            with pytest.raises(ValueError):
+                random_tensor(n, k, kind, 0)
+
+
+def _expanded_product(forms, n_out: int) -> dict:
+    """Reference: the product of linear forms (coefficient tuples) expanded
+    term by term, one output variable chosen from every factor."""
+    out = {}
+    for choice in itertools.product(range(n_out), repeat=len(forms)):
+        key = tuple(choice.count(r) for r in range(n_out))
+        out[key] = out.get(key, 0) + math.prod(f[r] for f, r in zip(forms, choice))
+    return {key: c for key, c in out.items() if c}
+
+
+def test_substitution_matches_direct_products(monkeypatch):
+    # each monomial is built from the one below it and memoized for the
+    # life of the map; the reference multiplies out the form powers afresh
+    rng = random.Random("substitution")
+    products = []
+    poly_mul = tensors._poly_mul
+    monkeypatch.setattr(tensors, "_poly_mul", lambda p, q: products.append(1) or poly_mul(p, q))
+    for k in range(5):
+        for n_in, n_out in [(1, 1), (2, 3), (3, 2), (4, 4)]:
+            columns = [
+                tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 4)) for _ in range(n_out)) for _ in range(n_in)
+            ]
+            substituted = tensors._substitution(columns, n_out)
+            alphas = exponent_vectors(n_in, k)
+            rng.shuffle(alphas)
+            products.clear()
+            for alpha in alphas:
+                forms = [col for col, a in zip(columns, alpha) for _ in range(a)]
+                assert substituted(alpha) == _expanded_product(forms, n_out), (k, n_in, n_out, alpha)
+            # at most one product per monomial of degree 1..k, and none on a repeat
+            assert len(products) <= sum(math.comb(n_in + d - 1, d) for d in range(1, k + 1))
+            before = len(products)
+            assert all(substituted(alpha) is substituted(alpha) for alpha in alphas)
+            assert len(products) == before
+
+
 def test_integral_values_are_ints():
     def types(t):
         return {type(c) for c in t.coeffs.values()}
