@@ -5,19 +5,24 @@ subspace-variety membership, tangent-space dimension) reduces to the
 rank of a matrix with rational entries, and a single wrong rank flips
 a predicate, so nothing here is ever computed with floating point.
 
-Rank is computed by clearing denominators row by row (which does not
-change the row space) and running fraction-free Bareiss elimination on
-the resulting integer matrix.  The kernel, ``_bareiss``, is
-left-looking: it reads the matrix column by column, carries each column
-through the pivot steps recorded so far only when it reaches it, and
-stops at full row rank, so the columns after the last pivot are never
-read.  A contraction matrix is n x C(n, k-1), and a generic one reaches
-full row rank well before its last column.  The same kernel gives
-determinants above 3 x 3 and, through ``_reduce``, carries the unit
-covectors through the pivot steps of a subspace basis, which gives the
-integer covectors that annihilate its span (the membership test).  A
-plain rational Gaussian elimination, ``gauss_rank``, is kept as an
-independent cross-check; the two share no elimination code.
+Every exact rank, pivot set and determinant above 3 x 3 comes from one
+fraction-free elimination kernel on integers, ``_eliminate``.  It takes
+a stream of columns and keeps one integer covector per row that has no
+pivot yet; by Sylvester's identity (Bareiss, Math. Comp. 22, 1968) the
+covector's dot product with a column is the entry that Bareiss
+elimination would leave there, so a column is a pivot exactly when one
+of these products is nonzero, and the covectors are updated by the
+exactly dividing Bareiss step.  The kernel reads the columns one at a
+time and stops at full row rank, so a caller can make its columns on
+demand (the contraction columns of ``tensors.enc``: a generic
+contraction matrix is n x C(n, k-1) and reaches full row rank well
+before its last column).  The covectors left at the end span the
+annihilator of the column space, which the membership test contracts
+with.  Rows or columns with a Fraction entry are scaled by the lcm of
+their denominators first, which changes neither the rank nor the pivot
+columns.  ``_bareiss`` is the same kernel on the columns of a list of
+rows.  A plain rational Gaussian elimination, ``gauss_rank``, is kept
+as an independent cross-check; the two share no elimination code.
 
 ``_certified_rank`` serves the tangent-space oracle, whose integer
 Jacobians have independent columns in the generic case and are mostly
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -62,7 +68,9 @@ def as_exact(x) -> int | Fraction:
 
 
 def as_vector(entries) -> Vector:
-    return tuple(as_exact(x) for x in entries)
+    v = tuple(entries)
+    # plain ints are exact already (a bool's type is not int)
+    return v if _INT.issuperset(map(type, v)) else tuple(as_exact(x) for x in v)
 
 
 class RationalMatrix:
@@ -77,7 +85,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "_m", "_integral")
 
     def __init__(self, data, cols: int | None = None):
-        m = tuple(tuple(as_exact(x) for x in row) for row in data)
+        m = tuple(as_vector(row) for row in data)
         widths = {len(row) for row in m}
         if len(widths) > 1:
             raise ValueError("rows have unequal lengths")
@@ -150,95 +158,109 @@ class RationalMatrix:
         return f"RationalMatrix({[list(map(str, row)) for row in self._m]})"
 
 
+def _int_vector(v) -> list:
+    """A fresh integer list: v rescaled by the lcm of its denominators if
+    it has a Fraction entry (which keeps its span), else copied as it is."""
+    if _INT.issuperset(map(type, v)):
+        return list(v)
+    den = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v]
+
+
 def _int_rows(rows) -> list:
-    """Fresh integer rows: each row with a Fraction entry is rescaled by
-    the lcm of its denominators (rank-preserving); an integral row is
-    copied as it is."""
-    out = []
-    for row in rows:
-        if _INT.issuperset(map(type, row)):
-            out.append(list(row))
-            continue
-        den = math.lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
+    """Fresh integer rows, each rescaled as _int_vector does (rank-preserving)."""
+    return [_int_vector(row) for row in rows]
 
 
-def _reduce(v: list, steps: list) -> list:
-    """Carry the column v (a list over the rows) through the recorded
-    pivot steps of _bareiss, in order, and return its rows from
-    len(steps) down; v itself may be changed.
+def _eliminate(columns, n_rows: int) -> tuple:
+    """Fraction-free elimination of a stream of integer columns, each a
+    sequence of n_rows ints.
 
-    Step s holds (swap, pivot, mult): it swaps row s with row s + swap,
-    then gives every row i > s the one-step Bareiss update
-    (pivot * v[i] - mult[i - s - 1] * v[s]) // previous pivot, where mult
-    is the pivot column below its pivot.  Row s is final after step s,
-    so each step drops it, and with a step per row nothing is left to
-    carry.  Where v[s] is 0 the update only scales the rows below by
-    pivot / previous pivot.  Such scalings telescope, so they are left
-    out: v then holds the values times held / (pivot of the step just
-    taken), where held is the pivot of the last step that did update
-    it, and the next update divides by held instead.  A column that is
-    zero from row s down stays zero, so it stops there.
+    Returns (pivot column indices, sign * last pivot, annihilator).  The
+    columns are read one at a time, left to right, and the stream is not
+    advanced past the column that brings the rank to n_rows, so a
+    generator can make its columns on demand.
+
+    The state is one integer covector per row that holds no pivot yet,
+    y_q = prev * e_q + sum_j B[q][j] * e_(pivot row j), with prev the
+    last pivot (1 before the first).  By Sylvester's identity y_q . v is
+    the entry that Bareiss elimination would leave in row q of the
+    column v after the pivot steps so far: the minor on the pivot rows
+    and q, the pivot columns and v.  So y_q annihilates every pivot
+    column, and v is a pivot exactly when some y_q . v is nonzero.  The
+    first such covector, in the row order that the swaps leave, is
+    swapped to the front and taken out, as a Bareiss row swap would, and
+    its value a is the next pivot; every other covector, with value d,
+    becomes (a * y_q - d * y_pivot) // prev, which annihilates v too.
+    The division is exact, since the new entries are again minors of
+    the input.  The k-th pivot is the k x k minor on the pivot rows and
+    columns, so for a square matrix of full rank the second value is its
+    determinant.
+
+    The covectors left at the end are independent (each has prev on its
+    own row and 0 on the other rows without a pivot) and annihilate
+    every column read, so they span the annihilator of the column space.
+    They come back as an iterator over n_rows - rank dense lists of ints,
+    each made when it is asked for, so a caller that stops early (the
+    membership test) makes no more of them.
     """
-    size = len(v) - len(steps)
-    if not size:
-        return []
-    held = 1
-    for swap, pivot, mult in steps:
-        if swap:
-            v[0], v[swap] = v[swap], v[0]
-        a = v[0]
-        if a:
-            v = [(pivot * x - a * m) // held for x, m in zip(v[1:], mult)]
-            held = pivot
-        else:
-            del v[0]
-            if not any(v):
-                return [0] * size
-    last = steps[-1][1] if steps else 1
-    if held != last:
-        v = [x * last // held for x in v]
-    return v
-
-
-def _bareiss(mat, steps: list | None = None) -> tuple[int, list, int]:
-    """Left-looking fraction-free elimination on the integer rows mat.
-
-    Returns (rank, pivot column indices, sign * last pivot), where sign
-    tracks the row swaps.  The matrix is read one column at a time, left
-    to right, and never written: each nonzero column is carried through
-    the pivot steps recorded so far (_reduce) only when the loop reaches
-    it, a zero column is passed over, and the loop stops once the rank
-    equals the row count, so no column after the last pivot is read.
-    The one-step Bareiss update keeps every intermediate entry equal to
-    a minor of the input, so the integer divisions are exact, and the
-    k-th pivot is the leading k x k minor of the row-swapped input: for
-    a square matrix of full rank the third value is its determinant.
-    Given a list as steps, the pivot steps are recorded in it, so that
-    _reduce can carry more columns through them (is_in_power_of).
-    """
-    n_rows = len(mat)
-    steps = [] if steps is None else steps
     pivot_cols = []
+    pivot_rows = []
+    rows = list(range(n_rows))  # the rows without a pivot, in swap order
+    covectors = [()] * n_rows  # B[q] for each of them
+    prev = 1
     sign = 1
-    for col, entries in enumerate(zip(*mat)):
-        if not any(entries):
+    mul = operator.mul
+    for col, v in enumerate(columns if rows else ()):
+        if not any(v):
             continue
-        v = _reduce(list(entries), steps) if steps else list(entries)
-        for piv, x in enumerate(v):
-            if x:
-                break
+        if pivot_rows:
+            vp = pivot_entries(v)
+            ds = [sum(map(mul, b, vp), prev * v[q]) for q, b in zip(rows, covectors)]
+            if not any(ds):
+                continue
         else:
-            continue
+            ds = list(v)  # every y_q is still e_q, and the rows are in order
+        for piv, a in enumerate(ds):
+            if a:
+                break
+        # swap row piv to the front, as Bareiss does, then take it out
         if piv:
-            v[0], v[piv] = v[piv], v[0]
             sign = -sign
-        steps.append((piv, v[0], v[1:]))
+        pivot_rows.append(rows[piv])
+        # v's entries on the pivot rows, as a tuple even for one pivot row
+        # (the spare entry of row 0 lies past the end of every B[q])
+        pivot_entries = operator.itemgetter(*pivot_rows, 0)
+        b_piv = covectors[piv]
+        rows[piv], covectors[piv], ds[piv] = rows[0], covectors[0], ds[0]
+        del rows[0], covectors[0], ds[0]
+        if b_piv:
+            covectors = [[(a * x - d * y) // prev for x, y in zip(b, b_piv)] + [-d] for b, d in zip(covectors, ds)]
+        else:  # the first pivot: every B[q] was empty
+            covectors = [[-d] for d in ds]
         pivot_cols.append(col)
-        if len(steps) == n_rows:
+        prev = a
+        if not rows:
             break
-    return len(steps), pivot_cols, sign * (steps[-1][1] if steps else 1)
+    return pivot_cols, sign * prev, _dense_covectors(rows, covectors, pivot_rows, prev, n_rows)
+
+
+def _dense_covectors(rows, covectors, pivot_rows, prev, n_rows):
+    """The covectors prev * e_q + sum_j B[q][j] * e_(pivot row j) as dense
+    lists, each made when it is asked for."""
+    for q, b in zip(rows, covectors):
+        y = [0] * n_rows
+        y[q] = prev
+        for p, x in zip(pivot_rows, b):
+            y[p] = x
+        yield y
+
+
+def _bareiss(mat) -> tuple[int, list, int]:
+    """(rank, pivot column indices, sign * last pivot) of the integer rows
+    mat, which are read column by column and never written (_eliminate)."""
+    pivots, last, _ = _eliminate(zip(*mat), len(mat))
+    return len(pivots), pivots, last
 
 
 # a Mersenne prime: a rank mod p is at most the rank over QQ
@@ -315,6 +337,9 @@ def gauss_rank(M: RationalMatrix) -> int:
     """Rank by naive rational Gaussian elimination.
 
     Reference implementation used only to cross-check the Bareiss path.
+    Forward elimination only: the pivot row is normalized and subtracted
+    from the rows below it, from the pivot column on, since every entry
+    to its left is already zero there.
     """
     m = [list(M.row(i)) for i in range(M.rows)]
     n_rows, n_cols = M.rows, M.cols
@@ -329,11 +354,11 @@ def gauss_rank(M: RationalMatrix) -> int:
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = Fraction(1, m[r][col])
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivot_row = [x * inv for x in m[r][col:]]
+        for i in range(r + 1, n_rows):
+            f = m[i][col]
+            if f != 0:
+                m[i][col:] = [a - f * b for a, b in zip(m[i][col:], pivot_row)]
         r += 1
         if r == n_rows:
             break

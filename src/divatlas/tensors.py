@@ -12,9 +12,16 @@ smallest subspace U such that the tensor lies in the k-th exterior
 (resp. symmetric) power of U.  It is obtained as the column space of a
 contraction matrix, a signed rearrangement of the coefficients in the
 skew case and the first catalecticant in the symmetric case, so the
-enclosing dimension is an exact matrix rank.  Each contraction matrix
-is filled in one pass over the coefficients: each entry comes from a
-single coefficient, so nothing is accumulated.
+enclosing dimension is an exact matrix rank.  The columns of that
+matrix come from one generator per kind (_contraction_columns): the
+column of a (k-1)-subset or exponent vector J looks up coeff(J + e_i)
+for each row i, so each entry comes from a single coefficient and
+nothing is accumulated.  enc and enclosing_space stream these columns
+into the elimination kernel (linalg._eliminate), which stops at full
+row rank, so a generic tensor's columns after the last pivot are never
+made; the contraction_matrix builders collect the same columns.
+Membership in the k-th power of a subspace contracts the tensor with
+the covectors that the same kernel leaves on the subspace's basis.
 """
 
 from __future__ import annotations
@@ -28,15 +35,13 @@ from fractions import Fraction
 from .linalg import (
     _INT,
     RationalMatrix,
-    _bareiss,
-    _int_rows,
-    _reduce,
+    _eliminate,
+    _int_vector,
     as_exact,
     as_vector,
     exact_det,
-    image_basis,
     lin_indep,
-    rank,
+    rank,  # noqa: F401 (unused here; perfbench's tracer tests rewrap this binding)
 )
 
 SKEW = "skew"
@@ -96,19 +101,26 @@ def k_subsets(n: int, k: int):
     return list(itertools.combinations(range(n), k))
 
 
+_EXPONENT_VECTORS = {}  # (n, k) -> tuple of exponent vectors
+
+
 def exponent_vectors(n: int, k: int):
     """All exponent vectors of length n with entries summing to k.
 
     Ordered consistently with itertools.combinations_with_replacement so
-    that the ordering is deterministic across runs.
+    that the ordering is deterministic across runs.  The vectors are
+    made once per (n, k); each call returns a fresh list of them.
     """
-    out = []
-    for combo in itertools.combinations_with_replacement(range(n), k):
-        alpha = [0] * n
-        for i in combo:
-            alpha[i] += 1
-        out.append(tuple(alpha))
-    return out
+    vectors = _EXPONENT_VECTORS.get((n, k))
+    if vectors is None:
+        out = []
+        for combo in itertools.combinations_with_replacement(range(n), k):
+            alpha = [0] * n
+            for i in combo:
+                alpha[i] += 1
+            out.append(tuple(alpha))
+        vectors = _EXPONENT_VECTORS[(n, k)] = tuple(out)
+    return list(vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +405,65 @@ def _check_contraction_size(t, cols: int) -> None:
         )
 
 
+def _contraction_columns(t):
+    """The columns of t's contraction matrix, in order, as tuples of exact
+    scalars (as as_exact gives them), made one at a time on demand.
+
+    Checks the degree and the size limit when called, before any column
+    is made, and returns the generator of t's kind.
+    """
+    if not isinstance(t, _Tensor):
+        raise TypeError(f"not a tensor: {type(t).__name__}")
+    if t.k < 1:
+        raise ValueError("contraction needs degree k >= 1")
+    if isinstance(t, SkewTensor):
+        cols, columns = math.comb(t.n, t.k - 1), _skew_columns
+    else:
+        # max(., 0): for n = 0, k = 1 the one column is the empty exponent vector
+        cols, columns = math.comb(max(t.n + t.k - 2, 0), t.k - 1), _sym_columns
+    _check_contraction_size(t, cols)
+    return columns(t)
+
+
+def _skew_columns(t: SkewTensor):
+    """Column J, for each (k-1)-subset J in lex order: row i not in J holds
+    (-1)^pos * coeff(J + {i}), where pos is the position of i in the
+    sorted union; a row in J holds 0."""
+    n = t.n
+    get = t.coeffs.get
+    for J in itertools.combinations(range(n), t.k - 1):
+        col = []
+        lo = 0
+        for pos, hi in enumerate(J + (n,)):
+            pre, suf = J[:pos], J[pos:]
+            for i in range(lo, hi):
+                c = get((*pre, i, *suf), 0)
+                col.append(-c if pos % 2 and c else c)
+            if hi < n:
+                col.append(0)
+            lo = hi + 1
+        yield tuple(col)
+
+
+def _sym_columns(t: SymTensor):
+    """Column a, for each exponent vector a of degree k-1 in exponent_vectors
+    order: row i holds (a_i + 1) * coeff(a + e_i)."""
+    n = t.n
+    get = t.coeffs.get
+    integral = _integral(t)
+    for a in exponent_vectors(n, t.k - 1):
+        alpha = list(a)
+        col = []
+        for i in range(n):
+            e = alpha[i] + 1
+            alpha[i] = e
+            c = get(tuple(alpha), 0)
+            alpha[i] = e - 1
+            # (a_i + 1) * c can be integral for a Fraction c
+            col.append(e * c if integral or not c else as_exact(e * c))
+        yield tuple(col)
+
+
 def contraction_matrix_skew(t: SkewTensor) -> RationalMatrix:
     """Matrix of the contraction pairing a skew tensor against (k-1)-covectors.
 
@@ -401,20 +472,7 @@ def contraction_matrix_skew(t: SkewTensor) -> RationalMatrix:
     is the 0-based position of i in the sorted union.  The sign is a
     fixed global convention; the column space does not depend on it.
     """
-    if t.k < 1:
-        raise ValueError("contraction needs degree k >= 1")
-    n, k = t.n, t.k
-    cols = math.comb(n, k - 1)
-    _check_contraction_size(t, cols)
-    col_of = {J: j for j, J in enumerate(itertools.combinations(range(n), k - 1))}
-    # each (i, J) comes from the single coefficient on J + {i}; the
-    # (k-1)-subsets of idx come last index left out first
-    rows = [[0] * cols for _ in range(n)]
-    for idx, c in t.coeffs.items():
-        signed = (c, -c)
-        for pos, J in zip(range(k - 1, -1, -1), itertools.combinations(idx, k - 1)):
-            rows[idx[pos]][col_of[J]] = signed[pos % 2]
-    return RationalMatrix._exact(rows, cols, _integral(t))
+    return contraction_matrix(t)
 
 
 def contraction_matrix_sym(t: SymTensor) -> RationalMatrix:
@@ -425,28 +483,7 @@ def contraction_matrix_sym(t: SymTensor) -> RationalMatrix:
     in row i; the integer factor comes from the monomial convention and
     does not change the column space.
     """
-    if t.k < 1:
-        raise ValueError("contraction needs degree k >= 1")
-    n, k = t.n, t.k
-    # max(., 0): for n = 0, k = 1 the one column is the empty exponent vector
-    cols = math.comb(max(n + k - 2, 0), k - 1)
-    _check_contraction_size(t, cols)
-    # columns in exponent_vectors order, keyed by the index multiset of a
-    col_of = {J: j for j, J in enumerate(itertools.combinations_with_replacement(range(n), k - 1))}
-    integral = _integral(t)
-    # each (i, a) comes from the single coefficient on beta = a + e_i;
-    # the (k-1)-submultisets of beta come last index left out first (a
-    # repeated index gives the same entry more than once)
-    rows = [[0] * cols for _ in range(n)]
-    positions = range(n)
-    for beta, c in t.coeffs.items():
-        multiset = tuple(itertools.compress(positions, beta))
-        if len(multiset) < k:
-            multiset = tuple(i for i in multiset for _ in range(beta[i]))
-        for i, J in zip(reversed(multiset), itertools.combinations(multiset, k - 1)):
-            v = beta[i] * c
-            rows[i][col_of[J]] = v if integral else as_exact(v)
-    return RationalMatrix._exact(rows, cols, integral)
+    return contraction_matrix(t)
 
 
 def _integral(t) -> bool:
@@ -455,26 +492,44 @@ def _integral(t) -> bool:
 
 
 def contraction_matrix(t) -> RationalMatrix:
-    if isinstance(t, SkewTensor):
-        return contraction_matrix_skew(t)
-    if isinstance(t, SymTensor):
-        return contraction_matrix_sym(t)
-    raise TypeError(f"not a tensor: {type(t).__name__}")
+    """Every column of _contraction_columns, as a matrix."""
+    columns = list(_contraction_columns(t))
+    rows = list(zip(*columns)) if columns else [() for _ in range(t.n)]
+    return RationalMatrix._exact(rows, len(columns), _integral(t))
+
+
+def _pivot_columns(t) -> tuple:
+    """The pivot columns of t's contraction matrix, as _contraction_columns
+    makes them.  The kernel takes each column scaled by the lcm of its
+    denominators, and stops at full row rank: the columns after the last
+    pivot of a tensor with enc = n are never made."""
+    columns = _contraction_columns(t)
+    integral = _integral(t)
+    seen = []
+
+    def scaled():
+        for col in columns:
+            seen.append(col)
+            yield col if integral else _int_vector(col)
+
+    pivots, _, _ = _eliminate(scaled(), t.n)
+    return tuple(seen[j] for j in pivots)
 
 
 def enclosing_space(t) -> SubspaceBasis:
-    """Basis of the smallest subspace U with t in the k-th power of U."""
+    """Basis of the smallest subspace U with t in the k-th power of U: the
+    pivot columns of the contraction matrix."""
     if t.k == 0:
         # degree-0 tensors are scalars; no vectors are needed to enclose them
         return SubspaceBasis._independent(t.n, ())
-    return SubspaceBasis._independent(t.n, tuple(image_basis(contraction_matrix(t))))
+    return SubspaceBasis._independent(t.n, _pivot_columns(t))
 
 
 def enc(t) -> int:
     """Enclosing dimension: rank of the contraction matrix."""
     if t.k == 0:
         return 0
-    return rank(contraction_matrix(t))
+    return len(_pivot_columns(t))
 
 
 # ---------------------------------------------------------------------------
@@ -529,24 +584,18 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
     Uses the identity that the k-th exterior power of W is the common
     kernel of the contractions i_b by the covectors b vanishing on W
     (and, over QQ, the k-th symmetric power is the common kernel of the
-    derivations d_b).  Each row of W is scaled by the lcm of its
-    denominators, and _bareiss eliminates the W block alone: m = dim(W)
-    pivot steps, one per column, since W has full column rank.  The
-    same steps carry the unit columns, each scaled like its row, so
-    they give the right block of [W | I] after a chain of invertible row
-    operations that leaves rows m..n-1 zero on the W block.  Those rows
-    of the right block are therefore independent integer covectors that
-    annihilate span(W), and they span the annihilator.  The tensor is
-    contracted with each in one pass over its coefficients, and the
-    first nonzero contraction decides False.
+    derivations d_b).  Each vector of W is scaled by the lcm of its
+    denominators, which keeps its span, and _eliminate takes them as
+    columns: its n - dim(W) covectors left at the end are independent
+    integer covectors that annihilate span(W), so they span the
+    annihilator.  The tensor is contracted with each in one pass over
+    its coefficients, and the first nonzero contraction decides False.
 
     This is a route of its own: it never builds a contraction matrix or
     takes a rank, so it can be checked against enclosing_space.
     """
     if W.ambient_dim != t.n:
         raise ValueError("subspace ambient dimension does not match tensor")
-    m = W.dim
-    n = t.n
     if isinstance(t, SkewTensor):
         # i_b e_I has (-1)^pos * b[i] on I minus its pos-th index i
         def contraction(b):
@@ -572,18 +621,8 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
 
     else:
         raise TypeError(f"not a tensor: {type(t).__name__}")
-    # integer rows of W; the 1 after each row comes out as its scale
-    scaled = _int_rows([[w[i] for w in W.vectors] + [1] for i in range(n)])
-    steps = []
-    _bareiss([row[:m] for row in scaled], steps)
-    # the scaled unit columns carried through the same steps: rows m..n-1
-    # of the right block of [W | I] after them, column by column
-    right = []
-    for i, row in enumerate(scaled):
-        v = [0] * n
-        v[i] = row[m]
-        right.append(_reduce(v, steps))
-    return not any(any(contraction(b).values()) for b in zip(*right))
+    _, _, annihilator = _eliminate(map(_int_vector, W.vectors), t.n)
+    return not any(any(contraction(b).values()) for b in annihilator)
 
 
 # ---------------------------------------------------------------------------

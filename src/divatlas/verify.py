@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 
 from . import atlas, brill_noether as bn
-from .linalg import gauss_rank, random_matrix, rank
+from .linalg import RationalMatrix, gauss_rank, image_basis, random_matrix, rank
 from .subspaces import e_max, e_max_sym, normalize_e, sub_dim, sub_dim_tangent
 from .tensors import (
     SKEW,
@@ -33,19 +33,54 @@ from .tensors import (
 )
 
 
+def _rank_mismatch(M: RationalMatrix, b: int) -> str | None:
+    """What the rank kernel, which gave rank b, gets wrong on M against the
+    elimination oracle, if anything."""
+    if b != gauss_rank(M):
+        return "bareiss/gauss mismatch"
+    if b != rank(M.transpose()):
+        return "rank(M) != rank(M^T)"
+    basis = image_basis(M)
+    if len(basis) != b:
+        return "image basis of the wrong size"
+    # a basis of every column is independent by the first check
+    if b < M.cols and gauss_rank(RationalMatrix.from_columns(basis, M.rows)) != b:
+        return "dependent image basis"
+    return None
+
+
 def check_rank_oracle(seed: int = 0, count: int = 100) -> tuple:
-    """Bareiss rank equals naive rational elimination rank; rank(M) = rank(M^T)."""
+    """Bareiss rank equals naive rational elimination rank; rank(M) = rank(M^T);
+    the image basis is independent.
+
+    Uniform random matrices are almost always of full rank, so after
+    every other one the check also draws a product of r x s and s x c
+    factors with s < min(r, c), whose rank is at most s.
+    """
     rng = random.Random(f"rank-oracle:{seed}")
+    deficient = 0
     for i in range(count):
         r = rng.randint(1, 12)
         c = rng.randint(1, 12)
         M = random_matrix(r, c, rng)
-        b = rank(M)
-        if b != gauss_rank(M):
-            return False, f"bareiss/gauss mismatch on matrix {i} ({r}x{c})"
-        if b != rank(M.transpose()):
-            return False, f"rank(M) != rank(M^T) on matrix {i} ({r}x{c})"
-    return True, f"{count} random matrices up to 12x12 agree with the elimination oracle"
+        error = _rank_mismatch(M, rank(M))
+        if error:
+            return False, f"{error} on matrix {i} ({r}x{c})"
+        if i % 2 or min(r, c) < 2:
+            continue
+        s = rng.randint(1, min(r, c) - 1)
+        L, R = random_matrix(r, s, rng), random_matrix(s, c, rng)
+        R_cols = R.columns()
+        P = RationalMatrix([[sum(map(operator.mul, L.row(a), col)) for col in R_cols] for a in range(r)])
+        b = rank(P)
+        error = _rank_mismatch(P, b) or (b > s and "rank above the inner dimension")
+        if error:
+            return False, f"{error} on the product {i} ({r}x{s} times {s}x{c})"
+        deficient += b < min(r, c)
+    return True, (
+        f"{count} random matrices up to 12x12 and {deficient} rank-deficient products "
+        "agree with the elimination oracle"
+    )
 
 
 # (kind, k, n); the bound of a cell is e_max for skew and e_max_sym for sym

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -120,6 +121,18 @@ def test_enc_json_format(tmp_path, capsys):
     result = json.loads(out)
     assert result["enc"] == 2
     assert result["sub"] == {"e": 3, "member": True}
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["skew-k3-n7", "sym-k3-n5"])
+def test_enc_output_matches_committed_file(capsys, name):
+    # the expected files pin the whole JSON output, basis included; the
+    # skew tensor has Fraction coefficients and enc 6 < n, the sym one enc = n
+    rc, out, _ = run_cli(capsys, "enc", str(DATA / f"{name}.json"), "--sub", "6", "--format", "json")
+    assert rc == 0
+    assert out == (DATA / f"{name}.enc.json").read_text()
 
 
 def test_enc_malformed_json_exits_2(tmp_path, capsys):

@@ -14,6 +14,7 @@ from divatlas.linalg import (
     RationalMatrix,
     _bareiss,
     _certified_rank,
+    _eliminate,
     _int_rows,
     as_exact,
     exact_det,
@@ -384,13 +385,31 @@ def _kernel_cases(rng):
             yield [[sum(map(operator.mul, w, col)) for col in zip(*mat[:inner])] for w in weights]
 
 
+def _check_annihilator(mat, rank_, annihilator, independence: bool):
+    """The covectors are ints, one per row without a pivot, and annihilate
+    every column; with independence, gauss_rank finds them independent."""
+    n_rows = len(mat)
+    assert len(annihilator) == n_rows - rank_
+    assert all(type(x) is int and len(y) == n_rows for y in annihilator for x in y)
+    for col in zip(*mat):
+        assert not any(sum(map(operator.mul, y, col)) for y in annihilator)
+    if annihilator and independence:
+        assert gauss_rank(RationalMatrix(annihilator)) == len(annihilator)
+
+
 def test_bareiss_matches_right_looking_reference():
     rng = random.Random("left-looking")
     count = swapped = deficient = wide = 0
     for mat in _kernel_cases(rng):
         frozen = tuple(map(tuple, mat))
-        got = _bareiss(frozen)
+        pivots, last, annihilator = _eliminate(zip(*frozen), len(mat))
+        annihilator = list(annihilator)
+        got = (len(pivots), pivots, last)
         assert got == _right_looking_bareiss([list(row) for row in mat]), mat
+        if count % 4 == 0:
+            assert _bareiss(frozen) == got
+        # gauss_rank on every third case: its Fractions cost more than the kernel
+        _check_annihilator(mat, got[0], annihilator, count % 3 == 0)
         count += 1
         swapped += bool(got[1]) and mat[0][got[1][0]] == 0  # the first pivot took a row swap
         deficient += got[0] < min(len(mat), len(mat[0]) if mat else 0)
@@ -414,3 +433,13 @@ def test_bareiss_stops_at_full_row_rank():
         for width in (1, 7):
             mat = [[int(i == j) for j in range(n)] + [_Untouchable() for _ in range(width)] for i in range(n)]
             assert _bareiss(mat) == (n, list(range(n)), 1)
+
+    # nor is a stream of columns advanced past the one that completes the rank
+    def columns(n):
+        for j in range(n):
+            yield [int(i == j) for i in range(n)]
+        raise AssertionError("a column after full row rank was requested")
+
+    for n in (0, 1, 4):
+        pivots, last, annihilator = _eliminate(columns(n), n)
+        assert (pivots, last, list(annihilator)) == (list(range(n)), 1, [])

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from divatlas import linalg, tensors
-from divatlas.linalg import RationalMatrix, _int_rows, exact_det, in_span, rank
+from divatlas.linalg import RationalMatrix, _bareiss, _int_rows, exact_det, gauss_rank, image_basis, in_span, rank
 from divatlas.subspaces import e_max
 from divatlas.tensors import (
     SKEW,
@@ -214,7 +214,7 @@ def _scan_sym(t):
     data = [[Fraction(0)] * len(cols) for _ in range(t.n)]
     for jc, alpha in enumerate(cols):
         for i in range(t.n):
-            beta = tuple(a + (j == i) for j, a in enumerate(alpha))
+            beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
             data[i][jc] = (alpha[i] + 1) * t.coefficient(beta)
     return RationalMatrix(data, cols=len(cols))
 
@@ -240,9 +240,13 @@ def test_contraction_builders_match_reference_scan():
             t = a - cls(n, k, {**_sparse_rational(keys, rng), **shared})
             for tensor in (a, t):
                 M = build(tensor)
-                assert M == scan(tensor)
+                reference = scan(tensor)
+                assert M == reference
                 # stored as as_exact gives them: (a_i + 1) * c can be integral
                 assert all(type(x) is int or x.denominator > 1 for i in range(M.rows) for x in M.row(i))
+                # the streamed columns give the pivot columns of the reference scan
+                assert list(enclosing_space(tensor).vectors) == image_basis(reference)
+                assert enc(tensor) == gauss_rank(reference)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +263,30 @@ def test_enclosing_space_decomposable():
 
 def test_enclosing_space_zero_tensor():
     assert enclosing_space(SkewTensor(4, 2, {})).vectors == ()
+
+
+def test_enclosing_space_reads_no_column_after_the_last_pivot(monkeypatch):
+    columns = tensors._contraction_columns
+    checked = 0
+    for kind, n, k in [(SKEW, 5, 2), (SKEW, 7, 3), (SKEW, 8, 4), (SYM, 4, 2), (SYM, 6, 3), (SYM, 5, 4)]:
+        for s in range(3):
+            t = random_tensor(n, k, kind, f"last-pivot:{kind}:{s}")
+            _, pivots, _ = _bareiss(tensors.contraction_matrix(t)._m)
+            if len(pivots) < n:
+                continue
+            last = pivots[-1]
+
+            def up_to_last_pivot(tensor, last=last):
+                for j, col in enumerate(columns(tensor)):
+                    if j > last:
+                        raise AssertionError(f"column {j} read after the last pivot {last}")
+                    yield col
+
+            monkeypatch.setattr(tensors, "_contraction_columns", up_to_last_pivot)
+            assert enclosing_space(t).dim == enc(t) == n
+            monkeypatch.undo()
+            checked += last + 1 < len(list(columns(t)))
+    assert checked >= 12
 
 
 def test_enc_symplectic_in_five_space():
@@ -389,6 +417,14 @@ def test_random_tensor_matches_the_public_constructor(monkeypatch):
         for n, k in [(-1, 2), (2, -1)]:
             with pytest.raises(ValueError):
                 random_tensor(n, k, kind, 0)
+
+
+def test_exponent_vectors_are_made_once_and_returned_fresh():
+    first = exponent_vectors(4, 3)
+    assert len(first) == math.comb(6, 3) and first[0] == (3, 0, 0, 0)
+    assert (4, 3) in tensors._EXPONENT_VECTORS
+    first.reverse()  # callers may reorder their list in place
+    assert exponent_vectors(4, 3)[0] == (3, 0, 0, 0)
 
 
 def _expanded_product(forms, n_out: int) -> dict:
