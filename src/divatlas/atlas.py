@@ -179,6 +179,8 @@ def intersections(
     kind: str,
     paper_sym: bool = False,
     printed_secdim: bool = False,
+    *,
+    _comps: list | None = None,
 ) -> list:
     """Pairwise intersections of the components of one divisor variety.
 
@@ -186,9 +188,10 @@ def intersections(
     the deep stratum, with generic fiber the subspace variety of the
     shallow bound inside the deep linear system.  printed_secdim
     switches the k = 2 fiber dimensions to the retained closed-form
-    secant expressions for comparison.
+    secant expressions for comparison.  _comps is the component list
+    of the same arguments when the caller has it already.
     """
-    comps = components(g, d, k, kind, paper_sym)
+    comps = components(g, d, k, kind, paper_sym) if _comps is None else _comps
     out = []
     for i, shallow in enumerate(comps):
         for deep in comps[i + 1 :]:
@@ -231,16 +234,20 @@ def _paper_count(g: int, d: int, k: int, kind: str) -> int:
     return base
 
 
-def component_count(g: int, d: int, k: int, kind: str, paper_sym: bool = False) -> dict:
+def component_count(
+    g: int, d: int, k: int, kind: str, paper_sym: bool = False, *, _comps: list | None = None
+) -> dict:
     """Enumerated component count next to the closed-form count.
 
     The two disagree in known families (the closed form is off by one
     against the enumeration in several worked cases), so both are
     reported side by side with an agreement flag rather than silently
-    reconciled.
+    reconciled.  _comps is the component list of the same arguments
+    when the caller has it already.
     """
     _check_atlas_args(g, d, k)
-    enumerated = sum(c.multiplicity for c in components(g, d, k, kind, paper_sym))
+    comps = components(g, d, k, kind, paper_sym) if _comps is None else _comps
+    enumerated = sum(c.multiplicity for c in comps)
     formula = _paper_count(g, d, k, kind)
     return {"enumerated": enumerated, "paper_formula": formula, "agrees": enumerated == formula}
 
@@ -309,16 +316,19 @@ def atlas_report(
 ) -> dict:
     """Assemble the JSON-ready atlas of one divisor variety.
 
-    The report always carries explicit notes for the code paths where
-    the implemented values and the retained closed forms are known to
-    disagree (component counts, k = 2 secant dimensions, the symmetric
-    parity convention); transparency is preferred to reconciliation.
+    The component list is built once and handed to intersections and
+    component_count, so the report equals what the three functions
+    return when called alone.  The report always carries explicit notes
+    for the code paths where the implemented values and the retained
+    closed forms are known to disagree (component counts, k = 2 secant
+    dimensions, the symmetric parity convention); transparency is
+    preferred to reconciliation.
     """
     _check_atlas_args(g, d, k)
     check_kind(kind)
     comps = components(g, d, k, kind, paper_sym)
-    inters = intersections(g, d, k, kind, paper_sym, printed_secdim)
-    counts = component_count(g, d, k, kind, paper_sym)
+    inters = intersections(g, d, k, kind, paper_sym, printed_secdim, _comps=comps)
+    counts = component_count(g, d, k, kind, paper_sym, _comps=comps)
     notes = []
     if not counts["agrees"]:
         notes.append(

@@ -86,11 +86,18 @@ def w_top_points(g: int, d: int) -> int | None:
 
     Returns g! * lambda(g, R_d, d) when rho(g, R_d, d) = 0, else None
     (the top locus is positive-dimensional and the count does not apply).
+    The product is taken on integers, g! * prod i! over prod (g-d+R+i)!,
+    and lambda_grd's Fraction product stays a second route to it.
     """
     R = big_R(g, d)
     if rho(g, R, d) != 0:
         return None
-    count = math.factorial(g) * lambda_grd(g, R, d)
-    if count.denominator != 1:
+    num = math.factorial(g)
+    den = 1
+    for i in range(R + 1):
+        num *= math.factorial(i)
+        den *= math.factorial(g - d + R + i)
+    count, rem = divmod(num, den)
+    if rem:
         raise AssertionError(f"point count is not integral for g={g}, d={d}")
-    return int(count)
+    return count

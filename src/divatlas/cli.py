@@ -15,6 +15,11 @@ from .atlas import atlas_report, class_to_kind
 from .tensors import enclosing_space, tensor_from_json
 from .verify import SUITES, run_suites
 
+# The squared tableau counts over all shapes of g cells sum to g!, so up
+# to this genus every point count has at most 3,706 digits and prints
+# under Python's 4,300-digit int-to-str limit; far above it the atlas hangs.
+MAX_COMPONENTS_GENUS = 2500
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; we reserve 2 for
@@ -147,6 +152,8 @@ def _format_components_text(report: dict) -> str:
 
 
 def _cmd_components(args) -> int:
+    if args.genus > MAX_COMPONENTS_GENUS:
+        raise ValueError(f"genus {args.genus} is above the components limit of {MAX_COMPONENTS_GENUS}")
     kind = class_to_kind(args.nsclass)
     report = atlas_report(
         args.genus,

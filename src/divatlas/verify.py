@@ -219,8 +219,18 @@ def check_bn_grid(seed: int = 0) -> tuple:
     return True, "grid g <= 40, d <= 3g: bracketing, counts and monotonicity hold"
 
 
+def _rectangle_tableaux(rows: int, cols: int) -> int:
+    """Standard Young tableaux on a rows x cols rectangle, by the hook-length formula."""
+    hooks = 1
+    for i in range(rows):
+        for j in range(cols):
+            hooks *= (rows - i) + (cols - j) - 1
+    return math.factorial(rows * cols) // hooks
+
+
 def check_lambda_constants(seed: int = 0) -> tuple:
-    """Degree constants: the canonical case gives exactly one point."""
+    """Degree constants: the canonical case gives exactly one point, and
+    every finite top stratum has as many points by three routes."""
     for g in range(2, 11):
         if math.factorial(g) * bn.lambda_grd(g, g - 1, 2 * g - 2) != 1:
             return False, f"g! * lambda != 1 at g={g}"
@@ -233,7 +243,26 @@ def check_lambda_constants(seed: int = 0) -> tuple:
         return False, "w_top_points(4, 3) disagrees with the direct product"
     if bn.w_top_points(4, 3) != 2:
         return False, f"w_top_points(4, 3) = {bn.w_top_points(4, 3)}, expected 2"
-    return True, "g! * lambda = 1 for g = 2..10; two degree-3 pencils on genus 4"
+    # a zero-dimensional W^R_d has as many points as there are standard
+    # tableaux on the (R+1) x (g-d+R) rectangle (Griffiths-Harris)
+    cells = 0
+    for g in range(2, 61):
+        for d in range(1, 2 * g + 1):
+            R = bn.big_R(g, d)
+            if bn.rho(g, R, d) != 0:
+                continue
+            if (R + 1) * (g - d + R) != g:
+                return False, f"(R+1)(g-d+R) != g at g={g}, d={d}"
+            points = bn.w_top_points(g, d)
+            if points != math.factorial(g) * bn.lambda_grd(g, R, d):
+                return False, f"w_top_points != g! * lambda at g={g}, d={d}"
+            if points != _rectangle_tableaux(R + 1, g - d + R):
+                return False, f"w_top_points != hook-length count at g={g}, d={d}"
+            cells += 1
+    return True, (
+        "g! * lambda = 1 for g = 2..10; two degree-3 pencils on genus 4; "
+        f"w_top_points = g! * lambda = hook-length count on {cells} rho = 0 cells, g <= 60"
+    )
 
 
 def check_g37_w_dims(seed: int = 0) -> tuple:

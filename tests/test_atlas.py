@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from divatlas import atlas
 from divatlas.atlas import (
     atlas_report,
     canonical_analysis,
@@ -259,3 +260,61 @@ def test_atlas_rejects_bad_parameters():
     for bad in [(1, 5, 2), (4, 0, 2), (4, 5, 1)]:
         with pytest.raises(ValueError):
             components(*bad, SKEW)
+
+
+def _component_rows(records, d):
+    return [
+        {
+            "r": c.r,
+            "e": c.e,
+            "support": f"W^{c.r}_{d}",
+            "support_dim": c.support_dim,
+            "fiber_dim": c.fiber_dim,
+            "total_dim": c.total_dim,
+            "multiplicity": c.multiplicity,
+            "is_resolution": c.is_resolution,
+        }
+        for c in records
+    ]
+
+
+def _intersection_rows(records, d):
+    return [
+        {
+            "shallow_e": x.shallow.e,
+            "deep_e": x.deep.e,
+            "image": f"W^{x.image_r}_{d}",
+            "fiber": {"e": x.fiber_e, "k": x.fiber_k, "ambient": x.fiber_ambient, "kind": x.fiber_kind},
+            "fiber_dim": x.fiber_dim,
+            "total_dim": x.total_dim,
+        }
+        for x in records
+    ]
+
+
+def test_atlas_report_equals_standalone_calls():
+    # the report builds the component list once; it must still say what
+    # components, intersections and component_count say on their own
+    for g in range(2, 21):
+        for d in range(1, 2 * g + 1):
+            for k in range(2, 6):
+                for kind in (SKEW, SYM):
+                    for paper_sym in (False, True):
+                        comps = _component_rows(components(g, d, k, kind, paper_sym), d)
+                        counts = component_count(g, d, k, kind, paper_sym)
+                        for printed in (False, True):
+                            report = atlas_report(g, d, k, kind, paper_sym, printed)
+                            inters = intersections(g, d, k, kind, paper_sym, printed)
+                            assert report["components"] == comps
+                            assert report["intersections"] == _intersection_rows(inters, d)
+                            assert report["counts"] == counts
+
+
+def test_atlas_report_builds_components_once(monkeypatch):
+    calls = []
+    real = atlas.components
+    monkeypatch.setattr(atlas, "components", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    for args in [(37, 36, 2, SKEW), (4, 3, 2, SKEW), (8, 14, 3, SYM)]:
+        calls.clear()
+        atlas_report(*args, printed_secdim=True, include_canonical=True)
+        assert calls == [args + (False,)]

@@ -12,6 +12,7 @@ from divatlas.brill_noether import (
     w_dim,
     w_top_points,
 )
+from divatlas.verify import _rectangle_tableaux
 
 
 def test_rho_genus_37_strata():
@@ -110,6 +111,28 @@ def test_w_top_points_two_pencils():
         math.factorial(2) * math.factorial(3),
     )
     assert w_top_points(4, 3) == 2
+
+
+def test_w_top_points_three_routes():
+    # the points of a finite W^R_d: the integer product, g! * lambda and
+    # the standard tableaux on the (R+1) x (g-d+R) rectangle; on 2 x n
+    # rectangles the tableaux are counted by the Catalan numbers
+    assert [_rectangle_tableaux(2, n) for n in range(1, 7)] == [1, 2, 5, 14, 42, 132]
+    assert _rectangle_tableaux(3, 3) == 42
+    cells = 0
+    for g in range(2, 61):
+        for d in range(1, 2 * g + 1):
+            R = big_R(g, d)
+            if rho(g, R, d) != 0:
+                assert w_top_points(g, d) is None
+                continue
+            assert (R + 1) * (g - d + R) == g
+            points = w_top_points(g, d)
+            assert type(points) is int
+            assert points == math.factorial(g) * lambda_grd(g, R, d)
+            assert points == _rectangle_tableaux(R + 1, g - d + R)
+            cells += 1
+    assert cells == 201
 
 
 def test_w_top_points_not_applicable():

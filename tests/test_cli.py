@@ -135,6 +135,39 @@ def test_enc_output_matches_committed_file(capsys, name):
     assert out == (DATA / f"{name}.enc.json").read_text()
 
 
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("g37-d36-k2-n", ["--genus", "37", "--degree", "36", "--k", "2"]),
+        ("g37-d36-k3-n", ["--genus", "37", "--degree", "36", "--k", "3"]),
+        ("g4-d3-k2-n-canonical", ["--genus", "4", "--degree", "3", "--k", "2", "--canonical"]),
+        ("g8-d14-k3-t", ["--genus", "8", "--degree", "14", "--k", "3", "--class", "t"]),
+    ],
+)
+def test_components_output_matches_committed_file(capsys, name, argv):
+    # the genus-4 atlas has a two-point top stratum (multiplicity 2)
+    rc, out, _ = run_cli(capsys, "components", *argv, "--format", "json")
+    assert rc == 0
+    assert out == (DATA / f"{name}.components.json").read_text()
+
+
+def test_components_genus_cap_exits_2_before_computing(capsys, monkeypatch):
+    import divatlas.cli as cli
+
+    monkeypatch.setattr(cli, "atlas_report", lambda *a, **kw: pytest.fail("atlas computed"))
+    rc, out, err = run_cli(capsys, "components", "--genus", "2501", "--degree", "2500", "--k", "2")
+    assert rc == 2
+    assert out == ""
+    assert "2500" in err and "genus 2501" in err
+
+
+def test_components_at_the_genus_cap_prints(capsys):
+    # rho = 0 on a 50 x 50 rectangle: a point count of about 3,700 digits
+    rc, out, _ = run_cli(capsys, "components", "--genus", "2500", "--degree", "2499", "--k", "2")
+    assert rc == 0
+    assert "W^49_2499" in out
+
+
 def test_enc_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
