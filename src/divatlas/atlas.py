@@ -14,6 +14,13 @@ fibers and dimensions, computes all pairwise intersections (which are
 fibered in subspace varieties over the deeper stratum), compares the
 enumerated component count against the closed-form count, and analyzes
 the canonical class for exorbitant components.
+
+Each public entry checks g, d, k and kind once, through big_R, which
+also brackets the top section count R.  A report is then built from one
+walk over the strata r = small_r .. R on private cores that take their
+arguments as checked: the Brill-Noether formulas of brill_noether, the
+fiber and subspace-variety dimensions, and the component list, which the
+intersections and the count both reuse.
 """
 
 from __future__ import annotations
@@ -21,8 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .brill_noether import _check_args, achieved_r, big_R, rho, small_r, w_dim, w_top_points
-from .subspaces import e_max, e_max_sym, sec_dim_printed, sub_dim
+# w_dim is not called here; perfbench's test_tracer_rebinds_every_import_and_restores
+# expects to find it bound in this module
+from .brill_noether import _rho, _small_r, _top_points, _w_dim, big_R, w_dim  # noqa: F401
+from .subspaces import _sub_dim, e_max, e_max_sym, sec_dim_printed, sub_dim
 from .tensors import SKEW, SYM, check_kind
 
 
@@ -77,10 +86,13 @@ class IntersectionRecord:
             raise ValueError("intersection image must be the deep stratum")
 
 
-def _check_atlas_args(g: int, d: int, k: int):
-    _check_args(g, d)
+def _check_atlas_args(g: int, d: int, k: int, kind: str) -> int:
+    """Check g, d, k and kind, in that order; return R = big_R(g, d)."""
+    R = big_R(g, d)
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"symmetric-product index k must be an integer >= 2, got {k}")
+    check_kind(kind)
+    return R
 
 
 def fiber_dim(r: int, k: int, kind: str) -> int:
@@ -92,6 +104,10 @@ def fiber_dim(r: int, k: int, kind: str) -> int:
     check_kind(kind)
     if r < 0:
         raise ValueError("r must be >= 0")
+    return _fiber_dim(r, k, kind)
+
+
+def _fiber_dim(r: int, k: int, kind: str) -> int:
     if kind == SKEW:
         return math.comb(r + 1, k) - 1
     return math.comb(r + k, k) - 1
@@ -114,6 +130,23 @@ def deformable(enc_value: int, k: int, r_target: int, kind: str, paper_sym: bool
     return enc_value <= _e_bound(k, r_target + 1, kind, paper_sym)
 
 
+def _strata(g: int, d: int, k: int, kind: str, paper_sym: bool, R: int) -> list:
+    """jump_strata on checked arguments, with R = big_R(g, d).
+
+    An empty linear system (skew, r+1 < k) has enclosing bound 0, so it
+    never exceeds the bound seen before it and is skipped without
+    computing its fiber dimension.
+    """
+    out = []
+    best = 0
+    for r in range(_small_r(g, d), R + 1):
+        e = _e_bound(k, r + 1, kind, paper_sym)
+        if e > best:
+            out.append((r, e))
+            best = e
+    return out
+
+
 def jump_strata(g: int, d: int, k: int, kind: str, paper_sym: bool = False) -> list:
     """The (r, e) pairs where the enclosing bound strictly jumps.
 
@@ -123,17 +156,28 @@ def jump_strata(g: int, d: int, k: int, kind: str, paper_sym: bool = False) -> l
     the whole system deforms out to the shallower stratum and
     contributes no new component).
     """
-    _check_atlas_args(g, d, k)
-    check_kind(kind)
+    R = _check_atlas_args(g, d, k, kind)
+    return _strata(g, d, k, kind, paper_sym, R)
+
+
+def _components(g: int, d: int, k: int, kind: str, paper_sym: bool, R: int) -> list:
+    """components on checked arguments, with R = big_R(g, d)."""
     out = []
-    best = 0
-    for r in achieved_r(g, d):
-        if fiber_dim(r, k, kind) < 0:
-            continue
-        e = _e_bound(k, r + 1, kind, paper_sym)
-        if e > best:
-            out.append((r, e))
-            best = e
+    for r, e in _strata(g, d, k, kind, paper_sym, R):
+        support = _w_dim(g, r, d)
+        fib = _fiber_dim(r, k, kind)
+        out.append(
+            ComponentRecord(
+                r=r,
+                e=e,
+                support_dim=support,
+                fiber_dim=fib,
+                total_dim=support + fib,
+                # only the top stratum can be zero-dimensional (rho = 0)
+                multiplicity=_top_points(g, d, R) if support == 0 else 1,
+                is_resolution=(kind == SKEW and d == g - 1 and e == k and r + 1 == k),
+            )
+        )
     return out
 
 
@@ -148,50 +192,12 @@ def components(g: int, d: int, k: int, kind: str, paper_sym: bool = False) -> li
     components with e = r+1 = k, which map birationally onto W^(k-1)
     and resolve its singularities.
     """
-    _check_atlas_args(g, d, k)
-    R = big_R(g, d)
-    top_is_finite = rho(g, R, d) == 0
-    out = []
-    for r, e in jump_strata(g, d, k, kind, paper_sym):
-        support = w_dim(g, r, d)
-        fib = fiber_dim(r, k, kind)
-        mult = 1
-        if top_is_finite and r == R:
-            mult = w_top_points(g, d)
-        out.append(
-            ComponentRecord(
-                r=r,
-                e=e,
-                support_dim=support,
-                fiber_dim=fib,
-                total_dim=support + fib,
-                multiplicity=mult,
-                is_resolution=(kind == SKEW and d == g - 1 and e == k and r + 1 == k),
-            )
-        )
-    return out
+    R = _check_atlas_args(g, d, k, kind)
+    return _components(g, d, k, kind, paper_sym, R)
 
 
-def intersections(
-    g: int,
-    d: int,
-    k: int,
-    kind: str,
-    paper_sym: bool = False,
-    printed_secdim: bool = False,
-    *,
-    _comps: list | None = None,
-) -> list:
-    """Pairwise intersections of the components of one divisor variety.
-
-    For each ordered pair (shallow, deep) the intersection maps onto
-    the deep stratum, with generic fiber the subspace variety of the
-    shallow bound inside the deep linear system.  printed_secdim
-    switches the k = 2 fiber dimensions to the retained closed-form
-    secant expressions for comparison.  _comps is the component list
-    of the same arguments when the caller has it already.
-    """
-    comps = components(g, d, k, kind, paper_sym) if _comps is None else _comps
+def _intersections(comps: list, k: int, kind: str, printed_secdim: bool) -> list:
+    """intersections of a component list built from checked arguments."""
     out = []
     for i, shallow in enumerate(comps):
         for deep in comps[i + 1 :]:
@@ -199,8 +205,9 @@ def intersections(
             if printed_secdim and k == 2 and shallow.e % 2 == 0:
                 fib = sec_dim_printed(shallow.e // 2, ambient, kind)
             else:
-                fib = sub_dim(shallow.e, k, ambient, kind)
-            support = w_dim(g, deep.r, d)
+                # an attained bound, at least k (skew) or 1 (sym) and at
+                # most shallow.r + 1 < ambient: sub_dim's checks hold
+                fib = _sub_dim(shallow.e, k, ambient, kind)
             out.append(
                 IntersectionRecord(
                     shallow=shallow,
@@ -211,16 +218,35 @@ def intersections(
                     fiber_ambient=ambient,
                     fiber_kind=kind,
                     fiber_dim=fib,
-                    total_dim=support + fib,
+                    total_dim=deep.support_dim + fib,
                 )
             )
     return out
 
 
-def _paper_count(g: int, d: int, k: int, kind: str) -> int:
+def intersections(
+    g: int,
+    d: int,
+    k: int,
+    kind: str,
+    paper_sym: bool = False,
+    printed_secdim: bool = False,
+) -> list:
+    """Pairwise intersections of the components of one divisor variety.
+
+    For each ordered pair (shallow, deep) the intersection maps onto
+    the deep stratum, with generic fiber the subspace variety of the
+    shallow bound inside the deep linear system.  printed_secdim
+    switches the k = 2 fiber dimensions to the retained closed-form
+    secant expressions for comparison.
+    """
+    R = _check_atlas_args(g, d, k, kind)
+    return _intersections(_components(g, d, k, kind, paper_sym, R), k, kind, printed_secdim)
+
+
+def _paper_count(g: int, d: int, k: int, kind: str, R: int) -> int:
     """The closed-form component count, reproduced verbatim for comparison."""
-    R = big_R(g, d)
-    r0 = small_r(g, d)
+    r0 = _small_r(g, d)
     size = R - r0 + 1
     if k == 2:
         eps = 1 if r0 % 2 == 0 else 0
@@ -229,27 +255,27 @@ def _paper_count(g: int, d: int, k: int, kind: str) -> int:
         base = (size - 1) - (k - r0)
     else:
         base = size - 1
-    if rho(g, R, d) == 0:
-        base += w_top_points(g, d) - 1
+    if _rho(g, R, d) == 0:
+        base += _top_points(g, d, R) - 1
     return base
 
 
-def component_count(
-    g: int, d: int, k: int, kind: str, paper_sym: bool = False, *, _comps: list | None = None
-) -> dict:
+def _count(comps: list, g: int, d: int, k: int, kind: str, R: int) -> dict:
+    enumerated = sum(c.multiplicity for c in comps)
+    formula = _paper_count(g, d, k, kind, R)
+    return {"enumerated": enumerated, "paper_formula": formula, "agrees": enumerated == formula}
+
+
+def component_count(g: int, d: int, k: int, kind: str, paper_sym: bool = False) -> dict:
     """Enumerated component count next to the closed-form count.
 
     The two disagree in known families (the closed form is off by one
     against the enumeration in several worked cases), so both are
     reported side by side with an agreement flag rather than silently
-    reconciled.  _comps is the component list of the same arguments
-    when the caller has it already.
+    reconciled.
     """
-    _check_atlas_args(g, d, k)
-    comps = components(g, d, k, kind, paper_sym) if _comps is None else _comps
-    enumerated = sum(c.multiplicity for c in comps)
-    formula = _paper_count(g, d, k, kind)
-    return {"enumerated": enumerated, "paper_formula": formula, "agrees": enumerated == formula}
+    R = _check_atlas_args(g, d, k, kind)
+    return _count(_components(g, d, k, kind, paper_sym, R), g, d, k, kind, R)
 
 
 def canonical_analysis(g: int, k: int) -> dict:
@@ -301,10 +327,6 @@ def class_to_kind(cls: str) -> str:
     raise ValueError(f"class must be 'n' or 't', got {cls!r}")
 
 
-def _support_label(r: int, d: int) -> str:
-    return f"W^{r}_{d}"
-
-
 def atlas_report(
     g: int,
     d: int,
@@ -316,19 +338,19 @@ def atlas_report(
 ) -> dict:
     """Assemble the JSON-ready atlas of one divisor variety.
 
-    The component list is built once and handed to intersections and
-    component_count, so the report equals what the three functions
-    return when called alone.  The report always carries explicit notes
-    for the code paths where the implemented values and the retained
-    closed forms are known to disagree (component counts, k = 2 secant
-    dimensions, the symmetric parity convention); transparency is
-    preferred to reconciliation.
+    The arguments are checked once, and the component list is built once
+    and reused for the intersections and the count, through the private
+    cores behind components, intersections and component_count, so the
+    report equals what those three return when called alone.  The report
+    always carries explicit notes for the code paths where the
+    implemented values and the retained closed forms are known to
+    disagree (component counts, k = 2 secant dimensions, the symmetric
+    parity convention); transparency is preferred to reconciliation.
     """
-    _check_atlas_args(g, d, k)
-    check_kind(kind)
-    comps = components(g, d, k, kind, paper_sym)
-    inters = intersections(g, d, k, kind, paper_sym, printed_secdim, _comps=comps)
-    counts = component_count(g, d, k, kind, paper_sym, _comps=comps)
+    R = _check_atlas_args(g, d, k, kind)
+    comps = _components(g, d, k, kind, paper_sym, R)
+    inters = _intersections(comps, k, kind, printed_secdim)
+    counts = _count(comps, g, d, k, kind, R)
     notes = []
     if not counts["agrees"]:
         notes.append(
@@ -366,6 +388,7 @@ def atlas_report(
             "top stratum is zero-dimensional; each of its points carries a "
             "distinct component (multiplicity column)"
         )
+    support = {c.r: f"W^{c.r}_{d}" for c in comps}
     report = {
         "params": {
             "genus": g,
@@ -379,7 +402,7 @@ def atlas_report(
             {
                 "r": c.r,
                 "e": c.e,
-                "support": _support_label(c.r, d),
+                "support": support[c.r],
                 "support_dim": c.support_dim,
                 "fiber_dim": c.fiber_dim,
                 "total_dim": c.total_dim,
@@ -392,7 +415,7 @@ def atlas_report(
             {
                 "shallow_e": x.shallow.e,
                 "deep_e": x.deep.e,
-                "image": _support_label(x.image_r, d),
+                "image": support[x.image_r],
                 "fiber": {
                     "e": x.fiber_e,
                     "k": x.fiber_k,

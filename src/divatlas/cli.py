@@ -19,6 +19,13 @@ from .verify import SUITES, run_suites
 # to this genus every point count has at most 3,706 digits and prints
 # under Python's 4,300-digit int-to-str limit; far above it the atlas hangs.
 MAX_COMPONENTS_GENUS = 2500
+# Every other number in a report is below g + d^2 + C(d + k, k) or, in the
+# canonical block, C(g, k) + g: a section count r + 1 is at most d + 1, so
+# each fiber is at most C(r + k, k) - 1 and each Sub_e at most
+# e(n - e) + C(e + k - 1, k) - 1 with n <= d + 1, and a support adds at
+# most g.  At these caps C(12000, 2000) has 2,347 digits.
+MAX_COMPONENTS_DEGREE = 10000
+MAX_COMPONENTS_K = 2000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,8 +159,13 @@ def _format_components_text(report: dict) -> str:
 
 
 def _cmd_components(args) -> int:
-    if args.genus > MAX_COMPONENTS_GENUS:
-        raise ValueError(f"genus {args.genus} is above the components limit of {MAX_COMPONENTS_GENUS}")
+    for flag, value, limit in (
+        ("--genus", args.genus, MAX_COMPONENTS_GENUS),
+        ("--degree", args.degree, MAX_COMPONENTS_DEGREE),
+        ("--k", args.k, MAX_COMPONENTS_K),
+    ):
+        if value > limit:
+            raise ValueError(f"{flag} {value} is above the components limit of {limit}")
     kind = class_to_kind(args.nsclass)
     report = atlas_report(
         args.genus,

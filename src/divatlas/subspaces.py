@@ -110,6 +110,10 @@ def normalize_e(e: int, k: int, kind: str) -> int:
     floor = 1 if kind == SYM else k
     if e < floor:
         raise ValueError(f"e = {e} below the minimum enclosing dimension {floor}")
+    return _normalize_e(e, k, kind)
+
+
+def _normalize_e(e: int, k: int, kind: str) -> int:
     if k == 1:
         return 1
     if kind == SYM:
@@ -136,7 +140,12 @@ def sub_dim(e: int, k: int, n: int, kind: str) -> int:
     floor = 1 if kind == SYM else k
     if not floor <= e <= n:
         raise ValueError(f"need {floor} <= e <= n, got k={k}, e={e}, n={n}")
-    e_norm = normalize_e(e, k, kind)
+    return _sub_dim(e, k, n, kind)
+
+
+def _sub_dim(e: int, k: int, n: int, kind: str) -> int:
+    """sub_dim on arguments the caller has checked (the atlas's fibers)."""
+    e_norm = _normalize_e(e, k, kind)
     if k == 2:
         if kind == SKEW:
             return math.comb(n, 2) - math.comb(n - e_norm, 2) - 1

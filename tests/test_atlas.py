@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from divatlas import atlas
+from divatlas import atlas, brill_noether
 from divatlas.atlas import (
     atlas_report,
     canonical_analysis,
@@ -14,7 +14,7 @@ from divatlas.atlas import (
     intersections,
     jump_strata,
 )
-from divatlas.brill_noether import achieved_r, rho, w_dim
+from divatlas.brill_noether import achieved_r, big_R, rho, w_dim
 from divatlas.subspaces import e_max
 from divatlas.tensors import SKEW, SYM
 
@@ -311,10 +311,77 @@ def test_atlas_report_equals_standalone_calls():
 
 
 def test_atlas_report_builds_components_once(monkeypatch):
+    # the report builds its list through the private core that components
+    # wraps, with R = big_R(g, d) taken once at the argument check
     calls = []
-    real = atlas.components
-    monkeypatch.setattr(atlas, "components", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    real = atlas._components
+    monkeypatch.setattr(atlas, "_components", lambda *a, **kw: calls.append(a) or real(*a, **kw))
     for args in [(37, 36, 2, SKEW), (4, 3, 2, SKEW), (8, 14, 3, SYM)]:
         calls.clear()
         atlas_report(*args, printed_secdim=True, include_canonical=True)
-        assert calls == [args + (False,)]
+        assert calls == [args + (False, big_R(args[0], args[1]))]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda *a: atlas_report(*a, printed_secdim=True, include_canonical=True),
+        components,
+        jump_strata,
+        intersections,
+        component_count,
+    ],
+    ids=["atlas_report", "components", "jump_strata", "intersections", "component_count"],
+)
+def test_public_entry_checks_arguments_once(monkeypatch, call):
+    calls = []
+    real = brill_noether._check_args
+    monkeypatch.setattr(brill_noether, "_check_args", lambda *a: calls.append(a) or real(*a))
+    for args in [(37, 36, 2, SKEW), (4, 3, 2, SKEW), (8, 14, 3, SYM), (8, 9, 2, SYM)]:
+        calls.clear()
+        call(*args)
+        assert calls == [args[:2]]
+
+
+ATLAS_FUNCTIONS = {
+    "jump_strata": jump_strata,
+    "components": components,
+    "intersections": intersections,
+    "component_count": component_count,
+    "atlas_report": atlas_report,
+}
+KIND_MESSAGE = "kind must be one of ('skew', 'sym'), got 'x'"
+K_MESSAGE = "symmetric-product index k must be an integer >= 2, got "
+
+
+@pytest.mark.parametrize("name", sorted(ATLAS_FUNCTIONS))
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((1, 5, 2, SKEW), "genus must be an integer >= 2, got 1"),
+        ((True, 5, 2, SKEW), "genus must be an integer >= 2, got True"),
+        ((5, 0, 2, SKEW), "degree must be a positive integer, got 0"),
+        ((5, True, 2, SKEW), "degree must be a positive integer, got True"),
+        ((5, 4, 1, SKEW), K_MESSAGE + "1"),
+        ((5, 4, True, SYM), K_MESSAGE + "True"),
+        ((5, 4, 2.0, SKEW), K_MESSAGE + "2.0"),
+        ((5, 4, 2, "x"), KIND_MESSAGE),
+        # checked in the order g, d, k, kind
+        ((1, 0, 1, "x"), "genus must be an integer >= 2, got 1"),
+        ((5, 0, 1, "x"), "degree must be a positive integer, got 0"),
+        ((5, 4, 1, "x"), K_MESSAGE + "1"),
+    ],
+)
+def test_atlas_bad_arguments_raise_with_message(name, args, message):
+    with pytest.raises(ValueError) as info:
+        ATLAS_FUNCTIONS[name](*args)
+    assert str(info.value) == message
+
+
+def test_fiber_dim_bad_arguments_raise_with_message():
+    with pytest.raises(ValueError) as info:
+        fiber_dim(-1, 2, SKEW)
+    assert str(info.value) == "r must be >= 0"
+    with pytest.raises(ValueError) as info:
+        fiber_dim(1, 2, "x")
+    assert str(info.value) == KIND_MESSAGE

@@ -145,3 +145,42 @@ def test_genus_domain_enforced():
             rho(g, 0, 2)
     with pytest.raises(ValueError):
         rho(3, -1, 2)
+
+
+
+# each public function, called as f(g, d, r); r is ignored where it takes none
+BN_FUNCTIONS = {
+    "rho": lambda g, d, r: rho(g, r, d),
+    "w_dim": lambda g, d, r: w_dim(g, r, d),
+    "lambda_grd": lambda g, d, r: lambda_grd(g, r, d),
+    "big_R": lambda g, d, r: big_R(g, d),
+    "small_r": lambda g, d, r: small_r(g, d),
+    "achieved_r": lambda g, d, r: achieved_r(g, d),
+    "w_top_points": lambda g, d, r: w_top_points(g, d),
+}
+
+# a bool is an int equal to 0 or 1, and used to pass as one: rho(5, 0, True) was 1
+BAD_GD = [
+    ((1, 5, 1), "genus must be an integer >= 2, got 1"),
+    ((True, 5, 1), "genus must be an integer >= 2, got True"),
+    ((4.0, 5, 1), "genus must be an integer >= 2, got 4.0"),
+    ((5, 0, 1), "degree must be a positive integer, got 0"),
+    ((5, True, 1), "degree must be a positive integer, got True"),
+    ((5, "4", 1), "degree must be a positive integer, got 4"),
+]
+BAD_R = [
+    ((5, 4, -1), "r must be a nonnegative integer, got -1"),
+    ((5, 4, True), "r must be a nonnegative integer, got True"),
+    ((5, 4, False), "r must be a nonnegative integer, got False"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,args,message",
+    [(name, *case) for name in BN_FUNCTIONS for case in BAD_GD]
+    + [(name, *case) for name in ("rho", "w_dim", "lambda_grd") for case in BAD_R],
+)
+def test_bad_arguments_raise_with_message(name, args, message):
+    with pytest.raises(ValueError) as info:
+        BN_FUNCTIONS[name](*args)
+    assert str(info.value) == message

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -142,10 +143,16 @@ def test_enc_output_matches_committed_file(capsys, name):
         ("g37-d36-k3-n", ["--genus", "37", "--degree", "36", "--k", "3"]),
         ("g4-d3-k2-n-canonical", ["--genus", "4", "--degree", "3", "--k", "2", "--canonical"]),
         ("g8-d14-k3-t", ["--genus", "8", "--degree", "14", "--k", "3", "--class", "t"]),
+        (
+            "g8-d9-k2-t-compat",
+            ["--genus", "8", "--degree", "9", "--k", "2", "--class", "t", "--compat-paper-sym", "--compat-paper-secdim"],
+        ),
     ],
 )
 def test_components_output_matches_committed_file(capsys, name, argv):
-    # the genus-4 atlas has a two-point top stratum (multiplicity 2)
+    # the genus-4 atlas has a two-point top stratum (multiplicity 2); in the
+    # genus-8 compat atlas both switches change the output, the top stratum
+    # has 14 points, and all four notes fire
     rc, out, _ = run_cli(capsys, "components", *argv, "--format", "json")
     assert rc == 0
     assert out == (DATA / f"{name}.components.json").read_text()
@@ -166,6 +173,46 @@ def test_components_at_the_genus_cap_prints(capsys):
     rc, out, _ = run_cli(capsys, "components", "--genus", "2500", "--degree", "2499", "--k", "2")
     assert rc == 0
     assert "W^49_2499" in out
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--genus", "2", "--degree", "10001", "--k", "2"], "--degree 10001 is above the components limit of 10000"),
+        (["--genus", "3", "--degree", "1" + "0" * 1000, "--k", "5"], "0 is above the components limit of 10000"),
+        (["--genus", "2", "--degree", "5", "--k", "2001"], "--k 2001 is above the components limit of 2000"),
+        (["--genus", "3", "--degree", "10000", "--k", "10000", "--class", "t"], "--k 10000 is above"),
+    ],
+)
+def test_components_degree_and_k_caps_exit_2_before_computing(capsys, monkeypatch, argv, message):
+    import divatlas.cli as cli
+
+    monkeypatch.setattr(cli, "atlas_report", lambda *a, **kw: pytest.fail("atlas computed"))
+    rc, out, err = run_cli(capsys, "components", *argv)
+    assert rc == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv,top_fiber",
+    [
+        # the largest fiber allowed, 2,346 digits: r = d - g on the nonspecial degree
+        (["--genus", "2", "--degree", "10000", "--k", "2000", "--class", "t"], math.comb(11998, 2000) - 1),
+        (["--genus", "2", "--degree", "10000", "--k", "2000", "--class", "n"], math.comb(9999, 2000) - 1),
+        # the canonical degree at the genus cap: a one-point top stratum
+        (
+            ["--genus", "2500", "--degree", "4998", "--k", "2000", "--class", "t", "--canonical"],
+            math.comb(4499, 2000) - 1,
+        ),
+    ],
+)
+def test_components_at_the_degree_and_k_caps_prints(capsys, argv, top_fiber):
+    rc, out, _ = run_cli(capsys, "components", *argv, "--format", "json")
+    assert rc == 0
+    report = json.loads(out)
+    assert report["components"][-1]["fiber_dim"] == top_fiber
+    assert report["components"][-1]["multiplicity"] == 1
 
 
 def test_enc_malformed_json_exits_2(tmp_path, capsys):
