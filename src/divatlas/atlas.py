@@ -102,6 +102,9 @@ def fiber_dim(r: int, k: int, kind: str) -> int:
     kind; -1 signals an empty system.
     """
     check_kind(kind)
+    # bool is an int subclass, but True is not a section count
+    if not isinstance(r, int) or isinstance(r, bool):
+        raise ValueError(f"r must be an integer, got {r!r}")
     if r < 0:
         raise ValueError("r must be >= 0")
     return _fiber_dim(r, k, kind)

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -127,14 +129,27 @@ def exponent_vectors(n: int, k: int):
 # tensor containers
 
 
+def _nonzero_sums(keys: list, values) -> dict:
+    """{key: the sum of its values} in first-occurrence order, zero sums
+    left out; a repeated key accumulates in order, through as_exact."""
+    values = list(values)
+    sums = dict(zip(keys, values))
+    if len(sums) < len(keys):
+        sums = {}
+        for key, c in zip(keys, values):
+            sums[key] = as_exact(sums[key] + c) if key in sums else c
+    return sums if all(sums.values()) else {key: c for key, c in sums.items() if c}
+
+
 @dataclass(frozen=True)
 class _Tensor:
     """Sparse body shared by SkewTensor and SymTensor.
 
     coeffs maps basis keys to nonzero exact scalars, normalized by
     as_exact (ints, and Fractions only where not integral); a subclass names its
-    kind, validates its keys (_check_index(key, n, k)) and lists its basis
-    in order (_basis).  Arithmetic returns the subclass of self.
+    kind, validates its keys (_keys_valid(keys, n, k) on the whole key list,
+    _check_index(key, n, k) on one key) and lists its basis in order
+    (_basis).  Arithmetic returns the subclass of self.
     """
 
     n: int
@@ -144,18 +159,27 @@ class _Tensor:
     def __post_init__(self):
         if self.n < 0 or self.k < 0:
             raise ValueError("n and k must be nonnegative")
-        out = {}
-        for key, c in self.coeffs.items():
-            key = tuple(key)
-            self._check_index(key, self.n, self.k)
-            c = as_exact(c)
-            out[key] = as_exact(out[key] + c) if key in out else c
-        object.__setattr__(self, "coeffs", {key: c for key, c in out.items() if c})
+        keys = list(map(tuple, self.coeffs))
+        self._check_keys(keys, self.n, self.k)
+        values = self.coeffs.values()
+        if not _INT.issuperset(map(type, values)):
+            values = map(as_exact, values)
+        object.__setattr__(self, "coeffs", _nonzero_sums(keys, values))
+
+    @classmethod
+    def _check_keys(cls, keys: list, n: int, k: int) -> None:
+        """Validate a list of tuple keys, the one check of both construction
+        routes.  Keys of plain ints pass on whole-list passes (_keys_valid);
+        otherwise they are walked in order and the first bad key raises
+        _check_index's error.  Bool entries are refused."""
+        if not (_INT.issuperset(map(type, itertools.chain.from_iterable(keys))) and cls._keys_valid(keys, n, k)):
+            for key in keys:
+                cls._check_index(key, n, k)
 
     @classmethod
     def _exact(cls, n: int, k: int, coeffs: dict):
         """Wrap coefficients that are valid by construction (tuple keys that
-        pass _check_index, nonzero values as as_exact gives them) without
+        pass _check_keys, nonzero values as as_exact gives them) without
         a second pass over them."""
         t = object.__new__(cls)
         object.__setattr__(t, "n", n)
@@ -201,12 +225,27 @@ class SkewTensor(_Tensor):
     kind = SKEW
 
     @staticmethod
+    def _keys_valid(keys: list, n: int, k: int) -> bool:
+        """Keys of int entries are k-subsets of range(n): the lengths, then
+        each key column against the next, entry by entry."""
+        if not {k}.issuperset(map(len, keys)):
+            return False
+        if not keys or not k:
+            return True
+        columns = list(zip(*keys))
+        return (
+            min(columns[0]) >= 0
+            and max(columns[-1]) < n
+            and all(map(operator.lt, itertools.chain(*columns[:-1]), itertools.chain(*columns[1:])))
+        )
+
+    @staticmethod
     def _check_index(idx, n: int, k: int):
         if len(idx) != k:
             raise ValueError(f"index {idx} does not have degree {k}")
         prev = -1
         for x in idx:
-            if not isinstance(x, int) or x <= prev or x >= n:
+            if not isinstance(x, int) or isinstance(x, bool) or x <= prev or x >= n:
                 raise ValueError(f"index {idx} is not a strictly increasing subset of range({n})")
             prev = x
 
@@ -225,15 +264,21 @@ class SymTensor(_Tensor):
     kind = SYM
 
     @staticmethod
+    def _keys_valid(keys: list, n: int, k: int) -> bool:
+        """Keys of int entries are exponent vectors: n entries, nonnegative,
+        summing to k."""
+        return (
+            {n}.issuperset(map(len, keys))
+            and {k}.issuperset(map(sum, keys))
+            # for n = 0 every key is () and has no min
+            and (not n or min(map(min, keys), default=0) >= 0)
+        )
+
+    @staticmethod
     def _check_index(alpha, n: int, k: int):
         if len(alpha) != n:
             raise ValueError(f"exponent vector {alpha} does not have length {n}")
-        # plain ints need only min and sum; other entries are checked one by one
-        if _INT.issuperset(map(type, alpha)):
-            nonnegative = min(alpha, default=0) >= 0
-        else:
-            nonnegative = all(isinstance(a, int) and a >= 0 for a in alpha)
-        if not nonnegative or sum(alpha) != k:
+        if not all(isinstance(a, int) and not isinstance(a, bool) and a >= 0 for a in alpha) or sum(alpha) != k:
             raise ValueError(f"exponent vector {alpha} does not have total degree {k}")
 
     def _basis(self):
@@ -726,21 +771,69 @@ def _coeff_from_json(c):
         raise ValueError(f"bad coefficient {c!r}: {exc}") from exc
 
 
+_DICT = frozenset((dict,))
+_LIST = frozenset((list,))
+_STR = frozenset((str,))
+# decimal integer literals, one a line ([0-9] is ASCII only)
+_DECIMAL_LINES = re.compile(r"-?[0-9]+(?:\n-?[0-9]+)*")
+
+
+def _coeffs_from_json(cs: list) -> list:
+    """The coefficients as _coeff_from_json gives them one by one.  Decimal
+    integer strings are converted by int() in one pass; any other list,
+    or a literal past int()'s digit limit, is converted one by one, and
+    the first bad coefficient raises."""
+    if _STR.issuperset(map(type, cs)) and _DECIMAL_LINES.fullmatch("\n".join(cs)):
+        try:
+            return list(map(int, cs))
+        except ValueError:
+            pass
+    return list(map(_coeff_from_json, cs))
+
+
+def _terms_from_json(terms: list) -> tuple:
+    """(index lists, exact coefficients) of the JSON terms.
+
+    Plain dicts whose indices are lists of plain ints are checked in
+    whole-list passes.  When one fails, the terms are walked in order
+    and the first malformed term, index or coefficient raises; a walk
+    that raises nothing (dict, list or int subclasses) gives the values.
+    """
+    if _DICT.issuperset(map(type, terms)):
+        try:
+            idxs = [term["index"] for term in terms]
+            cs = [term["coeff"] for term in terms]
+        except KeyError:
+            pass
+        else:
+            if _LIST.issuperset(map(type, idxs)) and _INT.issuperset(map(type, itertools.chain.from_iterable(idxs))):
+                return idxs, _coeffs_from_json(cs)
+    idxs, values = [], []
+    for term in terms:
+        if not isinstance(term, dict) or "index" not in term or "coeff" not in term:
+            raise ValueError(f"malformed term: {term!r}")
+        idx = term["index"]
+        if not _int_list(idx):
+            raise ValueError(f"malformed index: {idx!r}")
+        idxs.append(idx)
+        values.append(_coeff_from_json(term["coeff"]))
+    return idxs, values
+
+
 def _int_list(idx) -> bool:
-    """idx is a list of ints, bools excluded.  A list of plain ints passes
-    on its set of types alone; int subclasses take the slower test."""
-    return isinstance(idx, list) and (
-        _INT.issuperset(map(type, idx))
-        or not any(not isinstance(x, int) or isinstance(x, bool) for x in idx)
-    )
+    """idx is a list of ints, bools excluded."""
+    return isinstance(idx, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in idx)
 
 
 def tensor_from_json(obj: dict):
     """Parse the tensor interchange format, validating all invariants.
 
-    Each term is checked and its coefficient converted once, and each
-    distinct index is checked once by its kind's _check_index; the
-    tensor is then built without a second pass over them.
+    The terms are checked and their coefficients converted in whole-list
+    passes (_terms_from_json), and their keys by the kind's _check_keys,
+    the check of the public constructor; the tensor is then built without
+    a second pass over them.  The error is the one a walk over the terms
+    in order finds: the first malformed term, index or coefficient, and
+    otherwise the first bad index.
     """
     if not isinstance(obj, dict):
         raise ValueError("tensor JSON must be an object")
@@ -754,26 +847,9 @@ def tensor_from_json(obj: dict):
     if not isinstance(terms, list):
         raise ValueError("terms must be a list")
     cls = SkewTensor if kind == SKEW else SymTensor
-    coeffs = {}
-    bad_index = None
-    for term in terms:
-        if not isinstance(term, dict) or "index" not in term or "coeff" not in term:
-            raise ValueError(f"malformed term: {term!r}")
-        idx = term["index"]
-        if not _int_list(idx):
-            raise ValueError(f"malformed index: {idx!r}")
-        val = _coeff_from_json(term["coeff"])
-        key = tuple(idx)
-        if key in coeffs:
-            coeffs[key] = as_exact(coeffs[key] + val)
-        else:
-            coeffs[key] = val
-            if bad_index is None:
-                try:
-                    cls._check_index(key, n, k)
-                except ValueError as exc:
-                    bad_index = exc
-    # as from the public constructor: the first bad index, after every term
-    if bad_index is not None:
-        raise bad_index
-    return cls._exact(n, k, {key: c for key, c in coeffs.items() if c})
+    idxs, values = _terms_from_json(terms)
+    keys = list(map(tuple, idxs))
+    # the term check left only int entries, so the key shapes are what is left
+    if not cls._keys_valid(keys, n, k):
+        cls._check_keys(keys, n, k)
+    return cls._exact(n, k, _nonzero_sums(keys, values))

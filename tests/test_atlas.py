@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -385,3 +386,10 @@ def test_fiber_dim_bad_arguments_raise_with_message():
     with pytest.raises(ValueError) as info:
         fiber_dim(1, 2, "x")
     assert str(info.value) == KIND_MESSAGE
+
+
+@pytest.mark.parametrize("r", [True, False, 1.5, 2.0, "2", None, Fraction(2)], ids=repr)
+def test_fiber_dim_refuses_non_integer_r(r):
+    with pytest.raises(ValueError) as info:
+        fiber_dim(r, 2, SKEW)
+    assert str(info.value) == f"r must be an integer, got {r!r}"

@@ -127,10 +127,12 @@ def test_enc_json_format(tmp_path, capsys):
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name", ["skew-k3-n7", "sym-k3-n5"])
+@pytest.mark.parametrize("name", ["skew-k3-n7", "sym-k3-n5", "skew-k3-n8-spellings"])
 def test_enc_output_matches_committed_file(capsys, name):
     # the expected files pin the whole JSON output, basis included; the
-    # skew tensor has Fraction coefficients and enc 6 < n, the sym one enc = n
+    # skew tensor has Fraction coefficients and enc 6 < n, the sym one enc = n;
+    # the spellings file mixes JSON ints with "+3", " 2 ", "1_0" and "3/6"
+    # strings and repeats two keys, one summing to zero
     rc, out, _ = run_cli(capsys, "enc", str(DATA / f"{name}.json"), "--sub", "6", "--format", "json")
     assert rc == 0
     assert out == (DATA / f"{name}.enc.json").read_text()

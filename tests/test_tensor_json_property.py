@@ -1,0 +1,184 @@
+"""Property test: tensor_from_json against a per-term reference parser.
+
+The reference below walks the terms one at a time: it checks each term
+and its index, converts its coefficient, accumulates repeated keys, and
+reports the first bad index once every term is read.  tensor_from_json
+checks whole term lists at once; on every input it must return the same
+tensor (same keys in the same order, same values and number types) or
+raise a ValueError with the same message.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from divatlas.linalg import as_exact  # noqa: E402
+from divatlas.tensors import SKEW, SYM, SkewTensor, SymTensor, tensor_from_json  # noqa: E402
+
+# ---------------------------------------------------------------------------
+# reference parser, one term at a time
+
+
+def _ref_check_skew(idx, n, k):
+    if len(idx) != k:
+        raise ValueError(f"index {idx} does not have degree {k}")
+    prev = -1
+    for x in idx:
+        if not isinstance(x, int) or x <= prev or x >= n:
+            raise ValueError(f"index {idx} is not a strictly increasing subset of range({n})")
+        prev = x
+
+
+def _ref_check_sym(alpha, n, k):
+    if len(alpha) != n:
+        raise ValueError(f"exponent vector {alpha} does not have length {n}")
+    if not all(isinstance(a, int) and a >= 0 for a in alpha) or sum(alpha) != k:
+        raise ValueError(f"exponent vector {alpha} does not have total degree {k}")
+
+
+def _ref_coeff(c):
+    if type(c) is int:
+        return c
+    if type(c) is str and (c[1:] if c[:1] == "-" else c).isdigit():
+        try:
+            return int(c)
+        except ValueError:
+            pass
+    if not isinstance(c, (str, int)):
+        raise ValueError(f"coefficient must be an int or a 'p/q' string: {c!r}")
+    try:
+        return as_exact(c)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise ValueError(f"bad coefficient {c!r}: {exc}") from exc
+
+
+def _ref_int_list(idx):
+    return isinstance(idx, list) and not any(not isinstance(x, int) or isinstance(x, bool) for x in idx)
+
+
+def reference_from_json(obj):
+    n, k, kind, terms = obj["n"], obj["k"], obj["kind"], obj["terms"]
+    check = _ref_check_skew if kind == SKEW else _ref_check_sym
+    coeffs = {}
+    bad_index = None
+    for term in terms:
+        if not isinstance(term, dict) or "index" not in term or "coeff" not in term:
+            raise ValueError(f"malformed term: {term!r}")
+        idx = term["index"]
+        if not _ref_int_list(idx):
+            raise ValueError(f"malformed index: {idx!r}")
+        val = _ref_coeff(term["coeff"])
+        key = tuple(idx)
+        if key in coeffs:
+            coeffs[key] = as_exact(coeffs[key] + val)
+        else:
+            coeffs[key] = val
+            if bad_index is None:
+                try:
+                    check(key, n, k)
+                except ValueError as exc:
+                    bad_index = exc
+    if bad_index is not None:
+        raise bad_index
+    cls = SkewTensor if kind == SKEW else SymTensor
+    return cls, n, k, [(key, type(c), c) for key, c in coeffs.items() if c]
+
+
+# ---------------------------------------------------------------------------
+# generated inputs
+
+# every spelling of test_json_coefficient_spellings, then the refused ones
+SPELLINGS = ["+3", " 5 ", "1_0", "-0", "007", "1.5", "1e3", "3/6", 4]
+REFUSED = ["x", "²", "1/0", True, None]
+HUGE = "7" * 4301  # past int()'s 4,300-digit limit for str
+
+
+@st.composite
+def valid_index(draw, kind, n, k):
+    if kind == SKEW:
+        if k > n:
+            return list(range(k))  # no valid index exists: out of range
+        if k == 0:
+            return []
+        return sorted(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+    if n == 0:
+        return []
+    cuts = sorted(draw(st.lists(st.integers(0, k), min_size=n - 1, max_size=n - 1)))
+    return [b - a for a, b in zip([0] + cuts, cuts + [k])]
+
+
+def broken_indices(index, n, k):
+    """Indices that the term check or the key check refuses."""
+    out = [index + [0], index[:-1], [x + 1 for x in index], [n] + index[1:], [-1] + index[1:]]
+    if index:
+        out += [[True] + index[1:], [float(index[0])] + index[1:], [str(index[0])] + index[1:]]
+        out += [index[::-1], [index[0]] * len(index)]
+    return out + [tuple(index), None, "01", {"i": 0}, [[0]]]
+
+
+ODD_COEFFS = SPELLINGS + REFUSED + ["1/2", "-3/4", "6/3", HUGE, 10**4400, "1" * 4300]
+BAD_TERMS = [None, [0, 1], "term", {"index": [0]}, {"coeff": "1"}]
+
+
+@st.composite
+def tensor_objects(draw):
+    """Valid terms on a few keys, repeats included, coefficients all
+    decimal strings, all JSON ints or mixed; then up to three faults at
+    random places: a broken index, an odd coefficient, a malformed term
+    or a repeat that cancels."""
+    kind = draw(st.sampled_from([SKEW, SYM]))
+    n = draw(st.integers(0, 5))
+    k = draw(st.integers(0, 4))
+    pool = draw(st.lists(valid_index(kind, n, k), min_size=1, max_size=4))
+    values = draw(st.lists(st.integers(-9, 9), max_size=10))
+    style = draw(st.sampled_from(["str", "int", "mixed"]))
+    terms = [
+        {
+            "index": draw(st.sampled_from(pool)),
+            "coeff": c if style == "int" or (style == "mixed" and i % 2) else str(c),
+        }
+        for i, c in enumerate(values)
+    ]
+    valid = [(term["index"], c) for term, c in zip(terms, values)]
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["index", "coeff", "term", "cancel"]))
+        at = draw(st.integers(0, len(terms)))
+        if fault == "index":
+            term = {"index": draw(st.sampled_from(broken_indices(draw(st.sampled_from(pool)), n, k))), "coeff": "1"}
+        elif fault == "coeff":
+            term = {"index": draw(st.sampled_from(pool)), "coeff": draw(st.sampled_from(ODD_COEFFS))}
+        elif fault == "term":
+            term = draw(st.sampled_from(BAD_TERMS))
+        elif valid:
+            index, c = draw(st.sampled_from(valid))
+            term = {"index": index, "coeff": -c}
+        else:
+            continue
+        terms.insert(at, term)
+    return {"n": n, "k": k, "kind": kind, "terms": terms}
+
+
+def _parse(obj):
+    t = tensor_from_json(obj)
+    return type(t), t.n, t.k, [(key, type(c), c) for key, c in t.coeffs.items()]
+
+
+def _outcome(parse, obj):
+    try:
+        return "tensor", parse(obj)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(tensor_objects())
+@example({"n": 3, "k": 1, "kind": SKEW, "terms": [{"index": [0], "coeff": "2"}, {"index": [1], "coeff": HUGE}]})
+@example({"n": 3, "k": 1, "kind": SKEW, "terms": [{"index": [2], "coeff": "1\n2"}]})
+@example({"n": 0, "k": 0, "kind": SYM, "terms": [{"index": [], "coeff": "3"}, {"index": [], "coeff": "1/2"}]})
+@example({"n": 0, "k": 1, "kind": SYM, "terms": [{"index": [], "coeff": "3"}]})
+@example({"n": 2, "k": 2, "kind": SKEW, "terms": [{"index": [0, 1], "coeff": "٣"}]})
+def test_tensor_from_json_matches_per_term_reference(obj):
+    # the same keys in the same order, with the same values and number types
+    assert _outcome(_parse, obj) == _outcome(reference_from_json, obj)

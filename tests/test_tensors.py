@@ -753,3 +753,52 @@ def test_json_malformed_rejected():
     for obj in bad:
         with pytest.raises(ValueError):
             tensor_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "cls, n, k, key, message",
+    [
+        (SkewTensor, 3, 2, (False, True), "index (False, True) is not a strictly increasing subset of range(3)"),
+        (SymTensor, 2, 2, (True, True), "exponent vector (True, True) does not have total degree 2"),
+    ],
+    ids=[SKEW, SYM],
+)
+def test_bool_index_entries_refused_by_both_routes(cls, n, k, key, message):
+    # a bool key would serialize as [false, true], which tensor_from_json refuses
+    with pytest.raises(ValueError) as err:
+        cls(n, k, {key: 5})
+    assert str(err.value) == message
+    t = cls(n, k, {tuple(map(int, key)): 5})
+    obj = json.loads(json.dumps(tensor_to_json(t)))
+    assert tensor_from_json(obj) == t
+    obj["terms"][0]["index"] = list(key)
+    with pytest.raises(ValueError) as err:
+        tensor_from_json(obj)
+    assert str(err.value) == f"malformed index: {list(key)!r}"
+
+
+@pytest.mark.parametrize(
+    "cls, n, k, keys, message",
+    [
+        (SkewTensor, 4, 2, [(0, 1), (2, 4), (1, 1)], "index (2, 4) is not a strictly increasing subset of range(4)"),
+        (SkewTensor, 4, 2, [(0, 1), (-1, 2), (3,)], "index (-1, 2) is not a strictly increasing subset of range(4)"),
+        (SkewTensor, 4, 2, [(0, 1), (2, 3, 0)], "index (2, 3, 0) does not have degree 2"),
+        (SkewTensor, 4, 2, [(1, 0.5)], "index (1, 0.5) is not a strictly increasing subset of range(4)"),
+        (SymTensor, 3, 2, [(2, 0, 0), (1, 1), (3, 0, 0)], "exponent vector (1, 1) does not have length 3"),
+        (SymTensor, 2, 2, [(1, 1), (3, -1)], "exponent vector (3, -1) does not have total degree 2"),
+        (SymTensor, 0, 1, [()], "exponent vector () does not have total degree 1"),
+    ],
+)
+def test_constructor_reports_the_first_bad_key(cls, n, k, keys, message):
+    with pytest.raises(ValueError) as err:
+        cls(n, k, dict.fromkeys(keys, 1))
+    assert str(err.value) == message
+
+
+def test_constructor_accumulates_keys_that_become_equal():
+    # keys become tuples first: a repeat accumulates in order and zero sums drop
+    t = SymTensor(2, 2, {(2, 0): 1, range(2, -1, -2): 3, (1, 1): "0", (0, 2): "1/2"})
+    assert list(t.coeffs.items()) == [((2, 0), 4), ((0, 2), Fraction(1, 2))]
+    t = SkewTensor(3, 2, {(0, 1): Fraction(1, 2), range(2): Fraction(-1, 2), (1, 2): Fraction(4, 2)})
+    assert list(t.coeffs.items()) == [((1, 2), 2)] and type(t.coeffs[(1, 2)]) is int
+    assert SymTensor(0, 0, {(): 3}).coeffs == {(): 3}
