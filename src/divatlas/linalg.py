@@ -276,39 +276,49 @@ def _certified_rank(columns) -> int:
     same vectors, densified, instead; a deficient rank mod p is never
     returned.
 
-    The elimination mod p touches only nonzero entries.  Each vector
-    that gains a pivot is stored under its lead row (its smallest
-    nonzero row after reduction), divided by its lead entry, which is
-    then left out: a stored vector has entries only below its lead row.
-    A new vector is reduced by the stored vectors of the lead rows it
-    meets, smallest row first, from a heap.  A subtraction changes only
-    rows below the one it clears (fill-in), and a lead row it fills is
-    pushed, so the vector leaves with a zero on every lead row.
+    The elimination mod p touches only nonzero entries: residues that
+    vanish mod p, input entries included, are dropped.  Each vector that
+    gains a pivot is stored under its lead row (its smallest row after
+    reduction), divided by its lead entry, which is then left out: a
+    stored vector has entries only below its lead row, and a vector
+    with nothing below its lead (the unit tensor-direction columns of
+    the tangent oracle's chart Jacobian, which is built straight from
+    w) is stored empty, with no inverse taken.  A new vector that meets
+    no stored lead row is not reduced at all; otherwise it is reduced by
+    the stored vectors of the lead rows it meets, smallest row first,
+    from a heap.  A subtraction changes only rows below the one it
+    clears (fill-in), and a lead row it fills is pushed, so the vector
+    leaves with a zero on every lead row.
     """
     p = RANK_PRIME
     pivots = {}
     for col in columns:
-        v = {r: x % p for r, x in col.items()}
+        v = {r: y for r, x in col.items() if (y := x % p)}
         todo = [r for r in v if r in pivots]
-        heapq.heapify(todo)
-        while todo:
-            r = heapq.heappop(todo)
-            f = v.pop(r)
-            if not f:
-                continue
-            for s, b in pivots[r].items():
-                if s in v:
-                    v[s] = (v[s] - f * b) % p
-                else:
-                    v[s] = -f * b % p
-                    if s in pivots:
-                        heapq.heappush(todo, s)
-        lead = min((r for r, x in v.items() if x), default=None)
-        if lead is None:
+        if todo:
+            heapq.heapify(todo)
+            while todo:
+                r = heapq.heappop(todo)
+                f = v.pop(r)
+                if not f:
+                    continue
+                for s, b in pivots[r].items():
+                    if s in v:
+                        v[s] = (v[s] - f * b) % p
+                    else:
+                        v[s] = -f * b % p
+                        if s in pivots:
+                            heapq.heappush(todo, s)
+            v = {r: x for r, x in v.items() if x}
+        if not v:
             height = 1 + max((r for c in columns for r in c), default=-1)
             return _bareiss([[c.get(r, 0) for r in range(height)] for c in columns])[0]
-        inv = pow(v.pop(lead), -1, p)
-        pivots[lead] = {s: x * inv % p for s, x in v.items() if x}
+        lead = min(v)
+        x = v.pop(lead)
+        if v:
+            inv = pow(x, -1, p)
+            v = {s: y * inv % p for s, y in v.items()}
+        pivots[lead] = v
     return len(pivots)
 
 

@@ -10,28 +10,27 @@ matrices and their dimensions are computed determinantally; for k >= 3
 they come from the Grassmannian-bundle parametrization.  An independent
 tangent-space oracle, sub_dim_tangent, recomputes each dimension as the
 exact rank of the Jacobian of that parametrization at a random integer
-point, and the two are required to agree in the test suites.  At an
-integer point the Jacobian is integral: its entries are minors of A
-(skew) or coefficients of substituted monomials (symmetric), built on
-Python ints throughout.  The builders emit each column as a sparse
-{row: nonzero int} map, since the Jacobian is mostly zeros (at the
-chart below, a unit block beside n - e copies of the contraction
-columns of w), and the rank is taken on that form.
+point, and the two are required to agree in the test suites.
 
 The parametrization is GL_n-equivariant and every injective A lies in
 the GL_n-orbit of A = [I_e ; 0], so the rank is taken there and only
 the rows of A below the identity block are varied: the top rows give
 GL_e-orbit directions, which add nothing to the image of the
 differential.  That leaves e(n-e) + dim(power of QQ^e) columns, exactly
-the generic rank when e is normalized.  The rank is certified by a rank
-mod 2^61 - 1 (linalg._certified_rank, a sparse elimination): columns
-independent mod p are independent over QQ, and anything less is
-recomputed exactly.
+the generic rank when e is normalized.  At this chart point the
+Jacobian is read straight off w's integer coefficients, with no minors
+and no substitution: a unit column for each tensor direction, and for
+each varied row a signed copy of a derivative of w (the interior
+derivative for skew tensors, the partial derivative for symmetric
+ones), each entry from one term of w.  The builders emit each column
+as a sparse {row: nonzero int} map, and the rank is certified by a
+rank mod 2^61 - 1 (linalg._certified_rank, a sparse elimination):
+columns independent mod p are independent over QQ, and anything less
+is recomputed exactly.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import random
@@ -41,8 +40,6 @@ from .linalg import _certified_rank, rank  # noqa: F401
 from .tensors import (
     SKEW,
     SYM,
-    _minors,
-    _substitution,
     check_kind,
     enc,
     exponent_vectors,
@@ -94,6 +91,23 @@ def e_max_sym(k: int, n: int, paper_compat: bool = False) -> int:
     return n
 
 
+def _check_ints(**args) -> None:
+    # bool is an int subclass, but True is not a dimension or a degree
+    for name, value in args.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_cell(e: int, k: int, n: int, kind: str) -> None:
+    check_kind(kind)
+    _check_ints(e=e, k=k, n=n)
+    if k < 1:
+        raise ValueError("degree k must be >= 1")
+    floor = 1 if kind == SYM else k
+    if not floor <= e <= n:
+        raise ValueError(f"need {floor} <= e <= n, got k={k}, e={e}, n={n}")
+
+
 def normalize_e(e: int, k: int, kind: str) -> int:
     """Smallest e' with Sub_e' = Sub_e.
 
@@ -107,6 +121,7 @@ def normalize_e(e: int, k: int, kind: str) -> int:
     returned unchanged.
     """
     check_kind(kind)
+    _check_ints(e=e, k=k)
     floor = 1 if kind == SYM else k
     if e < floor:
         raise ValueError(f"e = {e} below the minimum enclosing dimension {floor}")
@@ -134,12 +149,7 @@ def sub_dim(e: int, k: int, n: int, kind: str) -> int:
     e'(n-e') + C(e',k) - 1 (skew) and e'(n-e') + C(e'+k-1,k) - 1
     (symmetric), with e' the normalized enclosing bound.
     """
-    check_kind(kind)
-    if k < 1:
-        raise ValueError("degree k must be >= 1")
-    floor = 1 if kind == SYM else k
-    if not floor <= e <= n:
-        raise ValueError(f"need {floor} <= e <= n, got k={k}, e={e}, n={n}")
+    _check_cell(e, k, n, kind)
     return _sub_dim(e, k, n, kind)
 
 
@@ -177,69 +187,63 @@ def sec_dim_printed(s: int, n: int, kind: str) -> int:
 # tangent-space oracle
 
 
-def _skew_jacobian_columns(a_cols, w: dict, n: int, k: int, varied=None):
-    """Columns of the differential of (A, w) -> (wedge^k A)(w), on integers.
+def _skew_chart_columns(w: dict, e: int, n: int, k: int) -> list:
+    """Columns of the differential of (A, w) -> (wedge^k A)(w) at the chart
+    point A = [I_e ; 0], along w and the rows of A below the identity block.
 
     Each column is a sparse {row: nonzero int} map, its rows indexed by
-    the k-subsets of range(n) in combinations order.  The coordinate of
-    (wedge^k A)(e_I) on J is the minor of A on rows J and columns I.
-    Along an entry A[i][j] the factor A e_j of each term is replaced by
-    e_i, so the column is e_i ^ psi_j with psi_j the image under
-    wedge^(k-1) A of the interior derivative of w along e_j; for a fixed
-    i distinct M give distinct M + {i}, so each entry comes from one term
-    of psi_j.  The tensor-direction columns come first, then the entries
-    A[i][j] for each j and each row i in varied (all n rows by default).
+    the k-subsets of range(n) in combinations order, and w maps k-subsets
+    of range(e) to nonzero ints.  At the chart every minor of A on
+    columns I is 1 on rows I and 0 elsewhere, so the column along the
+    tensor coordinate I is the unit vector of I.  Along an entry A[i][j]
+    the factor A e_j of each term is replaced by e_i, which gives
+    e_i ^ psi_j with psi_j the interior derivative of w along e_j: a term
+    c e_I with j at position q of I gives (-1)^q c e_M, M = I minus j.
+    For i >= e, e_i is moved past the k-1 indices of M, all below it, so
+    the entry is (-1)^(q+k-1) c on the row of M + (i,).  Distinct I give
+    distinct M, so each entry comes from one term of w.  The tensor
+    columns come first, then the entries A[i][j] for each j < e and each
+    row i from e to n - 1.
     """
-    e = len(a_cols)
-    varied = range(n) if varied is None else varied
-    minors = _minors(a_cols, k)
     rows = {J: r for r, J in enumerate(itertools.combinations(range(n), k))}
-    cols = [{rows[J]: v for J, v in minors[I].items()} for I in itertools.combinations(range(e), k)]
-    for j in range(e):
-        psi = {}
-        for I, c in w.items():
-            if j in I:
-                q = I.index(j)
-                for M, d in minors[I[:q] + I[q + 1 :]].items():
-                    psi[M] = psi.get(M, 0) + (-c if q % 2 else c) * d
-        psi = [(M, v) for M, v in psi.items() if v]
-        for i in varied:
-            col = {}
-            for M, v in psi:
-                p = bisect.bisect_left(M, i)  # moving e_i past p smaller indices
-                if M[p : p + 1] != (i,):  # i not in M
-                    col[rows[M[:p] + (i,) + M[p:]]] = -v if p % 2 else v
-            cols.append(col)
+    cols = [{rows[I]: 1} for I in itertools.combinations(range(e), k)]
+    psis = [[] for _ in range(e)]
+    for I, c in w.items():
+        for q, j in enumerate(I):
+            psis[j].append((I[:q] + I[q + 1 :], -c if (q + k - 1) % 2 else c))
+    for psi in psis:
+        for i in range(e, n):
+            cols.append({rows[M + (i,)]: v for M, v in psi})
     return cols
 
 
-def _sym_jacobian_columns(a_cols, w: dict, n: int, k: int, varied=None):
-    """Columns of the differential of (A, w) -> (S^k A)(w), on integers.
+def _sym_chart_columns(w: dict, e: int, n: int, k: int) -> list:
+    """Columns of the differential of (A, w) -> (S^k A)(w) at the chart
+    point A = [I_e ; 0], along w and the rows of A below the identity block.
 
     Each column is a sparse {row: nonzero int} map, its rows indexed by
     the exponent vectors of degree k on n variables in exponent_vectors
-    order.  The map substitutes source variable j by the linear form
-    given by column j of A; its derivative along an entry A[i][j] is the
-    partial derivative of w along j, substituted, times the i-th basis
-    vector, and multiplying by x_i sends distinct monomials to distinct
-    monomials.  Column order and varied are as in _skew_jacobian_columns.
+    order, and w maps exponent vectors on e variables to nonzero ints.
+    At the chart the map pads each exponent vector with n - e zeros, so
+    the column along the tensor coordinate alpha is the unit vector of
+    alpha padded.  Along an entry A[i][j] it is the partial derivative of
+    w along x_j times x_i: a term c x^alpha gives alpha_j c on alpha - e_j,
+    padded, with a 1 at position i >= e.  Distinct alpha give distinct
+    alpha - e_j, so each entry comes from one term of w.  Column order is
+    as in _skew_chart_columns.
     """
-    e = len(a_cols)
-    varied = range(n) if varied is None else varied
-    substituted = _substitution(a_cols, n)
+    pad = (0,) * (n - e)
     target_pos = {a: r for r, a in enumerate(exponent_vectors(n, k))}
-    cols = [{target_pos[key]: v for key, v in substituted(alpha).items()} for alpha in exponent_vectors(e, k)]
-    for j in range(e):
-        # substituted partial derivative along source variable j
-        dpoly = {}
-        for alpha, c in w.items():
-            a = alpha[j]
+    cols = [{target_pos[alpha + pad]: 1} for alpha in exponent_vectors(e, k)]
+    units = [pad[:t] + (1,) + pad[t + 1 :] for t in range(n - e)]
+    partials = [[] for _ in range(e)]
+    for alpha, c in w.items():
+        for j, a in enumerate(alpha):
             if a:
-                for key, v in substituted(alpha[:j] + (a - 1,) + alpha[j + 1 :]).items():
-                    dpoly[key] = dpoly.get(key, 0) + a * c * v
-        dpoly = [(key, v) for key, v in dpoly.items() if v]
-        for i in varied:
-            cols.append({target_pos[key[:i] + (key[i] + 1,) + key[i + 1 :]]: v for key, v in dpoly})
+                partials[j].append((alpha[:j] + (a - 1,) + alpha[j + 1 :], a * c))
+    for partial in partials:
+        for unit in units:
+            cols.append({target_pos[beta + unit]: v for beta, v in partial})
     return cols
 
 
@@ -254,24 +258,20 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0, max_retries: int 
     Only the rows of A below the identity block are varied, since the
     top rows give GL_e-orbit directions: e(n-e) + dim(power of QQ^e)
     columns, the generic rank in every cell whose e is normalized.  The
-    rank is certified mod a prime, with an exact fallback
-    (linalg._certified_rank).  A w whose enclosing dimension is below
-    the maximum on QQ^e lies in a smaller Sub_e; it is redrawn a bounded
-    number of times.
+    columns are built straight from w's coefficients
+    (_skew_chart_columns, _sym_chart_columns), with no minors or
+    substitution.  The rank is certified mod a prime, with an exact
+    fallback (linalg._certified_rank).  A w whose enclosing dimension
+    is below the maximum on QQ^e lies in a smaller Sub_e; it is redrawn
+    a bounded number of times.  e, k and n must be ints (not bools).
     """
-    check_kind(kind)
-    if k < 1:
-        raise ValueError("degree k must be >= 1")
-    floor = 1 if kind == SYM else k
-    if not floor <= e <= n:
-        raise ValueError(f"need {floor} <= e <= n, got k={k}, e={e}, n={n}")
+    _check_cell(e, k, n, kind)
     full = e_max(k, e) if kind == SKEW else e_max_sym(k, e)
     rng = random.Random(f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}")
-    a_cols = [tuple(int(i == j) for i in range(n)) for j in range(e)]
-    build = _skew_jacobian_columns if kind == SKEW else _sym_jacobian_columns
+    build = _skew_chart_columns if kind == SKEW else _sym_chart_columns
     for _ in range(max_retries):
         omega = random_tensor(e, k, kind, rng)
         if enc(omega) < full:
             continue
-        return _certified_rank(build(a_cols, omega.coeffs, n, k, range(e, n))) - 1
+        return _certified_rank(build(omega.coeffs, e, n, k)) - 1
     raise RuntimeError(f"no nondegenerate sample after {max_retries} retries")

@@ -67,7 +67,8 @@ def subset_rank(subset, n: int) -> int:
     k = len(sub)
     prev = -1
     for x in sub:
-        if not isinstance(x, int) or x <= prev or x >= n:
+        # a bool's type is not int: True is not an index
+        if type(x) is not int or x <= prev or x >= n:
             raise ValueError(f"{sub} is not a strictly increasing subset of range({n})")
         prev = x
     r = 0

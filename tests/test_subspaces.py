@@ -1,3 +1,7 @@
+import bisect
+import itertools
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -6,8 +10,8 @@ import pytest
 from divatlas import linalg, subspaces
 from divatlas.linalg import RationalMatrix, _certified_rank, rank
 from divatlas.subspaces import (
-    _skew_jacobian_columns,
-    _sym_jacobian_columns,
+    _skew_chart_columns,
+    _sym_chart_columns,
     e_max,
     e_max_sym,
     normalize_e,
@@ -20,12 +24,16 @@ from divatlas.tensors import (
     SYM,
     SkewTensor,
     SymTensor,
+    _minors,
+    _substitution,
     apply_linear_map,
     enc,
     exponent_vectors,
     k_subsets,
     random_tensor,
 )
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "subdim-tangent.json"
 
 
 def test_e_max_parity_and_codegree_drops():
@@ -90,6 +98,22 @@ def test_sub_dim_domain_errors():
         sub_dim(1, 2, 4, SKEW)
     with pytest.raises(ValueError):
         sub_dim(5, 2, 4, SKEW)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, "2", None])
+@pytest.mark.parametrize("name", ["e", "k", "n"])
+@pytest.mark.parametrize("kind", [SKEW, SYM])
+def test_dimension_functions_refuse_non_int_arguments(kind, name, bad):
+    # bool is an int subclass: sub_dim_tangent(True, 1, 3, "sym") gave 2
+    args = {"e": 2, "k": 2, "n": 3, "kind": kind, name: bad}
+    match = f"{name} must be an integer"
+    with pytest.raises(ValueError, match=match):
+        sub_dim(**args)
+    with pytest.raises(ValueError, match=match):
+        sub_dim_tangent(**args)
+    if name != "n":
+        with pytest.raises(ValueError, match=match):
+            normalize_e(args["e"], args["k"], kind)
 
 
 def test_sub_dim_monotone_in_e():
@@ -177,6 +201,82 @@ def test_tangent_oracle_small_grid(monkeypatch):
                     widths.clear()
                     assert sub_dim_tangent(e, k, n, kind, seed=3) == sub_dim(e, k, n, kind)
                     assert widths == [sub_dim(e, k, n, kind) + 1]
+
+
+# ---------------------------------------------------------------------------
+# the Jacobian at a general A: the oracle for the chart builders
+#
+# sub_dim_tangent builds its columns at A = [I_e ; 0] straight from w
+# (_skew_chart_columns, _sym_chart_columns).  The builders below take any
+# integer A, through its minors (skew) or a substitution by its column
+# forms (sym), and vary any rows of A; at the chart and the rows below
+# the identity block they must give the same columns.
+
+
+def _skew_jacobian_columns(a_cols, w: dict, n: int, k: int, varied=None):
+    """Columns of the differential of (A, w) -> (wedge^k A)(w), on integers.
+
+    Each column is a sparse {row: nonzero int} map, its rows indexed by
+    the k-subsets of range(n) in combinations order.  The coordinate of
+    (wedge^k A)(e_I) on J is the minor of A on rows J and columns I.
+    Along an entry A[i][j] the factor A e_j of each term is replaced by
+    e_i, so the column is e_i ^ psi_j with psi_j the image under
+    wedge^(k-1) A of the interior derivative of w along e_j; for a fixed
+    i distinct M give distinct M + {i}, so each entry comes from one term
+    of psi_j.  The tensor-direction columns come first, then the entries
+    A[i][j] for each j and each row i in varied (all n rows by default).
+    """
+    e = len(a_cols)
+    varied = range(n) if varied is None else varied
+    minors = _minors(a_cols, k)
+    rows = {J: r for r, J in enumerate(itertools.combinations(range(n), k))}
+    cols = [{rows[J]: v for J, v in minors[I].items()} for I in itertools.combinations(range(e), k)]
+    for j in range(e):
+        psi = {}
+        for I, c in w.items():
+            if j in I:
+                q = I.index(j)
+                for M, d in minors[I[:q] + I[q + 1 :]].items():
+                    psi[M] = psi.get(M, 0) + (-c if q % 2 else c) * d
+        psi = [(M, v) for M, v in psi.items() if v]
+        for i in varied:
+            col = {}
+            for M, v in psi:
+                p = bisect.bisect_left(M, i)  # moving e_i past p smaller indices
+                if M[p : p + 1] != (i,):  # i not in M
+                    col[rows[M[:p] + (i,) + M[p:]]] = -v if p % 2 else v
+            cols.append(col)
+    return cols
+
+
+def _sym_jacobian_columns(a_cols, w: dict, n: int, k: int, varied=None):
+    """Columns of the differential of (A, w) -> (S^k A)(w), on integers.
+
+    Each column is a sparse {row: nonzero int} map, its rows indexed by
+    the exponent vectors of degree k on n variables in exponent_vectors
+    order.  The map substitutes source variable j by the linear form
+    given by column j of A; its derivative along an entry A[i][j] is the
+    partial derivative of w along j, substituted, times the i-th basis
+    vector, and multiplying by x_i sends distinct monomials to distinct
+    monomials.  Column order and varied are as in _skew_jacobian_columns.
+    """
+    e = len(a_cols)
+    varied = range(n) if varied is None else varied
+    substituted = _substitution(a_cols, n)
+    target_pos = {a: r for r, a in enumerate(exponent_vectors(n, k))}
+    cols = [{target_pos[key]: v for key, v in substituted(alpha).items()} for alpha in exponent_vectors(e, k)]
+    for j in range(e):
+        # substituted partial derivative along source variable j
+        dpoly = {}
+        for alpha, c in w.items():
+            a = alpha[j]
+            if a:
+                for key, v in substituted(alpha[:j] + (a - 1,) + alpha[j + 1 :]).items():
+                    dpoly[key] = dpoly.get(key, 0) + a * c * v
+        dpoly = [(key, v) for key, v in dpoly.items() if v]
+        for i in varied:
+            cols.append({target_pos[key[:i] + (key[i] + 1,) + key[i + 1 :]]: v for key, v in dpoly})
+    return cols
 
 
 def _dense(columns, height: int) -> list:
@@ -287,6 +387,34 @@ def test_chart_rank_equals_full_jacobian_rank(monkeypatch):
                         assert len(fallbacks) == (e < n), (kind, k, n, e)
                         deficient += e < n
     assert deficient == 6
+
+
+def _golden_cells() -> list:
+    return json.loads(GOLDEN.read_text())["cells"]
+
+
+def test_tangent_oracle_reproduces_the_golden_values():
+    # every cell of verify's tangent grid with n <= 9, collapsed e (which
+    # take the exact fallback) and e = n included, at seeds 0, 1, 2
+    cells = _golden_cells()
+    assert len(cells) == 225
+    for kind, k, n, e, values in cells:
+        got = [sub_dim_tangent(e, k, n, kind, seed) for seed in range(len(values))]
+        assert got == values, (kind, k, n, e)
+
+
+def test_chart_columns_match_the_general_builders():
+    # at A = [I_e ; 0], varying the rows below the identity block, on the
+    # golden cells with a generic w, a sparse (degenerate) w and w = 0
+    for kind, k, n, e, _ in _golden_cells():
+        chart = _skew_chart_columns if kind == SKEW else _sym_chart_columns
+        general = _skew_jacobian_columns if kind == SKEW else _sym_jacobian_columns
+        identity = [tuple(int(i == j) for i in range(n)) for j in range(e)]
+        rng = random.Random(f"chart-columns:{kind}:{k}:{n}:{e}")
+        generic = random_tensor(e, k, kind, rng).coeffs
+        sparse = dict(rng.sample(sorted(generic.items()), min(2, len(generic))))
+        for w in (generic, sparse, {}):
+            assert chart(w, e, n, k) == general(identity, w, n, k, range(e, n)), (kind, k, n, e, w)
 
 
 def test_membership_dimension_coherence():

@@ -67,6 +67,13 @@ def test_subset_rank_rejects_bad_input():
         subset_unrank(6, 2, 4)
 
 
+@pytest.mark.parametrize("subset", [(False, True), (0, True), (True,), (0, 1.0), (0, "1")])
+def test_subset_rank_refuses_non_int_entries(subset):
+    # (False, True) would otherwise rank as (0, 1)
+    with pytest.raises(ValueError, match="strictly increasing subset"):
+        subset_rank(subset, 3)
+
+
 # ---------------------------------------------------------------------------
 # wedge products
 
