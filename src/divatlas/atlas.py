@@ -31,7 +31,7 @@ from dataclasses import dataclass
 # w_dim is not called here; perfbench's test_tracer_rebinds_every_import_and_restores
 # expects to find it bound in this module
 from .brill_noether import _rho, _small_r, _top_points, _w_dim, big_R, w_dim  # noqa: F401
-from .subspaces import _sub_dim, e_max, e_max_sym, sec_dim_printed, sub_dim
+from .subspaces import _check_ints, _e_max, _e_max_sym, _sub_dim, e_max, e_max_sym, sec_dim_printed, sub_dim
 from .tensors import SKEW, SYM, check_kind
 
 
@@ -99,12 +99,10 @@ def fiber_dim(r: int, k: int, kind: str) -> int:
     """Projective dimension of the full linear system over a point of W^r_d.
 
     C(r+1, k) - 1 for the skew kind, C(r+k, k) - 1 for the symmetric
-    kind; -1 signals an empty system.
+    kind; -1 signals an empty system.  r and k must be ints (not bools).
     """
     check_kind(kind)
-    # bool is an int subclass, but True is not a section count
-    if not isinstance(r, int) or isinstance(r, bool):
-        raise ValueError(f"r must be an integer, got {r!r}")
+    _check_ints(r=r, k=k)
     if r < 0:
         raise ValueError("r must be >= 0")
     return _fiber_dim(r, k, kind)
@@ -117,9 +115,10 @@ def _fiber_dim(r: int, k: int, kind: str) -> int:
 
 
 def _e_bound(k: int, n: int, kind: str, paper_sym: bool) -> int:
+    """The enclosing bound on checked arguments, through the unchecked cores."""
     if kind == SKEW:
-        return e_max(k, n)
-    return e_max_sym(k, n, paper_compat=paper_sym)
+        return _e_max(k, n)
+    return _e_max_sym(k, n, paper_sym)
 
 
 def deformable(enc_value: int, k: int, r_target: int, kind: str, paper_sym: bool = False) -> bool:
@@ -130,7 +129,8 @@ def deformable(enc_value: int, k: int, r_target: int, kind: str, paper_sym: bool
     attainable in an (r_target+1)-dimensional section space.
     """
     check_kind(kind)
-    return enc_value <= _e_bound(k, r_target + 1, kind, paper_sym)
+    n = r_target + 1
+    return enc_value <= (e_max(k, n) if kind == SKEW else e_max_sym(k, n, paper_compat=paper_sym))
 
 
 def _strata(g: int, d: int, k: int, kind: str, paper_sym: bool, R: int) -> list:

@@ -52,12 +52,17 @@ def e_max(k: int, n: int) -> int:
 
     At most 1 for k = 1 (a vector encloses only its own line); n-1 when
     k = n-1, or when k = 2 and n is odd; n otherwise (0 when the whole
-    exterior power vanishes because n < k).
+    exterior power vanishes because n < k).  k and n must be ints (not
+    bools).
     """
-    if k < 1:
-        raise ValueError("degree k must be >= 1")
+    _check_degree(k=k, n=n)
     if n < 0:
         raise ValueError("dimension n must be >= 0")
+    return _e_max(k, n)
+
+
+def _e_max(k: int, n: int) -> int:
+    """e_max on arguments the caller has checked."""
     if k == 1:
         return min(n, 1)
     if n < k:
@@ -76,12 +81,17 @@ def e_max_sym(k: int, n: int, paper_compat: bool = False) -> int:
     own line, so the bound is min(n, 1) there.  The compat mode instead
     drops to n-1 for k = 2 and odd n, mirroring the parity rule for skew
     2-tensors; it is exposed so that both conventions can be compared,
-    not because odd catalecticant ranks fail to occur.
+    not because odd catalecticant ranks fail to occur.  k and n must be
+    ints (not bools).
     """
-    if k < 1:
-        raise ValueError("degree k must be >= 1")
+    _check_degree(k=k, n=n)
     if n < 0:
         raise ValueError("dimension n must be >= 0")
+    return _e_max_sym(k, n, paper_compat)
+
+
+def _e_max_sym(k: int, n: int, paper_compat: bool = False) -> int:
+    """e_max_sym on arguments the caller has checked."""
     if k == 1:
         return min(n, 1)
     if n == 0:
@@ -98,11 +108,16 @@ def _check_ints(**args) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_degree(**args) -> None:
+    """_check_ints on the arguments, then k >= 1."""
+    _check_ints(**args)
+    if args["k"] < 1:
+        raise ValueError("degree k must be >= 1")
+
+
 def _check_cell(e: int, k: int, n: int, kind: str) -> None:
     check_kind(kind)
-    _check_ints(e=e, k=k, n=n)
-    if k < 1:
-        raise ValueError("degree k must be >= 1")
+    _check_degree(e=e, k=k, n=n)
     floor = 1 if kind == SYM else k
     if not floor <= e <= n:
         raise ValueError(f"need {floor} <= e <= n, got k={k}, e={e}, n={n}")
@@ -118,10 +133,10 @@ def normalize_e(e: int, k: int, kind: str) -> int:
     to k (a k-vector enclosed in k+1 dimensions is already
     decomposable).  Symmetric tensors of degree k >= 2 attain every
     enclosing dimension down to 1 (k-th powers of vectors), so e is
-    returned unchanged.
+    returned unchanged.  e and k must be ints (not bools), and k >= 1.
     """
     check_kind(kind)
-    _check_ints(e=e, k=k)
+    _check_degree(e=e, k=k)
     floor = 1 if kind == SYM else k
     if e < floor:
         raise ValueError(f"e = {e} below the minimum enclosing dimension {floor}")
@@ -266,7 +281,7 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0, max_retries: int 
     a bounded number of times.  e, k and n must be ints (not bools).
     """
     _check_cell(e, k, n, kind)
-    full = e_max(k, e) if kind == SKEW else e_max_sym(k, e)
+    full = _e_max(k, e) if kind == SKEW else _e_max_sym(k, e)
     rng = random.Random(f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}")
     build = _skew_chart_columns if kind == SKEW else _sym_chart_columns
     for _ in range(max_retries):

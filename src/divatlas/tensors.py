@@ -20,8 +20,13 @@ nothing is accumulated.  enc and enclosing_space stream these columns
 into the elimination kernel (linalg._eliminate), which stops at full
 row rank, so a generic tensor's columns after the last pivot are never
 made; the contraction_matrix builders collect the same columns.
-Membership in the k-th power of a subspace contracts the tensor with
-the covectors that the same kernel leaves on the subspace's basis.
+Membership in the k-th power of a subspace (is_in_power_of) lists once
+the covectors that the same kernel leaves on the subspace's basis, then
+dots them with the contraction columns of the tensor's own faces: first
+the one face of its first term, read by n lookups, whose nonzero product
+certifies a non-member, then every face of its support, filled in one
+pass over the terms.  It never uses _contraction_columns, so it stays a
+route independent of the enclosing space it checks.
 """
 
 from __future__ import annotations
@@ -624,51 +629,121 @@ def apply_linear_map(mat, t):
     raise TypeError(f"not a tensor: {type(t).__name__}")
 
 
+def _skew_face_columns(t: SkewTensor):
+    """The contraction columns of t's faces, as dense lists: face J (a
+    (k-1)-subset) has (-1)^pos * coeff(J + {i}) in row i, pos the position
+    of i in J + {i}, and 0 in the rows of J.
+
+    The first column is that of the first term's face J = I minus its
+    first index, read by n lookups; the rest come from one pass over the
+    terms, each (term, position) pair writing its entry into its face's
+    column.  Each (face, row) pair comes from one term, so nothing is
+    accumulated, and the cost scales with the support, not C(n, k-1).
+    """
+    n = t.n
+    get = t.coeffs.get
+    J = next(iter(t.coeffs))[1:]
+    col = [0] * n
+    lo = 0
+    for pos, hi in enumerate(J + (n,)):
+        pre, suf = J[:pos], J[pos:]
+        for i in range(lo, hi):
+            c = get((*pre, i, *suf))
+            if c:
+                col[i] = -c if pos % 2 else c
+        lo = hi + 1
+    yield col
+    faces = {}
+    for idx, c in t.coeffs.items():
+        for pos, i in enumerate(idx):
+            face = idx[:pos] + idx[pos + 1 :]
+            col = faces.get(face)
+            if col is None:
+                col = faces[face] = [0] * n
+            col[i] = -c if pos % 2 else c
+    yield from faces.values()
+
+
+def _sym_face_columns(t: SymTensor):
+    """The contraction columns of t's faces, as dense lists: face a (an
+    exponent vector of degree k-1) has (a_i + 1) * coeff(a + e_i) in row i.
+
+    The first column is that of the first term's face, its first nonzero
+    exponent lowered by one, read by n lookups; the rest come from one
+    pass over the terms, as in _skew_face_columns.
+    """
+    n = t.n
+    get = t.coeffs.get
+    a = list(next(iter(t.coeffs)))
+    a[next(i for i, x in enumerate(a) if x)] -= 1
+    col = [0] * n
+    for i in range(n):
+        e = a[i] + 1
+        a[i] = e
+        c = get(tuple(a))
+        a[i] = e - 1
+        if c:
+            col[i] = e * c
+    yield col
+    faces = {}
+    for alpha, c in t.coeffs.items():
+        a = list(alpha)
+        for i, e in enumerate(alpha):
+            if e:
+                a[i] = e - 1
+                face = tuple(a)
+                a[i] = e
+                col = faces.get(face)
+                if col is None:
+                    col = faces[face] = [0] * n
+                col[i] = e * c
+    yield from faces.values()
+
+
 def is_in_power_of(t, W: SubspaceBasis) -> bool:
     """True iff t lies in the k-th exterior (resp. symmetric) power of span(W).
 
     Uses the identity that the k-th exterior power of W is the common
-    kernel of the contractions i_b by the covectors b vanishing on W
+    kernel of the contractions i_y by the covectors y vanishing on W
     (and, over QQ, the k-th symmetric power is the common kernel of the
-    derivations d_b).  Each vector of W is scaled by the lcm of its
-    denominators, which keeps its span, and _eliminate takes them as
-    columns: its n - dim(W) covectors left at the end are independent
-    integer covectors that annihilate span(W), so they span the
-    annihilator.  The tensor is contracted with each in one pass over
-    its coefficients, and the first nonzero contraction decides False.
+    derivations d_y).  The coefficient of i_y t (resp. d_y t) on a face
+    J is the dot product of y with J's contraction column, so t is a
+    member iff every covector annihilates every face column.  Three
+    steps:
 
-    This is a route of its own: it never builds a contraction matrix or
-    takes a rank, so it can be checked against enclosing_space.
+    1. Each vector of W is scaled by the lcm of its denominators, which
+       keeps its span, and _eliminate takes them as columns; its
+       n - dim(W) covectors left at the end are independent integer
+       covectors that span the annihilator.  They are listed once.
+       With none, a zero t or k = 0, t is a member.
+    2. The column of one face, that of t's first term, is read by n
+       coefficient lookups.  A covector with a nonzero dot product on it
+       is an exact certificate that t is not a member.
+    3. Otherwise one pass over t's terms fills a dense column for each
+       face of its support, and each is dotted with every covector;
+       the first nonzero product decides False.  The cost scales with
+       the support (nnz * k entries), never with C(n, k-1).
+
+    This is a route of its own: it never builds a contraction matrix,
+    takes a rank or makes the columns of _contraction_columns, which
+    enc and enclosing_space rank, so it can be checked against them.
     """
     if W.ambient_dim != t.n:
         raise ValueError("subspace ambient dimension does not match tensor")
     if isinstance(t, SkewTensor):
-        # i_b e_I has (-1)^pos * b[i] on I minus its pos-th index i
-        def contraction(b):
-            out = {}
-            for idx, c in t.coeffs.items():
-                for pos, i in enumerate(idx):
-                    if b[i]:
-                        key = idx[:pos] + idx[pos + 1 :]
-                        v = b[i] * c
-                        out[key] = out.get(key, 0) + (-v if pos % 2 else v)
-            return out
-
+        face_columns = _skew_face_columns
     elif isinstance(t, SymTensor):
-        # d_b x^alpha has alpha_i * b[i] on alpha - e_i
-        def contraction(b):
-            out = {}
-            for alpha, c in t.coeffs.items():
-                for i, a in enumerate(alpha):
-                    if a and b[i]:
-                        key = alpha[:i] + (a - 1,) + alpha[i + 1 :]
-                        out[key] = out.get(key, 0) + a * b[i] * c
-            return out
-
+        face_columns = _sym_face_columns
     else:
         raise TypeError(f"not a tensor: {type(t).__name__}")
+    if not t.k or not t.coeffs:
+        return True
     _, _, annihilator = _eliminate(map(_int_vector, W.vectors), t.n)
-    return not any(any(contraction(b).values()) for b in annihilator)
+    covectors = list(annihilator)
+    if not covectors:
+        return True
+    mul = operator.mul
+    return not any(sum(map(mul, y, col)) for col in face_columns(t) for y in covectors)
 
 
 # ---------------------------------------------------------------------------

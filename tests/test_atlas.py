@@ -393,3 +393,24 @@ def test_fiber_dim_refuses_non_integer_r(r):
     with pytest.raises(ValueError) as info:
         fiber_dim(r, 2, SKEW)
     assert str(info.value) == f"r must be an integer, got {r!r}"
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0, "2", None, Fraction(2)], ids=repr)
+def test_fiber_dim_refuses_non_integer_k(k):
+    # fiber_dim(2, True, "skew") gave 2
+    with pytest.raises(ValueError) as info:
+        fiber_dim(2, k, SKEW)
+    assert str(info.value) == f"k must be an integer, got {k!r}"
+
+
+def test_strata_walk_calls_the_unchecked_bounds(monkeypatch):
+    # the checked e_max and e_max_sym are for outside callers; a report
+    # takes its bounds from the private cores
+    def refuse(*args, **kwargs):
+        raise AssertionError("checked bound called inside a report")
+
+    monkeypatch.setattr(atlas, "e_max", refuse)
+    monkeypatch.setattr(atlas, "e_max_sym", refuse)
+    for args in [(37, 36, 2, SKEW), (8, 14, 3, SYM), (8, 9, 2, SYM)]:
+        atlas_report(*args, include_canonical=True)
+        jump_strata(*args, paper_sym=True)

@@ -116,6 +116,41 @@ def test_dimension_functions_refuse_non_int_arguments(kind, name, bad):
             normalize_e(args["e"], args["k"], kind)
 
 
+@pytest.mark.parametrize("e, k, kind", [(0, 0, SKEW), (3, -1, SKEW), (1, 0, SYM), (2, -2, SYM)])
+def test_normalize_e_refuses_degree_below_one(e, k, kind):
+    # normalize_e(0, 0, "skew") gave 0 and normalize_e(3, -1, "skew") gave 3
+    with pytest.raises(ValueError) as info:
+        normalize_e(e, k, kind)
+    assert str(info.value) == "degree k must be >= 1"
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, "2", None, Fraction(2)], ids=repr)
+@pytest.mark.parametrize("name", ["k", "n"])
+@pytest.mark.parametrize("bound", [e_max, e_max_sym])
+def test_e_max_refuses_non_int_arguments(bound, name, bad):
+    # e_max(True, 3) gave 1 and e_max_sym(2.0, 3) gave 3
+    args = {"k": 2, "n": 3, name: bad}
+    with pytest.raises(ValueError) as info:
+        bound(**args)
+    assert str(info.value) == f"{name} must be an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("bound", [e_max, e_max_sym])
+def test_e_max_range_errors(bound):
+    with pytest.raises(ValueError, match="degree k must be >= 1"):
+        bound(0, 3)
+    with pytest.raises(ValueError, match="dimension n must be >= 0"):
+        bound(2, -1)
+
+
+def test_e_max_cores_match_the_checked_bounds():
+    for k in range(1, 6):
+        for n in range(0, 10):
+            assert subspaces._e_max(k, n) == e_max(k, n)
+            for compat in (False, True):
+                assert subspaces._e_max_sym(k, n, compat) == e_max_sym(k, n, paper_compat=compat)
+
+
 def test_sub_dim_monotone_in_e():
     for kind in (SKEW, SYM):
         for k in (2, 3, 4):

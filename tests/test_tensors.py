@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -654,12 +655,60 @@ def test_is_in_power_of_avoids_the_oracle_side(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("oracle-side function called")
 
-    for name in ("contraction_matrix", "enclosing_space", "enc", "rank", "image_basis", "apply_linear_map"):
+    names = ("contraction_matrix", "enclosing_space", "enc", "rank", "image_basis", "apply_linear_map")
+    # the column generators that enc and enclosing_space rank
+    names += ("_contraction_columns", "_skew_columns", "_sym_columns", "_pivot_columns")
+    for name in names:
         for module in (tensors, linalg):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     for t, W, expected in cases:
         assert is_in_power_of(t, W) is expected
+
+
+def _coordinate_span(n, indices):
+    return SubspaceBasis(n, tuple(tuple(int(i == j) for i in range(n)) for j in sorted(indices)))
+
+
+@pytest.mark.parametrize(
+    "cls, first, second",
+    [
+        (SkewTensor, (0, 1, 2), (3, 4, 5)),
+        (SymTensor, (3, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 3)),
+    ],
+    ids=[SKEW, SYM],
+)
+def test_is_in_power_of_full_pass_decides_past_a_zero_first_face(cls, first, second):
+    # W = span(e0..e4) is annihilated by e5 alone; the first term's face
+    # column has nothing in row 5, so the one-face certificate finds zero
+    # and only the second term's faces show that t is not a member
+    t = cls(6, 3, {first: 1, second: 1})
+    W = _coordinate_span(6, range(5))
+    face_columns = tensors._skew_face_columns if cls is SkewTensor else tensors._sym_face_columns
+    column = next(face_columns(t))
+    assert column[5] == 0 and any(column)
+    assert not is_in_power_of(t, W)
+    assert is_in_power_of(cls(6, 3, {first: 1}), W)
+    assert is_in_power_of(t, _coordinate_span(6, range(6)))
+
+
+def test_is_in_power_of_sparse_tensor_at_large_n():
+    # ten terms of degree 4 on QQ^80: the cost follows the support (40
+    # faces), not the C(80, 3) = 82,160 faces of the contraction matrix
+    rng = random.Random("sparse-membership")
+    n, k = 80, 4
+    t = SkewTensor(n, k, {tuple(sorted(rng.sample(range(n), k))): rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(10)})
+    assert len(t.coeffs) == 10
+    support = sorted(set(itertools.chain.from_iterable(t.coeffs)))
+    others = [i for i in range(n) if i not in support]
+    cases = [(_coordinate_span(n, support), True), (_coordinate_span(n, support + others[:20]), True)]
+    for drop in (support[0], support[len(support) // 2], support[-1]):
+        cases.append((_coordinate_span(n, [i for i in support if i != drop] + others[:20]), False))
+    start = time.perf_counter()
+    for W, expected in cases:
+        assert is_in_power_of(t, W) is expected
+    # a walk over all C(n, k-1) faces takes seconds; the support pass takes milliseconds
+    assert time.perf_counter() - start < 2
 
 
 def test_sym_decomposable_enc():
