@@ -126,9 +126,11 @@ def deformable(enc_value: int, k: int, r_target: int, kind: str, paper_sym: bool
     bundle into the stratum where h^0 = r_target + 1.
 
     True iff enc_value does not exceed the maximal enclosing dimension
-    attainable in an (r_target+1)-dimensional section space.
+    attainable in an (r_target+1)-dimensional section space.  enc_value,
+    k and r_target must be ints (not bools).
     """
     check_kind(kind)
+    _check_ints(enc_value=enc_value, k=k, r_target=r_target)
     n = r_target + 1
     return enc_value <= (e_max(k, n) if kind == SKEW else e_max_sym(k, n, paper_compat=paper_sym))
 

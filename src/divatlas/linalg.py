@@ -17,9 +17,10 @@ time and stops at full row rank, so a caller can make its columns on
 demand (the contraction columns of ``tensors.enc``: a generic
 contraction matrix is n x C(n, k-1) and reaches full row rank well
 before its last column).  The covectors left at the end span the
-annihilator of the column space, which the membership test contracts
-with.  Rows or columns with a Fraction entry are scaled by the lcm of
-their denominators first, which changes neither the rank nor the pivot
+annihilator of the column space: ``tensors.SubspaceBasis`` keeps those
+of its vectors, and the membership test contracts with them.  Rows or
+columns with a Fraction entry are scaled by the lcm of their
+denominators first, which changes neither the rank nor the pivot
 columns.  ``_bareiss`` is the same kernel on the columns of a list of
 rows.  A plain rational Gaussian elimination, ``gauss_rank``, is kept
 as an independent cross-check; the two share no elimination code.
@@ -201,8 +202,8 @@ def _eliminate(columns, n_rows: int) -> tuple:
     own row and 0 on the other rows without a pivot) and annihilate
     every column read, so they span the annihilator of the column space.
     They come back as an iterator over n_rows - rank dense lists of ints,
-    each made when it is asked for, so a caller that stops early (the
-    membership test) makes no more of them.
+    each made when it is asked for, so a caller that needs only the
+    pivots (enc) makes none.
     """
     pivot_cols = []
     pivot_rows = []
@@ -373,15 +374,6 @@ def gauss_rank(M: RationalMatrix) -> int:
         if r == n_rows:
             break
     return r
-
-
-def lin_indep(vectors) -> bool:
-    """True iff the vectors are independent.  They are eliminated as rows,
-    so _bareiss stops as soon as each of them has a pivot."""
-    vs = [as_vector(v) for v in vectors]
-    if len({len(v) for v in vs}) > 1:
-        raise ValueError("columns have unequal lengths")
-    return _bareiss(_int_rows(vs))[0] == len(vs)
 
 
 def exact_det(rows) -> int | Fraction:

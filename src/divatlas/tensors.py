@@ -20,8 +20,11 @@ nothing is accumulated.  enc and enclosing_space stream these columns
 into the elimination kernel (linalg._eliminate), which stops at full
 row rank, so a generic tensor's columns after the last pivot are never
 made; the contraction_matrix builders collect the same columns.
-Membership in the k-th power of a subspace (is_in_power_of) lists once
-the covectors that the same kernel leaves on the subspace's basis, then
+Membership in the k-th power of a subspace (is_in_power_of) reads the
+covectors that span the subspace's annihilator: SubspaceBasis makes
+them in the one kernel call that checks its vectors' independence, and
+a basis from enclosing_space, which that check skips, makes them from
+its own vectors on first use rather than reuse enc's elimination.  It
 dots them with the contraction columns of the tensor's own faces: first
 the one face of its first term, read by n lookups, whose nonzero product
 certifies a non-member, then every face of its support, filled in one
@@ -47,7 +50,6 @@ from .linalg import (
     as_exact,
     as_vector,
     exact_det,
-    lin_indep,
     rank,  # noqa: F401 (unused here; perfbench's tracer tests rewrap this binding)
 )
 
@@ -293,7 +295,23 @@ class SymTensor(_Tensor):
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """A basis (independent list of vectors) of a subspace of QQ^n."""
+    """A basis (independent list of vectors) of a subspace W of QQ^n.
+
+    The constructor eliminates the vectors once, each scaled by the lcm
+    of its denominators (which keeps its span), as the columns of an
+    n-row matrix (linalg._eliminate): they are independent exactly when
+    each of them is a pivot, and the n - dim integer covectors that the
+    same call leaves span the annihilator of W, which is_in_power_of
+    contracts with.  They are kept as a private attribute, outside the
+    fields, so equality, hashing and repr see only ambient_dim and
+    vectors.
+
+    A basis from _independent (enclosing_space's pivot columns) skips
+    that check and makes its covectors from its own vectors on first
+    use, by the same call: taking them from enc's elimination would let
+    is_in_power_of(t, enclosing_space(t)) check enc against enc's own
+    kernel output.
+    """
 
     ambient_dim: int
     vectors: tuple = ()
@@ -303,18 +321,34 @@ class SubspaceBasis:
         for v in vs:
             if len(v) != self.ambient_dim:
                 raise ValueError("basis vector has wrong length")
-        if not lin_indep(vs):
-            raise ValueError("basis vectors are linearly dependent")
         object.__setattr__(self, "vectors", vs)
+        if self._run_kernel() != len(vs):
+            raise ValueError("basis vectors are linearly dependent")
 
     @classmethod
     def _independent(cls, ambient_dim: int, vectors: tuple) -> "SubspaceBasis":
         """Wrap vectors of length ambient_dim that are independent by construction
-        (pivot columns), without a second elimination to check it."""
+        (pivot columns), without a second elimination to check it; the
+        covectors are made on first use."""
         basis = object.__new__(cls)
         object.__setattr__(basis, "ambient_dim", ambient_dim)
         object.__setattr__(basis, "vectors", vectors)
+        object.__setattr__(basis, "_covectors", None)
         return basis
+
+    def _run_kernel(self) -> int:
+        """The one elimination of the vectors: keep the covectors it leaves,
+        as int tuples, and return its pivot count."""
+        pivots, _, covectors = _eliminate(map(_int_vector, self.vectors), self.ambient_dim)
+        object.__setattr__(self, "_covectors", tuple(map(tuple, covectors)))
+        return len(pivots)
+
+    def _annihilator(self) -> tuple:
+        """The n - dim integer covectors, as int tuples, that span the
+        annihilator of W."""
+        if self._covectors is None:
+            self._run_kernel()
+        return self._covectors
 
     @property
     def dim(self) -> int:
@@ -711,11 +745,13 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
     member iff every covector annihilates every face column.  Three
     steps:
 
-    1. Each vector of W is scaled by the lcm of its denominators, which
-       keeps its span, and _eliminate takes them as columns; its
-       n - dim(W) covectors left at the end are independent integer
-       covectors that span the annihilator.  They are listed once.
-       With none, a zero t or k = 0, t is a member.
+    1. The n - dim(W) independent integer covectors that span W's
+       annihilator are read from W.  The constructor made them in the
+       elimination that checked W's independence; a basis from
+       enclosing_space makes them from its vectors on the first call
+       and keeps them, so that is_in_power_of(t, enclosing_space(t))
+       checks enc against a second elimination, not against enc's
+       own.  With none, a zero t or k = 0, t is a member.
     2. The column of one face, that of t's first term, is read by n
        coefficient lookups.  A covector with a nonzero dot product on it
        is an exact certificate that t is not a member.
@@ -738,8 +774,7 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
         raise TypeError(f"not a tensor: {type(t).__name__}")
     if not t.k or not t.coeffs:
         return True
-    _, _, annihilator = _eliminate(map(_int_vector, W.vectors), t.n)
-    covectors = list(annihilator)
+    covectors = W._annihilator()
     if not covectors:
         return True
     mul = operator.mul

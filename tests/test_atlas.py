@@ -35,6 +35,15 @@ def test_deformable_examples():
     assert deformable(2, 2, 2, SKEW)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [((1, 2, True), "r_target"), ((True, 2, 2), "enc_value"), ((1, 2, 2.0), "r_target"), ((1, 2.0, 2), "k")],
+)
+def test_deformable_rejects_non_int_arguments(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        deformable(*args, SKEW)
+
+
 def test_jump_strata_genus_37():
     assert jump_strata(37, 36, 2, SKEW) == [(1, 2), (3, 4), (5, 6)]
     assert jump_strata(37, 36, 3, SKEW) == [(2, 3), (4, 5), (5, 6)]

@@ -22,7 +22,6 @@ from divatlas.linalg import (
     image_basis,
     in_span,
     int_det,
-    lin_indep,
     random_matrix,
     rank,
 )
@@ -189,12 +188,6 @@ def test_det_matches_leibniz():
 
 def test_det_fractional():
     assert exact_det([["1/2", 0], [0, "1/3"]]) == Fraction(1, 6)
-
-
-def test_lin_indep():
-    assert lin_indep([(1, 0), (0, 1)])
-    assert not lin_indep([(1, 2), (2, 4)])
-    assert lin_indep([])
 
 
 def test_int_rows_copies_integral_rows_without_rescaling(monkeypatch):

@@ -375,12 +375,37 @@ def test_is_in_power_of_examples():
     assert not is_in_power_of(SymTensor(4, 2, {(0, 1, 0, 1): 1}), small)
 
 
+def _count_eliminations(monkeypatch) -> list:
+    """Wrap tensors._eliminate: each call appends the list of the columns
+    that it reads, filled as the kernel reads them."""
+    calls = []
+    eliminate = tensors._eliminate
+
+    def counted(columns, n_rows):
+        seen = []
+        calls.append(seen)
+        return eliminate((seen.append(col) or col for col in columns), n_rows)
+
+    monkeypatch.setattr(tensors, "_eliminate", counted)
+    return calls
+
+
 def test_enclosing_space_skips_independence_recheck(monkeypatch):
-    # pivot columns are independent by construction, so no second
-    # elimination runs; user-built bases are still checked (next test)
-    monkeypatch.setattr(tensors, "lin_indep", lambda vs: pytest.fail("independence re-checked"))
-    assert enclosing_space(random_tensor(5, 2, SKEW, 1)).dim == 4
-    assert enclosing_space(random_tensor(4, 3, SYM, 1)).dim == 4
+    # pivot columns are independent by construction, so enclosing_space
+    # runs only its own pivot search; the covectors are made from the
+    # basis vectors on the first membership test, then kept
+    calls = _count_eliminations(monkeypatch)
+    for kind, n, k, dim in ((SKEW, 5, 2, 4), (SYM, 4, 3, 4), (SKEW, 6, 2, 6)):
+        t = random_tensor(n, k, kind, 1)
+        basis = enclosing_space(t)
+        assert basis.dim == dim
+        assert len(calls) == 1
+        assert is_in_power_of(t, basis)
+        assert len(calls) == 2
+        assert [tuple(col) for col in calls[1]] == list(basis.vectors)
+        assert is_in_power_of(t, basis)
+        assert len(calls) == 2
+        calls.clear()
 
 
 def test_is_in_power_of_degree_zero():
@@ -393,13 +418,24 @@ def test_is_in_power_of_degree_zero():
 
 
 def test_random_subspace_eliminates_once(monkeypatch):
-    calls = []
-    lin_indep = tensors.lin_indep
-    monkeypatch.setattr(tensors, "lin_indep", lambda vs: calls.append(1) or lin_indep(vs))
+    calls = _count_eliminations(monkeypatch)
     W = random_subspace(6, 3, "x")
     assert len(calls) == 1
     rng = random.Random("x")
     assert W.vectors == tuple(random_vector(6, rng) for _ in range(3))
+    # membership reads the covectors that construction kept
+    for t in (random_tensor(6, 2, SKEW, 2), random_tensor(6, 2, SYM, 2)):
+        assert not is_in_power_of(t, W)
+    assert len(calls) == 1
+
+
+def test_subspace_basis_checks_independence():
+    assert SubspaceBasis(2, ((1, 0), (0, 1))).dim == 2
+    with pytest.raises(ValueError, match="basis vectors are linearly dependent"):
+        SubspaceBasis(2, ((1, 2), (2, 4)))
+    empty = SubspaceBasis(2, ())
+    assert empty.dim == 0
+    assert empty._annihilator() == ((1, 0), (0, 1))
 
 
 def test_random_tensor_matches_the_public_constructor(monkeypatch):
