@@ -12,8 +12,7 @@ from .tensors import (
     SubspaceBasis,
     SymTensor,
     apply_linear_map,
-    contraction_matrix_skew,
-    contraction_matrix_sym,
+    contraction_matrix,
     enc,
     enclosing_space,
     is_in_power_of,

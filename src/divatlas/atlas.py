@@ -31,7 +31,8 @@ from dataclasses import dataclass
 # w_dim is not called here; perfbench's test_tracer_rebinds_every_import_and_restores
 # expects to find it bound in this module
 from .brill_noether import _rho, _small_r, _top_points, _w_dim, big_R, w_dim  # noqa: F401
-from .subspaces import _check_ints, _e_max, _e_max_sym, _sub_dim, e_max, e_max_sym, sec_dim_printed, sub_dim
+from .linalg import _check_ints
+from .subspaces import _e_max, _e_max_sym, _sub_dim, e_max, e_max_sym, sec_dim_printed, sub_dim
 from .tensors import SKEW, SYM, check_kind
 
 

@@ -5,7 +5,7 @@ subspace-variety membership, tangent-space dimension) reduces to the
 rank of a matrix with rational entries, and a single wrong rank flips
 a predicate, so nothing here is ever computed with floating point.
 
-Every exact rank, pivot set and determinant above 3 x 3 comes from one
+Every exact rank, pivot set and determinant comes from one
 fraction-free elimination kernel on integers, ``_eliminate``.  It takes
 a stream of columns and keeps one integer covector per row that has no
 pivot yet; by Sylvester's identity (Bareiss, Math. Comp. 22, 1968) the
@@ -22,8 +22,7 @@ of its vectors, and the membership test contracts with them.  Rows or
 columns with a Fraction entry are scaled by the lcm of their
 denominators first, which changes neither the rank nor the pivot
 columns.  ``_bareiss`` is the same kernel on the columns of a list of
-rows.  A plain rational Gaussian elimination, ``gauss_rank``, is kept
-as an independent cross-check; the two share no elimination code.
+rows.
 
 ``_certified_rank`` serves the tangent-space oracle, whose integer
 Jacobians have independent columns in the generic case and are mostly
@@ -34,6 +33,19 @@ mod p equal to the column count is certified, and anything less is
 redone exactly by ``_bareiss`` on the densified columns.  It is not
 used where deficient ranks are expected (the contraction matrices of
 enc, the membership test).
+
+The production route (enc, enclosing_space, SubspaceBasis and the
+membership test, sub_dim_tangent, the atlas, and the CLI's enc and
+components) uses only the kernels and the coercions: ``_eliminate``,
+``_bareiss``, ``_certified_rank``, ``_int_vector``, ``as_exact``,
+``as_vector`` and ``_check_ints``.  The oracles here, kept for
+``verify``, the tests and the benchmark, are the dense
+``RationalMatrix`` with ``rank``, ``image_basis`` and ``in_span`` on
+it, ``exact_det`` and ``int_det`` (``_bareiss`` on rows from
+``_int_rows``), ``random_matrix``, and ``gauss_rank``, a plain rational
+Gaussian elimination that shares no code with the kernel, so it checks
+the kernel independently.  tests/test_layering.py fails if a production
+function loads an oracle or if gauss_rank loads a kernel.
 """
 
 from __future__ import annotations
@@ -68,6 +80,14 @@ def as_exact(x) -> int | Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _check_ints(**args) -> None:
+    """Refuse any argument that is not a plain int, naming it."""
+    # bool is an int subclass, but True is not a dimension or a degree
+    for name, value in args.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def as_vector(entries) -> Vector:
     v = tuple(entries)
     # plain ints are exact already (a bool's type is not int)
@@ -83,7 +103,7 @@ class RationalMatrix:
     where not integral.
     """
 
-    __slots__ = ("rows", "cols", "_m", "_integral")
+    __slots__ = ("rows", "cols", "_m")
 
     def __init__(self, data, cols: int | None = None):
         m = tuple(as_vector(row) for row in data)
@@ -96,20 +116,6 @@ class RationalMatrix:
         self.rows = len(m)
         self.cols = width
         self._m = m
-        self._integral = False
-
-    @classmethod
-    def _exact(cls, rows: list, cols: int, integral: bool) -> "RationalMatrix":
-        """Wrap rows of width cols whose entries are already exact, as
-        as_exact gives them, without coercing them again; integral says
-        that every entry is an int, so the rank kernel can read the rows
-        as they are."""
-        mat = object.__new__(cls)
-        mat.rows = len(rows)
-        mat.cols = cols
-        mat._m = tuple(map(tuple, rows))
-        mat._integral = integral
-        return mat
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -323,18 +329,14 @@ def _certified_rank(columns) -> int:
     return len(pivots)
 
 
-def _kernel_rows(M: RationalMatrix):
-    return M._m if M._integral else _int_rows(M._m)
-
-
 def rank(M: RationalMatrix) -> int:
     """Exact rank over the rationals (Bareiss elimination)."""
-    return _bareiss(_kernel_rows(M))[0]
+    return _bareiss(_int_rows(M._m))[0]
 
 
 def image_basis(M: RationalMatrix) -> list:
     """Pivot columns of M: a basis of the column space, length = rank(M)."""
-    _, pivots, _ = _bareiss(_kernel_rows(M))
+    _, pivots, _ = _bareiss(_int_rows(M._m))
     return [M.column(j) for j in pivots]
 
 
@@ -393,21 +395,9 @@ def exact_det(rows) -> int | Fraction:
 
 
 def int_det(rows) -> int:
-    """Determinant of an integer matrix: closed forms up to 3 x 3, Bareiss above."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        a, b, c = rows[0]
-        d, e, f = rows[1]
-        g, h, i = rows[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    """Determinant of a square integer matrix, by Bareiss elimination (1 for 0 x 0)."""
     r, _, det = _bareiss(rows)
-    return det if r == n else 0
+    return det if r == len(rows) else 0
 
 
 def random_matrix(rows: int, cols: int, rng: random.Random, lo: int = -9, hi: int = 9) -> RationalMatrix:

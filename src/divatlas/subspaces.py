@@ -36,7 +36,7 @@ import math
 import random
 
 # rank is not called here; perfbench's tracer tests expect to find it bound in this module
-from .linalg import _certified_rank, rank  # noqa: F401
+from .linalg import _certified_rank, _check_ints, rank  # noqa: F401
 from .tensors import (
     SKEW,
     SYM,
@@ -99,13 +99,6 @@ def _e_max_sym(k: int, n: int, paper_compat: bool = False) -> int:
     if paper_compat and k == 2 and n % 2 == 1:
         return n - 1
     return n
-
-
-def _check_ints(**args) -> None:
-    # bool is an int subclass, but True is not a dimension or a degree
-    for name, value in args.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_degree(**args) -> None:
@@ -262,7 +255,11 @@ def _sym_chart_columns(w: dict, e: int, n: int, k: int) -> list:
     return cols
 
 
-def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0, max_retries: int = 8) -> int:
+# redraws of w in sub_dim_tangent before it gives up
+MAX_RETRIES = 8
+
+
+def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0) -> int:
     """Dimension of Sub_e measured at a random point, independent of sub_dim.
 
     Evaluates the Jacobian of the parametrization (A, w) -> (power of A
@@ -278,15 +275,15 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0, max_retries: int 
     substitution.  The rank is certified mod a prime, with an exact
     fallback (linalg._certified_rank).  A w whose enclosing dimension
     is below the maximum on QQ^e lies in a smaller Sub_e; it is redrawn
-    a bounded number of times.  e, k and n must be ints (not bools).
+    up to MAX_RETRIES times.  e, k and n must be ints (not bools).
     """
     _check_cell(e, k, n, kind)
     full = _e_max(k, e) if kind == SKEW else _e_max_sym(k, e)
     rng = random.Random(f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}")
     build = _skew_chart_columns if kind == SKEW else _sym_chart_columns
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         omega = random_tensor(e, k, kind, rng)
         if enc(omega) < full:
             continue
         return _certified_rank(build(omega.coeffs, e, n, k)) - 1
-    raise RuntimeError(f"no nondegenerate sample after {max_retries} retries")
+    raise RuntimeError(f"no nondegenerate sample after {MAX_RETRIES} retries")

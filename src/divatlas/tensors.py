@@ -19,7 +19,8 @@ for each row i, so each entry comes from a single coefficient and
 nothing is accumulated.  enc and enclosing_space stream these columns
 into the elimination kernel (linalg._eliminate), which stops at full
 row rank, so a generic tensor's columns after the last pivot are never
-made; the contraction_matrix builders collect the same columns.
+made; the oracle contraction_matrix collects the same columns into a
+RationalMatrix.
 Membership in the k-th power of a subspace (is_in_power_of) reads the
 covectors that span the subspace's annihilator: SubspaceBasis makes
 them in the one kernel call that checks its vectors' independence, and
@@ -45,6 +46,7 @@ from fractions import Fraction
 from .linalg import (
     _INT,
     RationalMatrix,
+    _check_ints,
     _eliminate,
     _int_vector,
     as_exact,
@@ -165,6 +167,7 @@ class _Tensor:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_ints(n=self.n, k=self.k)
         if self.n < 0 or self.k < 0:
             raise ValueError("n and k must be nonnegative")
         keys = list(map(tuple, self.coeffs))
@@ -186,9 +189,9 @@ class _Tensor:
 
     @classmethod
     def _exact(cls, n: int, k: int, coeffs: dict):
-        """Wrap coefficients that are valid by construction (tuple keys that
-        pass _check_keys, nonzero values as as_exact gives them) without
-        a second pass over them."""
+        """Wrap coefficients that are valid by construction (int n and k,
+        tuple keys that pass _check_keys, nonzero values as as_exact gives
+        them) without a second pass over them."""
         t = object.__new__(cls)
         object.__setattr__(t, "n", n)
         object.__setattr__(t, "k", k)
@@ -317,6 +320,9 @@ class SubspaceBasis:
     vectors: tuple = ()
 
     def __post_init__(self):
+        _check_ints(ambient_dim=self.ambient_dim)
+        if self.ambient_dim < 0:
+            raise ValueError(f"ambient_dim must be >= 0, got {self.ambient_dim}")
         vs = tuple(as_vector(v) for v in self.vectors)
         for v in vs:
             if len(v) != self.ambient_dim:
@@ -549,38 +555,30 @@ def _sym_columns(t: SymTensor):
         yield tuple(col)
 
 
-def contraction_matrix_skew(t: SkewTensor) -> RationalMatrix:
-    """Matrix of the contraction pairing a skew tensor against (k-1)-covectors.
-
-    n rows, C(n, k-1) columns.  The column indexed by a (k-1)-subset J
-    has entry (-1)^pos * coeff(J + {i}) in row i (i not in J), where pos
-    is the 0-based position of i in the sorted union.  The sign is a
-    fixed global convention; the column space does not depend on it.
-    """
-    return contraction_matrix(t)
-
-
-def contraction_matrix_sym(t: SymTensor) -> RationalMatrix:
-    """First catalecticant of a symmetric tensor.
-
-    n rows, C(n+k-2, k-1) columns.  The column indexed by an exponent
-    vector a of total degree k-1 has entry (a_i + 1) * coeff(a + e_i)
-    in row i; the integer factor comes from the monomial convention and
-    does not change the column space.
-    """
-    return contraction_matrix(t)
-
-
 def _integral(t) -> bool:
     # coefficients are as as_exact gives them: ints, or non-integral Fractions
     return _INT.issuperset(map(type, t.coeffs.values()))
 
 
 def contraction_matrix(t) -> RationalMatrix:
-    """Every column of _contraction_columns, as a matrix."""
-    columns = list(_contraction_columns(t))
-    rows = list(zip(*columns)) if columns else [() for _ in range(t.n)]
-    return RationalMatrix._exact(rows, len(columns), _integral(t))
+    """Every column of _contraction_columns, as a matrix with n rows.
+
+    Skew: the matrix of the contraction pairing t against (k-1)-covectors,
+    C(n, k-1) columns.  The column of a (k-1)-subset J has entry
+    (-1)^pos * coeff(J + {i}) in row i (i not in J), where pos is the
+    0-based position of i in the sorted union, and 0 in the rows of J.
+    The sign is a fixed global convention; the column space does not
+    depend on it.
+
+    Sym: the first catalecticant, C(n+k-2, k-1) columns.  The column of
+    an exponent vector a of total degree k-1 has entry
+    (a_i + 1) * coeff(a + e_i) in row i; the integer factor comes from
+    the monomial convention and does not change the column space.
+
+    An oracle: enc and enclosing_space stream the same columns into the
+    kernel and never build this matrix.
+    """
+    return RationalMatrix.from_columns(_contraction_columns(t), t.n)
 
 
 def _pivot_columns(t) -> tuple:

@@ -17,8 +17,7 @@ from divatlas.tensors import (
     SubspaceBasis,
     SymTensor,
     apply_linear_map,
-    contraction_matrix_skew,
-    contraction_matrix_sym,
+    contraction_matrix,
     enc,
     enclosing_space,
     exponent_vectors,
@@ -160,19 +159,19 @@ def test_sym_tensor_validation():
 
 
 def test_contraction_skew_plane():
-    M = contraction_matrix_skew(wedge([(1, 0), (0, 1)]))
+    M = contraction_matrix(wedge([(1, 0), (0, 1)]))
     assert (M.rows, M.cols) == (2, 2)
     assert rank(M) == 2
 
 
 def test_contraction_skew_zero():
-    M = contraction_matrix_skew(SkewTensor(3, 2, {}))
+    M = contraction_matrix(SkewTensor(3, 2, {}))
     assert M == RationalMatrix.zero(3, 3)
 
 
 def test_contraction_skew_symplectic_explicit():
     # sign convention is pinned: entry (i, J) is (-1)^pos coeff(J + {i})
-    M = contraction_matrix_skew(SYMPLECTIC4)
+    M = contraction_matrix(SYMPLECTIC4)
     expected = RationalMatrix(
         [
             [0, 1, 0, 0],
@@ -187,18 +186,18 @@ def test_contraction_skew_symplectic_explicit():
 
 def test_contraction_sym_unit_quadric():
     q = SymTensor(3, 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-    M = contraction_matrix_sym(q)
+    M = contraction_matrix(q)
     assert M == RationalMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
     assert rank(M) == 3
 
 
 def test_contraction_sym_power_rank_one():
-    assert rank(contraction_matrix_sym(sym_power((1, 0, 0), 4))) == 1
+    assert rank(contraction_matrix(sym_power((1, 0, 0), 4))) == 1
 
 
 def test_contraction_sym_fermat_explicit():
     t = SymTensor(2, 3, {(3, 0): 1, (0, 3): 1})
-    M = contraction_matrix_sym(t)
+    M = contraction_matrix(t)
     # columns indexed by exponent vectors (2,0), (1,1), (0,2)
     assert M == RationalMatrix([[3, 0, 0], [0, 0, 3]])
     assert rank(M) == 2
@@ -235,8 +234,8 @@ def _sparse_rational(keys, rng):
 def test_contraction_builders_match_reference_scan():
     rng = random.Random("contraction-scan")
     builders = [
-        (SkewTensor, k_subsets, contraction_matrix_skew, _scan_skew),
-        (SymTensor, exponent_vectors, contraction_matrix_sym, _scan_sym),
+        (SkewTensor, k_subsets, contraction_matrix, _scan_skew),
+        (SymTensor, exponent_vectors, contraction_matrix, _scan_sym),
     ]
     for _ in range(150):
         n, k = rng.randint(0, 8), rng.randint(1, 4)
@@ -867,6 +866,47 @@ def test_bool_index_entries_refused_by_both_routes(cls, n, k, key, message):
     with pytest.raises(ValueError) as err:
         tensor_from_json(obj)
     assert str(err.value) == f"malformed index: {list(key)!r}"
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, "2", None, Fraction(2)], ids=repr)
+@pytest.mark.parametrize("name", ["n", "k"])
+@pytest.mark.parametrize("cls", [SkewTensor, SymTensor], ids=[SKEW, SYM])
+def test_constructors_refuse_non_int_n_and_k(cls, name, bad):
+    # SkewTensor(True, 1, {(0,): 1}) and SymTensor(2, True, {(1, 0): 1}) were accepted
+    args = {"n": 2, "k": 1, "coeffs": {}, name: bad}
+    with pytest.raises(ValueError) as err:
+        cls(**args)
+    assert str(err.value) == f"{name} must be an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("n, k", [(-1, 1), (2, -1)])
+@pytest.mark.parametrize("cls", [SkewTensor, SymTensor], ids=[SKEW, SYM])
+def test_constructors_refuse_negative_n_and_k(cls, n, k):
+    with pytest.raises(ValueError) as err:
+        cls(n, k, {})
+    assert str(err.value) == "n and k must be nonnegative"
+
+
+@pytest.mark.parametrize(
+    "ambient_dim, vectors, message",
+    [
+        (True, ((1,),), "ambient_dim must be an integer, got True"),
+        (2.0, ((1, 0),), "ambient_dim must be an integer, got 2.0"),
+        ("2", (), "ambient_dim must be an integer, got '2'"),
+        (-1, (), "ambient_dim must be >= 0, got -1"),
+    ],
+    ids=repr,
+)
+def test_subspace_basis_checks_ambient_dim_before_the_kernel(monkeypatch, ambient_dim, vectors, message):
+    # SubspaceBasis(True, ((1,),)) and SubspaceBasis(-1, ()) were accepted, and
+    # SubspaceBasis(2.0, ((1, 0),)) raised TypeError from range in the kernel
+    def refuse(*args):
+        raise AssertionError("kernel ran on an unchecked ambient_dim")
+
+    monkeypatch.setattr(tensors, "_eliminate", refuse)
+    with pytest.raises(ValueError) as err:
+        SubspaceBasis(ambient_dim, vectors)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
