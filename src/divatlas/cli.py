@@ -3,11 +3,18 @@
 Exit codes: 0 success, 1 usage error, 2 computation or validation
 failure.  Output is deterministic for identical inputs and seeds, and
 the JSON form of every report round-trips losslessly.
+
+The argument parser is built once per process, on the first ``main()``
+call, and reused by every later call; ``main`` keeps no other state
+between calls.  Each call parses into a fresh namespace, and usage
+errors and ``--help`` write to the ``sys.stderr`` and ``sys.stdout`` of
+the moment.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -38,8 +45,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# Building the parser takes several times as long as parsing one command
+# line, and importing this module must build nothing, so the first call
+# builds it.
+@functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="divatlas", description=__doc__)
+    # --help shows the docstring up to its last paragraph, which is about
+    # this module rather than the command
+    parser = _Parser(prog="divatlas", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_comp = sub.add_parser(

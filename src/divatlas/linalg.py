@@ -386,16 +386,14 @@ def exact_det(rows) -> int | Fraction:
     is divided by the product of the row scales.
     """
     m = [as_vector(row) for row in rows]
-    n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise ValueError("determinant of a non-square matrix")
     scale = math.prod(math.lcm(*(x.denominator for x in row)) for row in m)
     return as_exact(Fraction(int_det(_int_rows(m)), scale))
 
 
 def int_det(rows) -> int:
     """Determinant of a square integer matrix, by Bareiss elimination (1 for 0 x 0)."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("determinant of a non-square matrix")
     r, _, det = _bareiss(rows)
     return det if r == len(rows) else 0
 

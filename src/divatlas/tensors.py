@@ -800,6 +800,7 @@ def random_tensor(n: int, k: int, kind: str, seed):
     without a second pass over them.
     """
     check_kind(kind)
+    _check_ints(n=n, k=k)
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
     rng = _rng(seed)

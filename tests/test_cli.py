@@ -127,37 +127,126 @@ def test_enc_json_format(tmp_path, capsys):
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name", ["skew-k3-n7", "sym-k3-n5", "skew-k3-n8-spellings"])
+ENC_CASES = ["skew-k3-n7", "sym-k3-n5", "skew-k3-n8-spellings"]
+COMPONENTS_CASES = [
+    ("g37-d36-k2-n", ["--genus", "37", "--degree", "36", "--k", "2"]),
+    ("g37-d36-k3-n", ["--genus", "37", "--degree", "36", "--k", "3"]),
+    ("g4-d3-k2-n-canonical", ["--genus", "4", "--degree", "3", "--k", "2", "--canonical"]),
+    ("g8-d14-k3-t", ["--genus", "8", "--degree", "14", "--k", "3", "--class", "t"]),
+    (
+        "g8-d9-k2-t-compat",
+        ["--genus", "8", "--degree", "9", "--k", "2", "--class", "t", "--compat-paper-sym", "--compat-paper-secdim"],
+    ),
+]
+
+
+def _enc_golden(name):
+    return ["enc", str(DATA / f"{name}.json"), "--sub", "6", "--format", "json"], DATA / f"{name}.enc.json"
+
+
+def _components_golden(name, argv):
+    return ["components", *argv, "--format", "json"], DATA / f"{name}.components.json"
+
+
+@pytest.mark.parametrize("name", ENC_CASES)
 def test_enc_output_matches_committed_file(capsys, name):
     # the expected files pin the whole JSON output, basis included; the
     # skew tensor has Fraction coefficients and enc 6 < n, the sym one enc = n;
     # the spellings file mixes JSON ints with "+3", " 2 ", "1_0" and "3/6"
     # strings and repeats two keys, one summing to zero
-    rc, out, _ = run_cli(capsys, "enc", str(DATA / f"{name}.json"), "--sub", "6", "--format", "json")
+    argv, expected = _enc_golden(name)
+    rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0
-    assert out == (DATA / f"{name}.enc.json").read_text()
+    assert out == expected.read_text()
 
 
-@pytest.mark.parametrize(
-    "name,argv",
-    [
-        ("g37-d36-k2-n", ["--genus", "37", "--degree", "36", "--k", "2"]),
-        ("g37-d36-k3-n", ["--genus", "37", "--degree", "36", "--k", "3"]),
-        ("g4-d3-k2-n-canonical", ["--genus", "4", "--degree", "3", "--k", "2", "--canonical"]),
-        ("g8-d14-k3-t", ["--genus", "8", "--degree", "14", "--k", "3", "--class", "t"]),
-        (
-            "g8-d9-k2-t-compat",
-            ["--genus", "8", "--degree", "9", "--k", "2", "--class", "t", "--compat-paper-sym", "--compat-paper-secdim"],
-        ),
-    ],
-)
+@pytest.mark.parametrize("name,argv", COMPONENTS_CASES)
 def test_components_output_matches_committed_file(capsys, name, argv):
     # the genus-4 atlas has a two-point top stratum (multiplicity 2); in the
     # genus-8 compat atlas both switches change the output, the top stratum
     # has 14 points, and all four notes fire
-    rc, out, _ = run_cli(capsys, "components", *argv, "--format", "json")
+    argv, expected = _components_golden(name, argv)
+    rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0
-    assert out == (DATA / f"{name}.components.json").read_text()
+    assert out == expected.read_text()
+
+
+def test_main_in_one_process_matches_committed_files(capsys):
+    # one process runs every golden command line, forward and then in
+    # reverse, so nothing one call leaves behind can reach the next
+    cases = [_enc_golden(name) for name in ENC_CASES]
+    cases += [_components_golden(name, argv) for name, argv in COMPONENTS_CASES]
+    for argv, expected in cases + cases[::-1]:
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, err) == (0, ""), argv
+        assert out == expected.read_text(), argv
+
+
+def test_main_carries_no_option_to_the_next_call(capsys):
+    tensor = str(DATA / "skew-k3-n7.json")
+    rc, out, _ = run_cli(capsys, "enc", tensor, "--sub", "6", "--format", "json")
+    assert rc == 0 and json.loads(out)["sub"] == {"e": 6, "member": True}
+    rc, out, _ = run_cli(capsys, "enc", tensor, "--format", "json")
+    assert rc == 0 and "sub" not in json.loads(out)
+    rc, out, _ = run_cli(capsys, "enc", tensor)
+    assert rc == 0
+    assert out.startswith("kind: skew  n: 7  k: 3\nenc: 6\n")
+    assert "member of Sub_" not in out
+    argv, expected = _components_golden(*COMPONENTS_CASES[0])
+    run_cli(capsys, *argv)
+    rc, out, _ = run_cli(capsys, *argv[:-2])
+    assert rc == 0 and out.startswith("divisor variety atlas: genus 37")
+
+
+def test_usage_error_and_help_leave_the_next_call_correct(capsys):
+    argv, expected = _enc_golden(ENC_CASES[0])
+    rc, out, err = run_cli(capsys, "enc", "--sub", "6")
+    assert (rc, out) == (1, "")
+    assert err.startswith("usage: divatlas enc") and "divatlas enc: error:" in err
+    assert run_cli(capsys, *argv) == (0, expected.read_text(), "")
+    rc, out, err = run_cli(capsys, "enc", "--help")
+    assert (rc, err) == (0, "")
+    assert out.startswith("usage: divatlas enc") and "--sub E" in out
+    assert run_cli(capsys, *argv) == (0, expected.read_text(), "")
+    rc, out, err = run_cli(capsys, "--help")
+    assert (rc, err) == (0, "")
+    assert "{components,enc,verify}" in out
+    # the last docstring paragraph is about the module, not the command
+    assert "Exit codes: 0 success" in " ".join(out.split()) and "once per process" not in out
+
+
+def test_main_builds_the_parser_at_most_once(capsys, monkeypatch):
+    import divatlas.cli as cli
+
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "divatlas":
+            built.append(self)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    argv, expected = _enc_golden(ENC_CASES[1])
+    for _ in range(5):
+        assert run_cli(capsys, *argv) == (0, expected.read_text(), "")
+    assert len(built) <= 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import divatlas.cli\n"
+        "assert built == [], built\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_components_genus_cap_exits_2_before_computing(capsys, monkeypatch):

@@ -186,6 +186,17 @@ def test_det_matches_leibniz():
         exact_det([[1, 2]])
 
 
+@pytest.mark.parametrize("rows", [[[2, 3]], [[1, 2, 3], [4, 5, 6]], [[1, 2], [3]]])
+def test_int_det_refuses_a_non_square_matrix(rows):
+    with pytest.raises(ValueError, match="determinant of a non-square matrix"):
+        int_det(rows)
+
+
+def test_int_det_of_the_empty_matrix_is_one():
+    assert int_det([]) == 1
+    assert exact_det([]) == 1
+
+
 def test_det_fractional():
     assert exact_det([["1/2", 0], [0, "1/3"]]) == Fraction(1, 6)
 

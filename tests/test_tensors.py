@@ -460,6 +460,9 @@ def test_random_tensor_matches_the_public_constructor(monkeypatch):
         for n, k in [(-1, 2), (2, -1)]:
             with pytest.raises(ValueError):
                 random_tensor(n, k, kind, 0)
+        for n, k, name in [(True, 1, "n"), (2.0, 1, "n"), (2, False, "k"), (3, "2", "k")]:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                random_tensor(n, k, kind, 0)
 
 
 def test_exponent_vectors_are_made_once_and_returned_fresh():
