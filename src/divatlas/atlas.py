@@ -25,15 +25,14 @@ intersections and the count both reuse.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 # w_dim is not called here; perfbench's test_tracer_rebinds_every_import_and_restores
 # expects to find it bound in this module
 from .brill_noether import _rho, _small_r, _top_points, _w_dim, big_R, w_dim  # noqa: F401
 from .linalg import _check_ints
-from .subspaces import _e_max, _e_max_sym, _sub_dim, e_max, e_max_sym, sec_dim_printed, sub_dim
-from .tensors import SKEW, SYM, check_kind
+from .subspaces import _e_bound, _sub_dim, e_max, e_max_sym, sec_dim_printed, sub_dim
+from .tensors import SKEW, SYM, _power_dim, check_kind
 
 
 @dataclass(frozen=True)
@@ -106,20 +105,7 @@ def fiber_dim(r: int, k: int, kind: str) -> int:
     _check_ints(r=r, k=k)
     if r < 0:
         raise ValueError("r must be >= 0")
-    return _fiber_dim(r, k, kind)
-
-
-def _fiber_dim(r: int, k: int, kind: str) -> int:
-    if kind == SKEW:
-        return math.comb(r + 1, k) - 1
-    return math.comb(r + k, k) - 1
-
-
-def _e_bound(k: int, n: int, kind: str, paper_sym: bool) -> int:
-    """The enclosing bound on checked arguments, through the unchecked cores."""
-    if kind == SKEW:
-        return _e_max(k, n)
-    return _e_max_sym(k, n, paper_sym)
+    return _power_dim(r + 1, k, kind) - 1
 
 
 def deformable(enc_value: int, k: int, r_target: int, kind: str, paper_sym: bool = False) -> bool:
@@ -171,7 +157,7 @@ def _components(g: int, d: int, k: int, kind: str, paper_sym: bool, R: int) -> l
     out = []
     for r, e in _strata(g, d, k, kind, paper_sym, R):
         support = _w_dim(g, r, d)
-        fib = _fiber_dim(r, k, kind)
+        fib = _power_dim(r + 1, k, kind) - 1
         out.append(
             ComponentRecord(
                 r=r,
@@ -301,9 +287,9 @@ def canonical_analysis(g: int, k: int) -> dict:
         raise ValueError(f"genus must be an integer >= 3, got {g}")
     if not isinstance(k, int) or not 2 <= k < g:
         raise ValueError(f"need 2 <= k < genus, got k={k}")
-    canonical_dim = math.comb(g, k) - 1
-    main_dim = g + math.comb(g - 1, k) - 1
-    gap = math.comb(g - 1, k - 1) - g
+    canonical_dim = _power_dim(g, k, SKEW) - 1
+    main_dim = g + _power_dim(g - 1, k, SKEW) - 1
+    gap = canonical_dim - main_dim
     exorbitant = (k >= 3 and gap > 0) or (k == 2 and g % 2 == 0)
     return {
         "genus": g,

@@ -5,12 +5,14 @@ dimension is at most e.  For skew tensors some of these loci coincide
 (a skew 2-tensor has even rank, and a k-vector can never have enclosing
 dimension exactly k+1), which is what normalize_e collapses.
 
-For k = 2 the loci are the classical rank strata of (skew-)symmetric
-matrices and their dimensions are computed determinantally; for k >= 3
-they come from the Grassmannian-bundle parametrization.  An independent
-tangent-space oracle, sub_dim_tangent, recomputes each dimension as the
-exact rank of the Jacobian of that parametrization at a random integer
-point, and the two are required to agree in the test suites.
+Every dimension comes from one Grassmannian-bundle count, for every k:
+e(n-e) + dim(k-th power of QQ^e) - 1, with e normalized.  For k = 2 the
+loci are the classical rank strata of (skew-)symmetric matrices, and
+the count equals their determinantal dimensions identically (see
+sub_dim).  An independent tangent-space oracle, sub_dim_tangent,
+recomputes each dimension as the exact rank of the Jacobian of that
+parametrization at a random integer point, and the two are required to
+agree in the test suites.
 
 The parametrization is GL_n-equivariant and every injective A lies in
 the GL_n-orbit of A = [I_e ; 0], so the rank is taken there and only
@@ -40,6 +42,7 @@ from .linalg import _certified_rank, _check_ints, rank  # noqa: F401
 from .tensors import (
     SKEW,
     SYM,
+    _power_dim,
     check_kind,
     enc,
     exponent_vectors,
@@ -58,18 +61,7 @@ def e_max(k: int, n: int) -> int:
     _check_degree(k=k, n=n)
     if n < 0:
         raise ValueError("dimension n must be >= 0")
-    return _e_max(k, n)
-
-
-def _e_max(k: int, n: int) -> int:
-    """e_max on arguments the caller has checked."""
-    if k == 1:
-        return min(n, 1)
-    if n < k:
-        return 0
-    if k == n - 1 or (k == 2 and n % 2 == 1):
-        return n - 1
-    return n
+    return _e_bound(k, n, SKEW)
 
 
 def e_max_sym(k: int, n: int, paper_compat: bool = False) -> int:
@@ -87,18 +79,20 @@ def e_max_sym(k: int, n: int, paper_compat: bool = False) -> int:
     _check_degree(k=k, n=n)
     if n < 0:
         raise ValueError("dimension n must be >= 0")
-    return _e_max_sym(k, n, paper_compat)
+    return _e_bound(k, n, SYM, paper_compat)
 
 
-def _e_max_sym(k: int, n: int, paper_compat: bool = False) -> int:
-    """e_max_sym on arguments the caller has checked."""
+def _e_bound(k: int, n: int, kind: str, paper_compat: bool = False) -> int:
+    """e_max (skew) or e_max_sym (sym) on arguments the caller has checked;
+    paper_compat applies to sym only."""
     if k == 1:
         return min(n, 1)
-    if n == 0:
+    odd_square = k == 2 and n % 2 == 1
+    if kind == SYM:
+        return n - 1 if paper_compat and odd_square else n
+    if n < k:
         return 0
-    if paper_compat and k == 2 and n % 2 == 1:
-        return n - 1
-    return n
+    return n - 1 if odd_square or k == n - 1 else n
 
 
 def _check_degree(**args) -> None:
@@ -151,11 +145,12 @@ def _normalize_e(e: int, k: int, kind: str) -> int:
 def sub_dim(e: int, k: int, n: int, kind: str) -> int:
     """Dimension of Sub_e inside the projectivized k-th power of QQ^n.
 
-    k = 2 uses the determinantal rank-stratification dimensions
-    (C(n,2) - C(n-e',2) - 1 skew, C(n+1,2) - C(n-e'+1,2) - 1 symmetric);
-    k = 1 and k >= 3 use the Grassmannian-bundle count
-    e'(n-e') + C(e',k) - 1 (skew) and e'(n-e') + C(e'+k-1,k) - 1
-    (symmetric), with e' the normalized enclosing bound.
+    Every k uses the Grassmannian-bundle count e'(n-e') + C(e',k) - 1
+    (skew) and e'(n-e') + C(e'+k-1,k) - 1 (symmetric), with e' the
+    normalized enclosing bound.  For k = 2 these are the determinantal
+    rank-stratification dimensions, since C(n,2) - C(n-e',2) =
+    e'(n-e') + C(e',2) and C(n+1,2) - C(n-e'+1,2) = e'(n-e') + C(e'+1,2)
+    for 0 <= e' <= n.
     """
     _check_cell(e, k, n, kind)
     return _sub_dim(e, k, n, kind)
@@ -163,14 +158,8 @@ def sub_dim(e: int, k: int, n: int, kind: str) -> int:
 
 def _sub_dim(e: int, k: int, n: int, kind: str) -> int:
     """sub_dim on arguments the caller has checked (the atlas's fibers)."""
-    e_norm = _normalize_e(e, k, kind)
-    if k == 2:
-        if kind == SKEW:
-            return math.comb(n, 2) - math.comb(n - e_norm, 2) - 1
-        return math.comb(n + 1, 2) - math.comb(n - e_norm + 1, 2) - 1
-    if kind == SKEW:
-        return e_norm * (n - e_norm) + math.comb(e_norm, k) - 1
-    return e_norm * (n - e_norm) + math.comb(e_norm + k - 1, k) - 1
+    e = _normalize_e(e, k, kind)
+    return e * (n - e) + _power_dim(e, k, kind) - 1
 
 
 def sec_dim_printed(s: int, n: int, kind: str) -> int:
@@ -181,9 +170,10 @@ def sec_dim_printed(s: int, n: int, kind: str) -> int:
     They disagree with sub_dim in known cases (for example they give 5
     for rank <= 4 skew forms on QQ^5, which actually fill P^9), so they
     are not used by any computation; sub_dim is certified against the
-    tangent oracle instead.
+    tangent oracle instead.  s and n must be ints (not bools).
     """
     check_kind(kind)
+    _check_ints(s=s, n=n)
     if s < 1:
         raise ValueError("secant index s must be >= 1")
     if kind == SKEW:
@@ -278,7 +268,7 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0) -> int:
     up to MAX_RETRIES times.  e, k and n must be ints (not bools).
     """
     _check_cell(e, k, n, kind)
-    full = _e_max(k, e) if kind == SKEW else _e_max_sym(k, e)
+    full = _e_bound(k, e, kind)
     rng = random.Random(f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}")
     build = _skew_chart_columns if kind == SKEW else _sym_chart_columns
     for _ in range(MAX_RETRIES):

@@ -66,6 +66,13 @@ def check_kind(kind: str) -> str:
     return kind
 
 
+def _check_shape(n: int, k: int) -> None:
+    """Refuse an n or k that is not a nonnegative int (bools included)."""
+    _check_ints(n=n, k=k)
+    if n < 0 or k < 0:
+        raise ValueError("n and k must be nonnegative")
+
+
 # ---------------------------------------------------------------------------
 # combinadic indexing of the wedge basis
 
@@ -135,6 +142,15 @@ def exponent_vectors(n: int, k: int):
     return list(vectors)
 
 
+def _power_dim(n: int, k: int, kind: str) -> int:
+    """Dimension of the k-th exterior (skew) or symmetric (sym) power of
+    QQ^n: the length of k_subsets(n, k) or of exponent_vectors(n, k)."""
+    if kind == SKEW:
+        return math.comb(n, k)
+    # on QQ^0 the one exponent vector is the empty one, of degree 0
+    return math.comb(n + k - 1, k) if n else int(k == 0)
+
+
 # ---------------------------------------------------------------------------
 # tensor containers
 
@@ -167,9 +183,7 @@ class _Tensor:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_ints(n=self.n, k=self.k)
-        if self.n < 0 or self.k < 0:
-            raise ValueError("n and k must be nonnegative")
+        _check_shape(self.n, self.k)
         keys = list(map(tuple, self.coeffs))
         self._check_keys(keys, self.n, self.k)
         values = self.coeffs.values()
@@ -507,13 +521,8 @@ def _contraction_columns(t):
         raise TypeError(f"not a tensor: {type(t).__name__}")
     if t.k < 1:
         raise ValueError("contraction needs degree k >= 1")
-    if isinstance(t, SkewTensor):
-        cols, columns = math.comb(t.n, t.k - 1), _skew_columns
-    else:
-        # max(., 0): for n = 0, k = 1 the one column is the empty exponent vector
-        cols, columns = math.comb(max(t.n + t.k - 2, 0), t.k - 1), _sym_columns
-    _check_contraction_size(t, cols)
-    return columns(t)
+    _check_contraction_size(t, _power_dim(t.n, t.k - 1, t.kind))
+    return _skew_columns(t) if t.kind == SKEW else _sym_columns(t)
 
 
 def _skew_columns(t: SkewTensor):
@@ -800,9 +809,7 @@ def random_tensor(n: int, k: int, kind: str, seed):
     without a second pass over them.
     """
     check_kind(kind)
-    _check_ints(n=n, k=k)
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
+    _check_shape(n, k)
     rng = _rng(seed)
     if kind == SKEW:
         cls, basis = SkewTensor, k_subsets(n, k)
@@ -814,8 +821,10 @@ def random_tensor(n: int, k: int, kind: str, seed):
 
 def random_decomposable(n: int, k: int, kind: str, seed):
     """Deterministic random decomposable tensor: a wedge of k independent
-    vectors (skew) or the k-th power of a nonzero vector (sym)."""
+    vectors (skew) or the k-th power of a nonzero vector (sym).  n and k
+    must be nonnegative ints (not bools)."""
     check_kind(kind)
+    _check_shape(n, k)
     rng = _rng(seed)
     for _ in range(64):
         if kind == SKEW:
@@ -828,7 +837,9 @@ def random_decomposable(n: int, k: int, kind: str, seed):
 
 
 def random_subspace(n: int, dim: int, seed) -> SubspaceBasis:
-    """Deterministic random dim-dimensional subspace of QQ^n."""
+    """Deterministic random dim-dimensional subspace of QQ^n.  n and dim
+    must be ints (not bools)."""
+    _check_ints(n=n, dim=dim)
     if not 0 <= dim <= n:
         raise ValueError("subspace dimension out of range")
     rng = _rng(seed)

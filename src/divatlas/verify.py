@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import atlas, brill_noether as bn
 from .linalg import RationalMatrix, gauss_rank, image_basis, random_matrix, rank
-from .subspaces import e_max, e_max_sym, normalize_e, sub_dim, sub_dim_tangent
+from .subspaces import _e_bound, e_max, normalize_e, sub_dim, sub_dim_tangent
 from .tensors import (
     SKEW,
     SYM,
@@ -131,7 +131,7 @@ def check_enc_oracle(seed: int = 0, samples: int = 100, hyperplanes: int = 3) ->
         where = f"(k,n)=({k},{n})" if kind == SKEW else f"sym (k,n)=({k},{n})"
         tag = f"{seed}:{k}:{n}" if kind == SKEW else f"sym:{seed}:{k}:{n}"
         rank_one = k if kind == SKEW else 1
-        bound = e_max(k, n) if kind == SKEW else e_max_sym(k, n)
+        bound = _e_bound(k, n, kind)
         count = samples if kind == SKEW else max(1, samples // 4)
         observed = 0
         for s in range(count):
@@ -397,7 +397,7 @@ def check_atlas_coherence(seed: int = 0) -> tuple:
                     for r in bn.achieved_r(g, d):
                         if atlas.fiber_dim(r, k, kind) < 0:
                             continue
-                        e = e_max(k, r + 1) if kind == SKEW else e_max_sym(k, r + 1)
+                        e = _e_bound(k, r + 1, kind)
                         if e <= prev_e and r in strata:
                             return False, f"absorbed stratum emitted at g={g}, d={d}, k={k}, {kind}"
                         prev_e = max(prev_e, e)
@@ -516,7 +516,7 @@ def check_membership_flip(seed: int = 0, samples: int = 4) -> tuple:
     with them the flip, spread from the symmetric floor of 1 upward.
     """
     for kind, k, n in ((SKEW, 2, 5), (SKEW, 3, 5), (SYM, 2, 5), (SYM, 3, 5)):
-        floor, bound = (k, e_max(k, n)) if kind == SKEW else (1, e_max_sym(k, n))
+        floor, bound = (k if kind == SKEW else 1), _e_bound(k, n, kind)
         tag = "" if kind == SKEW else "sym:"
         for s in range(samples):
             if kind == SKEW:

@@ -1,13 +1,14 @@
 import bisect
 import itertools
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from divatlas import linalg, subspaces
+from divatlas import linalg, subspaces, tensors
 from divatlas.linalg import RationalMatrix, _certified_rank, rank
 from divatlas.subspaces import (
     _skew_chart_columns,
@@ -146,9 +147,9 @@ def test_e_max_range_errors(bound):
 def test_e_max_cores_match_the_checked_bounds():
     for k in range(1, 6):
         for n in range(0, 10):
-            assert subspaces._e_max(k, n) == e_max(k, n)
+            assert subspaces._e_bound(k, n, SKEW) == e_max(k, n)
             for compat in (False, True):
-                assert subspaces._e_max_sym(k, n, compat) == e_max_sym(k, n, paper_compat=compat)
+                assert subspaces._e_bound(k, n, SYM, compat) == e_max_sym(k, n, paper_compat=compat)
 
 
 def test_sub_dim_monotone_in_e():
@@ -177,6 +178,54 @@ def test_sec_dim_printed_conflicts_are_visible():
     assert sec_dim_printed(1, 4, SKEW) == sub_dim(2, 2, 4, SKEW) == 4
     assert sec_dim_printed(2, 5, SKEW) == 5
     assert sub_dim(4, 2, 5, SKEW) == 9
+
+
+@pytest.mark.parametrize(
+    "s, n, kind, bad",
+    [
+        (1.5, 5, SKEW, "s must be an integer, got 1.5"),
+        (True, 5, SKEW, "s must be an integer, got True"),
+        (2, 2.5, SYM, "n must be an integer, got 2.5"),
+    ],
+    ids=repr,
+)
+def test_sec_dim_printed_refuses_non_int_arguments(s, n, kind, bad):
+    # these gave 7.5, 6 and a TypeError from math.comb
+    with pytest.raises(ValueError) as info:
+        sec_dim_printed(s, n, kind)
+    assert str(info.value) == bad
+
+
+def test_sec_dim_printed_values_are_unchanged():
+    expected = {
+        SKEW: {(1, 2): 0, (1, 5): 6, (1, 8): 12, (2, 2): -4, (2, 5): 5, (2, 8): 21, (3, 5): -3, (3, 8): 15},
+        SYM: {(1, 2): 1, (1, 5): 4, (1, 8): 7, (2, 2): 2, (2, 5): 8, (2, 8): 14, (3, 5): 11, (3, 8): 20},
+    }
+    for kind, values in expected.items():
+        for (s, n), value in values.items():
+            assert sec_dim_printed(s, n, kind) == value, (kind, s, n)
+
+
+def test_power_dim_counts_the_basis():
+    for kind in (SKEW, SYM):
+        for n in range(13):
+            for k in range(7):
+                assert tensors._power_dim(n, k, kind) == _power_dim(kind, k, n), (kind, n, k)
+
+
+def _determinantal_k2(e: int, n: int, kind: str) -> int:
+    """The k = 2 rank-stratification dimensions, written determinantally."""
+    if kind == SKEW:
+        return math.comb(n, 2) - math.comb(n - e, 2) - 1
+    return math.comb(n + 1, 2) - math.comb(n - e + 1, 2) - 1
+
+
+def test_sub_dim_k2_equals_the_determinantal_dimensions():
+    for kind in (SKEW, SYM):
+        for n in range(2, 41):
+            for e in range(1 if kind == SYM else 2, n + 1):
+                expected = _determinantal_k2(normalize_e(e, 2, kind), n, kind)
+                assert sub_dim(e, 2, n, kind) == expected, (kind, e, n)
 
 
 def test_tangent_oracle_pins():

@@ -465,6 +465,47 @@ def test_random_tensor_matches_the_public_constructor(monkeypatch):
                 random_tensor(n, k, kind, 0)
 
 
+@pytest.mark.parametrize("kind", [SKEW, SYM])
+@pytest.mark.parametrize(
+    "n, k, message",
+    [
+        (3, True, "k must be an integer, got True"),
+        (True, 2, "n must be an integer, got True"),
+        (3, 2.0, "k must be an integer, got 2.0"),
+        ("3", 2, "n must be an integer, got '3'"),
+        (-1, 2, "n and k must be nonnegative"),
+        (3, -1, "n and k must be nonnegative"),
+    ],
+    ids=repr,
+)
+def test_random_decomposable_refuses_bad_sizes(kind, n, k, message):
+    # random_decomposable(3, True, "skew", 0) gave a degree-1 tensor, and
+    # random_decomposable(-1, 2, "sym", 0) drew 64 times before a RuntimeError
+    with pytest.raises(ValueError) as info:
+        random_decomposable(n, k, kind, 0)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "n, dim, message",
+    [
+        (3, True, "dim must be an integer, got True"),
+        (3, 1.0, "dim must be an integer, got 1.0"),
+        (3.0, 1, "n must be an integer, got 3.0"),
+        (False, 0, "n must be an integer, got False"),
+        (3, -1, "subspace dimension out of range"),
+        (-1, 0, "subspace dimension out of range"),
+    ],
+    ids=repr,
+)
+def test_random_subspace_refuses_bad_sizes(n, dim, message):
+    # random_subspace(3, True, 0) gave a 1-dimensional subspace, and
+    # random_subspace(3, 1.0, 0) raised TypeError from range
+    with pytest.raises(ValueError) as info:
+        random_subspace(n, dim, 0)
+    assert str(info.value) == message
+
+
 def test_exponent_vectors_are_made_once_and_returned_fresh():
     first = exponent_vectors(4, 3)
     assert len(first) == math.comb(6, 3) and first[0] == (3, 0, 0, 0)
