@@ -16,11 +16,14 @@ enumerated component count against the closed-form count, and analyzes
 the canonical class for exorbitant components.
 
 Each public entry checks g, d, k and kind once, through big_R, which
-also brackets the top section count R.  A report is then built from one
-walk over the strata r = small_r .. R on private cores that take their
-arguments as checked: the Brill-Noether formulas of brill_noether, the
-fiber and subspace-variety dimensions, and the component list, which the
-intersections and the count both reuse.
+also brackets the top section count R.  The atlas is then one walk over
+the strata r = small_r .. R on private cores that take their arguments
+as checked: the Brill-Noether formulas of brill_noether, the fiber and
+subspace-variety dimensions, and the row builders _component_rows and
+_intersection_rows.  Those rows are the report's own JSON-ready dicts,
+built from plain integers; atlas_report returns them as they are, and
+components and intersections turn the same rows into their frozen
+records, so every value is computed in one place.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 # expects to find it bound in this module
 from .brill_noether import _rho, _small_r, _top_points, _w_dim, big_R, w_dim  # noqa: F401
 from .linalg import _check_ints
-from .subspaces import _e_bound, _sub_dim, e_max, e_max_sym, sec_dim_printed, sub_dim
+from .subspaces import _e_bound, _sub_dim, e_max, e_max_sym, sec_dim_printed
 from .tensors import SKEW, SYM, _power_dim, check_kind
 
 
@@ -43,6 +46,9 @@ class ComponentRecord:
     generic fiber P^fiber_dim; e is the stable enclosing bound attained
     there.  multiplicity > 1 only on a zero-dimensional top stratum,
     where each of its finitely many points carries its own component.
+
+    This is the public view that components() builds from the rows of
+    one atlas walk; atlas_report never makes one.
     """
 
     r: int
@@ -67,6 +73,9 @@ class IntersectionRecord:
     Its image under the Abel-Jacobi map is the deeper stratum, and the
     generic fiber is the subspace variety Sub_e of the shallow bound e
     inside the linear system over that stratum.
+
+    This is the public view that intersections() builds from the rows of
+    one atlas walk; atlas_report never makes one.
     """
 
     shallow: ComponentRecord
@@ -99,12 +108,15 @@ def fiber_dim(r: int, k: int, kind: str) -> int:
     """Projective dimension of the full linear system over a point of W^r_d.
 
     C(r+1, k) - 1 for the skew kind, C(r+k, k) - 1 for the symmetric
-    kind; -1 signals an empty system.  r and k must be ints (not bools).
+    kind; -1 signals an empty system.  r and k must be ints (not bools),
+    r >= 0 and k >= 1.
     """
     check_kind(kind)
     _check_ints(r=r, k=k)
     if r < 0:
         raise ValueError("r must be >= 0")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     return _power_dim(r + 1, k, kind) - 1
 
 
@@ -152,25 +164,41 @@ def jump_strata(g: int, d: int, k: int, kind: str, paper_sym: bool = False) -> l
     return _strata(g, d, k, kind, paper_sym, R)
 
 
-def _components(g: int, d: int, k: int, kind: str, paper_sym: bool, R: int) -> list:
-    """components on checked arguments, with R = big_R(g, d)."""
+def _component_rows(g: int, d: int, k: int, kind: str, paper_sym: bool, R: int) -> list:
+    """The report's component dicts on checked arguments, with R = big_R(g, d)."""
     out = []
     for r, e in _strata(g, d, k, kind, paper_sym, R):
         support = _w_dim(g, r, d)
         fib = _power_dim(r + 1, k, kind) - 1
+        # only the top stratum can be zero-dimensional (rho = 0)
+        multiplicity = _top_points(g, d, R) if support == 0 else 1
+        if multiplicity < 1:
+            raise ValueError("multiplicity must be >= 1")
         out.append(
-            ComponentRecord(
-                r=r,
-                e=e,
-                support_dim=support,
-                fiber_dim=fib,
-                total_dim=support + fib,
-                # only the top stratum can be zero-dimensional (rho = 0)
-                multiplicity=_top_points(g, d, R) if support == 0 else 1,
-                is_resolution=(kind == SKEW and d == g - 1 and e == k and r + 1 == k),
-            )
+            {
+                "r": r,
+                "e": e,
+                "support": f"W^{r}_{d}",
+                "support_dim": support,
+                "fiber_dim": fib,
+                "total_dim": support + fib,
+                "multiplicity": multiplicity,
+                "is_resolution": kind == SKEW and d == g - 1 and e == k and r + 1 == k,
+            }
         )
     return out
+
+
+def _component_record(row: dict) -> ComponentRecord:
+    return ComponentRecord(
+        r=row["r"],
+        e=row["e"],
+        support_dim=row["support_dim"],
+        fiber_dim=row["fiber_dim"],
+        total_dim=row["total_dim"],
+        multiplicity=row["multiplicity"],
+        is_resolution=row["is_resolution"],
+    )
 
 
 def components(g: int, d: int, k: int, kind: str, paper_sym: bool = False) -> list:
@@ -185,33 +213,33 @@ def components(g: int, d: int, k: int, kind: str, paper_sym: bool = False) -> li
     and resolve its singularities.
     """
     R = _check_atlas_args(g, d, k, kind)
-    return _components(g, d, k, kind, paper_sym, R)
+    return [_component_record(row) for row in _component_rows(g, d, k, kind, paper_sym, R)]
 
 
-def _intersections(comps: list, k: int, kind: str, printed_secdim: bool) -> list:
-    """intersections of a component list built from checked arguments."""
+def _intersection_rows(comps: list, k: int, kind: str, printed_secdim: bool) -> list:
+    """The report's intersection dicts for the component rows comps."""
     out = []
     for i, shallow in enumerate(comps):
+        e = shallow["e"]
         for deep in comps[i + 1 :]:
-            ambient = deep.r + 1
-            if printed_secdim and k == 2 and shallow.e % 2 == 0:
-                fib = sec_dim_printed(shallow.e // 2, ambient, kind)
+            if e >= deep["e"]:
+                raise ValueError("shallow component must have the smaller bound e")
+            ambient = deep["r"] + 1
+            if printed_secdim and k == 2 and e % 2 == 0:
+                fib = sec_dim_printed(e // 2, ambient, kind)
             else:
                 # an attained bound, at least k (skew) or 1 (sym) and at
-                # most shallow.r + 1 < ambient: sub_dim's checks hold
-                fib = _sub_dim(shallow.e, k, ambient, kind)
+                # most shallow r + 1 < ambient: sub_dim's checks hold
+                fib = _sub_dim(e, k, ambient, kind)
             out.append(
-                IntersectionRecord(
-                    shallow=shallow,
-                    deep=deep,
-                    image_r=deep.r,
-                    fiber_e=shallow.e,
-                    fiber_k=k,
-                    fiber_ambient=ambient,
-                    fiber_kind=kind,
-                    fiber_dim=fib,
-                    total_dim=deep.support_dim + fib,
-                )
+                {
+                    "shallow_e": e,
+                    "deep_e": deep["e"],
+                    "image": deep["support"],
+                    "fiber": {"e": e, "k": k, "ambient": ambient, "kind": kind},
+                    "fiber_dim": fib,
+                    "total_dim": deep["support_dim"] + fib,
+                }
             )
     return out
 
@@ -233,7 +261,27 @@ def intersections(
     secant expressions for comparison.
     """
     R = _check_atlas_args(g, d, k, kind)
-    return _intersections(_components(g, d, k, kind, paper_sym, R), k, kind, printed_secdim)
+    comps = _component_rows(g, d, k, kind, paper_sym, R)
+    # the bounds e strictly increase along the walk, so they name the components
+    records = {row["e"]: _component_record(row) for row in comps}
+    out = []
+    for x in _intersection_rows(comps, k, kind, printed_secdim):
+        fiber = x["fiber"]
+        deep = records[x["deep_e"]]
+        out.append(
+            IntersectionRecord(
+                shallow=records[x["shallow_e"]],
+                deep=deep,
+                image_r=deep.r,
+                fiber_e=fiber["e"],
+                fiber_k=fiber["k"],
+                fiber_ambient=fiber["ambient"],
+                fiber_kind=fiber["kind"],
+                fiber_dim=x["fiber_dim"],
+                total_dim=x["total_dim"],
+            )
+        )
+    return out
 
 
 def _paper_count(g: int, d: int, k: int, kind: str, R: int) -> int:
@@ -253,7 +301,7 @@ def _paper_count(g: int, d: int, k: int, kind: str, R: int) -> int:
 
 
 def _count(comps: list, g: int, d: int, k: int, kind: str, R: int) -> dict:
-    enumerated = sum(c.multiplicity for c in comps)
+    enumerated = sum(c["multiplicity"] for c in comps)
     formula = _paper_count(g, d, k, kind, R)
     return {"enumerated": enumerated, "paper_formula": formula, "agrees": enumerated == formula}
 
@@ -267,7 +315,7 @@ def component_count(g: int, d: int, k: int, kind: str, paper_sym: bool = False) 
     reconciled.
     """
     R = _check_atlas_args(g, d, k, kind)
-    return _count(_components(g, d, k, kind, paper_sym, R), g, d, k, kind, R)
+    return _count(_component_rows(g, d, k, kind, paper_sym, R), g, d, k, kind, R)
 
 
 def canonical_analysis(g: int, k: int) -> dict:
@@ -279,8 +327,9 @@ def canonical_analysis(g: int, k: int) -> dict:
     negative for k = 2, positive for most k >= 3, and when positive the
     canonical system cannot lie inside the main component.  The two
     always meet along the subspace variety Sub_(g-1) of the canonical
-    section space, whose codimension in |K| is taken from sub_dim, so
-    it goes through normalize_e.  It exceeds the hand count
+    section space, whose codimension in |K| is taken from the Sub_e
+    formula of sub_dim (its private core, on the arguments checked
+    here), so it goes through normalize_e.  It exceeds the hand count
     C(g-1, k-1) - (g-1) by one at k = 2 with even g and at k = g-2.
     """
     if not isinstance(g, int) or g < 3:
@@ -299,7 +348,7 @@ def canonical_analysis(g: int, k: int) -> dict:
         "gap": gap,
         "exorbitant": exorbitant,
         "locus": {"e": g - 1, "k": k, "ambient": g, "kind": SKEW},
-        "locus_codim": canonical_dim - sub_dim(g - 1, k, g, SKEW),
+        "locus_codim": canonical_dim - _sub_dim(g - 1, k, g, SKEW),
     }
 
 
@@ -330,18 +379,20 @@ def atlas_report(
 ) -> dict:
     """Assemble the JSON-ready atlas of one divisor variety.
 
-    The arguments are checked once, and the component list is built once
-    and reused for the intersections and the count, through the private
-    cores behind components, intersections and component_count, so the
-    report equals what those three return when called alone.  The report
-    always carries explicit notes for the code paths where the
-    implemented values and the retained closed forms are known to
-    disagree (component counts, k = 2 secant dimensions, the symmetric
-    parity convention); transparency is preferred to reconciliation.
+    The arguments are checked once, and one walk over the strata builds
+    the component dicts, which the intersection dicts and the count then
+    reuse.  The dicts come straight from plain integers, with no record
+    made on the way, through the same row builders that components,
+    intersections and component_count use, so the report equals what
+    those three return when called alone.  The report always carries
+    explicit notes for the code paths where the implemented values and
+    the retained closed forms are known to disagree (component counts,
+    k = 2 secant dimensions, the symmetric parity convention);
+    transparency is preferred to reconciliation.
     """
     R = _check_atlas_args(g, d, k, kind)
-    comps = _components(g, d, k, kind, paper_sym, R)
-    inters = _intersections(comps, k, kind, printed_secdim)
+    comps = _component_rows(g, d, k, kind, paper_sym, R)
+    inters = _intersection_rows(comps, k, kind, printed_secdim)
     counts = _count(comps, g, d, k, kind, R)
     notes = []
     if not counts["agrees"]:
@@ -375,12 +426,11 @@ def atlas_report(
                 "have full rank); the parity-dropping convention is available via "
                 "the paper-sym compat switch"
             )
-    if any(c.multiplicity > 1 for c in comps):
+    if any(c["multiplicity"] > 1 for c in comps):
         notes.append(
             "top stratum is zero-dimensional; each of its points carries a "
             "distinct component (multiplicity column)"
         )
-    support = {c.r: f"W^{c.r}_{d}" for c in comps}
     report = {
         "params": {
             "genus": g,
@@ -390,35 +440,8 @@ def atlas_report(
             "compat_paper_sym": paper_sym,
             "compat_paper_secdim": printed_secdim,
         },
-        "components": [
-            {
-                "r": c.r,
-                "e": c.e,
-                "support": support[c.r],
-                "support_dim": c.support_dim,
-                "fiber_dim": c.fiber_dim,
-                "total_dim": c.total_dim,
-                "multiplicity": c.multiplicity,
-                "is_resolution": c.is_resolution,
-            }
-            for c in comps
-        ],
-        "intersections": [
-            {
-                "shallow_e": x.shallow.e,
-                "deep_e": x.deep.e,
-                "image": support[x.image_r],
-                "fiber": {
-                    "e": x.fiber_e,
-                    "k": x.fiber_k,
-                    "ambient": x.fiber_ambient,
-                    "kind": x.fiber_kind,
-                },
-                "fiber_dim": x.fiber_dim,
-                "total_dim": x.total_dim,
-            }
-            for x in inters
-        ],
+        "components": comps,
+        "intersections": inters,
         "counts": counts,
         "notes": notes,
     }

@@ -170,12 +170,17 @@ def sec_dim_printed(s: int, n: int, kind: str) -> int:
     They disagree with sub_dim in known cases (for example they give 5
     for rank <= 4 skew forms on QQ^5, which actually fill P^9), so they
     are not used by any computation; sub_dim is certified against the
-    tangent oracle instead.  s and n must be ints (not bools).
+    tangent oracle instead.  s and n must be ints (not bools), s >= 1,
+    and n >= 2s (skew) or n >= s (sym): the expressions assume room for
+    s independent 2-planes or lines in QQ^n.
     """
     check_kind(kind)
     _check_ints(s=s, n=n)
     if s < 1:
         raise ValueError("secant index s must be >= 1")
+    floor = 2 * s if kind == SKEW else s
+    if n < floor:
+        raise ValueError(f"n must be >= {floor} for s = {s} ({kind}), got {n}")
     if kind == SKEW:
         return min(math.comb(n, 2) - 1, 2 * (n - 2) * s + s - 1) - 2 * s * (s - 1)
     return min(math.comb(n + 1, 2) - 1, math.comb(s + 1, 2) + s * (n - s) - 1)

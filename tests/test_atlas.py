@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -18,6 +21,8 @@ from divatlas.atlas import (
 from divatlas.brill_noether import achieved_r, big_R, rho, w_dim
 from divatlas.subspaces import e_max
 from divatlas.tensors import SKEW, SYM
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_fiber_dim_values():
@@ -245,8 +250,6 @@ def test_nsclass():
 
 
 def test_atlas_report_round_trip():
-    import json
-
     for kwargs in [
         dict(g=37, d=36, k=2, kind=SKEW),
         dict(g=4, d=6, k=2, kind=SKEW, include_canonical=True),
@@ -321,15 +324,64 @@ def test_atlas_report_equals_standalone_calls():
 
 
 def test_atlas_report_builds_components_once(monkeypatch):
-    # the report builds its list through the private core that components
-    # wraps, with R = big_R(g, d) taken once at the argument check
+    # one walk per report: the component rows come from the core that
+    # components wraps, with R = big_R(g, d) taken once at the argument
+    # check, and the intersections are built once from those rows
     calls = []
-    real = atlas._components
-    monkeypatch.setattr(atlas, "_components", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    real = atlas._component_rows
+    monkeypatch.setattr(atlas, "_component_rows", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    pairs = []
+    real_pairs = atlas._intersection_rows
+    monkeypatch.setattr(atlas, "_intersection_rows", lambda *a: pairs.append(a[1:]) or real_pairs(*a))
     for args in [(37, 36, 2, SKEW), (4, 3, 2, SKEW), (8, 14, 3, SYM)]:
         calls.clear()
+        pairs.clear()
         atlas_report(*args, printed_secdim=True, include_canonical=True)
         assert calls == [args + (False, big_R(args[0], args[1]))]
+        assert pairs == [(args[2], args[3], True)]
+
+
+def test_atlas_report_makes_no_records(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("record made on the report path")
+
+    monkeypatch.setattr(atlas, "ComponentRecord", refuse)
+    monkeypatch.setattr(atlas, "IntersectionRecord", refuse)
+    for args in [(37, 36, 2, SKEW), (4, 3, 2, SKEW), (8, 9, 2, SYM), (60, 60, 5, SKEW)]:
+        report = atlas_report(*args, include_canonical=True)
+        assert report["intersections"] or len(report["components"]) < 2
+        assert component_count(*args) == report["counts"]
+
+
+def test_rows_keep_the_record_checks(monkeypatch):
+    # the rows are checked as the records check themselves, with the
+    # same messages, though the walk cannot give either case
+    monkeypatch.setattr(atlas, "_top_points", lambda g, d, R: 0)
+    for call in (atlas_report, components, component_count):
+        with pytest.raises(ValueError, match="^multiplicity must be >= 1$"):
+            call(4, 3, 2, SKEW)
+    monkeypatch.undo()
+    monkeypatch.setattr(atlas, "_strata", lambda *a: [(1, 2), (3, 2)])
+    for call in (atlas_report, intersections):
+        with pytest.raises(ValueError, match="^shallow component must have the smaller bound e$"):
+            call(37, 36, 2, SKEW)
+
+
+def test_atlas_report_matches_the_pinned_digest():
+    # sha256 over json.dumps of each report, key order included, one line
+    # per report; the digest was taken before the reports were built
+    # straight from the strata walk, and any change to a value, a note or
+    # the order of keys breaks it
+    digest = hashlib.sha256()
+    for g in range(2, 21):
+        for d in range(1, 2 * g + 1):
+            for k in range(2, 6):
+                for kind in (SKEW, SYM):
+                    for paper_sym in (False, True):
+                        for printed in (False, True):
+                            report = atlas_report(g, d, k, kind, paper_sym, printed, g >= 3 and k < g)
+                            digest.update(json.dumps(report).encode() + b"\n")
+    assert digest.hexdigest() == (DATA / "atlas-report-g20.sha256").read_text().strip()
 
 
 @pytest.mark.parametrize(
@@ -392,6 +444,11 @@ def test_fiber_dim_bad_arguments_raise_with_message():
     with pytest.raises(ValueError) as info:
         fiber_dim(-1, 2, SKEW)
     assert str(info.value) == "r must be >= 0"
+    # k = 0 gave 0, k = -1 math.comb's "k must be a non-negative integer"
+    for k in (0, -1):
+        with pytest.raises(ValueError) as info:
+            fiber_dim(2, k, SKEW)
+        assert str(info.value) == f"k must be >= 1, got {k}"
     with pytest.raises(ValueError) as info:
         fiber_dim(1, 2, "x")
     assert str(info.value) == KIND_MESSAGE

@@ -137,6 +137,7 @@ COMPONENTS_CASES = [
         "g8-d9-k2-t-compat",
         ["--genus", "8", "--degree", "9", "--k", "2", "--class", "t", "--compat-paper-sym", "--compat-paper-secdim"],
     ),
+    ("g60-d60-k5-n-canonical", ["--genus", "60", "--degree", "60", "--k", "5", "--canonical"]),
 ]
 
 
@@ -164,7 +165,9 @@ def test_enc_output_matches_committed_file(capsys, name):
 def test_components_output_matches_committed_file(capsys, name, argv):
     # the genus-4 atlas has a two-point top stratum (multiplicity 2); in the
     # genus-8 compat atlas both switches change the output, the top stratum
-    # has 14 points, and all four notes fire
+    # has 14 points, and all four notes fire; the genus-60 k = 5 atlas, at
+    # the top of the benchmark grid, has 3 components, 3 intersections and
+    # a count note
     argv, expected = _components_golden(name, argv)
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0

@@ -197,13 +197,42 @@ def test_sec_dim_printed_refuses_non_int_arguments(s, n, kind, bad):
 
 
 def test_sec_dim_printed_values_are_unchanged():
+    # (2, 2) and (3, 5) skew gave -4 and -3; they are refused now
     expected = {
-        SKEW: {(1, 2): 0, (1, 5): 6, (1, 8): 12, (2, 2): -4, (2, 5): 5, (2, 8): 21, (3, 5): -3, (3, 8): 15},
+        SKEW: {(1, 2): 0, (1, 5): 6, (1, 8): 12, (2, 5): 5, (2, 8): 21, (3, 8): 15},
         SYM: {(1, 2): 1, (1, 5): 4, (1, 8): 7, (2, 2): 2, (2, 5): 8, (2, 8): 14, (3, 5): 11, (3, 8): 20},
     }
     for kind, values in expected.items():
         for (s, n), value in values.items():
             assert sec_dim_printed(s, n, kind) == value, (kind, s, n)
+
+
+@pytest.mark.parametrize(
+    "s, n, kind, bad",
+    [
+        (1, 0, SYM, "n must be >= 1 for s = 1 (sym), got 0"),
+        (2, 2, SKEW, "n must be >= 4 for s = 2 (skew), got 2"),
+        (3, 5, SKEW, "n must be >= 6 for s = 3 (skew), got 5"),
+        (1, -3, SKEW, "n must be >= 2 for s = 1 (skew), got -3"),
+    ],
+    ids=repr,
+)
+def test_sec_dim_printed_refuses_small_n(s, n, kind, bad):
+    # these gave -1, -4, -3 and math.comb's "n must be a non-negative integer"
+    with pytest.raises(ValueError) as info:
+        sec_dim_printed(s, n, kind)
+    assert str(info.value) == bad
+
+
+def test_sec_dim_printed_accepts_only_nonnegative_values():
+    for kind, floor in ((SKEW, 2), (SYM, 1)):
+        for s in range(1, 40):
+            for n in range(120):
+                if n < floor * s:
+                    with pytest.raises(ValueError):
+                        sec_dim_printed(s, n, kind)
+                else:
+                    assert sec_dim_printed(s, n, kind) >= 0, (kind, s, n)
 
 
 def test_power_dim_counts_the_basis():
