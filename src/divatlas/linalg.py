@@ -24,6 +24,16 @@ denominators first, which changes neither the rank nor the pivot
 columns.  ``_bareiss`` is the same kernel on the columns of a list of
 rows.
 
+Both the kernel and the membership test apply many covectors y_s to
+the same integer columns, and ``_packed_rows`` makes that one product
+(Kronecker packing): it packs the m covectors into n integers, row i
+holding the sum of y_s[i] << (w * s), and for a column v with every
+|v_i| <= bound the one product of v with the rows is 0 exactly when
+every y_s . v is 0, once the slot width w exceeds the bit length of
+max_s ||y_s||_1 * bound.  The kernel packs its covectors at the first
+dependent column after a pivot and skips the later columns, within its
+entry bound, whose packed product is 0.
+
 ``_certified_rank`` serves the tangent-space oracle, whose integer
 Jacobians have independent columns in the generic case and are mostly
 zeros: it takes sparse columns, {row: nonzero int} maps, and their rank
@@ -37,8 +47,8 @@ enc, the membership test).
 The production route (enc, enclosing_space, SubspaceBasis and the
 membership test, sub_dim_tangent, the atlas, and the CLI's enc and
 components) uses only the kernels and the coercions: ``_eliminate``,
-``_bareiss``, ``_certified_rank``, ``_int_vector``, ``as_exact``,
-``as_vector`` and ``_check_ints``.  The oracles here, kept for
+``_bareiss``, ``_certified_rank``, ``_packed_rows``, ``_int_vector``,
+``as_exact``, ``as_vector`` and ``_check_ints``.  The oracles here, kept for
 ``verify``, the tests and the benchmark, are the dense
 ``RationalMatrix`` with ``rank``, ``image_basis`` and ``in_span`` on
 it, ``exact_det`` and ``int_det`` (``_bareiss`` on rows from
@@ -179,6 +189,36 @@ def _int_rows(rows) -> list:
     return [_int_vector(row) for row in rows]
 
 
+def _packed_rows(covectors, n: int, bound: int) -> list:
+    """The m >= 1 covectors y_0 .. y_(m-1), each a sequence of n ints,
+    packed into n ints: row i is the sum over s of y_s[i] << (w * s), with
+    the slot width w = (max_s ||y_s||_1 * bound).bit_length() + 1.
+
+    Lemma: for an integer column v with max |v_i| <= bound,
+    sum(v_i * row_i) == 0 exactly when every y_s . v == 0.  The sum is
+    sum_s (y_s . v) * 2^(w*s), and |y_s . v| <= ||y_s||_1 * bound
+    < 2^(w-1).  If some product is nonzero, let s be the lowest: the sum
+    is 2^(w*s) * ((y_s . v) + 2^w * Q) for an integer Q, and that is not
+    0, since a nonzero y_s . v smaller than 2^w in absolute value is no
+    multiple of 2^w.  So one product of v with the rows tests all m
+    products at once; the spare bit in each slot also lets each y_s . v
+    be read back from the sum as a balanced base-2^w digit.
+    """
+    ys = list(covectors)
+    w = (max(sum(map(abs, y)) for y in ys) * bound).bit_length() + 1
+    rows = [0] * n
+    for s, y in enumerate(ys):
+        shift = w * s
+        for i, x in enumerate(y):
+            if x:
+                rows[i] += x << shift
+    return rows
+
+
+# the entry bound of the columns that _eliminate tests on its packed covectors
+_PACK_BOUND = 2**62 - 1
+
+
 def _eliminate(columns, n_rows: int) -> tuple:
     """Fraction-free elimination of a stream of integer columns, each a
     sequence of n_rows ints.
@@ -210,6 +250,15 @@ def _eliminate(columns, n_rows: int) -> tuple:
     They come back as an iterator over n_rows - rank dense lists of ints,
     each made when it is asked for, so a caller that needs only the
     pivots (enc) makes none.
+
+    Between two pivots the covectors do not change, so the first column
+    found dependent after a pivot has them packed (_packed_rows, with
+    bound _PACK_BOUND): a later column with every entry within the
+    bound whose one product with the packed rows is 0 is dependent and
+    skipped without the per-covector products.  Every other column, a
+    nonzero packed product or an entry past the bound, takes the exact
+    products, so the pivots, the last pivot and the covectors are those
+    of the per-covector test.  The next pivot drops the packed rows.
     """
     pivot_cols = []
     pivot_rows = []
@@ -217,14 +266,21 @@ def _eliminate(columns, n_rows: int) -> tuple:
     covectors = [()] * n_rows  # B[q] for each of them
     prev = 1
     sign = 1
+    packed = None  # the covectors packed, once a column since the last pivot was dependent
     mul = operator.mul
     for col, v in enumerate(columns if rows else ()):
         if not any(v):
             continue
         if pivot_rows:
+            if packed is not None and not sum(map(mul, v, packed)):
+                if max(v) <= _PACK_BOUND and min(v) >= -_PACK_BOUND:
+                    continue
             vp = pivot_entries(v)
             ds = [sum(map(mul, b, vp), prev * v[q]) for q, b in zip(rows, covectors)]
             if not any(ds):
+                if packed is None:
+                    dense = _dense_covectors(rows, covectors, pivot_rows, prev, n_rows)
+                    packed = _packed_rows(dense, n_rows, _PACK_BOUND)
                 continue
         else:
             ds = list(v)  # every y_q is still e_q, and the rows are in order
@@ -247,6 +303,7 @@ def _eliminate(columns, n_rows: int) -> tuple:
             covectors = [[-d] for d in ds]
         pivot_cols.append(col)
         prev = a
+        packed = None
         if not rows:
             break
     return pivot_cols, sign * prev, _dense_covectors(rows, covectors, pivot_rows, prev, n_rows)

@@ -26,11 +26,13 @@ covectors that span the subspace's annihilator: SubspaceBasis makes
 them in the one kernel call that checks its vectors' independence, and
 a basis from enclosing_space, which that check skips, makes them from
 its own vectors on first use rather than reuse enc's elimination.  It
-dots them with the contraction columns of the tensor's own faces: first
-the one face of its first term, read by n lookups, whose nonzero product
-certifies a non-member, then every face of its support, filled in one
-pass over the terms.  It never uses _contraction_columns, so it stays a
-route independent of the enclosing space it checks.
+dots them with the contraction column of one face, that of the first
+term, read by n lookups, whose nonzero product certifies a non-member.
+Then it packs the covectors into n integer rows (linalg._packed_rows)
+and, in one pass over the terms, adds each term's entry times its row
+into one sum per face of the support; t is a member iff every sum is 0,
+and no face column is made.  It never uses _contraction_columns, so it
+stays a route independent of the enclosing space it checks.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .linalg import (
     _check_ints,
     _eliminate,
     _int_vector,
+    _packed_rows,
     as_exact,
     as_vector,
     exact_det,
@@ -670,17 +673,11 @@ def apply_linear_map(mat, t):
     raise TypeError(f"not a tensor: {type(t).__name__}")
 
 
-def _skew_face_columns(t: SkewTensor):
-    """The contraction columns of t's faces, as dense lists: face J (a
-    (k-1)-subset) has (-1)^pos * coeff(J + {i}) in row i, pos the position
-    of i in J + {i}, and 0 in the rows of J.
-
-    The first column is that of the first term's face J = I minus its
-    first index, read by n lookups; the rest come from one pass over the
-    terms, each (term, position) pair writing its entry into its face's
-    column.  Each (face, row) pair comes from one term, so nothing is
-    accumulated, and the cost scales with the support, not C(n, k-1).
-    """
+def _skew_first_face(t: SkewTensor) -> list:
+    """The contraction column, as a dense list, of the face J = I minus its
+    first index of t's first term I: (-1)^pos * coeff(J + {i}) in row i,
+    pos the position of i in J + {i}, and 0 in the rows of J; read by n
+    lookups."""
     n = t.n
     get = t.coeffs.get
     J = next(iter(t.coeffs))[1:]
@@ -693,26 +690,13 @@ def _skew_face_columns(t: SkewTensor):
             if c:
                 col[i] = -c if pos % 2 else c
         lo = hi + 1
-    yield col
-    faces = {}
-    for idx, c in t.coeffs.items():
-        for pos, i in enumerate(idx):
-            face = idx[:pos] + idx[pos + 1 :]
-            col = faces.get(face)
-            if col is None:
-                col = faces[face] = [0] * n
-            col[i] = -c if pos % 2 else c
-    yield from faces.values()
+    return col
 
 
-def _sym_face_columns(t: SymTensor):
-    """The contraction columns of t's faces, as dense lists: face a (an
-    exponent vector of degree k-1) has (a_i + 1) * coeff(a + e_i) in row i.
-
-    The first column is that of the first term's face, its first nonzero
-    exponent lowered by one, read by n lookups; the rest come from one
-    pass over the terms, as in _skew_face_columns.
-    """
+def _sym_first_face(t: SymTensor) -> list:
+    """The contraction column, as a dense list, of the face of t's first
+    term (its first nonzero exponent lowered by one): (a_i + 1) *
+    coeff(a + e_i) in row i; read by n lookups."""
     n = t.n
     get = t.coeffs.get
     a = list(next(iter(t.coeffs)))
@@ -725,20 +709,47 @@ def _sym_face_columns(t: SymTensor):
         a[i] = e - 1
         if c:
             col[i] = e * c
-    yield col
-    faces = {}
-    for alpha, c in t.coeffs.items():
-        a = list(alpha)
-        for i, e in enumerate(alpha):
-            if e:
-                a[i] = e - 1
-                face = tuple(a)
-                a[i] = e
-                col = faces.get(face)
-                if col is None:
-                    col = faces[face] = [0] * n
-                col[i] = e * c
-    yield from faces.values()
+    return col
+
+
+def _skew_face_sums(keys, cs: list, rows: list) -> dict:
+    """{face J: sum_i v_i * rows[i]}, v the contraction column of J, over
+    the faces of the support, for t's keys and its coefficients cs (as
+    ints, in key order): the term I, c adds (-1)^pos * c * rows[i]
+    to the face I minus {i}, pos the position of i in I.  Each (face,
+    row) pair comes from one term, so v_i is that one term's entry.  The
+    faces of one position are zipped from the other index columns of
+    the keys."""
+    sums = {}
+    get = sums.get
+    columns = list(zip(*keys))
+    negated = [-c for c in cs]
+    for pos, column in enumerate(columns):
+        others = columns[:pos] + columns[pos + 1 :]
+        faces = zip(*others) if others else itertools.repeat(())
+        for face, y, c in zip(faces, map(rows.__getitem__, column), negated if pos % 2 else cs):
+            sums[face] = get(face, 0) + y * c
+    return sums
+
+
+def _sym_face_sums(keys, cs: list, rows: list) -> dict:
+    """As _skew_face_sums for the symmetric kind: the term alpha, c adds
+    alpha_i * c * rows[i] to the face alpha - e_i, for each i with
+    alpha_i > 0.  The faces are keyed by integers: an exponent vector a
+    of degree at most k by sum_j a_j * (k+1)^j, its digits in base k + 1,
+    so the face of alpha at i is alpha's key less (k+1)^i, and no face
+    tuple is made.  For each i, compress picks the terms with alpha_i > 0."""
+    sums = {}
+    get = sums.get
+    keys = list(keys)
+    units = [(sum(keys[0]) + 1) ** i for i in range(len(rows))]
+    codes = [sum(map(operator.mul, alpha, units)) for alpha in keys]
+    compress = itertools.compress
+    for es, y, unit in zip(zip(*keys), rows, units):
+        for code, e, c in zip(compress(codes, es), compress(es, es), compress(cs, es)):
+            face = code - unit
+            sums[face] = get(face, 0) + e * c * y
+    return sums
 
 
 def is_in_power_of(t, W: SubspaceBasis) -> bool:
@@ -762,10 +773,16 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
     2. The column of one face, that of t's first term, is read by n
        coefficient lookups.  A covector with a nonzero dot product on it
        is an exact certificate that t is not a member.
-    3. Otherwise one pass over t's terms fills a dense column for each
-       face of its support, and each is dotted with every covector;
-       the first nonzero product decides False.  The cost scales with
-       the support (nnz * k entries), never with C(n, k-1).
+    3. Otherwise t's coefficients are scaled to integers by the lcm of
+       their denominators, and the covectors are packed into n integer
+       rows (linalg._packed_rows), with the largest entry of a scaled
+       face column as the bound: max |c| (skew) or k * max |c| (sym).
+       One pass over t's terms adds each term's entry times its row into
+       one sum per face of the support, and t is a member iff every sum
+       is 0: by the packing lemma, a face's sum is 0 exactly when every
+       covector annihilates its column.  The cost scales with the
+       support (nnz * k products), never with C(n, k-1), and no face
+       column is made.
 
     This is a route of its own: it never builds a contraction matrix,
     takes a rank or makes the columns of _contraction_columns, which
@@ -774,9 +791,9 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
     if W.ambient_dim != t.n:
         raise ValueError("subspace ambient dimension does not match tensor")
     if isinstance(t, SkewTensor):
-        face_columns = _skew_face_columns
+        first_face, face_sums, entry = _skew_first_face, _skew_face_sums, 1
     elif isinstance(t, SymTensor):
-        face_columns = _sym_face_columns
+        first_face, face_sums, entry = _sym_first_face, _sym_face_sums, t.k
     else:
         raise TypeError(f"not a tensor: {type(t).__name__}")
     if not t.k or not t.coeffs:
@@ -785,7 +802,12 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
     if not covectors:
         return True
     mul = operator.mul
-    return not any(sum(map(mul, y, col)) for col in face_columns(t) for y in covectors)
+    col = first_face(t)
+    if any(sum(map(mul, y, col)) for y in covectors):
+        return False
+    cs = _int_vector(t.coeffs.values())
+    rows = _packed_rows(covectors, t.n, entry * max(max(cs), -min(cs)))
+    return not any(face_sums(t.coeffs, cs, rows).values())
 
 
 # ---------------------------------------------------------------------------

@@ -49,34 +49,44 @@ def _rank_mismatch(M: RationalMatrix, b: int) -> str | None:
     return None
 
 
+def _rank_oracle_matrices(seed: int, count: int):
+    """The seeded matrices of check_rank_oracle, in order: (i, M, None) for
+    the i-th uniform random matrix, then after every other one with both
+    sides at least 2, (i, P, s) for a product P of r x s and s x c
+    factors with s < min(r, c), whose rank is at most s."""
+    rng = random.Random(f"rank-oracle:{seed}")
+    for i in range(count):
+        r = rng.randint(1, 12)
+        c = rng.randint(1, 12)
+        yield i, random_matrix(r, c, rng), None
+        if i % 2 or min(r, c) < 2:
+            continue
+        s = rng.randint(1, min(r, c) - 1)
+        L, R = random_matrix(r, s, rng), random_matrix(s, c, rng)
+        R_cols = R.columns()
+        yield i, RationalMatrix([[sum(map(operator.mul, L.row(a), col)) for col in R_cols] for a in range(r)]), s
+
+
 def check_rank_oracle(seed: int = 0, count: int = 100) -> tuple:
     """Bareiss rank equals naive rational elimination rank; rank(M) = rank(M^T);
     the image basis is independent.
 
     Uniform random matrices are almost always of full rank, so after
     every other one the check also draws a product of r x s and s x c
-    factors with s < min(r, c), whose rank is at most s.
+    factors with s < min(r, c), whose rank is at most s
+    (_rank_oracle_matrices).
     """
-    rng = random.Random(f"rank-oracle:{seed}")
     deficient = 0
-    for i in range(count):
-        r = rng.randint(1, 12)
-        c = rng.randint(1, 12)
-        M = random_matrix(r, c, rng)
-        error = _rank_mismatch(M, rank(M))
+    for i, M, s in _rank_oracle_matrices(seed, count):
+        b = rank(M)
+        if s is None:
+            error, where = _rank_mismatch(M, b), f"matrix {i} ({M.rows}x{M.cols})"
+        else:
+            error = _rank_mismatch(M, b) or (b > s and "rank above the inner dimension")
+            where = f"the product {i} ({M.rows}x{s} times {s}x{M.cols})"
+            deficient += b < min(M.rows, M.cols)
         if error:
-            return False, f"{error} on matrix {i} ({r}x{c})"
-        if i % 2 or min(r, c) < 2:
-            continue
-        s = rng.randint(1, min(r, c) - 1)
-        L, R = random_matrix(r, s, rng), random_matrix(s, c, rng)
-        R_cols = R.columns()
-        P = RationalMatrix([[sum(map(operator.mul, L.row(a), col)) for col in R_cols] for a in range(r)])
-        b = rank(P)
-        error = _rank_mismatch(P, b) or (b > s and "rank above the inner dimension")
-        if error:
-            return False, f"{error} on the product {i} ({r}x{s} times {s}x{c})"
-        deficient += b < min(r, c)
+            return False, f"{error} on {where}"
     return True, (
         f"{count} random matrices up to 12x12 and {deficient} rank-deficient products "
         "agree with the elimination oracle"

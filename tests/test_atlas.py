@@ -367,6 +367,24 @@ def test_rows_keep_the_record_checks(monkeypatch):
             call(37, 36, 2, SKEW)
 
 
+def test_atlas_report_counts_the_top_points_once(monkeypatch):
+    # a zero-dimensional top stratum that is a component carries its point
+    # count as its multiplicity, and the closed-form count reads it there
+    calls = []
+    real = atlas._top_points
+    monkeypatch.setattr(atlas, "_top_points", lambda *args: calls.append(args) or real(*args))
+    finite_top_components = 0
+    for g in range(2, 21):
+        for d in range(1, 2 * g + 1):
+            for k in range(2, 6):
+                for kind in (SKEW, SYM):
+                    calls.clear()
+                    comps = atlas_report(g, d, k, kind)["components"]
+                    assert len(calls) <= 1, (g, d, k, kind)
+                    finite_top_components += bool(comps) and comps[-1]["support_dim"] == 0
+    assert finite_top_components >= 100
+
+
 def test_atlas_report_matches_the_pinned_digest():
     # sha256 over json.dumps of each report, key order included, one line
     # per report; the digest was taken before the reports were built

@@ -127,7 +127,7 @@ def test_enc_json_format(tmp_path, capsys):
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-ENC_CASES = ["skew-k3-n7", "sym-k3-n5", "skew-k3-n8-spellings"]
+ENC_CASES = ["skew-k3-n7", "sym-k3-n5", "skew-k3-n8-spellings", "sym-k4-n10-three-powers", "skew-k3-n8-big"]
 COMPONENTS_CASES = [
     ("g37-d36-k2-n", ["--genus", "37", "--degree", "36", "--k", "2"]),
     ("g37-d36-k3-n", ["--genus", "37", "--degree", "36", "--k", "3"]),
@@ -154,7 +154,10 @@ def test_enc_output_matches_committed_file(capsys, name):
     # the expected files pin the whole JSON output, basis included; the
     # skew tensor has Fraction coefficients and enc 6 < n, the sym one enc = n;
     # the spellings file mixes JSON ints with "+3", " 2 ", "1_0" and "3/6"
-    # strings and repeats two keys, one summing to zero
+    # strings and repeats two keys, one summing to zero; the sum of three
+    # fourth powers on QQ^10 has enc 3, so most of its columns are tested
+    # on the packed covectors, and the skew cubic's coefficients lie above
+    # 2^62, so its dependent columns take the exact products
     argv, expected = _enc_golden(name)
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0

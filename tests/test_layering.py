@@ -3,7 +3,8 @@
 Every exact rank on the production route (enc, enclosing_space,
 is_in_power_of, sub_dim_tangent, the atlas and the CLI) comes from one
 integer kernel in linalg: _eliminate, with _bareiss and _certified_rank
-in front of it.  The names in ORACLES are independent second routes,
+in front of it and _packed_rows, the packed covector test of _eliminate
+and is_in_power_of, behind it.  The names in ORACLES are independent second routes,
 kept so that verify, the tests and perfbench can check that kernel.  If
 a production function loaded one, a check would quietly become the
 route it checks; if gauss_rank loaded the kernel, the cross-check would
@@ -42,7 +43,7 @@ ORACLES = frozenset(
         "_matrix_rows",
     }
 )
-KERNEL = frozenset({"_eliminate", "_bareiss", "_certified_rank"})
+KERNEL = frozenset({"_eliminate", "_bareiss", "_certified_rank", "_packed_rows"})
 
 
 def _loads(node) -> set:

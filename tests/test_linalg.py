@@ -447,3 +447,138 @@ def test_bareiss_stops_at_full_row_rank():
     for n in (0, 1, 4):
         pivots, last, annihilator = _eliminate(columns(n), n)
         assert (pivots, last, list(annihilator)) == (list(range(n)), 1, [])
+
+
+# ---------------------------------------------------------------------------
+# the packed covector test
+
+
+def _per_covector_eliminate(columns, n_rows):
+    """_eliminate with one product per covector on every nonzero column,
+    as the kernel was before it packed its covectors: the reference for
+    the packed test.  Returns the dense covectors as a list."""
+    pivot_cols, pivot_rows = [], []
+    rows = list(range(n_rows))
+    covectors = [()] * n_rows
+    prev, sign = 1, 1
+    for col, v in enumerate(columns if rows else ()):
+        if not any(v):
+            continue
+        if pivot_rows:
+            ds = [sum(b[j] * v[p] for j, p in enumerate(pivot_rows)) + prev * v[q] for q, b in zip(rows, covectors)]
+            if not any(ds):
+                continue
+        else:
+            ds = list(v)
+        piv = next(i for i, a in enumerate(ds) if a)
+        a = ds[piv]
+        if piv:
+            sign = -sign
+        pivot_rows.append(rows[piv])
+        b_piv = covectors[piv]
+        rows[piv], covectors[piv], ds[piv] = rows[0], covectors[0], ds[0]
+        del rows[0], covectors[0], ds[0]
+        covectors = [[(a * x - d * y) // prev for x, y in zip(b, b_piv)] + [-d] for b, d in zip(covectors, ds)]
+        pivot_cols.append(col)
+        prev = a
+        if not rows:
+            break
+    dense = []
+    for q, b in zip(rows, covectors):
+        y = [0] * n_rows
+        y[q] = prev
+        for p, x in zip(pivot_rows, b):
+            y[p] = x
+        dense.append(y)
+    return pivot_cols, sign * prev, dense
+
+
+_EDGES = (2**62 - 1, 2**62, 2**200)
+
+
+def _edge_streams(rng):
+    """(n, columns): rank-deficient streams whose columns combine, with
+    weights -1..1, fewer base columns than rows; base entries are 0,
+    small, or +-(2^62 - 1), +-2^62 or +-2^200, so dependent columns fall
+    on both sides of the packed test's entry bound."""
+    values = [0, 0, 1, -2, 3] + [s * x for x in _EDGES for s in (1, -1)]
+    for n in range(2, 8):
+        for _ in range(30):
+            base = [[rng.choice(values) for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
+            columns = []
+            for _ in range(rng.randint(len(base), 3 * n)):
+                if rng.random() < 0.5:  # a base column again, its entries kept exactly
+                    columns.append(list(rng.choice(base)))
+                else:
+                    ws = [rng.randint(-1, 1) for _ in base]
+                    columns.append([sum(w * b[i] for w, b in zip(ws, base)) for i in range(n)])
+            yield n, columns
+
+
+def test_packed_kernel_matches_the_per_covector_reference_at_the_entry_bound(monkeypatch):
+    packs = []
+    real = linalg._packed_rows
+    monkeypatch.setattr(linalg, "_packed_rows", lambda *args: packs.append(args[2]) or real(*args))
+    dependent = {"at the bound": 0, "2^62": 0, "2^200": 0}
+    for n, columns in _edge_streams(random.Random("packed-kernel")):
+        pivots, last, annihilator = _eliminate(iter(columns), n)
+        expected = _per_covector_eliminate(columns, n)
+        assert (pivots, last, list(annihilator)) == expected
+        assert len(pivots) == gauss_rank(RationalMatrix.from_columns(columns)) < n
+        for j, v in enumerate(columns):
+            top = max(map(abs, v))
+            if j not in pivots and top:
+                dependent["at the bound"] += top == 2**62 - 1
+                dependent["2^62"] += top == 2**62
+                dependent["2^200"] += top >= 2**200
+    assert packs and set(packs) == {2**62 - 1}
+    assert min(dependent.values()) >= 50, dependent
+
+
+def test_eliminate_checks_the_entry_bound_before_a_packed_skip():
+    # after e_0 and a dependent e_0 the covectors e_1, e_2 are packed into
+    # the rows 0, 1, 2^w; (0, 2^w, -1) has a packed product of 0 but an
+    # entry past the bound, so it takes the exact products and is a pivot
+    w = linalg._packed_rows([[0, 1, 0], [0, 0, 1]], 3, 2**62 - 1)[2].bit_length() - 1
+    pivots, last, annihilator = _eliminate(iter([[1, 0, 0], [1, 0, 0], [0, 2**w, -1]]), 3)
+    assert (pivots, last) == ([0, 2], 2**w)
+    assert gauss_rank(RationalMatrix.from_columns([[1, 0, 0], [1, 0, 0], [0, 2**w, -1]])) == 2
+
+
+def _slots(total, w, m):
+    """The m balanced base-2^w digits of total, lowest first."""
+    digits = []
+    for _ in range(m):
+        d = total & ((1 << w) - 1)
+        if d >> (w - 1):
+            d -= 1 << w
+        digits.append(d)
+        total = (total - d) >> w
+    assert total == 0
+    return digits
+
+
+def test_packed_rows_slots_decode_to_the_plain_dots():
+    # every entry of an extreme column is +-bound, with the signs of one
+    # covector, so that covector's dot reaches ||y||_1 * bound, the most a
+    # slot must hold
+    rng = random.Random("packed-rows")
+    entries = (0, 0, 1, -1, 5, -(10**6), 2**70, -(2**70))
+    cases = [([[1, -1, 0], [0, 1, -1]], 3)]  # (b, b, b) is in the common kernel
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        ys = [[rng.choice(entries) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        cases.append(([y for y in ys if any(y)] or [[1] * n], n))
+    for bound in (1, 7, 2**62 - 1, 2**200):
+        for ys, n in cases:
+            rows = linalg._packed_rows(ys, n, bound)
+            assert len(rows) == n and all(type(x) is int for x in rows)
+            w = (max(sum(map(abs, y)) for y in ys) * bound).bit_length() + 1
+            columns = [[bound if x >= 0 else -bound for x in y] for y in ys]
+            columns += [[-x for x in v] for v in columns]
+            columns += [[rng.choice((bound, -bound)) for _ in range(n)], [bound] * n]
+            for v in columns:
+                dots = [sum(map(operator.mul, y, v)) for y in ys]
+                total = sum(map(operator.mul, v, rows))
+                assert _slots(total, w, len(ys)) == dots
+                assert (total == 0) == (not any(dots))

@@ -720,6 +720,38 @@ def test_is_in_power_of_matches_transport_reference():
     assert min(fractions.values()) >= 10
 
 
+def test_is_in_power_of_matches_transport_reference_at_large_coefficients():
+    # coefficients near 2^200 and Fractions widen the packed slots; k = 1
+    # has the one empty face; W of every dimension below n leaves from 1
+    # to n annihilator covectors
+    rng = random.Random("membership-transport-large")
+    scales = (2**200 + 1, -(2**200), Fraction(2**200 - 1, 3), Fraction(-7, 2**61))
+    outcomes = {True: 0, False: 0}
+    kinds = {"big": 0, "fraction": 0}
+    for kind, k, n in [(SKEW, 1, 4), (SKEW, 2, 5), (SKEW, 3, 6), (SYM, 1, 4), (SYM, 2, 4), (SYM, 3, 5)]:
+        covector_counts = set()
+        for s in range(2 * n):
+            t = random_decomposable(n, k, kind, f"large:{kind}:{k}:{s}:a") * rng.choice(scales)
+            if s % 2:
+                t = t + random_decomposable(n, k, kind, f"large:{kind}:{k}:{s}:b") * rng.choice(scales)
+            kinds["big"] += max(abs(c) for c in t.coeffs.values()) > 2**190
+            kinds["fraction"] += any(type(c) is Fraction for c in t.coeffs.values())
+            U = list(enclosing_space(t).vectors)
+            dim = s % n
+            extra = [random_vector(n, rng) for _ in range(n)]
+            if s % 3 and dim >= len(U):  # contains U
+                W = _rational_span(U + extra[: dim - len(U)], dim, n, rng)
+            else:
+                W = _rational_span(extra, dim, n, rng)
+            covector_counts.add(len(W._annihilator()))
+            got = is_in_power_of(t, W)
+            assert got == _transport_membership(t, W), (kind, k, n, s)
+            outcomes[got] += 1
+        assert covector_counts == set(range(1, n + 1))
+    assert min(outcomes.values()) >= 10
+    assert min(kinds.values()) >= 10
+
+
 def test_is_in_power_of_avoids_the_oracle_side(monkeypatch):
     # membership must stay a route independent of enclosing_space, which
     # the tests check it against
@@ -763,8 +795,8 @@ def test_is_in_power_of_full_pass_decides_past_a_zero_first_face(cls, first, sec
     # and only the second term's faces show that t is not a member
     t = cls(6, 3, {first: 1, second: 1})
     W = _coordinate_span(6, range(5))
-    face_columns = tensors._skew_face_columns if cls is SkewTensor else tensors._sym_face_columns
-    column = next(face_columns(t))
+    first_face = tensors._skew_first_face if cls is SkewTensor else tensors._sym_first_face
+    column = first_face(t)
     assert column[5] == 0 and any(column)
     assert not is_in_power_of(t, W)
     assert is_in_power_of(cls(6, 3, {first: 1}), W)
