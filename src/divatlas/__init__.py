@@ -44,8 +44,6 @@ from .subspaces import (
     sub_dim_tangent,
 )
 from .atlas import (
-    ComponentRecord,
-    IntersectionRecord,
     atlas_report,
     canonical_analysis,
     component_count,

@@ -21,14 +21,12 @@ the strata r = small_r .. R on private cores that take their arguments
 as checked: the Brill-Noether formulas of brill_noether, the fiber and
 subspace-variety dimensions, and the row builders _component_rows and
 _intersection_rows.  Those rows are the report's own JSON-ready dicts,
-built from plain integers; atlas_report returns them as they are, and
-components and intersections turn the same rows into their frozen
-records, so every value is computed in one place.
+built from plain integers, and the only shape of the atlas: atlas_report
+puts them into the report as they are, and components and intersections
+return the same rows, so every value is computed in one place.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 # w_dim is not called here; perfbench's test_tracer_rebinds_every_import_and_restores
 # expects to find it bound in this module
@@ -36,63 +34,6 @@ from .brill_noether import _rho, _small_r, _top_points, _w_dim, big_R, w_dim  # 
 from .linalg import _check_ints
 from .subspaces import _e_bound, _sub_dim, e_max, e_max_sym, sec_dim_printed
 from .tensors import SKEW, SYM, _power_dim, check_kind
-
-
-@dataclass(frozen=True)
-class ComponentRecord:
-    """One irreducible component of the divisor variety.
-
-    The component sits over the Brill-Noether stratum W^r_d with a
-    generic fiber P^fiber_dim; e is the stable enclosing bound attained
-    there.  multiplicity > 1 only on a zero-dimensional top stratum,
-    where each of its finitely many points carries its own component.
-
-    This is the public view that components() builds from the rows of
-    one atlas walk; atlas_report never makes one.
-    """
-
-    r: int
-    e: int
-    support_dim: int
-    fiber_dim: int
-    total_dim: int
-    multiplicity: int
-    is_resolution: bool
-
-    def __post_init__(self):
-        if self.total_dim != self.support_dim + self.fiber_dim:
-            raise ValueError("total_dim must equal support_dim + fiber_dim")
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be >= 1")
-
-
-@dataclass(frozen=True)
-class IntersectionRecord:
-    """Pairwise intersection of two components of one divisor variety.
-
-    Its image under the Abel-Jacobi map is the deeper stratum, and the
-    generic fiber is the subspace variety Sub_e of the shallow bound e
-    inside the linear system over that stratum.
-
-    This is the public view that intersections() builds from the rows of
-    one atlas walk; atlas_report never makes one.
-    """
-
-    shallow: ComponentRecord
-    deep: ComponentRecord
-    image_r: int
-    fiber_e: int
-    fiber_k: int
-    fiber_ambient: int
-    fiber_kind: str
-    fiber_dim: int
-    total_dim: int
-
-    def __post_init__(self):
-        if self.shallow.e >= self.deep.e:
-            raise ValueError("shallow component must have the smaller bound e")
-        if self.image_r != self.deep.r:
-            raise ValueError("intersection image must be the deep stratum")
 
 
 def _check_atlas_args(g: int, d: int, k: int, kind: str) -> int:
@@ -189,31 +130,20 @@ def _component_rows(g: int, d: int, k: int, kind: str, paper_sym: bool, R: int) 
     return out
 
 
-def _component_record(row: dict) -> ComponentRecord:
-    return ComponentRecord(
-        r=row["r"],
-        e=row["e"],
-        support_dim=row["support_dim"],
-        fiber_dim=row["fiber_dim"],
-        total_dim=row["total_dim"],
-        multiplicity=row["multiplicity"],
-        is_resolution=row["is_resolution"],
-    )
-
-
 def components(g: int, d: int, k: int, kind: str, paper_sym: bool = False) -> list:
-    """Irreducible components of the divisor variety, one record per stratum.
+    """Irreducible components of the divisor variety, one row per stratum.
 
-    Each record's total dimension is the stratum dimension plus the
-    generic fiber dimension.  When the top stratum is zero-dimensional
-    (rho = 0) it is a finite set of points, each carrying its own copy
-    of the component; the record then has multiplicity equal to that
-    point count.  The resolution flag marks the degree g-1 skew
-    components with e = r+1 = k, which map birationally onto W^(k-1)
-    and resolve its singularities.
+    Each row is the report's component dict: the stratum r, its bound
+    e, the support W^r_d with its dimension, the generic fiber
+    dimension, and the total dimension, which is their sum.  When the
+    top stratum is zero-dimensional (rho = 0) it is a finite set of
+    points, each carrying its own copy of the component; the row then
+    has multiplicity equal to that point count.  The resolution flag
+    marks the degree g-1 skew components with e = r+1 = k, which map
+    birationally onto W^(k-1) and resolve its singularities.
     """
     R = _check_atlas_args(g, d, k, kind)
-    return [_component_record(row) for row in _component_rows(g, d, k, kind, paper_sym, R)]
+    return _component_rows(g, d, k, kind, paper_sym, R)
 
 
 def _intersection_rows(comps: list, k: int, kind: str, printed_secdim: bool) -> list:
@@ -252,36 +182,19 @@ def intersections(
     paper_sym: bool = False,
     printed_secdim: bool = False,
 ) -> list:
-    """Pairwise intersections of the components of one divisor variety.
+    """Pairwise intersections of the components of one divisor variety,
+    one row per pair.
 
     For each ordered pair (shallow, deep) the intersection maps onto
     the deep stratum, with generic fiber the subspace variety of the
-    shallow bound inside the deep linear system.  printed_secdim
-    switches the k = 2 fiber dimensions to the retained closed-form
-    secant expressions for comparison.
+    shallow bound inside the deep linear system.  A row names its
+    parents by their bounds, shallow_e and deep_e, which strictly
+    increase along the walk, and its image is the deep row's support.
+    printed_secdim switches the k = 2 fiber dimensions to the retained
+    closed-form secant expressions for comparison.
     """
     R = _check_atlas_args(g, d, k, kind)
-    comps = _component_rows(g, d, k, kind, paper_sym, R)
-    # the bounds e strictly increase along the walk, so they name the components
-    records = {row["e"]: _component_record(row) for row in comps}
-    out = []
-    for x in _intersection_rows(comps, k, kind, printed_secdim):
-        fiber = x["fiber"]
-        deep = records[x["deep_e"]]
-        out.append(
-            IntersectionRecord(
-                shallow=records[x["shallow_e"]],
-                deep=deep,
-                image_r=deep.r,
-                fiber_e=fiber["e"],
-                fiber_k=fiber["k"],
-                fiber_ambient=fiber["ambient"],
-                fiber_kind=fiber["kind"],
-                fiber_dim=x["fiber_dim"],
-                total_dim=x["total_dim"],
-            )
-        )
-    return out
+    return _intersection_rows(_component_rows(g, d, k, kind, paper_sym, R), k, kind, printed_secdim)
 
 
 def _paper_count(comps: list, g: int, d: int, k: int, kind: str, R: int) -> int:
@@ -386,10 +299,10 @@ def atlas_report(
 
     The arguments are checked once, and one walk over the strata builds
     the component dicts, which the intersection dicts and the count then
-    reuse.  The dicts come straight from plain integers, with no record
-    made on the way, through the same row builders that components,
-    intersections and component_count use, so the report equals what
-    those three return when called alone.  The report always carries
+    reuse.  The dicts come straight from plain integers, through the
+    same row builders that components, intersections and
+    component_count use, so the report equals what those three return
+    when called alone.  The report always carries
     explicit notes for the code paths where the implemented values and
     the retained closed forms are known to disagree (component counts,
     k = 2 secant dimensions, the symmetric parity convention);

@@ -1,8 +1,9 @@
 """Command-line front end: atlas tables, tensor queries, verification runs.
 
-Exit codes: 0 success, 1 usage error, 2 computation or validation
-failure.  Output is deterministic for identical inputs and seeds, and
-the JSON form of every report round-trips losslessly.
+Exit codes: 0 success, 1 usage error or a reader that closed the
+output pipe, 2 computation or validation failure.  Output is
+deterministic for identical inputs and seeds, and the JSON form of
+every report round-trips losslessly.
 
 The argument parser is built once per process, on the first ``main()``
 call, and reused by every later call; ``main`` keeps no other state
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .atlas import atlas_report, class_to_kind
@@ -249,10 +251,19 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 0
     try:
         if args.command == "components":
-            return _cmd_components(args)
-        if args.command == "enc":
-            return _cmd_enc(args)
-        return _cmd_verify(args)
+            code = _cmd_components(args)
+        elif args.command == "enc":
+            code = _cmd_enc(args)
+        else:
+            code = _cmd_verify(args)
+        # a short output waits in the buffer; a closed pipe shows here
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at
+        # os.devnull so that flush cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, RuntimeError) as exc:
         print(f"divatlas: {exc}", file=sys.stderr)
         return 2

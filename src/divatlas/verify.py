@@ -288,7 +288,7 @@ def check_g37_w_dims(seed: int = 0) -> tuple:
 
 def check_g37_atlas_k2(seed: int = 0) -> tuple:
     comps = atlas.components(37, 36, 2, SKEW)
-    shape = [(c.r, c.e, c.total_dim) for c in comps]
+    shape = [(c["r"], c["e"], c["total_dim"]) for c in comps]
     if shape != [(1, 2, 33), (3, 4, 26), (5, 6, 15)]:
         return False, f"genus-37 k=2 atlas is {shape}"
     return True, "genus-37 k=2: components (1,2), (3,4), (5,6) with dims 33, 26, 15"
@@ -296,7 +296,7 @@ def check_g37_atlas_k2(seed: int = 0) -> tuple:
 
 def check_g37_atlas_k3(seed: int = 0) -> tuple:
     comps = atlas.components(37, 36, 3, SKEW)
-    shape = [(c.r, c.e, c.total_dim) for c in comps]
+    shape = [(c["r"], c["e"], c["total_dim"]) for c in comps]
     if shape != [(2, 3, 28), (4, 5, 21), (5, 6, 20)]:
         return False, f"genus-37 k=3 atlas is {shape}"
     return True, "genus-37 k=3: components (2,3), (4,5), (5,6) with dims 28, 21, 20"
@@ -322,21 +322,21 @@ def check_canonical_parity(seed: int = 0) -> tuple:
     for g in range(3, 13):
         comps = atlas.components(g, 2 * g - 2, 2, SKEW)
         want = 1 if g % 2 == 1 else 2
-        if len(comps) != want or sum(c.multiplicity for c in comps) != want:
+        if len(comps) != want or sum(c["multiplicity"] for c in comps) != want:
             return False, f"genus {g} canonical square has {len(comps)} components"
         if g % 2 == 0:
             inter = atlas.intersections(g, 2 * g - 2, 2, SKEW)
             if len(inter) != 1:
-                return False, f"genus {g}: expected a single intersection record"
+                return False, f"genus {g}: expected a single intersection row"
             x = inter[0]
             ok = (
-                x.image_r == g - 1
-                and x.fiber_e == g - 2
-                and x.fiber_ambient == g
-                and x.total_dim == math.comb(g, 2) - 2
+                x["image"] == f"W^{g - 1}_{2 * g - 2}"
+                and x["fiber"]["e"] == g - 2
+                and x["fiber"]["ambient"] == g
+                and x["total_dim"] == math.comb(g, 2) - 2
             )
             if not ok:
-                return False, f"genus {g}: intersection record off"
+                return False, f"genus {g}: intersection row off"
     return True, "genus 3..12: canonical parity and intersection loci as expected"
 
 
@@ -373,12 +373,12 @@ def check_resolution_flags(seed: int = 0) -> tuple:
     for g in range(4, 21):
         for k in range(2, 5):
             comps = atlas.components(g, g - 1, k, SKEW)
-            flagged = [c for c in comps if c.is_resolution]
-            expected = [c for c in comps if c.e == k and c.r == k - 1]
+            flagged = [c for c in comps if c["is_resolution"]]
+            expected = [c for c in comps if c["e"] == k and c["r"] == k - 1]
             if flagged != expected:
                 return False, f"resolution flag mismatch at g={g}, k={k}"
             for c in flagged:
-                if c.fiber_dim != 0 or c.total_dim != bn.w_dim(g, k - 1, g - 1):
+                if c["fiber_dim"] != 0 or c["total_dim"] != bn.w_dim(g, k - 1, g - 1):
                     return False, f"flagged component not birational at g={g}, k={k}"
     return True, "resolution components are exactly the e = r+1 = k strata at d = g-1"
 
@@ -396,13 +396,13 @@ def check_atlas_coherence(seed: int = 0) -> tuple:
                 for kind in (SKEW, SYM):
                     comps = atlas.components(g, d, k, kind)
                     for a, b in zip(comps, comps[1:]):
-                        if not (a.r < b.r and a.e < b.e):
+                        if not (a["r"] < b["r"] and a["e"] < b["e"]):
                             return False, f"non-monotone strata at g={g}, d={d}, k={k}, {kind}"
                         # supports strictly shrink once the caps min(g, rho) are inactive
-                        if bn.rho(g, b.r, d) > 0 and bn.rho(g, a.r, d) <= g:
-                            if not a.support_dim > b.support_dim:
+                        if bn.rho(g, b["r"], d) > 0 and bn.rho(g, a["r"], d) <= g:
+                            if not a["support_dim"] > b["support_dim"]:
                                 return False, f"supports not nested at g={g}, d={d}, k={k}, {kind}"
-                    strata = {c.r: c.e for c in comps}
+                    strata = {c["r"] for c in comps}
                     prev_e = 0
                     for r in bn.achieved_r(g, d):
                         if atlas.fiber_dim(r, k, kind) < 0:
@@ -411,11 +411,14 @@ def check_atlas_coherence(seed: int = 0) -> tuple:
                         if e <= prev_e and r in strata:
                             return False, f"absorbed stratum emitted at g={g}, d={d}, k={k}, {kind}"
                         prev_e = max(prev_e, e)
+                    # the bounds e strictly increase along the walk, so they name the components
+                    by_e = {c["e"]: c for c in comps}
                     for x in atlas.intersections(g, d, k, kind):
-                        full_system = atlas.fiber_dim(x.deep.r, k, kind)
-                        if not x.fiber_dim < full_system:
+                        full_system = atlas.fiber_dim(x["fiber"]["ambient"] - 1, k, kind)
+                        if not x["fiber_dim"] < full_system:
                             return False, f"intersection fiber not proper at g={g}, d={d}, k={k}, {kind}"
-                        if not x.total_dim < min(x.shallow.total_dim, x.deep.total_dim):
+                        shallow, deep = by_e[x["shallow_e"]], by_e[x["deep_e"]]
+                        if not x["total_dim"] < min(shallow["total_dim"], deep["total_dim"]):
                             return False, f"intersection not proper at g={g}, d={d}, k={k}, {kind}"
     return True, "grid g <= 40, d <= 2g, k <= 4: monotone strata, proper intersections"
 

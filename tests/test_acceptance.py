@@ -29,14 +29,14 @@ def test_criterion_1_genus_37_strata():
 
 def test_criterion_2_genus_37_atlas_k2():
     comps = components(37, 36, 2, SKEW)
-    shape = [(c.r, c.e, c.total_dim) for c in comps]
+    shape = [(c["r"], c["e"], c["total_dim"]) for c in comps]
     ok = shape == [(1, 2, 33), (3, 4, 26), (5, 6, 15)]
     _report(2, ok, f"k = 2 components (r, e, dim) = {shape}")
 
 
 def test_criterion_3_genus_37_atlas_k3():
     comps = components(37, 36, 3, SKEW)
-    shape = [(c.r, c.e, c.total_dim) for c in comps]
+    shape = [(c["r"], c["e"], c["total_dim"]) for c in comps]
     ok = shape == [(2, 3, 28), (4, 5, 21), (5, 6, 20)]
     _report(3, ok, f"k = 3 components (r, e, dim) = {shape}")
 
@@ -66,12 +66,12 @@ def test_criterion_5_canonical_parity():
             x = inter[0] if len(inter) == 1 else None
             if (
                 x is None
-                or x.image_r != g - 1
-                or x.fiber_e != g - 2
-                or x.fiber_ambient != g
-                or x.total_dim != math.comb(g, 2) - 2
+                or x["image"] != f"W^{g - 1}_{2 * g - 2}"
+                or x["fiber"]["e"] != g - 2
+                or x["fiber"]["ambient"] != g
+                or x["total_dim"] != math.comb(g, 2) - 2
             ):
-                ok, detail = False, f"genus {g}: intersection record incorrect"
+                ok, detail = False, f"genus {g}: intersection row incorrect"
                 break
     _report(5, ok, detail)
 

@@ -64,18 +64,18 @@ def test_jump_strata_canonical_parity():
 
 def test_components_genus_37_k2():
     comps = components(37, 36, 2, SKEW)
-    assert [(c.r, c.e, c.total_dim) for c in comps] == [
+    assert [(c["r"], c["e"], c["total_dim"]) for c in comps] == [
         (1, 2, 33),
         (3, 4, 26),
         (5, 6, 15),
     ]
-    assert [c.fiber_dim for c in comps] == [0, 5, 14]
-    assert all(c.multiplicity == 1 for c in comps)
+    assert [c["fiber_dim"] for c in comps] == [0, 5, 14]
+    assert all(c["multiplicity"] == 1 for c in comps)
 
 
 def test_components_genus_37_k3():
     comps = components(37, 36, 3, SKEW)
-    assert [(c.r, c.e, c.total_dim) for c in comps] == [
+    assert [(c["r"], c["e"], c["total_dim"]) for c in comps] == [
         (2, 3, 28),
         (4, 5, 21),
         (5, 6, 20),
@@ -87,16 +87,16 @@ def test_components_main_paracanonical_dimension():
         for k in range(3, 5):
             comps = components(g, 2 * g - 2, k, SKEW)
             main = comps[0]
-            assert main.total_dim == g + math.comb(g - 1, k) - 1
-            assert main.support_dim == g
+            assert main["total_dim"] == g + math.comb(g - 1, k) - 1
+            assert main["support_dim"] == g
 
 
 def test_components_two_point_top_stratum():
     # two degree-3 pencils on a genus-4 curve, each an isolated divisor
     comps = components(4, 3, 2, SKEW)
     assert len(comps) == 1
-    assert comps[0].multiplicity == 2
-    assert comps[0].total_dim == 0
+    assert comps[0]["multiplicity"] == 2
+    assert comps[0]["total_dim"] == 0
 
 
 def test_components_empty_atlas():
@@ -108,7 +108,7 @@ def test_absorption_soundness():
     for g in range(2, 25):
         for d in range(1, 2 * g + 1):
             for k in (2, 3):
-                emitted = {c.r for c in components(g, d, k, SKEW)}
+                emitted = {c["r"] for c in components(g, d, k, SKEW)}
                 best = 0
                 for r in achieved_r(g, d):
                     if fiber_dim(r, k, SKEW) < 0:
@@ -129,36 +129,36 @@ def test_strict_monotonicity_within_atlas():
     ]:
         comps = components(g, d, k, kind)
         for a, b in zip(comps, comps[1:]):
-            assert a.r < b.r and a.e < b.e
-            if rho(g, b.r, d) > 0 and rho(g, a.r, d) <= g:
-                assert a.support_dim > b.support_dim
+            assert a["r"] < b["r"] and a["e"] < b["e"]
+            if rho(g, b["r"], d) > 0 and rho(g, a["r"], d) <= g:
+                assert a["support_dim"] > b["support_dim"]
 
 
 def test_intersections_genus_4_canonical():
     inter = intersections(4, 6, 2, SKEW)
     assert len(inter) == 1
     x = inter[0]
-    assert x.image_r == 3
-    assert (x.fiber_e, x.fiber_k, x.fiber_ambient, x.fiber_kind) == (2, 2, 4, SKEW)
-    assert x.fiber_dim == 4  # the Grassmannian of lines in P^3
-    assert x.total_dim == 4
+    assert x["image"] == "W^3_6"
+    assert x["fiber"] == {"e": 2, "k": 2, "ambient": 4, "kind": SKEW}
+    assert x["fiber_dim"] == 4  # the Grassmannian of lines in P^3
+    assert x["total_dim"] == 4
 
 
 def test_intersections_even_genus_family():
     for g in range(4, 13, 2):
         x = intersections(g, 2 * g - 2, 2, SKEW)[0]
-        assert x.image_r == g - 1
-        assert x.fiber_e == g - 2
-        assert x.fiber_ambient == g
-        assert x.total_dim == math.comb(g, 2) - 2
+        assert x["image"] == f"W^{g - 1}_{2 * g - 2}"
+        assert x["fiber"]["e"] == g - 2
+        assert x["fiber"]["ambient"] == g
+        assert x["total_dim"] == math.comb(g, 2) - 2
 
 
 def test_intersections_genus_37_k3_pair():
     inter = intersections(37, 36, 3, SKEW)
-    pair = [x for x in inter if x.shallow.e == 3 and x.deep.e == 6]
+    pair = [x for x in inter if x["shallow_e"] == 3 and x["deep_e"] == 6]
     assert len(pair) == 1
-    assert pair[0].fiber_dim == 9
-    assert pair[0].total_dim == 10
+    assert pair[0]["fiber_dim"] == 9
+    assert pair[0]["total_dim"] == 10
 
 
 def test_intersections_empty_for_single_component():
@@ -217,22 +217,22 @@ def test_canonical_analysis_domain():
 
 def test_resolution_flag():
     comps = components(37, 36, 2, SKEW)
-    assert [c.is_resolution for c in comps] == [True, False, False]
+    assert [c["is_resolution"] for c in comps] == [True, False, False]
     flagged = comps[0]
-    assert flagged.fiber_dim == 0
-    assert flagged.total_dim == w_dim(37, 1, 36)
+    assert flagged["fiber_dim"] == 0
+    assert flagged["total_dim"] == w_dim(37, 1, 36)
     # same class of components on the cube
     comps3 = components(37, 36, 3, SKEW)
-    assert [c.is_resolution for c in comps3] == [True, False, False]
+    assert [c["is_resolution"] for c in comps3] == [True, False, False]
     # wrong degree: no resolution flags
-    assert not any(c.is_resolution for c in components(37, 35, 2, SKEW))
+    assert not any(c["is_resolution"] for c in components(37, 35, 2, SKEW))
 
 
 def test_sym_atlas_faithful_vs_compat():
     faithful = components(37, 36, 2, SYM)
-    assert [(c.r, c.e) for c in faithful] == [(r, r + 1) for r in range(6)]
+    assert [(c["r"], c["e"]) for c in faithful] == [(r, r + 1) for r in range(6)]
     compat = components(37, 36, 2, SYM, paper_sym=True)
-    assert [(c.r, c.e) for c in compat] == [(1, 2), (3, 4), (5, 6)]
+    assert [(c["r"], c["e"]) for c in compat] == [(1, 2), (3, 4), (5, 6)]
 
 
 def test_sym_count_off_by_one_is_noted():
@@ -275,36 +275,6 @@ def test_atlas_rejects_bad_parameters():
             components(*bad, SKEW)
 
 
-def _component_rows(records, d):
-    return [
-        {
-            "r": c.r,
-            "e": c.e,
-            "support": f"W^{c.r}_{d}",
-            "support_dim": c.support_dim,
-            "fiber_dim": c.fiber_dim,
-            "total_dim": c.total_dim,
-            "multiplicity": c.multiplicity,
-            "is_resolution": c.is_resolution,
-        }
-        for c in records
-    ]
-
-
-def _intersection_rows(records, d):
-    return [
-        {
-            "shallow_e": x.shallow.e,
-            "deep_e": x.deep.e,
-            "image": f"W^{x.image_r}_{d}",
-            "fiber": {"e": x.fiber_e, "k": x.fiber_k, "ambient": x.fiber_ambient, "kind": x.fiber_kind},
-            "fiber_dim": x.fiber_dim,
-            "total_dim": x.total_dim,
-        }
-        for x in records
-    ]
-
-
 def test_atlas_report_equals_standalone_calls():
     # the report builds the component list once; it must still say what
     # components, intersections and component_count say on their own
@@ -313,14 +283,20 @@ def test_atlas_report_equals_standalone_calls():
             for k in range(2, 6):
                 for kind in (SKEW, SYM):
                     for paper_sym in (False, True):
-                        comps = _component_rows(components(g, d, k, kind, paper_sym), d)
+                        comps = components(g, d, k, kind, paper_sym)
                         counts = component_count(g, d, k, kind, paper_sym)
+                        # the invariants the rows hold by construction
+                        for c in comps:
+                            assert c["total_dim"] == c["support_dim"] + c["fiber_dim"]
+                        support = {c["e"]: c["support"] for c in comps}
                         for printed in (False, True):
                             report = atlas_report(g, d, k, kind, paper_sym, printed)
                             inters = intersections(g, d, k, kind, paper_sym, printed)
                             assert report["components"] == comps
-                            assert report["intersections"] == _intersection_rows(inters, d)
+                            assert report["intersections"] == inters
                             assert report["counts"] == counts
+                            for x in inters:
+                                assert x["image"] == support[x["deep_e"]]
 
 
 def test_atlas_report_builds_components_once(monkeypatch):
@@ -341,21 +317,9 @@ def test_atlas_report_builds_components_once(monkeypatch):
         assert pairs == [(args[2], args[3], True)]
 
 
-def test_atlas_report_makes_no_records(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("record made on the report path")
-
-    monkeypatch.setattr(atlas, "ComponentRecord", refuse)
-    monkeypatch.setattr(atlas, "IntersectionRecord", refuse)
-    for args in [(37, 36, 2, SKEW), (4, 3, 2, SKEW), (8, 9, 2, SYM), (60, 60, 5, SKEW)]:
-        report = atlas_report(*args, include_canonical=True)
-        assert report["intersections"] or len(report["components"]) < 2
-        assert component_count(*args) == report["counts"]
-
-
 def test_rows_keep_the_record_checks(monkeypatch):
-    # the rows are checked as the records check themselves, with the
-    # same messages, though the walk cannot give either case
+    # the rows check multiplicity >= 1 and shallow e < deep e, though
+    # the walk cannot give either case
     monkeypatch.setattr(atlas, "_top_points", lambda g, d, R: 0)
     for call in (atlas_report, components, component_count):
         with pytest.raises(ValueError, match="^multiplicity must be >= 1$"):

@@ -420,6 +420,27 @@ def test_components_deterministic_output():
     assert first.stdout == second.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "enc-oracle", "--seed", "1"],
+        ["components", "--genus", "37", "--degree", "36", "--k", "2"],
+    ],
+    ids=["verify", "components"],
+)
+def test_closed_output_pipe_prints_no_traceback(argv):
+    # the reader is gone before the command writes a byte
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "divatlas", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
 def test_compat_flags_reach_report(capsys):
     rc, out, _ = run_cli(
         capsys,
