@@ -203,11 +203,9 @@ def _cmd_enc(args) -> int:
         with open(args.tensor, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        print(f"divatlas: cannot read {args.tensor}: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read {args.tensor}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        print(f"divatlas: {args.tensor} is not valid JSON: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.tensor} is not valid JSON: {exc}") from exc
     t = tensor_from_json(obj)
     basis = enclosing_space(t)
     value = basis.dim

@@ -455,6 +455,7 @@ def int_det(rows) -> int:
     return det if r == len(rows) else 0
 
 
-def random_matrix(rows: int, cols: int, rng: random.Random, lo: int = -9, hi: int = 9) -> RationalMatrix:
-    """Seeded random integer matrix with entries uniform in [lo, hi]."""
-    return RationalMatrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+def random_matrix(rows: int, cols: int, rng: random.Random) -> RationalMatrix:
+    """Seeded random integer matrix with entries uniform in [-9, 9], drawn
+    row by row."""
+    return RationalMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])

@@ -69,6 +69,14 @@ def check_kind(kind: str) -> str:
     return kind
 
 
+def _kind(t) -> str:
+    """t's kind; anything that is not a tensor raises TypeError before any
+    attribute of it is read."""
+    if not isinstance(t, _Tensor):
+        raise TypeError(f"not a tensor: {type(t).__name__}")
+    return t.kind
+
+
 def _check_shape(n: int, k: int) -> None:
     """Refuse an n or k that is not a nonnegative int (bools included)."""
     _check_ints(n=n, k=k)
@@ -517,15 +525,14 @@ def _contraction_columns(t):
     """The columns of t's contraction matrix, in order, as tuples of exact
     scalars (as as_exact gives them), made one at a time on demand.
 
-    Checks the degree and the size limit when called, before any column
-    is made, and returns the generator of t's kind.
+    Checks the type, the degree and the size limit when called, before
+    any column is made, and returns the generator of t's kind.
     """
-    if not isinstance(t, _Tensor):
-        raise TypeError(f"not a tensor: {type(t).__name__}")
+    kind = _kind(t)
     if t.k < 1:
         raise ValueError("contraction needs degree k >= 1")
-    _check_contraction_size(t, _power_dim(t.n, t.k - 1, t.kind))
-    return _skew_columns(t) if t.kind == SKEW else _sym_columns(t)
+    _check_contraction_size(t, _power_dim(t.n, t.k - 1, kind))
+    return _skew_columns(t) if kind == SKEW else _sym_columns(t)
 
 
 def _skew_columns(t: SkewTensor):
@@ -595,9 +602,14 @@ def contraction_matrix(t) -> RationalMatrix:
 
 def _pivot_columns(t) -> tuple:
     """The pivot columns of t's contraction matrix, as _contraction_columns
-    makes them.  The kernel takes each column scaled by the lcm of its
-    denominators, and stops at full row rank: the columns after the last
-    pivot of a tensor with enc = n are never made."""
+    makes them, and none for a degree-0 tensor, a scalar, which no vector
+    is needed to enclose.  A non-tensor raises TypeError first.  The
+    kernel takes each column scaled by the lcm of its denominators, and
+    stops at full row rank: the columns after the last pivot of a tensor
+    with enc = n are never made."""
+    _kind(t)
+    if not t.k:
+        return ()
     columns = _contraction_columns(t)
     integral = _integral(t)
     seen = []
@@ -614,16 +626,13 @@ def _pivot_columns(t) -> tuple:
 def enclosing_space(t) -> SubspaceBasis:
     """Basis of the smallest subspace U with t in the k-th power of U: the
     pivot columns of the contraction matrix."""
-    if t.k == 0:
-        # degree-0 tensors are scalars; no vectors are needed to enclose them
-        return SubspaceBasis._independent(t.n, ())
-    return SubspaceBasis._independent(t.n, _pivot_columns(t))
+    # the type check of _pivot_columns runs before t.n is read
+    columns = _pivot_columns(t)
+    return SubspaceBasis._independent(t.n, columns)
 
 
 def enc(t) -> int:
     """Enclosing dimension: rank of the contraction matrix."""
-    if t.k == 0:
-        return 0
     return len(_pivot_columns(t))
 
 
@@ -644,12 +653,13 @@ def apply_linear_map(mat, t):
     i-th column; the tensor is transported through the induced map on
     exterior (resp. symmetric) powers.
     """
+    kind = _kind(t)
     rows = _matrix_rows(mat)
     n_out = len(rows)
     n_in = len(rows[0]) if rows else 0
     if n_in != t.n:
         raise ValueError("matrix width does not match tensor dimension")
-    if isinstance(t, SkewTensor):
+    if kind == SKEW:
         coeffs = {}
         for J in itertools.combinations(range(n_out), t.k):
             s = 0
@@ -658,19 +668,17 @@ def apply_linear_map(mat, t):
             if s:
                 coeffs[J] = s
         return SkewTensor(n_out, t.k, coeffs)
-    if isinstance(t, SymTensor):
-        # substitute variable i by the linear form given by column i
-        substituted = _substitution(list(zip(*rows)), n_out)
-        out = {}
-        for alpha, c in t.coeffs.items():
-            for key, v in substituted(alpha).items():
-                w = out.get(key, 0) + c * v
-                if w:
-                    out[key] = w
-                elif key in out:
-                    del out[key]
-        return SymTensor(n_out, t.k, out)
-    raise TypeError(f"not a tensor: {type(t).__name__}")
+    # substitute variable i by the linear form given by column i
+    substituted = _substitution(list(zip(*rows)), n_out)
+    out = {}
+    for alpha, c in t.coeffs.items():
+        for key, v in substituted(alpha).items():
+            w = out.get(key, 0) + c * v
+            if w:
+                out[key] = w
+            elif key in out:
+                del out[key]
+    return SymTensor(n_out, t.k, out)
 
 
 def _skew_first_face(t: SkewTensor) -> list:
@@ -788,14 +796,13 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
     takes a rank or makes the columns of _contraction_columns, which
     enc and enclosing_space rank, so it can be checked against them.
     """
+    kind = _kind(t)
     if W.ambient_dim != t.n:
         raise ValueError("subspace ambient dimension does not match tensor")
-    if isinstance(t, SkewTensor):
+    if kind == SKEW:
         first_face, face_sums, entry = _skew_first_face, _skew_face_sums, 1
-    elif isinstance(t, SymTensor):
-        first_face, face_sums, entry = _sym_first_face, _sym_face_sums, t.k
     else:
-        raise TypeError(f"not a tensor: {type(t).__name__}")
+        first_face, face_sums, entry = _sym_first_face, _sym_face_sums, t.k
     if not t.k or not t.coeffs:
         return True
     covectors = W._annihilator()
@@ -818,8 +825,9 @@ def _rng(seed) -> random.Random:
     return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
-def random_vector(n: int, rng: random.Random, lo: int = -9, hi: int = 9):
-    return tuple(rng.randint(lo, hi) for _ in range(n))
+def random_vector(n: int, rng: random.Random):
+    """Seeded random integer vector of length n, entries uniform in [-9, 9]."""
+    return tuple(rng.randint(-9, 9) for _ in range(n))
 
 
 def random_tensor(n: int, k: int, kind: str, seed):
@@ -878,34 +886,23 @@ def random_subspace(n: int, dim: int, seed) -> SubspaceBasis:
 
 
 def tensor_to_json(t) -> dict:
-    """Serialize a tensor to the interchange dict used by the CLI."""
-    if isinstance(t, SkewTensor):
-        items = sorted(t.coeffs.items())
-    elif isinstance(t, SymTensor):
-        items = sorted(t.coeffs.items(), reverse=True)
-    else:
-        raise TypeError(f"not a tensor: {type(t).__name__}")
+    """Serialize a tensor to the interchange dict used by the CLI: skew terms
+    in increasing key order, symmetric ones in decreasing."""
+    kind = _kind(t)
+    items = sorted(t.coeffs.items(), reverse=kind == SYM)
     return {
         "n": t.n,
         "k": t.k,
-        "kind": t.kind,
+        "kind": kind,
         "terms": [{"index": list(idx), "coeff": str(c)} for idx, c in items],
     }
 
 
 def _coeff_from_json(c):
-    """A term's coefficient as an exact scalar.  A JSON int, or a string of
-    digits with an optional leading '-', is converted by int() alone;
-    anything else takes as_exact, whose errors are reported."""
+    """A term's coefficient as an exact scalar: a JSON int as it is, and a
+    string by as_exact, whose errors are reported."""
     if type(c) is int:
         return c
-    if type(c) is str and (c[1:] if c[:1] == "-" else c).isdigit():
-        try:
-            return int(c)
-        except ValueError:
-            # "²" is a digit to isdigit() but not to int(), and a literal
-            # can exceed int's digit limit: as_exact reports either
-            pass
     if not isinstance(c, (str, int)):
         raise ValueError(f"coefficient must be an int or a 'p/q' string: {c!r}")
     try:

@@ -8,6 +8,16 @@ against plain elimination, closed-form subspace dimensions against the
 tangent-space rank), genericity attainment of the maximal enclosing
 dimensions, and the worked numerical examples pinned throughout the
 package.
+
+Every check is called as chk(seed).  The sizes that no caller varies
+are module constants: RANK_ORACLE_COUNT matrices for the rank oracle,
+ENC_HYPERPLANES sampled hyperplanes per tensor of the ENC_GRID cells,
+DEFORM_SAMPLES tensors per DEFORM_GRID cell with DEFORM_TRIALS probe
+subspaces per rejected stratum, and FLIP_SAMPLES tensors per cell of the
+membership flip.  The enclosing-dimension oracle's samples and the
+tangent grid's seeds_per_cell and n_max stay arguments, which the tests
+lower to rerun those suites cheaply at a second seed.  The sampled
+subspaces come from one retry loop, _draw_subspace.
 """
 
 from __future__ import annotations
@@ -49,6 +59,9 @@ def _rank_mismatch(M: RationalMatrix, b: int) -> str | None:
     return None
 
 
+RANK_ORACLE_COUNT = 100
+
+
 def _rank_oracle_matrices(seed: int, count: int):
     """The seeded matrices of check_rank_oracle, in order: (i, M, None) for
     the i-th uniform random matrix, then after every other one with both
@@ -67,7 +80,7 @@ def _rank_oracle_matrices(seed: int, count: int):
         yield i, RationalMatrix([[sum(map(operator.mul, L.row(a), col)) for col in R_cols] for a in range(r)]), s
 
 
-def check_rank_oracle(seed: int = 0, count: int = 100) -> tuple:
+def check_rank_oracle(seed: int = 0) -> tuple:
     """Bareiss rank equals naive rational elimination rank; rank(M) = rank(M^T);
     the image basis is independent.
 
@@ -77,7 +90,7 @@ def check_rank_oracle(seed: int = 0, count: int = 100) -> tuple:
     (_rank_oracle_matrices).
     """
     deficient = 0
-    for i, M, s in _rank_oracle_matrices(seed, count):
+    for i, M, s in _rank_oracle_matrices(seed, RANK_ORACLE_COUNT):
         b = rank(M)
         if s is None:
             error, where = _rank_mismatch(M, b), f"matrix {i} ({M.rows}x{M.cols})"
@@ -88,7 +101,7 @@ def check_rank_oracle(seed: int = 0, count: int = 100) -> tuple:
         if error:
             return False, f"{error} on {where}"
     return True, (
-        f"{count} random matrices up to 12x12 and {deficient} rank-deficient products "
+        f"{RANK_ORACLE_COUNT} random matrices up to 12x12 and {deficient} rank-deficient products "
         "agree with the elimination oracle"
     )
 
@@ -107,26 +120,35 @@ ENC_GRID = (
     (SYM, 3, 4),
     (SYM, 4, 4),
 )
+ENC_HYPERPLANES = 3
+
+
+def _draw_subspace(n: int, draw, what: str) -> SubspaceBasis:
+    """The first of up to 64 draws that is a basis of a subspace of QQ^n:
+    draw() gives a tuple of vectors, and a draw that SubspaceBasis
+    refuses is drawn again."""
+    for _ in range(64):
+        try:
+            return SubspaceBasis(n, draw())
+        except ValueError:
+            continue
+    raise RuntimeError(f"failed to sample {what}")
 
 
 def _random_hyperplane(basis: SubspaceBasis, rng: random.Random) -> SubspaceBasis:
-    """A random codimension-1 subspace of the span of the given basis."""
+    """A random codimension-1 subspace of the span of the given basis: m - 1
+    combinations of its m vectors with coefficients in [-9, 9]."""
     m = basis.dim
-    n = basis.ambient_dim
     coords = list(zip(*basis.vectors))  # coords[i]: the i-th entries of the vectors
-    for _ in range(32):
-        combos = []
-        for _ in range(m - 1):
-            coeffs = [rng.randint(-9, 9) for _ in range(m)]
-            combos.append(tuple(sum(map(operator.mul, coeffs, coord)) for coord in coords))
-        try:
-            return SubspaceBasis(n, tuple(combos))
-        except ValueError:
-            continue
-    raise RuntimeError("failed to sample a hyperplane")
+
+    def draw():
+        combos = (random_vector(m, rng) for _ in range(m - 1))
+        return tuple(tuple(sum(map(operator.mul, coeffs, coord)) for coord in coords) for coeffs in combos)
+
+    return _draw_subspace(basis.ambient_dim, draw, "a hyperplane")
 
 
-def check_enc_oracle(seed: int = 0, samples: int = 100, hyperplanes: int = 3) -> tuple:
+def check_enc_oracle(seed: int = 0, samples: int = 100) -> tuple:
     """Genericity and self-consistency of the enclosing dimension.
 
     Over the (kind, k, n) grid: decomposables (wedges, k-th powers) have
@@ -158,7 +180,7 @@ def check_enc_oracle(seed: int = 0, samples: int = 100, hyperplanes: int = 3) ->
                 return False, f"self-enclosure failed at {where} seed {s}"
             if m >= 1:
                 rng = random.Random(f"enc-hyp:{tag}:{s}")
-                for _ in range(hyperplanes):
+                for _ in range(ENC_HYPERPLANES):
                     hyp = _random_hyperplane(space, rng)
                     if is_in_power_of(t, hyp):
                         return False, f"minimality failed at {where} seed {s}"
@@ -446,9 +468,12 @@ def check_count_reconciliation(seed: int = 0) -> tuple:
 
 
 DEFORM_GRID = ((2, 4), (2, 5), (3, 5), (3, 6))
+DEFORM_SAMPLES = 5
+DEFORM_TRIALS = 20
+FLIP_SAMPLES = 4
 
 
-def check_deformability(seed: int = 0, samples: int = 5, trials: int = 20) -> tuple:
+def check_deformability(seed: int = 0) -> tuple:
     """The deformability predicate agrees with brute-force subspace search.
 
     For sampled tensors with enc = m: the predicate admits the tensor
@@ -459,7 +484,7 @@ def check_deformability(seed: int = 0, samples: int = 5, trials: int = 20) -> tu
     ones hugging the enclosing space, never contain it.
     """
     for k, n in DEFORM_GRID:
-        for s in range(samples):
+        for s in range(DEFORM_SAMPLES):
             t = random_tensor(n, k, SKEW, f"deform:{seed}:{k}:{n}:{s}")
             m = enc(t)
             space = enclosing_space(t)
@@ -474,64 +499,58 @@ def check_deformability(seed: int = 0, samples: int = 5, trials: int = 20) -> tu
                     if not is_in_power_of(t, fat):
                         return False, f"admitted tensor not contained at (k,n)=({k},{n}) r={r_target}"
                 elif bound >= k:
-                    for _ in range(trials):
+                    for _ in range(DEFORM_TRIALS):
                         probe = _probe_subspace(space, bound, rng)
                         if is_in_power_of(t, probe):
                             return False, f"rejected tensor contained at (k,n)=({k},{n}) r={r_target}"
-    return True, f"{len(DEFORM_GRID)} cells x {samples} tensors: predicate matches subspace search"
+    return True, f"{len(DEFORM_GRID)} cells x {DEFORM_SAMPLES} tensors: predicate matches subspace search"
 
 
 def _fatten(space: SubspaceBasis, dim: int, rng: random.Random) -> SubspaceBasis:
-    """Extend a basis to a dim-dimensional subspace with random directions."""
+    """A dim-dimensional subspace that holds space: its basis, then
+    dim - space.dim random directions, all drawn together and drawn
+    again together (_draw_subspace) until the whole list is independent."""
     if space.dim > dim:
         raise ValueError("cannot fatten to a smaller dimension")
     n = space.ambient_dim
-    vecs = list(space.vectors)
-    for _ in range(64):
-        if len(vecs) == dim:
-            return SubspaceBasis(n, tuple(vecs))
-        cand = random_vector(n, rng)
-        try:
-            probe = SubspaceBasis(n, tuple(vecs + [cand]))
-        except ValueError:
-            continue
-        vecs = list(probe.vectors)
-    raise RuntimeError("failed to fatten subspace")
+    extra = dim - space.dim
+
+    def draw():
+        return space.vectors + tuple(random_vector(n, rng) for _ in range(extra))
+
+    return _draw_subspace(n, draw, "a fattened subspace")
 
 
 def _probe_subspace(space: SubspaceBasis, dim: int, rng: random.Random) -> SubspaceBasis:
     """A dim-dimensional subspace biased toward the enclosing space.
 
-    Mixes a random choice of vectors from the enclosing space with
-    random ambient directions, so the search also exercises subspaces
-    that nearly contain the tensor.
+    Each draw (_draw_subspace) keeps a random number, below dim, of the
+    enclosing space's first vectors and adds random ambient directions,
+    so the search also exercises subspaces that nearly contain the
+    tensor.  For dim below enc(t) none of them contains t.
     """
     n = space.ambient_dim
-    for _ in range(64):
+
+    def draw():
         keep = rng.randint(0, min(dim - 1, space.dim))
-        vecs = list(space.vectors[:keep])
-        while len(vecs) < dim:
-            vecs.append(random_vector(n, rng))
-        try:
-            return SubspaceBasis(n, tuple(vecs))
-        except ValueError:
-            continue
-    raise RuntimeError("failed to sample probe subspace")
+        return space.vectors[:keep] + tuple(random_vector(n, rng) for _ in range(dim - keep))
+
+    return _draw_subspace(n, draw, "a probe subspace")
 
 
-def check_membership_flip(seed: int = 0, samples: int = 4) -> tuple:
+def check_membership_flip(seed: int = 0) -> tuple:
     """Membership in Sub_e flips exactly at e = enc(t).
 
     Realized with subspaces: for e >= enc(t) a containing subspace of
     dimension e exists, for e < enc(t) sampled candidates all fail.  The
     skew samples are random tensors; the symmetric ones are sums of one
-    to `samples` k-th powers, so that their enclosing dimensions, and
+    to FLIP_SAMPLES k-th powers, so that their enclosing dimensions, and
     with them the flip, spread from the symmetric floor of 1 upward.
     """
     for kind, k, n in ((SKEW, 2, 5), (SKEW, 3, 5), (SYM, 2, 5), (SYM, 3, 5)):
         floor, bound = (k if kind == SKEW else 1), _e_bound(k, n, kind)
         tag = "" if kind == SKEW else "sym:"
-        for s in range(samples):
+        for s in range(FLIP_SAMPLES):
             if kind == SKEW:
                 t = random_tensor(n, k, SKEW, f"flip:{seed}:{k}:{n}:{s}")
             else:

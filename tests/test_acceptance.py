@@ -104,7 +104,7 @@ def test_criterion_9_exorbitance_gap():
 
 
 def test_criterion_10_rank_oracle():
-    ok, detail = verify.check_rank_oracle(seed=0, count=100)
+    ok, detail = verify.check_rank_oracle(seed=0)
     _report(10, ok, detail)
 
 

@@ -317,6 +317,10 @@ def test_enc_malformed_json_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     rc, _, err = run_cli(capsys, "enc", str(path))
     assert rc == 2
+    assert err == (
+        f"divatlas: {path} is not valid JSON: "
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+    )
 
     path2 = tmp_path / "badtensor.json"
     path2.write_text(
@@ -373,8 +377,10 @@ def test_enc_superscript_digit_coefficient_exits_2(tmp_path, capsys):
 
 
 def test_enc_missing_file_exits_2(tmp_path, capsys):
-    rc, _, err = run_cli(capsys, "enc", str(tmp_path / "absent.json"))
+    path = tmp_path / "absent.json"
+    rc, _, err = run_cli(capsys, "enc", str(path))
     assert rc == 2
+    assert err == f"divatlas: cannot read {path}: [Errno 2] No such file or directory: '{path}'\n"
 
 
 def test_verify_single_suite(capsys):

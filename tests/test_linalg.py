@@ -303,7 +303,7 @@ def test_certified_rank_agrees_with_rank(monkeypatch):
         rows, cols = rng.randint(1, 9), rng.randint(1, 9)
         inner = rng.randint(0, min(rows, cols))
         if rng.randint(0, 1):
-            M = random_matrix(rows, cols, rng, -(10**20), 10**20)
+            M = RationalMatrix([[rng.randint(-(10**20), 10**20) for _ in range(cols)] for _ in range(rows)])
         else:
             # a product through QQ^inner: rank at most inner
             L, R = random_matrix(rows, inner, rng), random_matrix(inner, cols, rng)

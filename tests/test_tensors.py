@@ -575,6 +575,26 @@ def test_is_in_power_of_ambient_mismatch():
         is_in_power_of(t, SubspaceBasis(3, ((1, 0, 0),)))
 
 
+TENSOR_ENTRIES = {
+    "enc": enc,
+    "enclosing_space": enclosing_space,
+    "is_in_power_of": lambda t: is_in_power_of(t, SubspaceBasis(3, ((1, 0, 0),))),
+    "contraction_matrix": contraction_matrix,
+    "apply_linear_map": lambda t: apply_linear_map([[1]], t),
+    "tensor_to_json": tensor_to_json,
+}
+
+
+@pytest.mark.parametrize("not_tensor", ["x", None, {"n": 3}], ids=["str", "None", "dict"])
+@pytest.mark.parametrize("entry", TENSOR_ENTRIES.values(), ids=TENSOR_ENTRIES)
+def test_entries_refuse_a_non_tensor_before_reading_it(entry, not_tensor):
+    # enc, enclosing_space, is_in_power_of and apply_linear_map read .k or
+    # .n first and raised AttributeError
+    with pytest.raises(TypeError) as err:
+        entry(not_tensor)
+    assert str(err.value) == f"not a tensor: {type(not_tensor).__name__}"
+
+
 def test_symplectic_never_in_three_dims():
     for s in range(20):
         W = random_subspace(4, 3, f"threedim:{s}")
@@ -905,6 +925,26 @@ def test_json_error_messages(kind, n, k, terms, message):
     obj = {"n": n, "k": k, "kind": kind, "terms": [{"index": i, "coeff": c} for i, c in terms]}
     with pytest.raises(ValueError) as err:
         tensor_from_json(obj)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tensor_from_json([]), "tensor JSON must be an object"),
+        (lambda: tensor_from_json({"n": 2, "k": 1, "kind": SKEW, "terms": {}}), "terms must be a list"),
+        (
+            lambda: tensor_from_json({"n": 2, "k": 1, "kind": SKEW, "terms": [{"index": [1], "coeff": 1.5}]}),
+            "coefficient must be an int or a 'p/q' string: 1.5",
+        ),
+        (lambda: contraction_matrix(SkewTensor(3, 0, {(): 2})), "contraction needs degree k >= 1"),
+        (lambda: contraction_matrix(SymTensor(3, 0, {(0, 0, 0): 2})), "contraction needs degree k >= 1"),
+    ],
+    ids=["json-not-an-object", "terms-not-a-list", "float-coefficient", "skew-degree-0", "sym-degree-0"],
+)
+def test_refusals_give_their_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
     assert str(err.value) == message
 
 

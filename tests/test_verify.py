@@ -5,9 +5,13 @@ stated grids; this file sweeps the complete registry so a regression in
 any suite fails pytest as well as the CLI.
 """
 
+from pathlib import Path
+
 import pytest
 
 from divatlas.verify import SUITES, run_suites
+
+GOLDEN = Path(__file__).parent / "data" / "verify-seed0.txt"
 
 ALL_CHECKS = [(name, chk) for name, checks in SUITES.items() for chk in checks]
 
@@ -47,3 +51,9 @@ def test_run_suites_reports_every_suite():
 def test_run_suites_rejects_unknown_name():
     with pytest.raises(ValueError):
         run_suites(["nonexistent"], seed=0)
+
+
+def test_seed_0_output_matches_the_golden():
+    # the output of `divatlas verify --seed 0`, byte for byte
+    _, lines = run_suites(seed=0)
+    assert "\n".join(lines) + "\n" == GOLDEN.read_text(encoding="utf-8")
