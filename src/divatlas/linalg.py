@@ -34,22 +34,30 @@ max_s ||y_s||_1 * bound.  The kernel packs its covectors at the first
 dependent column after a pivot and skips the later columns, within its
 entry bound, whose packed product is 0.
 
-``_certified_rank`` serves the tangent-space oracle, whose integer
-Jacobians have independent columns in the generic case and are mostly
-zeros: it takes sparse columns, {row: nonzero int} maps, and their rank
-modulo the prime 2^61 - 1 by an elimination that touches only nonzero
-entries.  That rank can only be at or below the rank over QQ, so a rank
-mod p equal to the column count is certified, and anything less is
-redone exactly by ``_bareiss`` on the densified columns.  It is not
-used where deficient ranks are expected (the contraction matrices of
-enc, the membership test).
+The tangent-space oracle's integer Jacobians have independent columns
+in the generic case and are mostly zeros.  They come as sparse
+columns, {row: nonzero int} maps, and take two steps.  The pass,
+``_independent_mod_p``, eliminates them modulo the prime 2^61 - 1,
+touching only nonzero entries, and stops at the first column that is
+dependent mod p.  A rank mod p is at most the rank over QQ, so columns
+independent mod p are certified independent.  Most Jacobian columns
+are units (one entry, on a tensor direction): the pass stores a
+one-entry column whose row holds no lead and whose entry is nonzero
+mod p at once, with no reduction.  The exact fallback,
+``_densified_rank``, is ``_bareiss`` on the columns made dense; a rank
+mod p below the column count is never returned.  ``_certified_rank``
+is the pass with its fallback behind it, the exact rank that the tests
+check; ``subspaces.sub_dim_tangent`` calls the two steps itself, since
+it tests w between them.  None of this is used where deficient ranks
+are expected (the contraction matrices of enc, the membership test).
 
 The production route (enc, enclosing_space, SubspaceBasis and the
 membership test, sub_dim_tangent, the atlas, and the CLI's enc and
 components) uses only the kernels and the coercions: ``_eliminate``,
-``_bareiss``, ``_certified_rank``, ``_packed_rows``, ``_int_vector``,
-``as_exact``, ``as_vector`` and ``_check_ints``.  The oracles here, kept for
-``verify``, the tests and the benchmark, are the dense
+``_bareiss``, ``_independent_mod_p``, ``_densified_rank``,
+``_packed_rows``, ``_int_vector``, ``as_exact``, ``as_vector`` and
+``_check_ints``.  The oracles here, kept for ``verify``, the tests and
+the benchmark, are the dense
 ``RationalMatrix`` with ``rank``, ``image_basis`` and ``in_span`` on
 it, ``exact_det`` and ``int_det`` (``_bareiss`` on rows from
 ``_int_rows``), ``random_matrix``, and ``gauss_rank``, a plain rational
@@ -331,32 +339,35 @@ def _bareiss(mat) -> tuple[int, list, int]:
 RANK_PRIME = 2**61 - 1
 
 
-def _certified_rank(columns) -> int:
-    """Exact rank of sparse integer vectors, each a {row: nonzero int} map.
-
-    The rank mod RANK_PRIME never exceeds the rank over QQ, so if the
-    vectors are independent mod p they are independent over QQ.  At the
-    first dependency mod p the exact rank is taken by _bareiss on the
-    same vectors, densified, instead; a deficient rank mod p is never
-    returned.
+def _independent_mod_p(columns) -> bool:
+    """True when the sparse integer vectors, each a {row: nonzero int} map,
+    are independent mod RANK_PRIME, and so independent over QQ: the rank
+    mod p never exceeds the rank over QQ.  False at the first vector that
+    is dependent mod p on those before it, and the rest are not read.
 
     The elimination mod p touches only nonzero entries: residues that
     vanish mod p, input entries included, are dropped.  Each vector that
     gains a pivot is stored under its lead row (its smallest row after
     reduction), divided by its lead entry, which is then left out: a
-    stored vector has entries only below its lead row, and a vector
-    with nothing below its lead (the unit tensor-direction columns of
-    the tangent oracle's chart Jacobian, which is built straight from
-    w) is stored empty, with no inverse taken.  A new vector that meets
-    no stored lead row is not reduced at all; otherwise it is reduced by
-    the stored vectors of the lead rows it meets, smallest row first,
-    from a heap.  A subtraction changes only rows below the one it
-    clears (fill-in), and a lead row it fills is pushed, so the vector
-    leaves with a zero on every lead row.
+    stored vector has entries only below its lead row.  A one-entry
+    vector on a row that holds no lead, with its entry nonzero mod p
+    (the unit tensor-direction columns of the tangent oracle's chart
+    Jacobian), is stored empty at once, with no dict, heap or inverse;
+    a one-entry vector that is 0 mod p or meets a lead goes the general
+    way.  A new vector that meets no stored lead row is not reduced at
+    all; otherwise it is reduced by the stored vectors of the lead rows
+    it meets, smallest row first, from a heap.  A subtraction changes
+    only rows below the one it clears (fill-in), and a lead row it fills
+    is pushed, so the vector leaves with a zero on every lead row.
     """
     p = RANK_PRIME
     pivots = {}
     for col in columns:
+        if len(col) == 1:
+            [(r, x)] = col.items()
+            if r not in pivots and x % p:
+                pivots[r] = {}
+                continue
         v = {r: y for r, x in col.items() if (y := x % p)}
         todo = [r for r in v if r in pivots]
         if todo:
@@ -375,15 +386,28 @@ def _certified_rank(columns) -> int:
                             heapq.heappush(todo, s)
             v = {r: x for r, x in v.items() if x}
         if not v:
-            height = 1 + max((r for c in columns for r in c), default=-1)
-            return _bareiss([[c.get(r, 0) for r in range(height)] for c in columns])[0]
+            return False
         lead = min(v)
         x = v.pop(lead)
         if v:
             inv = pow(x, -1, p)
             v = {s: y * inv % p for s, y in v.items()}
         pivots[lead] = v
-    return len(pivots)
+    return True
+
+
+def _densified_rank(columns) -> int:
+    """Exact rank of sparse integer vectors, each a {row: nonzero int} map:
+    _bareiss on them made dense."""
+    height = 1 + max((r for c in columns for r in c), default=-1)
+    return _bareiss([[c.get(r, 0) for r in range(height)] for c in columns])[0]
+
+
+def _certified_rank(columns) -> int:
+    """Exact rank of a list of sparse integer vectors, each a {row: nonzero
+    int} map: their count when _independent_mod_p certifies them, else
+    _densified_rank.  A deficient rank mod p is never returned."""
+    return len(columns) if _independent_mod_p(columns) else _densified_rank(columns)
 
 
 def rank(M: RationalMatrix) -> int:

@@ -25,10 +25,16 @@ and no substitution: a unit column for each tensor direction, and for
 each varied row a signed copy of a derivative of w (the interior
 derivative for skew tensors, the partial derivative for symmetric
 ones), each entry from one term of w.  The builders emit each column
-as a sparse {row: nonzero int} map, and the rank is certified by a
-rank mod 2^61 - 1 (linalg._certified_rank, a sparse elimination):
-columns independent mod p are independent over QQ, and anything less
-is recomputed exactly.
+as a sparse {row: nonzero int} map.
+
+Each sample takes one pass mod 2^61 - 1 over its columns
+(linalg._independent_mod_p, a sparse elimination) before anything
+else.  Columns independent mod p are independent over QQ, and full
+column rank also proves that w is nondegenerate (the lemma in
+sub_dim_tangent), so that sample is done without computing enc(w).
+Only a pass that meets a dependency computes enc(w): a degenerate w is
+redrawn, and for a nondegenerate one the rank is recomputed exactly
+(linalg._densified_rank), so no sample takes the pass twice.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import math
 import random
 
 # rank is not called here; perfbench's tracer tests expect to find it bound in this module
-from .linalg import _certified_rank, _check_ints, rank  # noqa: F401
+from .linalg import _check_ints, _densified_rank, _independent_mod_p, rank  # noqa: F401
 from .tensors import (
     SKEW,
     SYM,
@@ -267,10 +273,34 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0) -> int:
     columns, the generic rank in every cell whose e is normalized.  The
     columns are built straight from w's coefficients
     (_skew_chart_columns, _sym_chart_columns), with no minors or
-    substitution.  The rank is certified mod a prime, with an exact
-    fallback (linalg._certified_rank).  A w whose enclosing dimension
-    is below the maximum on QQ^e lies in a smaller Sub_e; it is redrawn
-    up to MAX_RETRIES times.  e, k and n must be ints (not bools).
+    substitution.
+
+    A w whose enclosing dimension is below the maximum on QQ^e lies in
+    a smaller Sub_e, so it must not be measured.  Each sample goes:
+
+    1. draw w and build its columns;
+    2. one pass mod a prime (linalg._independent_mod_p); if it finds
+       every column independent, return the column count minus 1;
+    3. else compute enc(w), and redraw w if it is below the maximum;
+    4. else return the exact rank (linalg._densified_rank) minus 1.
+
+    Step 2 needs no check of w.  Lemma: for n > e, if enc(w) < e there
+    is a covector y != 0 on QQ^e with i_y w = 0 (d_y w = 0 for
+    symmetric w; take y vanishing on a smaller space that encloses w).
+    The column along A[i][j] is e_i times the derivative of w along
+    e_j, which is linear in the direction, so sum_j y_j column(A[i][j])
+    is e_i times the derivative of w along y, which is 0, for each row
+    i >= e: the columns are dependent.  So full column rank proves
+    enc(w) = e, which is then the maximum; when the maximum is below e
+    (k = 1 < e; skew k = 2 at odd e; skew k = e - 1) and n > e, every
+    sample reaches step 3.  For n = e the columns are the unit tensor
+    directions alone, independent whatever w is, and the value does not
+    depend on w.  So the draws and the value are those of the order
+    that checks enc(w) first: a w that step 2 accepts would pass that
+    check, and step 3 sees the same w that it would.  After MAX_RETRIES
+    degenerate draws a RuntimeError is raised; for n = e the first draw
+    returns at step 2, so it is reachable only for n > e.  e, k and n
+    must be ints (not bools).
     """
     _check_cell(e, k, n, kind)
     full = _e_bound(k, e, kind)
@@ -278,7 +308,10 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0) -> int:
     build = _skew_chart_columns if kind == SKEW else _sym_chart_columns
     for _ in range(MAX_RETRIES):
         omega = random_tensor(e, k, kind, rng)
+        columns = build(omega.coeffs, e, n, k)
+        if _independent_mod_p(columns):
+            return len(columns) - 1
         if enc(omega) < full:
             continue
-        return _certified_rank(build(omega.coeffs, e, n, k)) - 1
+        return _densified_rank(columns) - 1
     raise RuntimeError(f"no nondegenerate sample after {MAX_RETRIES} retries")

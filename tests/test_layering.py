@@ -2,10 +2,13 @@
 
 Every exact rank on the production route (enc, enclosing_space,
 is_in_power_of, sub_dim_tangent, the atlas and the CLI) comes from one
-integer kernel in linalg: _eliminate, with _bareiss and _certified_rank
-in front of it and _packed_rows, the packed covector test of _eliminate
-and is_in_power_of, behind it.  The names in ORACLES are independent second routes,
-kept so that verify, the tests and perfbench can check that kernel.  If
+integer kernel in linalg: _eliminate, with _bareiss in front of it and
+_packed_rows, the packed covector test of _eliminate and is_in_power_of,
+behind it.  The tangent Jacobian takes the pass mod p,
+_independent_mod_p, and its exact fallback _densified_rank (_bareiss on
+dense columns); _certified_rank composes the two.  The names in ORACLES
+are independent second routes, kept so that verify, the tests and
+perfbench can check that kernel.  If
 a production function loaded one, a check would quietly become the
 route it checks; if gauss_rank loaded the kernel, the cross-check would
 compare the kernel with itself.  This test reads the source of each
@@ -43,7 +46,9 @@ ORACLES = frozenset(
         "_matrix_rows",
     }
 )
-KERNEL = frozenset({"_eliminate", "_bareiss", "_certified_rank", "_packed_rows"})
+KERNEL = frozenset(
+    {"_eliminate", "_bareiss", "_independent_mod_p", "_densified_rank", "_certified_rank", "_packed_rows"}
+)
 
 
 def _loads(node) -> set:

@@ -15,6 +15,7 @@ from divatlas.linalg import (
     _bareiss,
     _certified_rank,
     _eliminate,
+    _independent_mod_p,
     _int_rows,
     as_exact,
     exact_det,
@@ -291,6 +292,50 @@ def test_sparse_certified_rank_fill_in_and_lost_ranks(monkeypatch):
         # one exact pass at most, and always when the rank is deficient
         assert len(fallbacks) <= 1 and (got == len(dense) or fallbacks)
         assert got == rank(RationalMatrix.from_columns(dense))
+
+
+def _gauss_rank_of_sparse(columns) -> int:
+    height = 1 + max((r for c in columns for r in c), default=-1)
+    return gauss_rank(RationalMatrix.from_columns([[c.get(r, 0) for r in range(height)] for c in columns]))
+
+
+def test_certified_rank_on_one_entry_columns(monkeypatch):
+    # a one-entry column on a row with no lead and an entry nonzero mod p
+    # is stored at once; every other one-entry column takes the general
+    # elimination, and a dependency mod p takes the exact fallback
+    fallbacks = _count_fallbacks(monkeypatch)
+    for columns, independent in (
+        # 0 mod p: dependent mod p, independent over QQ
+        ([{0: RANK_PRIME}], False),
+        ([{1: 1}, {0: 2 * RANK_PRIME}], False),
+        # a repeated unit column
+        ([{2: 1}, {2: 1}], False),
+        ([{0: 1}, {3: -4}, {0: 7}], False),
+        # a unit column on a row that already holds a lead
+        ([{0: 1, 3: 2}, {0: 5}], True),
+        ([{1: 1, 2: 1}, {1: 7}, {2: 1}], False),
+        ([{4: 3}, {2: 1, 4: 1}, {2: 5}], False),
+    ):
+        fallbacks.clear()
+        assert _independent_mod_p(columns) is independent, columns
+        assert _certified_rank(columns) == _gauss_rank_of_sparse(columns), columns
+        assert len(fallbacks) == (not independent), columns
+    assert _certified_rank([{0: RANK_PRIME}]) == 1
+    # unit columns interleaved with random sparse columns, as in the
+    # dense cases above
+    rng = random.Random("one-entry-columns")
+    for _ in range(150):
+        rows, cols = rng.randint(1, 10), rng.randint(0, 6)
+        columns = _sparse(
+            tuple(rng.choice((0, 0, 0, 1, -1, 3, RANK_PRIME)) for _ in range(rows)) for _ in range(cols)
+        )
+        for _ in range(rng.randint(1, 4)):
+            unit = {rng.randrange(rows): rng.choice((1, 1, -2, RANK_PRIME))}
+            columns.insert(rng.randint(0, len(columns)), unit)
+        fallbacks.clear()
+        got = _certified_rank(columns)
+        assert got == _gauss_rank_of_sparse(columns), columns
+        assert len(fallbacks) == (not _independent_mod_p(columns))
 
 
 def test_certified_rank_agrees_with_rank(monkeypatch):

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from divatlas import linalg, subspaces, tensors
-from divatlas.linalg import RationalMatrix, _certified_rank, rank
+from divatlas import linalg, subspaces, tensors, verify
+from divatlas.linalg import RationalMatrix, _certified_rank, _independent_mod_p, rank
 from divatlas.subspaces import (
     _skew_chart_columns,
     _sym_chart_columns,
@@ -279,41 +279,108 @@ def test_tangent_oracle_sym_spot_checks():
 
 def test_tangent_oracle_redraws_degenerate_omega(monkeypatch):
     # the first w drawn at each seed is the square of a linear form, so
-    # it lies in Sub_1 and its tangent rank is too low; the counter pins
-    # that the oracle rejected it and drew a second w
-    calls = []
+    # it lies in Sub_1 and its tangent rank is too low; the recorded
+    # draws pin that the oracle rejected it and drew a second w
+    drawn = []
 
-    def counting(t):
-        calls.append(t)
-        return enc(t)
+    def recording(*args):
+        drawn.append(random_tensor(*args))
+        return drawn[-1]
 
-    monkeypatch.setattr(subspaces, "enc", counting)
+    monkeypatch.setattr(subspaces, "random_tensor", recording)
     for n, seed in [(6, 468), (5, 259)]:
-        calls.clear()
+        drawn.clear()
         assert sub_dim_tangent(2, 2, n, SYM, seed) == sub_dim(2, 2, n, SYM)
-        assert [enc(t) for t in calls] == [1, 2], (n, seed)
+        assert [enc(t) for t in drawn] == [1, 2], (n, seed)
 
 
 def test_tangent_oracle_small_grid(monkeypatch):
     # the full grid runs in the acceptance suite; spot a diagonal here.
-    # Each evaluation ranks the chart Jacobian, which has exactly
-    # sub_dim + 1 columns when e is normalized.
-    widths = []
+    # Each sample runs the pass mod p once, on its chart Jacobian, which
+    # has exactly sub_dim + 1 columns when e is normalized; the last
+    # sample is certified, and any before it had a degenerate w (one
+    # cell here draws w = 0 first)
+    passes = []
 
     def recording(columns):
-        widths.append(len(columns))
-        return _certified_rank(columns)
+        passes.append((len(columns), _independent_mod_p(columns)))
+        return passes[-1][1]
 
-    monkeypatch.setattr(subspaces, "_certified_rank", recording)
+    monkeypatch.setattr(subspaces, "_independent_mod_p", recording)
+    redrawn = 0
     for kind in (SKEW, SYM):
         for k in (2, 3):
             for n in range(k, 6):
                 for e in range(k, n + 1):
                     if normalize_e(e, k, kind) != e:
                         continue
-                    widths.clear()
+                    passes.clear()
                     assert sub_dim_tangent(e, k, n, kind, seed=3) == sub_dim(e, k, n, kind)
-                    assert widths == [sub_dim(e, k, n, kind) + 1]
+                    width = sub_dim(e, k, n, kind) + 1
+                    assert passes == [(width, False)] * (len(passes) - 1) + [(width, True)]
+                    redrawn += len(passes) - 1
+    assert redrawn == 1
+
+
+def test_tangent_oracle_computes_enc_and_the_exact_rank_only_on_a_shortfall(monkeypatch):
+    calls = []
+
+    def counting(name, f):
+        def counted(*args):
+            calls.append(name)
+            return f(*args)
+
+        return counted
+
+    monkeypatch.setattr(subspaces, "enc", counting("enc", enc))
+    monkeypatch.setattr(subspaces, "_independent_mod_p", counting("pass", _independent_mod_p))
+    monkeypatch.setattr(linalg, "_bareiss", counting("bareiss", linalg._bareiss))
+    # a nondegenerate w: the pass certifies full rank, with no enc(w)
+    # and no exact rank
+    assert sub_dim_tangent(5, 3, 6, SKEW, seed=1) == 14
+    assert calls == ["pass"]
+    # a degenerate first draw: the pass meets a dependency, enc(w) = 1
+    # redraws, and the second w is certified mod p
+    calls.clear()
+    assert sub_dim_tangent(2, 2, 6, SYM, seed=468) == sub_dim(2, 2, 6, SYM)
+    assert calls == ["pass", "enc", "pass"]
+    # skew 2-forms on QQ^3 have rank 2, so the chart columns are always
+    # dependent: one pass, one enc(w) at its maximum, one exact rank
+    calls.clear()
+    assert sub_dim_tangent(3, 2, 5, SKEW) == sub_dim(3, 2, 5, SKEW)
+    assert calls == ["pass", "enc", "bareiss"]
+
+
+def _enc_first_tangent(e: int, k: int, n: int, kind: str, seed: int) -> int:
+    """Reference for sub_dim_tangent in the order that checks w first: draw
+    w, redraw while enc(w) is below the maximum, then _certified_rank."""
+    full = subspaces._e_bound(k, e, kind)
+    rng = random.Random(f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}")
+    build = _skew_chart_columns if kind == SKEW else _sym_chart_columns
+    for _ in range(subspaces.MAX_RETRIES):
+        omega = random_tensor(e, k, kind, rng)
+        if enc(omega) < full:
+            continue
+        return _certified_rank(build(omega.coeffs, e, n, k)) - 1
+    raise RuntimeError("no nondegenerate sample")
+
+
+def test_tangent_oracle_equals_the_enc_first_reference():
+    # every cell of verify's tangent grid with n <= 8, unnormalized e
+    # included, then the exorbitance cells, then two degenerate first draws
+    cells = [
+        (kind, k, n, e, seed)
+        for kind, ks in verify.TANGENT_GRID
+        for k in ks
+        for n in range(k, 9)
+        for e in range(1 if kind == SYM else k, n + 1)
+        for seed in range(10)
+    ]
+    cells += [(SKEW, k, g, g - 1, seed) for g in range(3, 10) for k in range(2, g) for seed in range(10)]
+    cells += [(SYM, 2, 6, 2, 468), (SYM, 2, 5, 2, 259)]
+    assert len(cells) == 2002
+    for kind, k, n, e, seed in cells:
+        assert sub_dim_tangent(e, k, n, kind, seed) == _enc_first_tangent(e, k, n, kind, seed), (kind, k, n, e, seed)
 
 
 # ---------------------------------------------------------------------------

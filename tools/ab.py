@@ -16,9 +16,12 @@ runs the same chunk, so both see the same spells of a shared machine.
 Every answer is checked.  For each tree the tool prints ``ops_per_s``
 (ops over the summed op latencies) and the p50 and p90 op latencies,
 by perfbench's ``quantile``, then the ratio of the ops_per_s of B to A
-and the median over chunks of the ratio of A's chunk time to B's.  A
-value above 1 means B is faster.  The last line is one JSON object.  It
-is no gate: a speed claim still needs perfbench's paired runs.
+and the median over chunks of the ratio of A's chunk time to B's, with
+a 95% percentile bootstrap interval of that median (BOOTSTRAP resamples
+of the chunk ratios, drawn with replacement from a generator seeded by
+``--seed``).  A value above 1 means B is faster.  The last line is one
+JSON object.  It is no gate: a speed claim still needs perfbench's
+paired runs.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import workloads  # noqa: E402
 from run import MODULES, quantile  # noqa: E402
 
 CHUNK = 16
+BOOTSTRAP = 2000
 
 
 class Tree:
@@ -81,6 +85,13 @@ def run(trees: list, recipes: list, rounds: int, rng: random.Random) -> tuple:
     return latencies, ratios, failed
 
 
+def bootstrap_interval(ratios: list, rng: random.Random) -> tuple:
+    """The 2.5% and 97.5% order statistics of the medians of BOOTSTRAP
+    resamples of ratios, each as long as ratios and drawn with replacement."""
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(BOOTSTRAP))
+    return medians[round(0.025 * (BOOTSTRAP - 1))], medians[round(0.975 * (BOOTSTRAP - 1))]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", help="the first src/divatlas directory")
@@ -112,11 +123,13 @@ def main(argv=None) -> int:
         "sides": sides,
         "ops_per_s_ratio_b_over_a": sides["b"]["ops_per_s"] / sides["a"]["ops_per_s"],
         "median_chunk_ratio_a_over_b": statistics.median(ratios),
+        "median_chunk_ratio_ci95": bootstrap_interval(ratios, random.Random(f"ab-bootstrap:{args.seed}")),
     }
+    lo, hi = result["median_chunk_ratio_ci95"]
     print(
         f"{len(latencies[0])} ops per side in {len(ratios)} chunks, {failed} failed; "
         f"ops_per_s b/a {result['ops_per_s_ratio_b_over_a']:.4f}, "
-        f"median chunk time a/b {result['median_chunk_ratio_a_over_b']:.4f}"
+        f"median chunk time a/b {result['median_chunk_ratio_a_over_b']:.4f} (95% bootstrap {lo:.4f}-{hi:.4f})"
     )
     print(json.dumps(result))
     return 1 if failed else 0
