@@ -44,20 +44,25 @@ independent mod p are certified independent.  Most Jacobian columns
 are units (one entry, on a tensor direction): the pass stores a
 one-entry column whose row holds no lead and whose entry is nonzero
 mod p at once, with no reduction.  The exact fallback,
-``_densified_rank``, is ``_bareiss`` on the columns made dense; a rank
-mod p below the column count is never returned.  ``_certified_rank``
-is the pass with its fallback behind it, the exact rank that the tests
-check; ``subspaces.sub_dim_tangent`` calls the two steps itself, since
-it tests w between them.  None of this is used where deficient ranks
+``_densified_rank``, is ``_bareiss`` on the columns made dense, up to
+their highest row; a rank mod p below the column count is never
+returned.  The chart builders number the Jacobian's own rows (the
+tensor directions, then one block of faces per varied row of A), so
+that height is the Jacobian's row count, not the dimension of the k-th
+power of QQ^n.  ``_certified_rank`` is the pass with its fallback
+behind it, the exact rank that the tests check;
+``subspaces.sub_dim_tangent`` calls the two steps itself, since it
+tests w between them.  None of this is used where deficient ranks
 are expected (the contraction matrices of enc, the membership test).
 
 The production route (enc, enclosing_space, SubspaceBasis and the
 membership test, sub_dim_tangent, the atlas, and the CLI's enc and
 components) uses only the kernels and the coercions: ``_eliminate``,
 ``_bareiss``, ``_independent_mod_p``, ``_densified_rank``,
-``_packed_rows``, ``_int_vector``, ``as_exact``, ``as_vector`` and
-``_check_ints``.  The oracles here, kept for ``verify``, the tests and
-the benchmark, are the dense
+``_packed_rows``, ``_int_vector``, ``as_exact``, ``as_vector``,
+``_check_ints`` and ``_random_ints`` (the seeded draws of
+``tensors.random_tensor``, which ``random_matrix`` shares).  The oracles
+here, kept for ``verify``, the tests and the benchmark, are the dense
 ``RationalMatrix`` with ``rank``, ``image_basis`` and ``in_span`` on
 it, ``exact_det`` and ``int_det`` (``_bareiss`` on rows from
 ``_int_rows``), ``random_matrix``, and ``gauss_rank``, a plain rational
@@ -479,7 +484,25 @@ def int_det(rows) -> int:
     return det if r == len(rows) else 0
 
 
+def _random_ints(rng: random.Random, count: int) -> list:
+    """count seeded ints uniform in [-9, 9]: the draws of count calls of
+    rng.randint(-9, 9), which leave rng in the same state.
+
+    randint(-9, 9) draws r = getrandbits(5), again while r >= 19, and
+    gives r - 9; this is that loop without randint's Python layers.
+    """
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(5)
+        while r >= 19:
+            r = bits(5)
+        out.append(r - 9)
+    return out
+
+
 def random_matrix(rows: int, cols: int, rng: random.Random) -> RationalMatrix:
     """Seeded random integer matrix with entries uniform in [-9, 9], drawn
-    row by row."""
-    return RationalMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+    row by row (_random_ints)."""
+    draws = _random_ints(rng, rows * cols)
+    return RationalMatrix([draws[i * cols : (i + 1) * cols] for i in range(rows)])

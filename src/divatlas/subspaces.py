@@ -25,7 +25,12 @@ and no substitution: a unit column for each tensor direction, and for
 each varied row a signed copy of a derivative of w (the interior
 derivative for skew tensors, the partial derivative for symmetric
 ones), each entry from one term of w.  The builders emit each column
-as a sparse {row: nonzero int} map.
+as a sparse {row: nonzero int} map on the Jacobian's own rows, which
+they number compactly: the tensor directions first, then one block of
+the faces of degree k-1 on QQ^e for each varied row of A.  That is the
+Jacobian on the basis of the k-th power of QQ^n up to a row
+permutation, which changes no rank, and no map over that basis is
+made.
 
 Each sample takes one pass mod 2^61 - 1 over its columns
 (linalg._independent_mod_p, a sparse elimination) before anything
@@ -200,59 +205,74 @@ def _skew_chart_columns(w: dict, e: int, n: int, k: int) -> list:
     """Columns of the differential of (A, w) -> (wedge^k A)(w) at the chart
     point A = [I_e ; 0], along w and the rows of A below the identity block.
 
-    Each column is a sparse {row: nonzero int} map, its rows indexed by
-    the k-subsets of range(n) in combinations order, and w maps k-subsets
-    of range(e) to nonzero ints.  At the chart every minor of A on
-    columns I is 1 on rows I and 0 elsewhere, so the column along the
-    tensor coordinate I is the unit vector of I.  Along an entry A[i][j]
-    the factor A e_j of each term is replaced by e_i, which gives
-    e_i ^ psi_j with psi_j the interior derivative of w along e_j: a term
-    c e_I with j at position q of I gives (-1)^q c e_M, M = I minus j.
-    For i >= e, e_i is moved past the k-1 indices of M, all below it, so
-    the entry is (-1)^(q+k-1) c on the row of M + (i,).  Distinct I give
-    distinct M, so each entry comes from one term of w.  The tensor
-    columns come first, then the entries A[i][j] for each j < e and each
-    row i from e to n - 1.
+    Each column is a sparse {row: nonzero int} map on the Jacobian's own
+    rows, not on all of wedge^k QQ^n, and w maps k-subsets of range(e) to
+    nonzero ints.  At the chart every minor of A on columns I is 1 on
+    rows I and 0 elsewhere, so the column along the tensor coordinate I
+    is the unit vector of I: the U = C(e, k) tensor directions are rows
+    0 .. U - 1, in combinations order.  Along an entry A[i][j] the factor
+    A e_j of each term is replaced by e_i, which gives e_i ^ psi_j with
+    psi_j the interior derivative of w along e_j: a term c e_I with j at
+    position q of I gives (-1)^q c e_M, M = I minus j, a face of degree
+    k - 1 on QQ^e.  For i >= e, e_i is moved past the k-1 indices of M,
+    all below it, so the entry is (-1)^(q+k-1) c on the row of M + (i,),
+    which is labelled U + (i - e) * F + the index of M among the
+    F = C(e, k-1) faces in combinations order.  Every row of wedge^k QQ^n
+    that the chart reaches has exactly one label, so this is the
+    Jacobian on the combinations-order rows up to a row permutation, on
+    U + (n - e) * F rows.  Distinct I give distinct M, so each entry
+    comes from one term of w.  The tensor columns come first, then the
+    entries A[i][j] for each j < e and each row i from e to n - 1.
     """
-    rows = {J: r for r, J in enumerate(itertools.combinations(range(n), k))}
-    cols = [{rows[I]: 1} for I in itertools.combinations(range(e), k)]
+    faces = {M: f for f, M in enumerate(itertools.combinations(range(e), k - 1))}
+    units = math.comb(e, k)
+    cols = [{r: 1} for r in range(units)]
     psis = [[] for _ in range(e)]
     for I, c in w.items():
         for q, j in enumerate(I):
-            psis[j].append((I[:q] + I[q + 1 :], -c if (q + k - 1) % 2 else c))
-    for psi in psis:
-        for i in range(e, n):
-            cols.append({rows[M + (i,)]: v for M, v in psi})
-    return cols
+            psis[j].append((faces[I[:q] + I[q + 1 :]], -c if (q + k - 1) % 2 else c))
+    return cols + _block_columns(psis, units, len(faces), n - e)
 
 
 def _sym_chart_columns(w: dict, e: int, n: int, k: int) -> list:
     """Columns of the differential of (A, w) -> (S^k A)(w) at the chart
     point A = [I_e ; 0], along w and the rows of A below the identity block.
 
-    Each column is a sparse {row: nonzero int} map, its rows indexed by
-    the exponent vectors of degree k on n variables in exponent_vectors
-    order, and w maps exponent vectors on e variables to nonzero ints.
-    At the chart the map pads each exponent vector with n - e zeros, so
-    the column along the tensor coordinate alpha is the unit vector of
-    alpha padded.  Along an entry A[i][j] it is the partial derivative of
-    w along x_j times x_i: a term c x^alpha gives alpha_j c on alpha - e_j,
-    padded, with a 1 at position i >= e.  Distinct alpha give distinct
-    alpha - e_j, so each entry comes from one term of w.  Column order is
-    as in _skew_chart_columns.
+    Each column is a sparse {row: nonzero int} map on the Jacobian's own
+    rows, not on all of S^k QQ^n, and w maps exponent vectors on e
+    variables to nonzero ints.  At the chart the map pads each exponent
+    vector with n - e zeros, so the column along the tensor coordinate
+    alpha is the unit vector of alpha padded: the U tensor directions
+    are rows 0 .. U - 1, in exponent_vectors(e, k) order.  Along an entry
+    A[i][j] it is the partial derivative of w along x_j times x_i: a term
+    c x^alpha gives alpha_j c on beta = alpha - e_j, a face of degree
+    k - 1 on e variables, padded, with a 1 at position i >= e.  That row
+    is labelled U + (i - e) * F + the index of beta among the F faces in
+    exponent_vectors(e, k - 1) order.  As in _skew_chart_columns this is
+    the Jacobian on all of S^k QQ^n up to a row permutation, on
+    U + (n - e) * F rows.  Distinct alpha give distinct alpha - e_j, so
+    each entry comes from one term of w.  Column order is as in
+    _skew_chart_columns.
     """
-    pad = (0,) * (n - e)
-    target_pos = {a: r for r, a in enumerate(exponent_vectors(n, k))}
-    cols = [{target_pos[alpha + pad]: 1} for alpha in exponent_vectors(e, k)]
-    units = [pad[:t] + (1,) + pad[t + 1 :] for t in range(n - e)]
+    faces = {beta: f for f, beta in enumerate(exponent_vectors(e, k - 1))}
+    units = _power_dim(e, k, SYM)
+    cols = [{r: 1} for r in range(units)]
     partials = [[] for _ in range(e)]
     for alpha, c in w.items():
         for j, a in enumerate(alpha):
             if a:
-                partials[j].append((alpha[:j] + (a - 1,) + alpha[j + 1 :], a * c))
-    for partial in partials:
-        for unit in units:
-            cols.append({target_pos[beta + unit]: v for beta, v in partial})
+                partials[j].append((faces[alpha[:j] + (a - 1,) + alpha[j + 1 :]], a * c))
+    return cols + _block_columns(partials, units, len(faces), n - e)
+
+
+def _block_columns(derivatives: list, units: int, faces: int, blocks: int) -> list:
+    """The chart columns along A[i][j], for each j and each of the blocks
+    rows i >= e: derivative j, a list of (face index, int) pairs, placed
+    on the rows units + (i - e) * faces + face index."""
+    cols = []
+    for derivative in derivatives:
+        for base in range(units, units + blocks * faces, faces):
+            cols.append({base + f: v for f, v in derivative})
     return cols
 
 
@@ -273,7 +293,11 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0) -> int:
     columns, the generic rank in every cell whose e is normalized.  The
     columns are built straight from w's coefficients
     (_skew_chart_columns, _sym_chart_columns), with no minors or
-    substitution.
+    substitution, on compact row labels: the U = dim(power of QQ^e)
+    tensor directions are rows 0 .. U - 1, and the row of face f (of
+    degree k - 1 on QQ^e) times e_i is U + (i - e) * F + f, with F the
+    number of faces.  Every column is still ranked; the labels only
+    leave out the rows of the k-th power of QQ^n that no column reaches.
 
     A w whose enclosing dimension is below the maximum on QQ^e lies in
     a smaller Sub_e, so it must not be measured.  Each sample goes:

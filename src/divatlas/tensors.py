@@ -52,6 +52,7 @@ from .linalg import (
     _eliminate,
     _int_vector,
     _packed_rows,
+    _random_ints,
     as_exact,
     as_vector,
     exact_det,
@@ -826,8 +827,9 @@ def _rng(seed) -> random.Random:
 
 
 def random_vector(n: int, rng: random.Random):
-    """Seeded random integer vector of length n, entries uniform in [-9, 9]."""
-    return tuple(rng.randint(-9, 9) for _ in range(n))
+    """Seeded random integer vector of length n, entries uniform in [-9, 9]
+    (linalg._random_ints)."""
+    return tuple(_random_ints(rng, n))
 
 
 def random_tensor(n: int, k: int, kind: str, seed):
@@ -845,7 +847,7 @@ def random_tensor(n: int, k: int, kind: str, seed):
         cls, basis = SkewTensor, k_subsets(n, k)
     else:
         cls, basis = SymTensor, exponent_vectors(n, k)
-    draws = ((key, rng.randint(-9, 9)) for key in basis)
+    draws = zip(basis, _random_ints(rng, len(basis)))
     return cls._exact(n, k, {key: c for key, c in draws if c})
 
 

@@ -29,3 +29,25 @@ def test_bootstrap_interval_is_seeded_and_holds_the_median():
     assert min(ratios) <= lo <= 1.0 <= hi <= max(ratios)
     assert ab.bootstrap_interval(ratios, ab.random.Random(3)) == (lo, hi)
     assert ab.bootstrap_interval([1.5] * 4, ab.random.Random(3)) == (1.5, 1.5)
+
+
+def test_each_round_loads_the_trees_afresh():
+    # a module-level cache filled in round 1 is empty in round 2, as in
+    # perfbench, which imports the package afresh before each round
+    tree = str(ROOT / "src" / "divatlas")
+    seen = []
+
+    def recipe(pkg):
+        def call():
+            cache = pkg.tensors._EXPONENT_VECTORS
+            seen.append((pkg.tensors.__name__, pkg.tensors, (3, 2) in cache))
+            return len(pkg.tensors.exponent_vectors(3, 2))
+
+        return ab.workloads.Op("exponent vectors", call, lambda result: result == 6)
+
+    latencies, ratios, failed = ab.run([("ab_a", tree), ("ab_b", tree)], [recipe], 2, ab.random.Random(0))
+    assert failed == 0 and len(ratios) == 2 and [len(lat) for lat in latencies] == [2, 2]
+    assert sorted(name for name, _, _ in seen) == ["ab_a.tensors"] * 2 + ["ab_b.tensors"] * 2
+    assert not any(cached for _, _, cached in seen)
+    # four distinct module objects, held by seen: each side, each round
+    assert len({id(module) for _, module, _ in seen}) == 4

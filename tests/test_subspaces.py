@@ -583,18 +583,69 @@ def test_tangent_oracle_reproduces_the_golden_values():
         assert got == values, (kind, k, n, e)
 
 
+def _chart_row_positions(kind: str, k: int, n: int, e: int) -> list:
+    """For each compact row label of the chart builders, in label order,
+    its position in the basis of the k-th power of QQ^n (k_subsets or
+    exponent_vectors order): first the tensor directions on QQ^e, then,
+    for each i from e to n - 1, each face of degree k - 1 on QQ^e times
+    e_i (skew: M + (i,); sym: beta padded, plus 1 at position i)."""
+    if kind == SKEW:
+        position = {J: r for r, J in enumerate(k_subsets(n, k))}
+        units = [position[I] for I in k_subsets(e, k)]
+        return units + [position[M + (i,)] for i in range(e, n) for M in k_subsets(e, k - 1)]
+    position = {a: r for r, a in enumerate(exponent_vectors(n, k))}
+    pad = (0,) * (n - e)
+    units = [position[alpha + pad] for alpha in exponent_vectors(e, k)]
+    blocks = [
+        position[beta + pad[: i - e] + (1,) + pad[i - e + 1 :]]
+        for i in range(e, n)
+        for beta in exponent_vectors(e, k - 1)
+    ]
+    return units + blocks
+
+
 def test_chart_columns_match_the_general_builders():
     # at A = [I_e ; 0], varying the rows below the identity block, on the
-    # golden cells with a generic w, a sparse (degenerate) w and w = 0
+    # golden cells with a generic w, a sparse (degenerate) w and w = 0:
+    # each compact row label, mapped back to its k-subset or exponent
+    # vector on QQ^n, gives the general builder's columns entry for entry
     for kind, k, n, e, _ in _golden_cells():
         chart = _skew_chart_columns if kind == SKEW else _sym_chart_columns
         general = _skew_jacobian_columns if kind == SKEW else _sym_jacobian_columns
         identity = [tuple(int(i == j) for i in range(n)) for j in range(e)]
+        position = _chart_row_positions(kind, k, n, e)
+        assert len(set(position)) == len(position), (kind, k, n, e)
         rng = random.Random(f"chart-columns:{kind}:{k}:{n}:{e}")
         generic = random_tensor(e, k, kind, rng).coeffs
         sparse = dict(rng.sample(sorted(generic.items()), min(2, len(generic))))
         for w in (generic, sparse, {}):
-            assert chart(w, e, n, k) == general(identity, w, n, k, range(e, n)), (kind, k, n, e, w)
+            relabelled = [{position[r]: v for r, v in col.items()} for col in chart(w, e, n, k)]
+            assert relabelled == general(identity, w, n, k, range(e, n)), (kind, k, n, e, w)
+
+
+def test_chart_row_labels_stay_below_the_jacobian_height():
+    # the compact labels number the Jacobian's own rows: dim of the k-th
+    # power of QQ^e for the tensor directions, then n - e blocks of the
+    # faces of degree k - 1 on QQ^e; each seeded w here reaches the last
+    # label, so the dense fallback is exactly that high
+    for kind, k, n, e, _ in _golden_cells():
+        chart = _skew_chart_columns if kind == SKEW else _sym_chart_columns
+        height = _power_dim(kind, k, e) + (n - e) * _power_dim(kind, k - 1, e)
+        if kind == SKEW:
+            assert height == math.comb(e, k) + (n - e) * math.comb(e, k - 1)
+        assert len(_chart_row_positions(kind, k, n, e)) == height
+        w = random_tensor(e, k, kind, random.Random(f"chart-height:{kind}:{k}:{n}:{e}")).coeffs
+        labels = {r for col in chart(w, e, n, k) for r in col}
+        assert all(0 <= r < height for r in labels), (kind, k, n, e)
+        if w and n > e:
+            assert max(labels) == height - 1, (kind, k, n, e)
+
+
+@pytest.mark.parametrize("kind, k, n, e", [(SYM, 4, 40, 5), (SKEW, 5, 30, 8), (SKEW, 3, 61, 7)])
+def test_tangent_oracle_on_large_n(kind, k, n, e):
+    # n far above e, where the chart's rows are a small share of the
+    # k-th power of QQ^n
+    assert sub_dim_tangent(e, k, n, kind) == sub_dim(e, k, n, kind)
 
 
 def test_membership_dimension_coherence():

@@ -8,7 +8,17 @@ from fractions import Fraction
 import pytest
 
 from divatlas import linalg, tensors
-from divatlas.linalg import RationalMatrix, _bareiss, _int_rows, exact_det, gauss_rank, image_basis, in_span, rank
+from divatlas.linalg import (
+    RationalMatrix,
+    _bareiss,
+    _int_rows,
+    exact_det,
+    gauss_rank,
+    image_basis,
+    in_span,
+    random_matrix,
+    rank,
+)
 from divatlas.subspaces import e_max
 from divatlas.tensors import (
     SKEW,
@@ -439,13 +449,16 @@ def test_subspace_basis_checks_independence():
 
 def test_random_tensor_matches_the_public_constructor(monkeypatch):
     # the draws are wrapped without a second validation pass; they must
-    # give the tensor the public constructor gives for the same draws
+    # give the tensor the public constructor gives for the same draws, and
+    # leave the generator where randint would (sub_dim_tangent redraws from it)
     cases = [(0, 0), (3, 0), (1, 1), (2, 3), (4, 2), (5, 3), (4, 4), (6, 3)]
     expected = {}
+    states = {}
     for kind, cls, basis in ((SKEW, SkewTensor, k_subsets), (SYM, SymTensor, exponent_vectors)):
         for n, k in cases:
             rng = random.Random(f"draw:{kind}:{n}:{k}")
             expected[kind, n, k] = cls(n, k, {key: rng.randint(-9, 9) for key in basis(n, k)})
+            states[kind, n, k] = rng.getstate()
 
     def no_check(*args):
         raise AssertionError("a seeded draw was validated")
@@ -453,8 +466,10 @@ def test_random_tensor_matches_the_public_constructor(monkeypatch):
     for cls in (SkewTensor, SymTensor):
         monkeypatch.setattr(cls, "_check_index", staticmethod(no_check))
     for (kind, n, k), want in expected.items():
-        got = random_tensor(n, k, kind, random.Random(f"draw:{kind}:{n}:{k}"))
+        rng = random.Random(f"draw:{kind}:{n}:{k}")
+        got = random_tensor(n, k, kind, rng)
         assert type(got) is type(want) and got == want, (kind, n, k)
+        assert rng.getstate() == states[kind, n, k], (kind, n, k)
         assert all(type(c) is int and c for c in got.coeffs.values())
     for kind in (SKEW, SYM):
         for n, k in [(-1, 2), (2, -1)]:
@@ -463,6 +478,22 @@ def test_random_tensor_matches_the_public_constructor(monkeypatch):
         for n, k, name in [(True, 1, "n"), (2.0, 1, "n"), (2, False, "k"), (3, "2", "k")]:
             with pytest.raises(ValueError, match=f"^{name} must be an integer"):
                 random_tensor(n, k, kind, 0)
+
+
+def test_random_vector_and_matrix_keep_the_randint_stream():
+    # one draw helper serves random_vector, random_matrix and random_tensor:
+    # the values and the generator's state after them are randint's
+    for n in (0, 1, 5, 40):
+        rng, ref = random.Random(f"vector:{n}"), random.Random(f"vector:{n}")
+        assert random_vector(n, rng) == tuple(ref.randint(-9, 9) for _ in range(n))
+        assert rng.getstate() == ref.getstate()
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 1), (4, 7), (9, 2)):
+        rng, ref = random.Random(f"matrix:{rows}:{cols}"), random.Random(f"matrix:{rows}:{cols}")
+        want = RationalMatrix([[ref.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+        assert random_matrix(rows, cols, rng) == want, (rows, cols)
+        assert rng.getstate() == ref.getstate()
+    # every value in [-9, 9] is drawn, and nothing outside it
+    assert set(random_vector(2000, random.Random(0))) == set(range(-9, 10))
 
 
 @pytest.mark.parametrize("kind", [SKEW, SYM])

@@ -7,11 +7,15 @@ of this checkout and that of an exported parent commit.  Both are loaded
 side by side under the distinct package names ``ab_a`` and ``ab_b``,
 through ``importlib.util.spec_from_file_location`` (the package imports
 its own modules only relatively).  The seeded ops come from
-``perfbench/workloads.py``, which is imported as it is; each round binds
-them afresh to each tree, so nothing a tree keeps between calls
-outlives a round.  The ops of a round run in chunks of CHUNK = 16; for
-each chunk a coin picks which tree runs it first, and then the other
-runs the same chunk, so both see the same spells of a shared machine.
+``perfbench/workloads.py``, which is imported as it is.  Each round
+loads both trees afresh, its modules dropped from ``sys.modules`` first,
+and binds the ops to the new modules, as perfbench imports the package
+afresh before each round: a module-level cache
+(``tensors._EXPONENT_VECTORS``, ``cli._build_parser``) serves repeats
+within a round and dies with it.  The ops of a round run in chunks of
+CHUNK = 16; for each chunk a coin picks which tree runs it first, and
+then the other runs the same chunk, so both see the same spells of a
+shared machine.
 
 Every answer is checked.  For each tree the tool prints ``ops_per_s``
 (ops over the summed op latencies) and the p50 and p90 op latencies,
@@ -48,12 +52,15 @@ BOOTSTRAP = 2000
 
 
 class Tree:
-    """The modules of one source tree, loaded under the package name ``name``."""
+    """The modules of one source tree, loaded afresh under the package
+    name ``name``: any earlier load under that name is dropped first."""
 
     def __init__(self, name: str, path: str):
         init = os.path.join(path, "__init__.py")
         if not os.path.isfile(init):
             raise SystemExit(f"ab: no package at {path}")
+        for loaded in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+            del sys.modules[loaded]
         spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[path])
         package = importlib.util.module_from_spec(spec)
         sys.modules[name] = package
@@ -63,12 +70,15 @@ class Tree:
 
 
 def run(trees: list, recipes: list, rounds: int, rng: random.Random) -> tuple:
-    """Per tree, the op latencies; the per-chunk time ratios A / B; failures."""
+    """For trees given as (package name, src/divatlas directory) pairs: per
+    tree, the op latencies; the per-chunk time ratios A / B; failures.
+    Both trees are loaded afresh at the start of every round, outside
+    the timing."""
     latencies = [[] for _ in trees]
     ratios = []
     failed = 0
     for _ in range(rounds):
-        ops = [workloads.bind(tree, recipes) for tree in trees]
+        ops = [workloads.bind(Tree(name, path), recipes) for name, path in trees]
         for start in range(0, len(recipes), CHUNK):
             order = [0, 1]
             rng.shuffle(order)
@@ -103,7 +113,7 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be positive")
 
-    trees = [Tree("ab_a", os.path.abspath(args.a)), Tree("ab_b", os.path.abspath(args.b))]
+    trees = [("ab_a", os.path.abspath(args.a)), ("ab_b", os.path.abspath(args.b))]
     with tempfile.TemporaryDirectory() as workdir:
         recipes = workloads.WORKLOADS[args.workload](args.seed, workdir)
         latencies, ratios, failed = run(trees, recipes, args.rounds, random.Random(args.seed))
