@@ -46,12 +46,8 @@ from .subspaces import (
 from .atlas import (
     atlas_report,
     canonical_analysis,
-    component_count,
-    components,
     deformable,
     fiber_dim,
-    intersections,
-    jump_strata,
 )
 
 __version__ = "0.1.0"

@@ -9,21 +9,24 @@ symmetric) power of the section space.  As the bundle moves deeper into
 the Brill-Noether stratification the maximal enclosing dimension of a
 section can jump, and each jump contributes one irreducible component.
 
-This module enumerates those components with their supports, generic
-fibers and dimensions, computes all pairwise intersections (which are
-fibered in subspace varieties over the deeper stratum), compares the
-enumerated component count against the closed-form count, and analyzes
-the canonical class for exorbitant components.
+atlas_report is the one entry to the atlas of a divisor variety: one
+report per (g, d, k, class) holds its components with their supports,
+generic fibers and dimensions, all pairwise intersections (which are
+fibered in subspace varieties over the deeper stratum), and the
+enumerated component count next to the closed-form count, and it can
+add the canonical class's exorbitance analysis.  Its three switches
+select the retained compat conventions (paper_sym, printed_secdim) and
+that analysis (include_canonical).  canonical_analysis, fiber_dim and
+deformable are the standalone calls.
 
-Each public entry checks g, d, k and kind once, through big_R, which
-also brackets the top section count R.  The atlas is then one walk over
-the strata r = small_r .. R on private cores that take their arguments
-as checked: the Brill-Noether formulas of brill_noether, the fiber and
+atlas_report checks g, d, k and kind once, through big_R, which also
+brackets the top section count R.  The atlas is then one walk over the
+strata r = small_r .. R on private cores that take their arguments as
+checked: the Brill-Noether formulas of brill_noether, the fiber and
 subspace-variety dimensions, and the row builders _component_rows and
 _intersection_rows.  Those rows are the report's own JSON-ready dicts,
-built from plain integers, and the only shape of the atlas: atlas_report
-puts them into the report as they are, and components and intersections
-return the same rows, so every value is computed in one place.
+built from plain integers, and the only shape of the atlas, so every
+value is computed in one place.
 """
 
 from __future__ import annotations
@@ -61,26 +64,34 @@ def fiber_dim(r: int, k: int, kind: str) -> int:
     return _power_dim(r + 1, k, kind) - 1
 
 
-def deformable(enc_value: int, k: int, r_target: int, kind: str, paper_sym: bool = False) -> bool:
+def deformable(enc_value: int, k: int, r_target: int, kind: str) -> bool:
     """Whether a divisor with the given enclosing dimension deforms with its
     bundle into the stratum where h^0 = r_target + 1.
 
     True iff enc_value does not exceed the maximal enclosing dimension
-    attainable in an (r_target+1)-dimensional section space.  enc_value,
-    k and r_target must be ints (not bools).
+    attainable in an (r_target+1)-dimensional section space (e_max, or
+    the faithful e_max_sym).  enc_value, k and r_target must be ints
+    (not bools), and enc_value and r_target must be >= 0.
     """
     check_kind(kind)
     _check_ints(enc_value=enc_value, k=k, r_target=r_target)
+    for name, value in (("enc_value", enc_value), ("r_target", r_target)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     n = r_target + 1
-    return enc_value <= (e_max(k, n) if kind == SKEW else e_max_sym(k, n, paper_compat=paper_sym))
+    return enc_value <= (e_max(k, n) if kind == SKEW else e_max_sym(k, n))
 
 
 def _strata(g: int, d: int, k: int, kind: str, paper_sym: bool, R: int) -> list:
-    """jump_strata on checked arguments, with R = big_R(g, d).
+    """The (r, e) pairs where the enclosing bound strictly jumps, on
+    checked arguments, with R = big_R(g, d).
 
-    An empty linear system (skew, r+1 < k) has enclosing bound 0, so it
-    never exceeds the bound seen before it and is skipped without
-    computing its fiber dimension.
+    Walk the achieved section counts r upward and keep a stratum exactly
+    when its enclosing bound e strictly exceeds every bound seen at a
+    smaller r (otherwise the whole system deforms out to the shallower
+    stratum and contributes no new component).  An empty linear system
+    (skew, r+1 < k) has enclosing bound 0, so it never exceeds the bound
+    seen before it and is skipped without computing its fiber dimension.
     """
     out = []
     best = 0
@@ -90,19 +101,6 @@ def _strata(g: int, d: int, k: int, kind: str, paper_sym: bool, R: int) -> list:
             out.append((r, e))
             best = e
     return out
-
-
-def jump_strata(g: int, d: int, k: int, kind: str, paper_sym: bool = False) -> list:
-    """The (r, e) pairs where the enclosing bound strictly jumps.
-
-    Walk the achieved section counts r upward, skip strata whose linear
-    system is empty, and keep a stratum exactly when its enclosing
-    bound e strictly exceeds every bound seen at a smaller r (otherwise
-    the whole system deforms out to the shallower stratum and
-    contributes no new component).
-    """
-    R = _check_atlas_args(g, d, k, kind)
-    return _strata(g, d, k, kind, paper_sym, R)
 
 
 def _component_rows(g: int, d: int, k: int, kind: str, paper_sym: bool, R: int) -> list:
@@ -128,22 +126,6 @@ def _component_rows(g: int, d: int, k: int, kind: str, paper_sym: bool, R: int) 
             }
         )
     return out
-
-
-def components(g: int, d: int, k: int, kind: str, paper_sym: bool = False) -> list:
-    """Irreducible components of the divisor variety, one row per stratum.
-
-    Each row is the report's component dict: the stratum r, its bound
-    e, the support W^r_d with its dimension, the generic fiber
-    dimension, and the total dimension, which is their sum.  When the
-    top stratum is zero-dimensional (rho = 0) it is a finite set of
-    points, each carrying its own copy of the component; the row then
-    has multiplicity equal to that point count.  The resolution flag
-    marks the degree g-1 skew components with e = r+1 = k, which map
-    birationally onto W^(k-1) and resolve its singularities.
-    """
-    R = _check_atlas_args(g, d, k, kind)
-    return _component_rows(g, d, k, kind, paper_sym, R)
 
 
 def _intersection_rows(comps: list, k: int, kind: str, printed_secdim: bool) -> list:
@@ -174,29 +156,6 @@ def _intersection_rows(comps: list, k: int, kind: str, printed_secdim: bool) -> 
     return out
 
 
-def intersections(
-    g: int,
-    d: int,
-    k: int,
-    kind: str,
-    paper_sym: bool = False,
-    printed_secdim: bool = False,
-) -> list:
-    """Pairwise intersections of the components of one divisor variety,
-    one row per pair.
-
-    For each ordered pair (shallow, deep) the intersection maps onto
-    the deep stratum, with generic fiber the subspace variety of the
-    shallow bound inside the deep linear system.  A row names its
-    parents by their bounds, shallow_e and deep_e, which strictly
-    increase along the walk, and its image is the deep row's support.
-    printed_secdim switches the k = 2 fiber dimensions to the retained
-    closed-form secant expressions for comparison.
-    """
-    R = _check_atlas_args(g, d, k, kind)
-    return _intersection_rows(_component_rows(g, d, k, kind, paper_sym, R), k, kind, printed_secdim)
-
-
 def _paper_count(comps: list, g: int, d: int, k: int, kind: str, R: int) -> int:
     """The closed-form component count, reproduced verbatim for comparison.
 
@@ -222,18 +181,6 @@ def _count(comps: list, g: int, d: int, k: int, kind: str, R: int) -> dict:
     enumerated = sum(c["multiplicity"] for c in comps)
     formula = _paper_count(comps, g, d, k, kind, R)
     return {"enumerated": enumerated, "paper_formula": formula, "agrees": enumerated == formula}
-
-
-def component_count(g: int, d: int, k: int, kind: str, paper_sym: bool = False) -> dict:
-    """Enumerated component count next to the closed-form count.
-
-    The two disagree in known families (the closed form is off by one
-    against the enumeration in several worked cases), so both are
-    reported side by side with an agreement flag rather than silently
-    reconciled.
-    """
-    R = _check_atlas_args(g, d, k, kind)
-    return _count(_component_rows(g, d, k, kind, paper_sym, R), g, d, k, kind, R)
 
 
 def canonical_analysis(g: int, k: int) -> dict:
@@ -299,14 +246,32 @@ def atlas_report(
 
     The arguments are checked once, and one walk over the strata builds
     the component dicts, which the intersection dicts and the count then
-    reuse.  The dicts come straight from plain integers, through the
-    same row builders that components, intersections and
-    component_count use, so the report equals what those three return
-    when called alone.  The report always carries
-    explicit notes for the code paths where the implemented values and
-    the retained closed forms are known to disagree (component counts,
-    k = 2 secant dimensions, the symmetric parity convention);
-    transparency is preferred to reconciliation.
+    reuse; the dicts come straight from plain integers.
+
+    - "components": one row per stratum r where the enclosing bound e
+      strictly jumps, in increasing r and e: the support W^r_d with its
+      dimension, the generic fiber dimension, and the total dimension,
+      which is their sum.  A zero-dimensional top stratum (rho = 0) is a
+      finite set of points, each carrying its own copy of the
+      component; the row's multiplicity is that point count.  The
+      resolution flag marks the degree g-1 skew components with
+      e = r+1 = k, which map birationally onto W^(k-1) and resolve its
+      singularities.
+    - "intersections": one row per pair (shallow, deep) of components,
+      named by their bounds shallow_e and deep_e.  It maps onto the deep
+      row's support, with generic fiber the subspace variety of the
+      shallow bound inside the deep linear system.
+    - "counts": the enumerated count (multiplicities included) next to
+      the closed-form count, with an agreement flag.
+
+    paper_sym switches the symmetric k = 2 bounds to the parity-dropping
+    convention, printed_secdim the k = 2 intersection fibers to the
+    retained closed-form secant expressions, and include_canonical adds
+    canonical_analysis(g, k).  The report always carries explicit notes
+    for the code paths where the implemented values and the retained
+    closed forms are known to disagree (component counts, k = 2 secant
+    dimensions, the symmetric parity convention); transparency is
+    preferred to reconciliation.
     """
     R = _check_atlas_args(g, d, k, kind)
     comps = _component_rows(g, d, k, kind, paper_sym, R)

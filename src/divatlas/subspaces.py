@@ -75,27 +75,27 @@ def e_max(k: int, n: int) -> int:
     return _e_bound(k, n, SKEW)
 
 
-def e_max_sym(k: int, n: int, paper_compat: bool = False) -> int:
+def e_max_sym(k: int, n: int) -> int:
     """Maximum enclosing dimension of a degree-k symmetric tensor on QQ^n.
 
-    The faithful default is n for every n >= 1 and k >= 2: the generic
-    symmetric tensor has a full-rank catalecticant in any dimension (for
-    k = 2 take x_1^2 + ... + x_n^2).  A vector (k = 1) encloses only its
-    own line, so the bound is min(n, 1) there.  The compat mode instead
-    drops to n-1 for k = 2 and odd n, mirroring the parity rule for skew
-    2-tensors; it is exposed so that both conventions can be compared,
-    not because odd catalecticant ranks fail to occur.  k and n must be
-    ints (not bools).
+    n for every n >= 1 and k >= 2: the generic symmetric tensor has a
+    full-rank catalecticant in any dimension (for k = 2 take
+    x_1^2 + ... + x_n^2).  A vector (k = 1) encloses only its own line,
+    so the bound is min(n, 1) there.  k and n must be ints (not bools).
     """
     _check_degree(k=k, n=n)
     if n < 0:
         raise ValueError("dimension n must be >= 0")
-    return _e_bound(k, n, SYM, paper_compat)
+    return _e_bound(k, n, SYM)
 
 
 def _e_bound(k: int, n: int, kind: str, paper_compat: bool = False) -> int:
-    """e_max (skew) or e_max_sym (sym) on arguments the caller has checked;
-    paper_compat applies to sym only."""
+    """e_max (skew) or e_max_sym (sym) on arguments the caller has checked.
+
+    paper_compat applies to sym only: it drops the bound to n-1 for
+    k = 2 and odd n, mirroring the parity rule for skew 2-tensors.  It is
+    atlas_report's paper_sym convention, kept so that both conventions
+    can be compared, not because odd catalecticant ranks fail to occur."""
     if k == 1:
         return min(n, 1)
     odd_square = k == 2 and n % 2 == 1

@@ -387,6 +387,18 @@ class SubspaceBasis:
         return len(self.vectors)
 
 
+def _draw_subspace(n: int, draw, what: str) -> SubspaceBasis:
+    """The first of up to 64 draws that is a basis of a subspace of QQ^n:
+    draw() gives a tuple of vectors, and a draw that SubspaceBasis
+    refuses is drawn again."""
+    for _ in range(64):
+        try:
+            return SubspaceBasis(n, draw())
+        except ValueError:
+            continue
+    raise RuntimeError(f"failed to sample {what}")
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -869,18 +881,16 @@ def random_decomposable(n: int, k: int, kind: str, seed):
 
 
 def random_subspace(n: int, dim: int, seed) -> SubspaceBasis:
-    """Deterministic random dim-dimensional subspace of QQ^n.  n and dim
-    must be ints (not bools)."""
+    """Deterministic random dim-dimensional subspace of QQ^n: dim random
+    vectors, drawn again together (_draw_subspace) until independent.  n
+    and dim must be ints (not bools)."""
     _check_ints(n=n, dim=dim)
     if not 0 <= dim <= n:
         raise ValueError("subspace dimension out of range")
     rng = _rng(seed)
-    for _ in range(64):
-        try:
-            return SubspaceBasis(n, tuple(random_vector(n, rng) for _ in range(dim)))
-        except ValueError:
-            continue
-    raise RuntimeError("failed to sample an independent spanning set")
+    return _draw_subspace(
+        n, lambda: tuple(random_vector(n, rng) for _ in range(dim)), "an independent spanning set"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ subspaces per rejected stratum, and FLIP_SAMPLES tensors per cell of the
 membership flip.  The enclosing-dimension oracle's samples and the
 tangent grid's seeds_per_cell and n_max stay arguments, which the tests
 lower to rerun those suites cheaply at a second seed.  The sampled
-subspaces come from one retry loop, _draw_subspace.
+subspaces come from one retry loop, tensors._draw_subspace.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .tensors import (
     SKEW,
     SYM,
     SubspaceBasis,
+    _draw_subspace,
     enc,
     enclosing_space,
     is_in_power_of,
@@ -121,18 +122,6 @@ ENC_GRID = (
     (SYM, 4, 4),
 )
 ENC_HYPERPLANES = 3
-
-
-def _draw_subspace(n: int, draw, what: str) -> SubspaceBasis:
-    """The first of up to 64 draws that is a basis of a subspace of QQ^n:
-    draw() gives a tuple of vectors, and a draw that SubspaceBasis
-    refuses is drawn again."""
-    for _ in range(64):
-        try:
-            return SubspaceBasis(n, draw())
-        except ValueError:
-            continue
-    raise RuntimeError(f"failed to sample {what}")
 
 
 def _random_hyperplane(basis: SubspaceBasis, rng: random.Random) -> SubspaceBasis:
@@ -309,7 +298,7 @@ def check_g37_w_dims(seed: int = 0) -> tuple:
 
 
 def check_g37_atlas_k2(seed: int = 0) -> tuple:
-    comps = atlas.components(37, 36, 2, SKEW)
+    comps = atlas.atlas_report(37, 36, 2, SKEW)["components"]
     shape = [(c["r"], c["e"], c["total_dim"]) for c in comps]
     if shape != [(1, 2, 33), (3, 4, 26), (5, 6, 15)]:
         return False, f"genus-37 k=2 atlas is {shape}"
@@ -317,7 +306,7 @@ def check_g37_atlas_k2(seed: int = 0) -> tuple:
 
 
 def check_g37_atlas_k3(seed: int = 0) -> tuple:
-    comps = atlas.components(37, 36, 3, SKEW)
+    comps = atlas.atlas_report(37, 36, 3, SKEW)["components"]
     shape = [(c["r"], c["e"], c["total_dim"]) for c in comps]
     if shape != [(2, 3, 28), (4, 5, 21), (5, 6, 20)]:
         return False, f"genus-37 k=3 atlas is {shape}"
@@ -342,12 +331,13 @@ def check_canonical_parity(seed: int = 0) -> tuple:
     """Canonical divisor variety of C_2: one component for odd genus, two
     for even genus, meeting along the expected subspace variety."""
     for g in range(3, 13):
-        comps = atlas.components(g, 2 * g - 2, 2, SKEW)
+        report = atlas.atlas_report(g, 2 * g - 2, 2, SKEW)
+        comps = report["components"]
         want = 1 if g % 2 == 1 else 2
         if len(comps) != want or sum(c["multiplicity"] for c in comps) != want:
             return False, f"genus {g} canonical square has {len(comps)} components"
         if g % 2 == 0:
-            inter = atlas.intersections(g, 2 * g - 2, 2, SKEW)
+            inter = report["intersections"]
             if len(inter) != 1:
                 return False, f"genus {g}: expected a single intersection row"
             x = inter[0]
@@ -394,7 +384,7 @@ def check_resolution_flags(seed: int = 0) -> tuple:
     """The degree g-1 skew component with e = r+1 = k resolves W^(k-1)."""
     for g in range(4, 21):
         for k in range(2, 5):
-            comps = atlas.components(g, g - 1, k, SKEW)
+            comps = atlas.atlas_report(g, g - 1, k, SKEW)["components"]
             flagged = [c for c in comps if c["is_resolution"]]
             expected = [c for c in comps if c["e"] == k and c["r"] == k - 1]
             if flagged != expected:
@@ -416,7 +406,8 @@ def check_atlas_coherence(seed: int = 0) -> tuple:
         for d in range(1, 2 * g + 1):
             for k in (2, 3, 4):
                 for kind in (SKEW, SYM):
-                    comps = atlas.components(g, d, k, kind)
+                    report = atlas.atlas_report(g, d, k, kind)
+                    comps = report["components"]
                     for a, b in zip(comps, comps[1:]):
                         if not (a["r"] < b["r"] and a["e"] < b["e"]):
                             return False, f"non-monotone strata at g={g}, d={d}, k={k}, {kind}"
@@ -435,7 +426,7 @@ def check_atlas_coherence(seed: int = 0) -> tuple:
                         prev_e = max(prev_e, e)
                     # the bounds e strictly increase along the walk, so they name the components
                     by_e = {c["e"]: c for c in comps}
-                    for x in atlas.intersections(g, d, k, kind):
+                    for x in report["intersections"]:
                         full_system = atlas.fiber_dim(x["fiber"]["ambient"] - 1, k, kind)
                         if not x["fiber_dim"] < full_system:
                             return False, f"intersection fiber not proper at g={g}, d={d}, k={k}, {kind}"

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from divatlas import verify
-from divatlas.atlas import atlas_report, components, intersections
+from divatlas.atlas import atlas_report
 from divatlas.brill_noether import lambda_grd, w_dim, w_top_points
 from divatlas.subspaces import sub_dim
 from divatlas.tensors import SKEW
@@ -28,14 +28,14 @@ def test_criterion_1_genus_37_strata():
 
 
 def test_criterion_2_genus_37_atlas_k2():
-    comps = components(37, 36, 2, SKEW)
+    comps = atlas_report(37, 36, 2, SKEW)["components"]
     shape = [(c["r"], c["e"], c["total_dim"]) for c in comps]
     ok = shape == [(1, 2, 33), (3, 4, 26), (5, 6, 15)]
     _report(2, ok, f"k = 2 components (r, e, dim) = {shape}")
 
 
 def test_criterion_3_genus_37_atlas_k3():
-    comps = components(37, 36, 3, SKEW)
+    comps = atlas_report(37, 36, 3, SKEW)["components"]
     shape = [(c["r"], c["e"], c["total_dim"]) for c in comps]
     ok = shape == [(2, 3, 28), (4, 5, 21), (5, 6, 20)]
     _report(3, ok, f"k = 3 components (r, e, dim) = {shape}")
@@ -56,13 +56,14 @@ def test_criterion_5_canonical_parity():
     ok = True
     detail = "genus 3..12 parity and even-genus intersection loci"
     for g in range(3, 13):
-        comps = components(g, 2 * g - 2, 2, SKEW)
+        report = atlas_report(g, 2 * g - 2, 2, SKEW)
+        comps = report["components"]
         want = 1 if g % 2 else 2
         if len(comps) != want:
             ok, detail = False, f"genus {g}: {len(comps)} components, expected {want}"
             break
         if g % 2 == 0:
-            inter = intersections(g, 2 * g - 2, 2, SKEW)
+            inter = report["intersections"]
             x = inter[0] if len(inter) == 1 else None
             if (
                 x is None

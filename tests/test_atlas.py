@@ -7,22 +7,17 @@ from fractions import Fraction
 import pytest
 
 from divatlas import atlas, brill_noether
-from divatlas.atlas import (
-    atlas_report,
-    canonical_analysis,
-    class_to_kind,
-    component_count,
-    components,
-    deformable,
-    fiber_dim,
-    intersections,
-    jump_strata,
-)
+from divatlas.atlas import atlas_report, canonical_analysis, class_to_kind, deformable, fiber_dim
 from divatlas.brill_noether import achieved_r, big_R, rho, w_dim
 from divatlas.subspaces import e_max
 from divatlas.tensors import SKEW, SYM
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _strata_of(report: dict) -> list:
+    """The (r, e) pairs of the report's component rows."""
+    return [(c["r"], c["e"]) for c in report["components"]]
 
 
 def test_fiber_dim_values():
@@ -41,29 +36,41 @@ def test_deformable_examples():
 
 
 @pytest.mark.parametrize(
-    "args, name",
-    [((1, 2, True), "r_target"), ((True, 2, 2), "enc_value"), ((1, 2, 2.0), "r_target"), ((1, 2.0, 2), "k")],
+    "args, message",
+    [
+        ((1, 2, True), "r_target must be an integer, got True"),
+        ((True, 2, 2), "enc_value must be an integer, got True"),
+        ((1, 2, 2.0), "r_target must be an integer, got 2.0"),
+        ((1, 2.0, 2), "k must be an integer, got 2.0"),
+        # deformable(2, 2, -1) gave False, deformable(-3, 2, 3) True, and
+        # deformable(2, 2, -2) named the dimension n of e_max
+        ((2, 2, -1), "r_target must be >= 0, got -1"),
+        ((-3, 2, 3), "enc_value must be >= 0, got -3"),
+        ((2, 2, -2), "r_target must be >= 0, got -2"),
+    ],
 )
-def test_deformable_rejects_non_int_arguments(args, name):
-    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-        deformable(*args, SKEW)
+def test_deformable_rejects_bad_arguments(args, message):
+    for kind in (SKEW, SYM):
+        with pytest.raises(ValueError) as info:
+            deformable(*args, kind)
+        assert str(info.value) == message
 
 
 def test_jump_strata_genus_37():
-    assert jump_strata(37, 36, 2, SKEW) == [(1, 2), (3, 4), (5, 6)]
-    assert jump_strata(37, 36, 3, SKEW) == [(2, 3), (4, 5), (5, 6)]
+    assert _strata_of(atlas_report(37, 36, 2, SKEW)) == [(1, 2), (3, 4), (5, 6)]
+    assert _strata_of(atlas_report(37, 36, 3, SKEW)) == [(2, 3), (4, 5), (5, 6)]
 
 
 def test_jump_strata_canonical_parity():
     for g in range(3, 13):
-        strata = jump_strata(g, 2 * g - 2, 2, SKEW)
+        strata = _strata_of(atlas_report(g, 2 * g - 2, 2, SKEW))
         assert len(strata) == (1 if g % 2 else 2)
         if g % 2 == 0:
             assert strata == [(g - 2, g - 2), (g - 1, g)]
 
 
 def test_components_genus_37_k2():
-    comps = components(37, 36, 2, SKEW)
+    comps = atlas_report(37, 36, 2, SKEW)["components"]
     assert [(c["r"], c["e"], c["total_dim"]) for c in comps] == [
         (1, 2, 33),
         (3, 4, 26),
@@ -74,7 +81,7 @@ def test_components_genus_37_k2():
 
 
 def test_components_genus_37_k3():
-    comps = components(37, 36, 3, SKEW)
+    comps = atlas_report(37, 36, 3, SKEW)["components"]
     assert [(c["r"], c["e"], c["total_dim"]) for c in comps] == [
         (2, 3, 28),
         (4, 5, 21),
@@ -85,7 +92,7 @@ def test_components_genus_37_k3():
 def test_components_main_paracanonical_dimension():
     for g in range(6, 15):
         for k in range(3, 5):
-            comps = components(g, 2 * g - 2, k, SKEW)
+            comps = atlas_report(g, 2 * g - 2, k, SKEW)["components"]
             main = comps[0]
             assert main["total_dim"] == g + math.comb(g - 1, k) - 1
             assert main["support_dim"] == g
@@ -93,22 +100,22 @@ def test_components_main_paracanonical_dimension():
 
 def test_components_two_point_top_stratum():
     # two degree-3 pencils on a genus-4 curve, each an isolated divisor
-    comps = components(4, 3, 2, SKEW)
+    comps = atlas_report(4, 3, 2, SKEW)["components"]
     assert len(comps) == 1
     assert comps[0]["multiplicity"] == 2
     assert comps[0]["total_dim"] == 0
 
 
 def test_components_empty_atlas():
-    assert components(2, 1, 2, SKEW) == []
-    assert jump_strata(2, 1, 3, SKEW) == []
+    assert atlas_report(2, 1, 2, SKEW)["components"] == []
+    assert _strata_of(atlas_report(2, 1, 3, SKEW)) == []
 
 
 def test_absorption_soundness():
     for g in range(2, 25):
         for d in range(1, 2 * g + 1):
             for k in (2, 3):
-                emitted = {c["r"] for c in components(g, d, k, SKEW)}
+                emitted = {c["r"] for c in atlas_report(g, d, k, SKEW)["components"]}
                 best = 0
                 for r in achieved_r(g, d):
                     if fiber_dim(r, k, SKEW) < 0:
@@ -127,7 +134,7 @@ def test_strict_monotonicity_within_atlas():
         (12, 22, 3, SYM),
         (9, 16, 2, SYM),
     ]:
-        comps = components(g, d, k, kind)
+        comps = atlas_report(g, d, k, kind)["components"]
         for a, b in zip(comps, comps[1:]):
             assert a["r"] < b["r"] and a["e"] < b["e"]
             if rho(g, b["r"], d) > 0 and rho(g, a["r"], d) <= g:
@@ -135,7 +142,7 @@ def test_strict_monotonicity_within_atlas():
 
 
 def test_intersections_genus_4_canonical():
-    inter = intersections(4, 6, 2, SKEW)
+    inter = atlas_report(4, 6, 2, SKEW)["intersections"]
     assert len(inter) == 1
     x = inter[0]
     assert x["image"] == "W^3_6"
@@ -146,7 +153,7 @@ def test_intersections_genus_4_canonical():
 
 def test_intersections_even_genus_family():
     for g in range(4, 13, 2):
-        x = intersections(g, 2 * g - 2, 2, SKEW)[0]
+        x = atlas_report(g, 2 * g - 2, 2, SKEW)["intersections"][0]
         assert x["image"] == f"W^{g - 1}_{2 * g - 2}"
         assert x["fiber"]["e"] == g - 2
         assert x["fiber"]["ambient"] == g
@@ -154,7 +161,7 @@ def test_intersections_even_genus_family():
 
 
 def test_intersections_genus_37_k3_pair():
-    inter = intersections(37, 36, 3, SKEW)
+    inter = atlas_report(37, 36, 3, SKEW)["intersections"]
     pair = [x for x in inter if x["shallow_e"] == 3 and x["deep_e"] == 6]
     assert len(pair) == 1
     assert pair[0]["fiber_dim"] == 9
@@ -162,17 +169,16 @@ def test_intersections_genus_37_k3_pair():
 
 
 def test_intersections_empty_for_single_component():
-    assert intersections(3, 4, 2, SKEW) == []
+    assert atlas_report(3, 4, 2, SKEW)["intersections"] == []
 
 
 def test_intersection_count_is_pairwise():
-    comps = components(37, 36, 2, SKEW)
-    inter = intersections(37, 36, 2, SKEW)
-    assert len(inter) == math.comb(len(comps), 2)
+    report = atlas_report(37, 36, 2, SKEW)
+    assert len(report["intersections"]) == math.comb(len(report["components"]), 2)
 
 
 def test_component_count_genus_37():
-    counts = component_count(37, 36, 2, SKEW)
+    counts = atlas_report(37, 36, 2, SKEW)["counts"]
     assert counts["enumerated"] == 3
     assert counts["paper_formula"] == 4  # known off-by-one, reported not hidden
     assert not counts["agrees"]
@@ -180,13 +186,13 @@ def test_component_count_genus_37():
 
 def test_component_count_parity_family():
     for g in range(3, 13):
-        counts = component_count(g, 2 * g - 2, 2, SKEW)
+        counts = atlas_report(g, 2 * g - 2, 2, SKEW)["counts"]
         assert counts["enumerated"] == (1 if g % 2 else 2)
         assert counts["agrees"]  # the rho = 0 correction makes these match
 
 
 def test_component_count_includes_multiplicity():
-    assert component_count(4, 3, 2, SKEW)["enumerated"] == 2
+    assert atlas_report(4, 3, 2, SKEW)["counts"]["enumerated"] == 2
 
 
 def test_canonical_analysis_gap_signs():
@@ -216,23 +222,23 @@ def test_canonical_analysis_domain():
 
 
 def test_resolution_flag():
-    comps = components(37, 36, 2, SKEW)
+    comps = atlas_report(37, 36, 2, SKEW)["components"]
     assert [c["is_resolution"] for c in comps] == [True, False, False]
     flagged = comps[0]
     assert flagged["fiber_dim"] == 0
     assert flagged["total_dim"] == w_dim(37, 1, 36)
     # same class of components on the cube
-    comps3 = components(37, 36, 3, SKEW)
+    comps3 = atlas_report(37, 36, 3, SKEW)["components"]
     assert [c["is_resolution"] for c in comps3] == [True, False, False]
     # wrong degree: no resolution flags
-    assert not any(c["is_resolution"] for c in components(37, 35, 2, SKEW))
+    assert not any(c["is_resolution"] for c in atlas_report(37, 35, 2, SKEW)["components"])
 
 
 def test_sym_atlas_faithful_vs_compat():
-    faithful = components(37, 36, 2, SYM)
-    assert [(c["r"], c["e"]) for c in faithful] == [(r, r + 1) for r in range(6)]
-    compat = components(37, 36, 2, SYM, paper_sym=True)
-    assert [(c["r"], c["e"]) for c in compat] == [(1, 2), (3, 4), (5, 6)]
+    faithful = _strata_of(atlas_report(37, 36, 2, SYM))
+    assert faithful == [(r, r + 1) for r in range(6)]
+    compat = _strata_of(atlas_report(37, 36, 2, SYM, paper_sym=True))
+    assert compat == [(1, 2), (3, 4), (5, 6)]
 
 
 def test_sym_count_off_by_one_is_noted():
@@ -272,37 +278,13 @@ def test_atlas_report_secdim_switch_changes_fibers():
 def test_atlas_rejects_bad_parameters():
     for bad in [(1, 5, 2), (4, 0, 2), (4, 5, 1)]:
         with pytest.raises(ValueError):
-            components(*bad, SKEW)
-
-
-def test_atlas_report_equals_standalone_calls():
-    # the report builds the component list once; it must still say what
-    # components, intersections and component_count say on their own
-    for g in range(2, 21):
-        for d in range(1, 2 * g + 1):
-            for k in range(2, 6):
-                for kind in (SKEW, SYM):
-                    for paper_sym in (False, True):
-                        comps = components(g, d, k, kind, paper_sym)
-                        counts = component_count(g, d, k, kind, paper_sym)
-                        # the invariants the rows hold by construction
-                        for c in comps:
-                            assert c["total_dim"] == c["support_dim"] + c["fiber_dim"]
-                        support = {c["e"]: c["support"] for c in comps}
-                        for printed in (False, True):
-                            report = atlas_report(g, d, k, kind, paper_sym, printed)
-                            inters = intersections(g, d, k, kind, paper_sym, printed)
-                            assert report["components"] == comps
-                            assert report["intersections"] == inters
-                            assert report["counts"] == counts
-                            for x in inters:
-                                assert x["image"] == support[x["deep_e"]]
+            atlas_report(*bad, SKEW)
 
 
 def test_atlas_report_builds_components_once(monkeypatch):
-    # one walk per report: the component rows come from the core that
-    # components wraps, with R = big_R(g, d) taken once at the argument
-    # check, and the intersections are built once from those rows
+    # one walk per report: the component rows come from one call of their
+    # core, with R = big_R(g, d) taken once at the argument check, and the
+    # intersections are built once from those rows
     calls = []
     real = atlas._component_rows
     monkeypatch.setattr(atlas, "_component_rows", lambda *a, **kw: calls.append(a) or real(*a, **kw))
@@ -321,14 +303,12 @@ def test_rows_keep_the_record_checks(monkeypatch):
     # the rows check multiplicity >= 1 and shallow e < deep e, though
     # the walk cannot give either case
     monkeypatch.setattr(atlas, "_top_points", lambda g, d, R: 0)
-    for call in (atlas_report, components, component_count):
-        with pytest.raises(ValueError, match="^multiplicity must be >= 1$"):
-            call(4, 3, 2, SKEW)
+    with pytest.raises(ValueError, match="^multiplicity must be >= 1$"):
+        atlas_report(4, 3, 2, SKEW)
     monkeypatch.undo()
     monkeypatch.setattr(atlas, "_strata", lambda *a: [(1, 2), (3, 2)])
-    for call in (atlas_report, intersections):
-        with pytest.raises(ValueError, match="^shallow component must have the smaller bound e$"):
-            call(37, 36, 2, SKEW)
+    with pytest.raises(ValueError, match="^shallow component must have the smaller bound e$"):
+        atlas_report(37, 36, 2, SKEW)
 
 
 def test_atlas_report_counts_the_top_points_once(monkeypatch):
@@ -363,42 +343,42 @@ def test_atlas_report_matches_the_pinned_digest():
                         for printed in (False, True):
                             report = atlas_report(g, d, k, kind, paper_sym, printed, g >= 3 and k < g)
                             digest.update(json.dumps(report).encode() + b"\n")
+                            # the invariants the rows hold by construction
+                            support = {}
+                            for c in report["components"]:
+                                assert c["total_dim"] == c["support_dim"] + c["fiber_dim"]
+                                support[c["e"]] = c["support"]
+                            for x in report["intersections"]:
+                                assert x["image"] == support[x["deep_e"]]
     assert digest.hexdigest() == (DATA / "atlas-report-g20.sha256").read_text().strip()
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda *a: atlas_report(*a, printed_secdim=True, include_canonical=True),
-        components,
-        jump_strata,
-        intersections,
-        component_count,
-    ],
-    ids=["atlas_report", "components", "jump_strata", "intersections", "component_count"],
-)
-def test_public_entry_checks_arguments_once(monkeypatch, call):
+# every setting of atlas_report's switches, one at a time and all together
+ATLAS_SWITCHES = {
+    "default": {},
+    "paper_sym": {"paper_sym": True},
+    "printed_secdim": {"printed_secdim": True},
+    "include_canonical": {"include_canonical": True},
+    "all": {"paper_sym": True, "printed_secdim": True, "include_canonical": True},
+}
+
+
+@pytest.mark.parametrize("switches", sorted(ATLAS_SWITCHES))
+def test_public_entry_checks_arguments_once(monkeypatch, switches):
     calls = []
     real = brill_noether._check_args
     monkeypatch.setattr(brill_noether, "_check_args", lambda *a: calls.append(a) or real(*a))
     for args in [(37, 36, 2, SKEW), (4, 3, 2, SKEW), (8, 14, 3, SYM), (8, 9, 2, SYM)]:
         calls.clear()
-        call(*args)
+        atlas_report(*args, **ATLAS_SWITCHES[switches])
         assert calls == [args[:2]]
 
 
-ATLAS_FUNCTIONS = {
-    "jump_strata": jump_strata,
-    "components": components,
-    "intersections": intersections,
-    "component_count": component_count,
-    "atlas_report": atlas_report,
-}
 KIND_MESSAGE = "kind must be one of ('skew', 'sym'), got 'x'"
 K_MESSAGE = "symmetric-product index k must be an integer >= 2, got "
 
 
-@pytest.mark.parametrize("name", sorted(ATLAS_FUNCTIONS))
+@pytest.mark.parametrize("switches", sorted(ATLAS_SWITCHES))
 @pytest.mark.parametrize(
     "args,message",
     [
@@ -416,9 +396,9 @@ K_MESSAGE = "symmetric-product index k must be an integer >= 2, got "
         ((5, 4, 1, "x"), K_MESSAGE + "1"),
     ],
 )
-def test_atlas_bad_arguments_raise_with_message(name, args, message):
+def test_atlas_bad_arguments_raise_with_message(switches, args, message):
     with pytest.raises(ValueError) as info:
-        ATLAS_FUNCTIONS[name](*args)
+        atlas_report(*args, **ATLAS_SWITCHES[switches])
     assert str(info.value) == message
 
 
@@ -461,4 +441,4 @@ def test_strata_walk_calls_the_unchecked_bounds(monkeypatch):
     monkeypatch.setattr(atlas, "e_max_sym", refuse)
     for args in [(37, 36, 2, SKEW), (8, 14, 3, SYM), (8, 9, 2, SYM)]:
         atlas_report(*args, include_canonical=True)
-        jump_strata(*args, paper_sym=True)
+        atlas_report(*args, paper_sym=True)

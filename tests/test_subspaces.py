@@ -48,10 +48,11 @@ def test_e_max_parity_and_codegree_drops():
 
 
 def test_e_max_sym_modes():
+    # the compat mode is atlas_report's paper_sym switch, on the core
     assert e_max_sym(2, 3) == 3
-    assert e_max_sym(2, 3, paper_compat=True) == 2
+    assert subspaces._e_bound(2, 3, SYM, True) == 2
     assert e_max_sym(3, 5) == 5
-    assert e_max_sym(3, 5, paper_compat=True) == 5
+    assert subspaces._e_bound(3, 5, SYM, True) == 5
 
 
 def test_normalize_e():
@@ -148,8 +149,10 @@ def test_e_max_cores_match_the_checked_bounds():
     for k in range(1, 6):
         for n in range(0, 10):
             assert subspaces._e_bound(k, n, SKEW) == e_max(k, n)
-            for compat in (False, True):
-                assert subspaces._e_bound(k, n, SYM, compat) == e_max_sym(k, n, paper_compat=compat)
+            assert subspaces._e_bound(k, n, SYM) == subspaces._e_bound(k, n, SYM, False) == e_max_sym(k, n)
+            # the compat mode drops the faithful bound by one exactly at k = 2, odd n
+            drop = k == 2 and n % 2 == 1
+            assert subspaces._e_bound(k, n, SYM, True) == e_max_sym(k, n) - drop
 
 
 def test_sub_dim_monotone_in_e():

@@ -518,6 +518,31 @@ def test_random_decomposable_refuses_bad_sizes(kind, n, k, message):
 
 
 @pytest.mark.parametrize(
+    "n, dim, seed, vectors",
+    [
+        (4, 2, 0, ((3, 4, -8, -1), (7, 6, 3, 0))),
+        (5, 3, "pin:1", ((9, 7, -6, 1, -2), (5, 7, -2, -2, 9), (8, -8, 9, 0, 4))),
+        (3, 0, 1, ()),
+        # the first draw, ((0, 0), (9, -5)), is dependent and drawn again
+        (2, 2, 60, ((-1, -2), (6, 5))),
+    ],
+    ids=repr,
+)
+def test_random_subspace_keeps_its_draws(n, dim, seed, vectors):
+    # pinned draws: a change to the retry loop or to the generator's stream shows here
+    assert random_subspace(n, dim, seed).vectors == vectors
+
+
+def test_random_subspace_gives_up_after_64_draws(monkeypatch):
+    draws = []
+    monkeypatch.setattr(tensors, "random_vector", lambda n, rng: draws.append(n) or (0,) * n)
+    with pytest.raises(RuntimeError) as info:
+        random_subspace(3, 1, 0)
+    assert str(info.value) == "failed to sample an independent spanning set"
+    assert len(draws) == 64
+
+
+@pytest.mark.parametrize(
     "n, dim, message",
     [
         (3, True, "dim must be an integer, got True"),
