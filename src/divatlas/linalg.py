@@ -37,11 +37,14 @@ entry bound, whose packed product is 0.
 The tangent-space oracle's integer Jacobians have independent columns
 in the generic case and are mostly zeros.  They come as sparse
 columns, {row: nonzero int} maps, and take two steps.  The pass,
-``_independent_mod_p``, eliminates them modulo the prime 2^61 - 1,
-touching only nonzero entries, and stops at the first column that is
-dependent mod p.  A rank mod p is at most the rank over QQ, so columns
-independent mod p are certified independent.  Most Jacobian columns
-are units (one entry, on a tensor direction): the pass stores a
+``_independent_mod_p``, eliminates them modulo ``RANK_PRIME`` =
+2^30 - 35, touching only nonzero entries, and stops at the first column
+that is dependent mod p.  A rank mod p is at most the rank over QQ, so
+columns independent mod p are certified independent, whatever the
+prime.  It is the largest prime below 2^30 so that every residue is one
+30-bit digit of a CPython int: a product of two residues fits in two
+digits, and each reduction divides by a one-digit int.  Most Jacobian
+columns are units (one entry, on a tensor direction): the pass stores a
 one-entry column whose row holds no lead and whose entry is nonzero
 mod p at once, with no reduction.  The exact fallback,
 ``_densified_rank``, is ``_bareiss`` on the columns made dense, up to
@@ -340,8 +343,10 @@ def _bareiss(mat) -> tuple[int, list, int]:
     return len(pivots), pivots, last
 
 
-# a Mersenne prime: a rank mod p is at most the rank over QQ
-RANK_PRIME = 2**61 - 1
+# the largest prime below 2^30: a residue mod it is one 30-bit digit of a
+# CPython int, so the pass's products and reductions stay on one- and
+# two-digit ints; a rank mod any prime is at most the rank over QQ
+RANK_PRIME = 2**30 - 35
 
 
 def _independent_mod_p(columns) -> bool:

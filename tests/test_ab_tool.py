@@ -21,6 +21,16 @@ def test_a_against_itself_on_membership(capsys):
     lo, hi = result["median_chunk_ratio_ci95"]
     assert lo <= result["median_chunk_ratio_a_over_b"] <= hi
     assert ab.Tree("ab_a", tree).tensors.__name__ == "ab_a.tensors"
+    # the per-label split covers exactly the workload's op labels, and its
+    # sums are each side's whole op time
+    with ab.tempfile.TemporaryDirectory() as workdir:
+        recipes = ab.workloads.WORKLOADS["membership"](5, workdir)
+        labels = {op.label for op in ab.workloads.bind(ab.Tree("ab_a", tree), recipes)}
+    assert set(result["labels"]) == labels
+    for side in "ab":
+        total = sum(split[f"{side}_s"] for split in result["labels"].values())
+        assert abs(total * result["sides"][side]["ops_per_s"] / 270 - 1) < 1e-9
+    assert all(split["b_over_a"] == split["b_s"] / split["a_s"] for split in result["labels"].values())
 
 
 def test_bootstrap_interval_is_seeded_and_holds_the_median():
@@ -45,9 +55,20 @@ def test_each_round_loads_the_trees_afresh():
 
         return ab.workloads.Op("exponent vectors", call, lambda result: result == 6)
 
-    latencies, ratios, failed = ab.run([("ab_a", tree), ("ab_b", tree)], [recipe], 2, ab.random.Random(0))
+    latencies, ratios, failed, labels = ab.run([("ab_a", tree), ("ab_b", tree)], [recipe], 2, ab.random.Random(0))
     assert failed == 0 and len(ratios) == 2 and [len(lat) for lat in latencies] == [2, 2]
+    assert labels == ["exponent vectors"]
     assert sorted(name for name, _, _ in seen) == ["ab_a.tensors"] * 2 + ["ab_b.tensors"] * 2
     assert not any(cached for _, _, cached in seen)
     # four distinct module objects, held by seen: each side, each round
     assert len({id(module) for _, module, _ in seen}) == 4
+
+
+def test_label_split_sums_each_label_over_rounds():
+    # two rounds of three ops, one label repeated within the round
+    labels = ["x", "y", "x"]
+    latencies = [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2.0, 2.0, 2.0, 2.0, 2.0, 2.0]]
+    assert ab.label_split(latencies, labels) == {
+        "x": {"a_s": 14.0, "b_s": 8.0, "b_over_a": 8 / 14},
+        "y": {"a_s": 7.0, "b_s": 4.0, "b_over_a": 4 / 7},
+    }

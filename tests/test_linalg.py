@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import operator
 import pathlib
 import random
@@ -297,6 +298,14 @@ def test_sparse_certified_rank_fill_in_and_lost_ranks(monkeypatch):
 def _gauss_rank_of_sparse(columns) -> int:
     height = 1 + max((r for c in columns for r in c), default=-1)
     return gauss_rank(RationalMatrix.from_columns([[c.get(r, 0) for r in range(height)] for c in columns]))
+
+
+def test_rank_prime_is_a_prime_of_one_cpython_digit():
+    # below 2**30, every residue of the pass is one 30-bit digit of a
+    # CPython int; any prime certifies, so primality is all it needs
+    p = RANK_PRIME
+    assert 2 < p < 2**30
+    assert all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def test_certified_rank_on_one_entry_columns(monkeypatch):

@@ -611,10 +611,15 @@ def test_chart_columns_match_the_general_builders():
     # at A = [I_e ; 0], varying the rows below the identity block, on the
     # golden cells with a generic w, a sparse (degenerate) w and w = 0:
     # each compact row label, mapped back to its k-subset or exponent
-    # vector on QQ^n, gives the general builder's columns entry for entry
+    # vector on QQ^n, gives the general builder's columns entry for entry.
+    # Each shape is then built again from its cached face pattern, with a
+    # w from another seed and with that w missing some terms.
+    subspaces._skew_chart_pattern.cache_clear()
+    subspaces._sym_chart_pattern.cache_clear()
     for kind, k, n, e, _ in _golden_cells():
         chart = _skew_chart_columns if kind == SKEW else _sym_chart_columns
         general = _skew_jacobian_columns if kind == SKEW else _sym_jacobian_columns
+        pattern = subspaces._skew_chart_pattern if kind == SKEW else subspaces._sym_chart_pattern
         identity = [tuple(int(i == j) for i in range(n)) for j in range(e)]
         position = _chart_row_positions(kind, k, n, e)
         assert len(set(position)) == len(position), (kind, k, n, e)
@@ -624,6 +629,17 @@ def test_chart_columns_match_the_general_builders():
         for w in (generic, sparse, {}):
             relabelled = [{position[r]: v for r, v in col.items()} for col in chart(w, e, n, k)]
             assert relabelled == general(identity, w, n, k, range(e, n)), (kind, k, n, e, w)
+        hits = pattern.cache_info().hits
+        other = random_tensor(e, k, kind, random.Random(f"chart-columns-again:{kind}:{k}:{n}:{e}")).coeffs
+        dropped = {key: c for i, (key, c) in enumerate(other.items()) if i % 3}
+        for w in (other, dropped):
+            relabelled = [{position[r]: v for r, v in col.items()} for col in chart(w, e, n, k)]
+            assert relabelled == general(identity, w, n, k, range(e, n)), (kind, k, n, e, w)
+        assert pattern.cache_info().hits == hits + 2, (kind, k, n, e)
+        # the cached pattern is immutable all the way down
+        units, faces, directions = pattern(e, k)
+        assert type(directions) is tuple and len(directions) == e
+        assert all(type(d) is tuple and all(type(x) is tuple and type(x[0]) is tuple for x in d) for d in directions)
 
 
 def test_chart_row_labels_stay_below_the_jacobian_height():

@@ -23,9 +23,12 @@ by perfbench's ``quantile``, then the ratio of the ops_per_s of B to A
 and the median over chunks of the ratio of A's chunk time to B's, with
 a 95% percentile bootstrap interval of that median (BOOTSTRAP resamples
 of the chunk ratios, drawn with replacement from a generator seeded by
-``--seed``).  A value above 1 means B is faster.  The last line is one
-JSON object.  It is no gate: a speed claim still needs perfbench's
-paired runs.
+``--seed``).  A value above 1 means B is faster.  One workload mixes
+cells that can move in opposite directions, so a split by op label
+follows: for each label, each tree's summed op latency over all rounds
+and the ratio of B's sum to A's (below 1 means B is faster there).  The
+last line is one JSON object, with the split under ``labels``.  It is no
+gate: a speed claim still needs perfbench's paired runs.
 """
 
 from __future__ import annotations
@@ -71,14 +74,17 @@ class Tree:
 
 def run(trees: list, recipes: list, rounds: int, rng: random.Random) -> tuple:
     """For trees given as (package name, src/divatlas directory) pairs: per
-    tree, the op latencies; the per-chunk time ratios A / B; failures.
-    Both trees are loaded afresh at the start of every round, outside
-    the timing."""
+    tree, the op latencies; the per-chunk time ratios A / B; failures;
+    the op labels of one round, in op order, which each tree's latencies
+    follow round after round.  Both trees are loaded afresh at the start
+    of every round, outside the timing."""
     latencies = [[] for _ in trees]
     ratios = []
     failed = 0
+    labels = []
     for _ in range(rounds):
         ops = [workloads.bind(Tree(name, path), recipes) for name, path in trees]
+        labels = [op.label for op in ops[0]]
         for start in range(0, len(recipes), CHUNK):
             order = [0, 1]
             rng.shuffle(order)
@@ -92,7 +98,18 @@ def run(trees: list, recipes: list, rounds: int, rng: random.Random) -> tuple:
                     latencies[side].append(latency)
                     spent[side] += latency
             ratios.append(spent[0] / spent[1])
-    return latencies, ratios, failed
+    return latencies, ratios, failed, labels
+
+
+def label_split(latencies: list, labels: list) -> dict:
+    """{label: {"a_s", "b_s", "b_over_a"}}: per op label, in sorted order,
+    each tree's summed latency over every op with that label, and B's
+    sum over A's."""
+    sums = {label: [0.0, 0.0] for label in sorted(labels)}
+    for side, lat in enumerate(latencies):
+        for i, latency in enumerate(lat):
+            sums[labels[i % len(labels)]][side] += latency
+    return {label: {"a_s": a, "b_s": b, "b_over_a": b / a} for label, (a, b) in sums.items()}
 
 
 def bootstrap_interval(ratios: list, rng: random.Random) -> tuple:
@@ -116,7 +133,7 @@ def main(argv=None) -> int:
     trees = [("ab_a", os.path.abspath(args.a)), ("ab_b", os.path.abspath(args.b))]
     with tempfile.TemporaryDirectory() as workdir:
         recipes = workloads.WORKLOADS[args.workload](args.seed, workdir)
-        latencies, ratios, failed = run(trees, recipes, args.rounds, random.Random(args.seed))
+        latencies, ratios, failed, labels = run(trees, recipes, args.rounds, random.Random(args.seed))
     sides = {}
     for name, lat in zip("ab", latencies):
         sides[name] = {
@@ -134,6 +151,7 @@ def main(argv=None) -> int:
         "ops_per_s_ratio_b_over_a": sides["b"]["ops_per_s"] / sides["a"]["ops_per_s"],
         "median_chunk_ratio_a_over_b": statistics.median(ratios),
         "median_chunk_ratio_ci95": bootstrap_interval(ratios, random.Random(f"ab-bootstrap:{args.seed}")),
+        "labels": label_split(latencies, labels),
     }
     lo, hi = result["median_chunk_ratio_ci95"]
     print(
@@ -141,6 +159,10 @@ def main(argv=None) -> int:
         f"ops_per_s b/a {result['ops_per_s_ratio_b_over_a']:.4f}, "
         f"median chunk time a/b {result['median_chunk_ratio_a_over_b']:.4f} (95% bootstrap {lo:.4f}-{hi:.4f})"
     )
+    width = max(map(len, result["labels"]))
+    print(f"{'label':<{width}}  {'a ms':>10}  {'b ms':>10}  {'b/a':>7}")
+    for label, split in result["labels"].items():
+        print(f"{label:<{width}}  {split['a_s'] * 1e3:10.3f}  {split['b_s'] * 1e3:10.3f}  {split['b_over_a']:7.4f}")
     print(json.dumps(result))
     return 1 if failed else 0
 
