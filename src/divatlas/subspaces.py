@@ -33,9 +33,12 @@ permutation, which changes no rank, and no map over that basis is
 made.
 
 The face pattern of a chart (which term of w lands on which face, and
-with which sign or multiplicity) depends on the shape (kind, e, k)
-alone, so it is made once per shape and cached; a sample only reads
-w's coefficients into it.
+with which sign or multiplicity) is the face table of the basis of the
+k-th power of QQ^e (tensors._skew_faces, _sym_faces), the table that
+membership's face sums also read: the derivative of w along e_j is the
+table's entries on row j.  It depends on the shape (kind, e, k) alone,
+so _chart_pattern makes it once per shape and caches it; a sample only
+reads w's coefficients into it (_chart_columns).
 
 Each sample takes one pass mod linalg.RANK_PRIME, a prime below 2^30,
 over its columns (linalg._independent_mod_p, a sparse elimination)
@@ -60,9 +63,13 @@ from .tensors import (
     SKEW,
     SYM,
     _power_dim,
+    _skew_faces,
+    _sym_codes,
+    _sym_faces,
     check_kind,
     enc,
     exponent_vectors,
+    k_subsets,
     random_tensor,
 )
 
@@ -207,118 +214,59 @@ def sec_dim_printed(s: int, n: int, kind: str) -> int:
 # tangent-space oracle
 
 
-def _skew_chart_columns(w: dict, e: int, n: int, k: int) -> list:
-    """Columns of the differential of (A, w) -> (wedge^k A)(w) at the chart
-    point A = [I_e ; 0], along w and the rows of A below the identity block.
-
-    Each column is a sparse {row: nonzero int} map on the Jacobian's own
-    rows, not on all of wedge^k QQ^n, and w maps k-subsets of range(e) to
-    nonzero ints.  At the chart every minor of A on columns I is 1 on
-    rows I and 0 elsewhere, so the column along the tensor coordinate I
-    is the unit vector of I: the U = C(e, k) tensor directions are rows
-    0 .. U - 1, in combinations order.  Along an entry A[i][j] the factor
-    A e_j of each term is replaced by e_i, which gives e_i ^ psi_j with
-    psi_j the interior derivative of w along e_j: a term c e_I with j at
-    position q of I gives (-1)^q c e_M, M = I minus j, a face of degree
-    k - 1 on QQ^e.  For i >= e, e_i is moved past the k-1 indices of M,
-    all below it, so the entry is (-1)^(q+k-1) c on the row of M + (i,),
-    which is labelled U + (i - e) * F + the index of M among the
-    F = C(e, k-1) faces in combinations order.  Every row of wedge^k QQ^n
-    that the chart reaches has exactly one label, so this is the
-    Jacobian on the combinations-order rows up to a row permutation, on
-    U + (n - e) * F rows.  Distinct I give distinct M, so each entry
-    comes from one term of w.  The tensor columns come first, then the
-    entries A[i][j] for each j < e and each row i from e to n - 1.
-
-    Which term of w lands on which face, and with which sign, depends on
-    neither w nor n.  _skew_chart_pattern works it out once per (e, k)
-    and functools.cache keeps it for the process, as
-    tensors._EXPONENT_VECTORS is kept: U, F, and for each j a tuple of
-    (basis key I, face index, sign).  A sample only reads w's coefficient
-    for each entry, skipping the terms w lacks (_chart_columns); its unit
-    columns and blocks are made afresh.  perfbench and tools/ab.py import
-    the package afresh before each round, so there the pattern lives one
-    round.  In a round, 111 of tangent-oracle's 137 ops reuse a shape
-    seen earlier, and so do 536 of the 582 samples of verify's
-    subdim-oracle suite.
-    """
-    return _chart_columns(w, _skew_chart_pattern(e, k), n - e)
-
-
-def _sym_chart_columns(w: dict, e: int, n: int, k: int) -> list:
-    """Columns of the differential of (A, w) -> (S^k A)(w) at the chart
-    point A = [I_e ; 0], along w and the rows of A below the identity block.
-
-    Each column is a sparse {row: nonzero int} map on the Jacobian's own
-    rows, not on all of S^k QQ^n, and w maps exponent vectors on e
-    variables to nonzero ints.  At the chart the map pads each exponent
-    vector with n - e zeros, so the column along the tensor coordinate
-    alpha is the unit vector of alpha padded: the U tensor directions
-    are rows 0 .. U - 1, in exponent_vectors(e, k) order.  Along an entry
-    A[i][j] it is the partial derivative of w along x_j times x_i: a term
-    c x^alpha gives alpha_j c on beta = alpha - e_j, a face of degree
-    k - 1 on e variables, padded, with a 1 at position i >= e.  That row
-    is labelled U + (i - e) * F + the index of beta among the F faces in
-    exponent_vectors(e, k - 1) order.  As in _skew_chart_columns this is
-    the Jacobian on all of S^k QQ^n up to a row permutation, on
-    U + (n - e) * F rows.  Distinct alpha give distinct alpha - e_j, so
-    each entry comes from one term of w.  Column order is as in
-    _skew_chart_columns, and so is the cached pattern, made by
-    _sym_chart_pattern: U, F, and for each j a tuple of (basis key alpha,
-    face index, multiplicity alpha_j).
-    """
-    return _chart_columns(w, _sym_chart_pattern(e, k), n - e)
-
-
 @functools.cache
-def _skew_chart_pattern(e: int, k: int) -> tuple:
-    """(U, F, directions) for _skew_chart_columns: U = C(e, k) tensor
-    directions, F = C(e, k - 1) faces, and for each j < e a tuple of
-    (I, index of the face I minus j, sign (-1)^(q+k-1)), one for each
-    k-subset I of range(e) holding j at position q, in combinations
-    order.  Only tuples, so no caller can change the cached value."""
-    faces = {M: f for f, M in enumerate(itertools.combinations(range(e), k - 1))}
-    directions = [[] for _ in range(e)]
-    for I in itertools.combinations(range(e), k):
-        for q, j in enumerate(I):
-            directions[j].append((I, faces[I[:q] + I[q + 1 :]], -1 if (q + k - 1) % 2 else 1))
-    return math.comb(e, k), len(faces), tuple(map(tuple, directions))
+def _chart_pattern(kind: str, e: int, k: int) -> tuple:
+    """(U, F, directions), the face pattern of sub_dim_tangent's chart
+    columns on QQ^e: U tensor directions (the basis of the k-th power of
+    QQ^e), F faces of degree k - 1 on QQ^e, and for each j < e a tuple
+    of (basis key, face index, factor), one for each entry on row j of
+    the face table of the basis (tensors._skew_faces, _sym_faces).
 
+    At A = [I_e ; 0], the column along an entry A[i][j], i >= e, is e_i
+    times the derivative of w along e_j.  Skew: a term c e_I with j at
+    position q of I gives (-1)^q c e_M, M = I minus j, the table's face
+    and sign on row j; moving e_i past the k - 1 indices of M, all below
+    it, gives (-1)^(q+k-1) c on the row of M + (i,), so the factor is
+    the table's times (-1)^(k-1).  Sym: a term c x^alpha gives alpha_j c
+    on beta = alpha - e_j, the table's face and factor, times x_i.  Each
+    entry comes from one term of w, and the row of face f times e_i is
+    labelled U + (i - e) * F + f, f the face's index in combinations or
+    exponent_vectors order.
 
-@functools.cache
-def _sym_chart_pattern(e: int, k: int) -> tuple:
-    """(U, F, directions) for _sym_chart_columns: U exponent vectors of
-    degree k and F of degree k - 1 on e variables, and for each j < e a
-    tuple of (alpha, index of the face alpha - e_j, alpha_j), one for
-    each alpha with alpha_j > 0, in exponent_vectors order.  Only
-    tuples, so no caller can change the cached value."""
-    faces = {beta: f for f, beta in enumerate(exponent_vectors(e, k - 1))}
-    alphas = exponent_vectors(e, k)
+    The pattern depends on neither w nor n, and functools.cache keeps it
+    for the process, as tensors._EXPONENT_VECTORS is kept; it is made of
+    tuples only, so no caller can change it.  perfbench and tools/ab.py
+    import the package afresh before each round, so there a pattern
+    lives one round."""
+    if kind == SKEW:
+        basis = k_subsets(e, k)
+        table, face_keys, sign = _skew_faces(basis, basis), k_subsets(e, k - 1), -1 if (k - 1) % 2 else 1
+    else:
+        basis = exponent_vectors(e, k)
+        table, face_keys, sign = _sym_faces(basis, basis, k), _sym_codes(exponent_vectors(e, k - 1), k), 1
+    index = {face: f for f, face in enumerate(face_keys)}
     directions = [[] for _ in range(e)]
-    for alpha in alphas:
-        for j, a in enumerate(alpha):
-            if a:
-                directions[j].append((alpha, faces[alpha[:j] + (a - 1,) + alpha[j + 1 :]], a))
-    return len(alphas), len(faces), tuple(map(tuple, directions))
+    for faces, row, factor, keys in table:
+        rows = itertools.repeat(row) if type(row) is int else row
+        factors = itertools.repeat(factor) if type(factor) is int else factor
+        for face, j, m, key in zip(faces, rows, factors, keys):
+            directions[j].append((key, index[face], sign * m))
+    return len(basis), len(index), tuple(map(tuple, directions))
 
 
 def _chart_columns(w: dict, pattern: tuple, blocks: int) -> list:
-    """The chart columns of w on a cached (U, F, directions) pattern and
-    blocks = n - e varied rows: the U unit columns, then derivative j of
-    w, its pairs (face index, coefficient times sign or multiplicity)
-    for the terms of w present in direction j, on each block."""
+    """The chart columns of w, a map from basis keys on QQ^e to nonzero
+    ints, on its _chart_pattern and blocks = n - e varied rows, each a
+    sparse {row: nonzero int} map on the Jacobian's own rows: the U unit
+    columns, then for each j the derivative of w along e_j, the pairs
+    (face index, coefficient times factor) of the terms of w present in
+    direction j, placed for each row i >= e on the rows U + (i - e) * F
+    + face index."""
     units, faces, directions = pattern
     get = w.get
-    derivatives = [[(f, m * c) for key, f, m in entries if (c := get(key))] for entries in directions]
-    return [{r: 1} for r in range(units)] + _block_columns(derivatives, units, faces, blocks)
-
-
-def _block_columns(derivatives: list, units: int, faces: int, blocks: int) -> list:
-    """The chart columns along A[i][j], for each j and each of the blocks
-    rows i >= e: derivative j, a list of (face index, int) pairs, placed
-    on the rows units + (i - e) * faces + face index."""
-    cols = []
-    for derivative in derivatives:
+    cols = [{r: 1} for r in range(units)]
+    for entries in directions:
+        derivative = [(f, m * c) for key, f, m in entries if (c := get(key))]
         for base in range(units, units + blocks * faces, faces):
             cols.append({base + f: v for f, v in derivative})
     return cols
@@ -339,13 +287,14 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0) -> int:
     Only the rows of A below the identity block are varied, since the
     top rows give GL_e-orbit directions: e(n-e) + dim(power of QQ^e)
     columns, the generic rank in every cell whose e is normalized.  The
-    columns are built straight from w's coefficients
-    (_skew_chart_columns, _sym_chart_columns), with no minors or
-    substitution, on compact row labels: the U = dim(power of QQ^e)
-    tensor directions are rows 0 .. U - 1, and the row of face f (of
-    degree k - 1 on QQ^e) times e_i is U + (i - e) * F + f, with F the
-    number of faces.  Every column is still ranked; the labels only
-    leave out the rows of the k-th power of QQ^n that no column reaches.
+    columns are built straight from w's coefficients on the cached face
+    pattern of the shape (_chart_columns on _chart_pattern, which reads
+    the face table of tensors), with no minors or substitution, on
+    compact row labels: the U = dim(power of QQ^e) tensor directions are
+    rows 0 .. U - 1, and the row of face f (of degree k - 1 on QQ^e)
+    times e_i is U + (i - e) * F + f, with F the number of faces.  Every
+    column is still ranked; the labels only leave out the rows of the
+    k-th power of QQ^n that no column reaches.
 
     A w whose enclosing dimension is below the maximum on QQ^e lies in
     a smaller Sub_e, so it must not be measured.  Each sample goes:
@@ -377,10 +326,10 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0) -> int:
     _check_cell(e, k, n, kind)
     full = _e_bound(k, e, kind)
     rng = random.Random(f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}")
-    build = _skew_chart_columns if kind == SKEW else _sym_chart_columns
+    pattern = _chart_pattern(kind, e, k)
     for _ in range(MAX_RETRIES):
         omega = random_tensor(e, k, kind, rng)
-        columns = build(omega.coeffs, e, n, k)
+        columns = _chart_columns(omega.coeffs, pattern, n - e)
         if _independent_mod_p(columns):
             return len(columns) - 1
         if enc(omega) < full:

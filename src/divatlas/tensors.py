@@ -12,27 +12,43 @@ smallest subspace U such that the tensor lies in the k-th exterior
 (resp. symmetric) power of U.  It is obtained as the column space of a
 contraction matrix, a signed rearrangement of the coefficients in the
 skew case and the first catalecticant in the symmetric case, so the
-enclosing dimension is an exact matrix rank.  The columns of that
-matrix come from one generator per kind (_contraction_columns): the
-column of a (k-1)-subset or exponent vector J looks up coeff(J + e_i)
-for each row i, so each entry comes from a single coefficient and
-nothing is accumulated.  enc and enclosing_space stream these columns
-into the elimination kernel (linalg._eliminate), which stops at full
-row rank, so a generic tensor's columns after the last pivot are never
-made; the oracle contraction_matrix collects the same columns into a
-RationalMatrix.
+enclosing dimension is an exact matrix rank.
+
+One face rule underlies that matrix, read in two directions.  A term I
+of a skew tensor has the faces I minus I[pos], on row I[pos], with
+factor (-1)^pos; a term alpha of a symmetric one has the faces
+alpha - e_i, on row i, with factor alpha_i; the contraction column of a
+face holds factor * coefficient on the row of each term above it.
+
+* From a face to its column: _skew_column and _sym_column make the
+  column of one face by n coefficient lookups.  The column generator
+  of each kind (_contraction_columns) yields them for every
+  (k-1)-subset or exponent vector in order; enc and enclosing_space
+  stream these into the elimination kernel (linalg._eliminate), which
+  stops at full row rank, so a generic tensor's columns after the last
+  pivot are never made, and the oracle contraction_matrix collects the
+  same columns into a RationalMatrix.
+* From the terms to their faces: the face table of each kind
+  (_skew_faces, _sym_faces) lists, per position or coordinate, the
+  face, row, factor and an item of any payload for every term at once,
+  a symmetric face keyed by an integer (_sym_codes) rather than a
+  tuple.  Membership's face sums (_face_sums) and the tangent chart's
+  face pattern (subspaces._chart_pattern) read it.
+
 Membership in the k-th power of a subspace (is_in_power_of) reads the
 covectors that span the subspace's annihilator: SubspaceBasis makes
 them in the one kernel call that checks its vectors' independence, and
 a basis from enclosing_space, which that check skips, makes them from
 its own vectors on first use rather than reuse enc's elimination.  It
-dots them with the contraction column of one face, that of the first
-term, read by n lookups, whose nonzero product certifies a non-member.
+dots them with the column of one face, that of the first term, made by
+enc's one-face helper, whose nonzero product certifies a non-member.
 Then it packs the covectors into n integer rows (linalg._packed_rows)
-and, in one pass over the terms, adds each term's entry times its row
-into one sum per face of the support; t is a member iff every sum is 0,
-and no face column is made.  It never uses _contraction_columns, so it
-stays a route independent of the enclosing space it checks.
+and, in one pass over the face table, adds each term's entry times its
+row into one sum per face of the support; t is a member iff every sum
+is 0, and no face column is made.  A True answer thus comes from the
+face table alone, which loads no column builder and not the kernel
+(tests/test_layering.py fences it), so membership stays a route
+independent of the enclosing space it checks.
 """
 
 from __future__ import annotations
@@ -549,42 +565,56 @@ def _contraction_columns(t):
 
 
 def _skew_columns(t: SkewTensor):
-    """Column J, for each (k-1)-subset J in lex order: row i not in J holds
-    (-1)^pos * coeff(J + {i}), where pos is the position of i in the
-    sorted union; a row in J holds 0."""
+    """_skew_column of each (k-1)-subset J, in lex order."""
     n = t.n
     get = t.coeffs.get
     for J in itertools.combinations(range(n), t.k - 1):
-        col = []
-        lo = 0
-        for pos, hi in enumerate(J + (n,)):
-            pre, suf = J[:pos], J[pos:]
-            for i in range(lo, hi):
-                c = get((*pre, i, *suf), 0)
-                col.append(-c if pos % 2 and c else c)
-            if hi < n:
-                col.append(0)
-            lo = hi + 1
-        yield tuple(col)
+        yield _skew_column(get, J, n)
+
+
+def _skew_column(get, J: tuple, n: int) -> tuple:
+    """The contraction column of the face J, read by n lookups through get
+    (a skew tensor's coeffs.get): row i not in J holds (-1)^pos *
+    coeff(J + {i}), where pos is the position of i in the sorted union;
+    a row in J holds 0."""
+    col = []
+    lo = 0
+    for pos, hi in enumerate(J + (n,)):
+        pre, suf = J[:pos], J[pos:]
+        for i in range(lo, hi):
+            c = get((*pre, i, *suf), 0)
+            col.append(-c if pos % 2 and c else c)
+        if hi < n:
+            col.append(0)
+        lo = hi + 1
+    return tuple(col)
 
 
 def _sym_columns(t: SymTensor):
-    """Column a, for each exponent vector a of degree k-1 in exponent_vectors
-    order: row i holds (a_i + 1) * coeff(a + e_i)."""
+    """_sym_column of each exponent vector a of degree k-1, in
+    exponent_vectors order."""
     n = t.n
     get = t.coeffs.get
     integral = _integral(t)
     for a in exponent_vectors(n, t.k - 1):
-        alpha = list(a)
-        col = []
-        for i in range(n):
-            e = alpha[i] + 1
-            alpha[i] = e
-            c = get(tuple(alpha), 0)
-            alpha[i] = e - 1
-            # (a_i + 1) * c can be integral for a Fraction c
-            col.append(e * c if integral or not c else as_exact(e * c))
-        yield tuple(col)
+        yield _sym_column(get, a, n, integral)
+
+
+def _sym_column(get, a, n: int, integral: bool) -> tuple:
+    """The contraction column of the face a, read by n lookups through get
+    (a symmetric tensor's coeffs.get): row i holds (a_i + 1) *
+    coeff(a + e_i).  Unless integral says every coefficient is an int, an
+    entry goes through as_exact, since (a_i + 1) * c can be integral for
+    a Fraction c."""
+    alpha = list(a)
+    col = []
+    for i in range(n):
+        e = alpha[i] + 1
+        alpha[i] = e
+        c = get(tuple(alpha), 0)
+        alpha[i] = e - 1
+        col.append(e * c if integral or not c else as_exact(e * c))
+    return tuple(col)
 
 
 def _integral(t) -> bool:
@@ -694,82 +724,71 @@ def apply_linear_map(mat, t):
     return SymTensor(n_out, t.k, out)
 
 
-def _skew_first_face(t: SkewTensor) -> list:
-    """The contraction column, as a dense list, of the face J = I minus its
-    first index of t's first term I: (-1)^pos * coeff(J + {i}) in row i,
-    pos the position of i in J + {i}, and 0 in the rows of J; read by n
-    lookups."""
-    n = t.n
-    get = t.coeffs.get
-    J = next(iter(t.coeffs))[1:]
-    col = [0] * n
-    lo = 0
-    for pos, hi in enumerate(J + (n,)):
-        pre, suf = J[:pos], J[pos:]
-        for i in range(lo, hi):
-            c = get((*pre, i, *suf))
-            if c:
-                col[i] = -c if pos % 2 else c
-        lo = hi + 1
-    return col
+# A face table lists the faces of a list of terms, one entry per position
+# (skew) or coordinate (sym): (faces, row, factor, items), over the terms
+# in key order, each read once.  A term's face, row and factor say that
+# the face's contraction column holds factor * coefficient on that row;
+# items runs over a payload given in key order.  Each kind has one of row
+# and factor fixed for the whole entry, as an int, and the other an
+# iterable with one value per term.
 
 
-def _sym_first_face(t: SymTensor) -> list:
-    """The contraction column, as a dense list, of the face of t's first
-    term (its first nonzero exponent lowered by one): (a_i + 1) *
-    coeff(a + e_i) in row i; read by n lookups."""
-    n = t.n
-    get = t.coeffs.get
-    a = list(next(iter(t.coeffs)))
-    a[next(i for i, x in enumerate(a) if x)] -= 1
-    col = [0] * n
-    for i in range(n):
-        e = a[i] + 1
-        a[i] = e
-        c = get(tuple(a))
-        a[i] = e - 1
-        if c:
-            col[i] = e * c
-    return col
-
-
-def _skew_face_sums(keys, cs: list, rows: list) -> dict:
-    """{face J: sum_i v_i * rows[i]}, v the contraction column of J, over
-    the faces of the support, for t's keys and its coefficients cs (as
-    ints, in key order): the term I, c adds (-1)^pos * c * rows[i]
-    to the face I minus {i}, pos the position of i in I.  Each (face,
-    row) pair comes from one term, so v_i is that one term's entry.  The
-    faces of one position are zipped from the other index columns of
-    the keys."""
-    sums = {}
-    get = sums.get
+def _skew_faces(keys, payload) -> list:
+    """The face table of skew terms: at position pos, the term I has the
+    face I minus I[pos], on row I[pos] (one per term), with the factor
+    (-1)^pos (one for the entry).  The faces of one position are zipped
+    from the other index columns of the keys."""
     columns = list(zip(*keys))
-    negated = [-c for c in cs]
+    table = []
     for pos, column in enumerate(columns):
         others = columns[:pos] + columns[pos + 1 :]
         faces = zip(*others) if others else itertools.repeat(())
-        for face, y, c in zip(faces, map(rows.__getitem__, column), negated if pos % 2 else cs):
-            sums[face] = get(face, 0) + y * c
-    return sums
+        table.append((faces, column, -1 if pos % 2 else 1, payload))
+    return table
 
 
-def _sym_face_sums(keys, cs: list, rows: list) -> dict:
-    """As _skew_face_sums for the symmetric kind: the term alpha, c adds
-    alpha_i * c * rows[i] to the face alpha - e_i, for each i with
-    alpha_i > 0.  The faces are keyed by integers: an exponent vector a
-    of degree at most k by sum_j a_j * (k+1)^j, its digits in base k + 1,
-    so the face of alpha at i is alpha's key less (k+1)^i, and no face
-    tuple is made.  For each i, compress picks the terms with alpha_i > 0."""
+def _sym_codes(keys: list, k: int) -> list:
+    """Each exponent vector of degree at most k as the integer whose digits
+    in base k + 1 are its entries: sum_j a_j * (k+1)^j."""
+    units = [(k + 1) ** j for j in range(len(keys[0]))] if keys else []
+    return [sum(map(operator.mul, alpha, units)) for alpha in keys]
+
+
+def _sym_faces(keys, payload, k: int) -> list:
+    """The face table of symmetric terms: at coordinate i, the term alpha
+    with alpha_i > 0 has the face alpha - e_i, on row i (one for the
+    entry), with the factor alpha_i (one per term); compress picks those
+    terms.  A face is keyed by its _sym_codes integer, alpha's code less
+    (k+1)^i, so no face tuple is made."""
+    keys = list(keys)
+    codes = _sym_codes(keys, k)
+    compress = itertools.compress
+    table = []
+    for i, es in enumerate(zip(*keys)):
+        unit = (k + 1) ** i
+        faces = [code - unit for code in compress(codes, es)]
+        table.append((faces, i, compress(es, es), compress(payload, es)))
+    return table
+
+
+def _face_sums(table, rows: list) -> dict:
+    """{face: sum_i v_i * rows[i]}, v the contraction column of the face,
+    over the faces of a face table whose items are the coefficients: each
+    term adds factor * item * rows[row] to its face.  Each (face, row)
+    pair comes from one term, so v_i is that one term's entry.  An
+    entry's one row is read once, and its one factor scales the rows
+    once."""
     sums = {}
     get = sums.get
-    keys = list(keys)
-    units = [(sum(keys[0]) + 1) ** i for i in range(len(rows))]
-    codes = [sum(map(operator.mul, alpha, units)) for alpha in keys]
-    compress = itertools.compress
-    for es, y, unit in zip(zip(*keys), rows, units):
-        for code, e, c in zip(compress(codes, es), compress(es, es), compress(cs, es)):
-            face = code - unit
-            sums[face] = get(face, 0) + e * c * y
+    for faces, row, factor, items in table:
+        if type(row) is int:
+            y = rows[row]
+            for face, m, c in zip(faces, factor, items):
+                sums[face] = get(face, 0) + m * c * y
+        else:
+            scaled = rows if factor == 1 else [factor * y for y in rows]
+            for face, y, c in zip(faces, map(scaled.__getitem__, row), items):
+                sums[face] = get(face, 0) + c * y
     return sums
 
 
@@ -791,43 +810,56 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
        and keeps them, so that is_in_power_of(t, enclosing_space(t))
        checks enc against a second elimination, not against enc's
        own.  With none, a zero t or k = 0, t is a member.
-    2. The column of one face, that of t's first term, is read by n
-       coefficient lookups.  A covector with a nonzero dot product on it
-       is an exact certificate that t is not a member.
+    2. The column of one face, that of t's first term (its first index
+       or first nonzero exponent lowered), is made by n coefficient
+       lookups, by the helper that makes enc's columns (_skew_column,
+       _sym_column).  A covector with a nonzero dot product on it is an
+       exact certificate that t is not a member.
     3. Otherwise t's coefficients are scaled to integers by the lcm of
        their denominators, and the covectors are packed into n integer
        rows (linalg._packed_rows), with the largest entry of a scaled
        face column as the bound: max |c| (skew) or k * max |c| (sym).
-       One pass over t's terms adds each term's entry times its row into
-       one sum per face of the support, and t is a member iff every sum
-       is 0: by the packing lemma, a face's sum is 0 exactly when every
-       covector annihilates its column.  The cost scales with the
-       support (nnz * k products), never with C(n, k-1), and no face
-       column is made.
+       One pass over t's face table (_skew_faces, _sym_faces) adds each
+       term's entry times its row into one sum per face of the support
+       (_face_sums), and t is a member iff every sum is 0: by the
+       packing lemma, a face's sum is 0 exactly when every covector
+       annihilates its column.  The cost scales with the support
+       (nnz * k products), never with C(n, k-1), and no face column is
+       made.
 
     This is a route of its own: it never builds a contraction matrix,
-    takes a rank or makes the columns of _contraction_columns, which
-    enc and enclosing_space rank, so it can be checked against them.
+    takes a rank or streams _contraction_columns, which enc and
+    enclosing_space rank, and its True answer reads no column at all,
+    so it can be checked against them.  Only step 2's False answer
+    shares a helper with enc, and it is an exact certificate.
     """
     kind = _kind(t)
     if W.ambient_dim != t.n:
         raise ValueError("subspace ambient dimension does not match tensor")
-    if kind == SKEW:
-        first_face, face_sums, entry = _skew_first_face, _skew_face_sums, 1
-    else:
-        first_face, face_sums, entry = _sym_first_face, _sym_face_sums, t.k
     if not t.k or not t.coeffs:
         return True
     covectors = W._annihilator()
     if not covectors:
         return True
+    get = t.coeffs.get
+    first = next(iter(t.coeffs))
+    if kind == SKEW:
+        col = _skew_column(get, first[1:], t.n)
+    else:
+        a = list(first)
+        a[next(i for i, x in enumerate(a) if x)] -= 1
+        # only whether a product is 0 is asked, so entries need no as_exact
+        col = _sym_column(get, a, t.n, True)
     mul = operator.mul
-    col = first_face(t)
     if any(sum(map(mul, y, col)) for y in covectors):
         return False
     cs = _int_vector(t.coeffs.values())
+    if kind == SKEW:
+        table, entry = _skew_faces(t.coeffs, cs), 1
+    else:
+        table, entry = _sym_faces(t.coeffs, cs, t.k), t.k
     rows = _packed_rows(covectors, t.n, entry * max(max(cs), -min(cs)))
-    return not any(face_sums(t.coeffs, cs, rows).values())
+    return not any(_face_sums(table, rows).values())
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ def test_a_against_itself_on_membership(capsys):
         total = sum(split[f"{side}_s"] for split in result["labels"].values())
         assert abs(total * result["sides"][side]["ops_per_s"] / 270 - 1) < 1e-9
     assert all(split["b_over_a"] == split["b_s"] / split["a_s"] for split in result["labels"].values())
+    # with one round, each label's interval is its one ratio
+    assert all(split["ci95"] == [split["b_over_a"]] * 2 for split in result["labels"].values())
 
 
 def test_bootstrap_interval_is_seeded_and_holds_the_median():
@@ -68,7 +70,29 @@ def test_label_split_sums_each_label_over_rounds():
     # two rounds of three ops, one label repeated within the round
     labels = ["x", "y", "x"]
     latencies = [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2.0, 2.0, 2.0, 2.0, 2.0, 2.0]]
-    assert ab.label_split(latencies, labels) == {
+    split = ab.label_split(latencies, labels, 7)
+    assert {label: {key: v for key, v in s.items() if key != "ci95"} for label, s in split.items()} == {
         "x": {"a_s": 14.0, "b_s": 8.0, "b_over_a": 8 / 14},
         "y": {"a_s": 7.0, "b_s": 4.0, "b_over_a": 4 / 7},
     }
+    # each label's interval is of its per-round ratios: x reads 4/4, then
+    # 4/10; y reads 2/2, then 2/5
+    rounds = {"x": [1.0, 0.4], "y": [1.0, 0.4]}
+    for label, ratios in rounds.items():
+        lo, hi = split[label]["ci95"]
+        assert lo <= ab.statistics.median(ratios) <= hi
+        assert (lo, hi) == ab.bootstrap_interval(ratios, ab.random.Random(f"ab-bootstrap:7:{label}"))
+    # seeded: the same seed gives the same intervals
+    assert ab.label_split(latencies, labels, 7) == split
+
+
+def test_label_interval_is_seeded_and_holds_the_median():
+    # five rounds of one label: the interval holds the median of the
+    # per-round ratios, and one round's ratio is a point interval
+    labels = ["x"]
+    a = [1.0, 2.0, 1.5, 1.2, 0.8]
+    b = [1.1, 1.8, 1.5, 1.5, 0.9]
+    lo, hi = ab.label_split([a, b], labels, 3)["x"]["ci95"]
+    assert lo <= ab.statistics.median(y / x for x, y in zip(a, b)) <= hi
+    assert ab.label_split([a, b], labels, 3)["x"]["ci95"] == (lo, hi)
+    assert ab.label_split([[2.0], [3.0]], labels, 3)["x"]["ci95"] == (1.5, 1.5)

@@ -14,6 +14,13 @@ route it checks; if gauss_rank loaded the kernel, the cross-check would
 compare the kernel with itself.  This test reads the source of each
 production module and fails on either.
 
+One more fence runs inside tensors: the face table (_skew_faces,
+_sym_faces) and _face_sums, from which is_in_power_of's True answer
+comes, must load none of enc's dense column builders and not the
+kernel, directly or through another function of the module; so
+membership stays a check on enc rather than a second reading of enc's
+columns.
+
 Module-level imports are not loads.  tensors and subspaces still import
 rank with a "# noqa: F401", only because perfbench's tracer tests expect
 to find that binding there; those imports go once the benchmark traces
@@ -48,6 +55,12 @@ ORACLES = frozenset(
 )
 KERNEL = frozenset(
     {"_eliminate", "_bareiss", "_independent_mod_p", "_densified_rank", "_certified_rank", "_packed_rows"}
+)
+# the face table, from which is_in_power_of's True answer comes, and the
+# dense side that it is checked against: enc's column builders and kernel
+FACE_TABLE = ("_skew_faces", "_sym_faces", "_face_sums")
+DENSE_SIDE = frozenset(
+    {"_contraction_columns", "_skew_columns", "_sym_columns", "_skew_column", "_sym_column", "_eliminate"}
 )
 
 
@@ -117,3 +130,47 @@ def test_the_check_sees_both_directions():
         ("gauss_rank", "_bareiss"),
         ("Basis", "image_basis"),
     ]
+
+
+def _face_table_loads(source: str) -> list:
+    """(function, name) pairs: a DENSE_SIDE name loaded by a function of
+    FACE_TABLE, or by a module-level function that one of them loads,
+    followed to any depth."""
+    defs = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), [name for name in FACE_TABLE if name in defs]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += _loads(defs[name]) & defs.keys()
+    return sorted((name, loaded) for name in seen for loaded in _loads(defs[name]) & DENSE_SIDE)
+
+
+def test_the_face_table_reads_no_dense_column():
+    # membership's True answer comes from _face_sums on the face table
+    # alone; if the table read a dense column or the kernel, membership
+    # would check enc against enc's own columns
+    source = inspect.getsource(tensors)
+    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    # a renamed function would leave a stale fence; _eliminate is linalg's
+    assert set(FACE_TABLE) | DENSE_SIDE <= defined | KERNEL
+    assert _face_table_loads(source) == []
+
+
+def test_the_face_table_fence_sees_direct_and_indirect_loads():
+    source = textwrap.dedent(
+        """
+        def _face_sums(table, rows):
+            return tensors._contraction_columns(table)
+
+        def _sym_faces(keys, payload, k):
+            return _codes(keys)
+
+        def _codes(keys):
+            return [_sym_column(key.get, key, 0, True) for key in keys]
+
+        def _skew_columns(t):
+            return _skew_column(t.coeffs.get, (), t.n)
+        """
+    )
+    assert _face_table_loads(source) == [("_codes", "_sym_column"), ("_face_sums", "_contraction_columns")]

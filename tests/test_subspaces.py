@@ -11,8 +11,8 @@ import pytest
 from divatlas import linalg, subspaces, tensors, verify
 from divatlas.linalg import RationalMatrix, _certified_rank, _independent_mod_p, rank
 from divatlas.subspaces import (
-    _skew_chart_columns,
-    _sym_chart_columns,
+    _chart_columns,
+    _chart_pattern,
     e_max,
     e_max_sym,
     normalize_e,
@@ -354,17 +354,21 @@ def test_tangent_oracle_computes_enc_and_the_exact_rank_only_on_a_shortfall(monk
     assert calls == ["pass", "enc", "bareiss"]
 
 
+def _chart(kind: str, w: dict, e: int, n: int, k: int) -> list:
+    """The chart columns of w as sub_dim_tangent builds them."""
+    return _chart_columns(w, _chart_pattern(kind, e, k), n - e)
+
+
 def _enc_first_tangent(e: int, k: int, n: int, kind: str, seed: int) -> int:
     """Reference for sub_dim_tangent in the order that checks w first: draw
     w, redraw while enc(w) is below the maximum, then _certified_rank."""
     full = subspaces._e_bound(k, e, kind)
     rng = random.Random(f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}")
-    build = _skew_chart_columns if kind == SKEW else _sym_chart_columns
     for _ in range(subspaces.MAX_RETRIES):
         omega = random_tensor(e, k, kind, rng)
         if enc(omega) < full:
             continue
-        return _certified_rank(build(omega.coeffs, e, n, k)) - 1
+        return _certified_rank(_chart(kind, omega.coeffs, e, n, k)) - 1
     raise RuntimeError("no nondegenerate sample")
 
 
@@ -390,10 +394,10 @@ def test_tangent_oracle_equals_the_enc_first_reference():
 # the Jacobian at a general A: the oracle for the chart builders
 #
 # sub_dim_tangent builds its columns at A = [I_e ; 0] straight from w
-# (_skew_chart_columns, _sym_chart_columns).  The builders below take any
-# integer A, through its minors (skew) or a substitution by its column
-# forms (sym), and vary any rows of A; at the chart and the rows below
-# the identity block they must give the same columns.
+# (_chart_columns on its face pattern, _chart_pattern).  The builders
+# below take any integer A, through its minors (skew) or a substitution
+# by its column forms (sym), and vary any rows of A; at the chart and the
+# rows below the identity block they must give the same columns.
 
 
 def _skew_jacobian_columns(a_cols, w: dict, n: int, k: int, varied=None):
@@ -614,12 +618,9 @@ def test_chart_columns_match_the_general_builders():
     # vector on QQ^n, gives the general builder's columns entry for entry.
     # Each shape is then built again from its cached face pattern, with a
     # w from another seed and with that w missing some terms.
-    subspaces._skew_chart_pattern.cache_clear()
-    subspaces._sym_chart_pattern.cache_clear()
+    _chart_pattern.cache_clear()
     for kind, k, n, e, _ in _golden_cells():
-        chart = _skew_chart_columns if kind == SKEW else _sym_chart_columns
         general = _skew_jacobian_columns if kind == SKEW else _sym_jacobian_columns
-        pattern = subspaces._skew_chart_pattern if kind == SKEW else subspaces._sym_chart_pattern
         identity = [tuple(int(i == j) for i in range(n)) for j in range(e)]
         position = _chart_row_positions(kind, k, n, e)
         assert len(set(position)) == len(position), (kind, k, n, e)
@@ -627,17 +628,17 @@ def test_chart_columns_match_the_general_builders():
         generic = random_tensor(e, k, kind, rng).coeffs
         sparse = dict(rng.sample(sorted(generic.items()), min(2, len(generic))))
         for w in (generic, sparse, {}):
-            relabelled = [{position[r]: v for r, v in col.items()} for col in chart(w, e, n, k)]
+            relabelled = [{position[r]: v for r, v in col.items()} for col in _chart(kind, w, e, n, k)]
             assert relabelled == general(identity, w, n, k, range(e, n)), (kind, k, n, e, w)
-        hits = pattern.cache_info().hits
+        hits = _chart_pattern.cache_info().hits
         other = random_tensor(e, k, kind, random.Random(f"chart-columns-again:{kind}:{k}:{n}:{e}")).coeffs
         dropped = {key: c for i, (key, c) in enumerate(other.items()) if i % 3}
         for w in (other, dropped):
-            relabelled = [{position[r]: v for r, v in col.items()} for col in chart(w, e, n, k)]
+            relabelled = [{position[r]: v for r, v in col.items()} for col in _chart(kind, w, e, n, k)]
             assert relabelled == general(identity, w, n, k, range(e, n)), (kind, k, n, e, w)
-        assert pattern.cache_info().hits == hits + 2, (kind, k, n, e)
+        assert _chart_pattern.cache_info().hits == hits + 2, (kind, k, n, e)
         # the cached pattern is immutable all the way down
-        units, faces, directions = pattern(e, k)
+        units, faces, directions = _chart_pattern(kind, e, k)
         assert type(directions) is tuple and len(directions) == e
         assert all(type(d) is tuple and all(type(x) is tuple and type(x[0]) is tuple for x in d) for d in directions)
 
@@ -648,13 +649,12 @@ def test_chart_row_labels_stay_below_the_jacobian_height():
     # faces of degree k - 1 on QQ^e; each seeded w here reaches the last
     # label, so the dense fallback is exactly that high
     for kind, k, n, e, _ in _golden_cells():
-        chart = _skew_chart_columns if kind == SKEW else _sym_chart_columns
         height = _power_dim(kind, k, e) + (n - e) * _power_dim(kind, k - 1, e)
         if kind == SKEW:
             assert height == math.comb(e, k) + (n - e) * math.comb(e, k - 1)
         assert len(_chart_row_positions(kind, k, n, e)) == height
         w = random_tensor(e, k, kind, random.Random(f"chart-height:{kind}:{k}:{n}:{e}")).coeffs
-        labels = {r for col in chart(w, e, n, k) for r in col}
+        labels = {r for col in _chart(kind, w, e, n, k) for r in col}
         assert all(0 <= r < height for r in labels), (kind, k, n, e)
         if w and n > e:
             assert max(labels) == height - 1, (kind, k, n, e)

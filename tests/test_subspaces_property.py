@@ -15,10 +15,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from test_subspaces import _dense, _power_dim, _skew_jacobian_columns, _sym_jacobian_columns  # noqa: E402
+from test_subspaces import _chart, _dense, _power_dim, _skew_jacobian_columns, _sym_jacobian_columns  # noqa: E402
 
 from divatlas.linalg import RationalMatrix, _certified_rank, rank  # noqa: E402
-from divatlas.subspaces import _skew_chart_columns, _sym_chart_columns  # noqa: E402
 from divatlas.tensors import SKEW, SYM, exponent_vectors, k_subsets  # noqa: E402
 
 small = st.integers(-3, 3)
@@ -48,7 +47,7 @@ def chart_cases(draw):
 def test_chart_rank_equals_full_jacobian_rank_at_an_injective_a(case):
     kind, k, n, e, a_cols, w = case
     assert rank(RationalMatrix.from_columns(a_cols)) == e
-    chart = (_skew_chart_columns if kind == SKEW else _sym_chart_columns)(w, e, n, k)
+    chart = _chart(kind, w, e, n, k)
     general = _skew_jacobian_columns if kind == SKEW else _sym_jacobian_columns
     full = _dense(general(a_cols, w, n, k), _power_dim(kind, k, n))
     assert _certified_rank(chart) == rank(RationalMatrix.from_columns(full))

@@ -25,10 +25,13 @@ a 95% percentile bootstrap interval of that median (BOOTSTRAP resamples
 of the chunk ratios, drawn with replacement from a generator seeded by
 ``--seed``).  A value above 1 means B is faster.  One workload mixes
 cells that can move in opposite directions, so a split by op label
-follows: for each label, each tree's summed op latency over all rounds
-and the ratio of B's sum to A's (below 1 means B is faster there).  The
-last line is one JSON object, with the split under ``labels``.  It is no
-gate: a speed claim still needs perfbench's paired runs.
+follows: for each label, each tree's summed op latency over all rounds,
+the ratio of B's sum to A's (below 1 means B is faster there), and a
+seeded 95% bootstrap interval of the median of that ratio taken round
+by round, so a label whose few ops leave it unresolved shows a wide
+interval.  The last line is one JSON object, with the split under
+``labels``.  It is no gate: a speed claim still needs perfbench's paired
+runs.
 """
 
 from __future__ import annotations
@@ -101,15 +104,24 @@ def run(trees: list, recipes: list, rounds: int, rng: random.Random) -> tuple:
     return latencies, ratios, failed, labels
 
 
-def label_split(latencies: list, labels: list) -> dict:
-    """{label: {"a_s", "b_s", "b_over_a"}}: per op label, in sorted order,
-    each tree's summed latency over every op with that label, and B's
-    sum over A's."""
-    sums = {label: [0.0, 0.0] for label in sorted(labels)}
+def label_split(latencies: list, labels: list, seed: int) -> dict:
+    """{label: {"a_s", "b_s", "b_over_a", "ci95"}}: per op label, in sorted
+    order, each tree's summed latency over every op with that label, B's
+    sum over A's, and the 95% bootstrap interval (bootstrap_interval, its
+    generator seeded by seed and the label) of the median of the
+    per-round ratios of B's sum to A's."""
+    rounds = len(latencies[0]) // len(labels)
+    sums = {label: [[0.0] * rounds, [0.0] * rounds] for label in sorted(labels)}
     for side, lat in enumerate(latencies):
         for i, latency in enumerate(lat):
-            sums[labels[i % len(labels)]][side] += latency
-    return {label: {"a_s": a, "b_s": b, "b_over_a": b / a} for label, (a, b) in sums.items()}
+            r, op = divmod(i, len(labels))
+            sums[labels[op]][side][r] += latency
+    split = {}
+    for label, (a, b) in sums.items():
+        ratios = [y / x for x, y in zip(a, b)]
+        ci95 = bootstrap_interval(ratios, random.Random(f"ab-bootstrap:{seed}:{label}"))
+        split[label] = {"a_s": sum(a), "b_s": sum(b), "b_over_a": sum(b) / sum(a), "ci95": ci95}
+    return split
 
 
 def bootstrap_interval(ratios: list, rng: random.Random) -> tuple:
@@ -151,7 +163,7 @@ def main(argv=None) -> int:
         "ops_per_s_ratio_b_over_a": sides["b"]["ops_per_s"] / sides["a"]["ops_per_s"],
         "median_chunk_ratio_a_over_b": statistics.median(ratios),
         "median_chunk_ratio_ci95": bootstrap_interval(ratios, random.Random(f"ab-bootstrap:{args.seed}")),
-        "labels": label_split(latencies, labels),
+        "labels": label_split(latencies, labels, args.seed),
     }
     lo, hi = result["median_chunk_ratio_ci95"]
     print(
@@ -160,9 +172,13 @@ def main(argv=None) -> int:
         f"median chunk time a/b {result['median_chunk_ratio_a_over_b']:.4f} (95% bootstrap {lo:.4f}-{hi:.4f})"
     )
     width = max(map(len, result["labels"]))
-    print(f"{'label':<{width}}  {'a ms':>10}  {'b ms':>10}  {'b/a':>7}")
+    print(f"{'label':<{width}}  {'a ms':>10}  {'b ms':>10}  {'b/a':>7}  {'ci lo':>7}  {'ci hi':>7}")
     for label, split in result["labels"].items():
-        print(f"{label:<{width}}  {split['a_s'] * 1e3:10.3f}  {split['b_s'] * 1e3:10.3f}  {split['b_over_a']:7.4f}")
+        lo, hi = split["ci95"]
+        print(
+            f"{label:<{width}}  {split['a_s'] * 1e3:10.3f}  {split['b_s'] * 1e3:10.3f}  "
+            f"{split['b_over_a']:7.4f}  {lo:7.4f}  {hi:7.4f}"
+        )
     print(json.dumps(result))
     return 1 if failed else 0
 
