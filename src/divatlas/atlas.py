@@ -26,7 +26,12 @@ checked: the Brill-Noether formulas of brill_noether, the fiber and
 subspace-variety dimensions, and the row builders _component_rows and
 _intersection_rows.  Those rows are the report's own JSON-ready dicts,
 built from plain integers, and the only shape of the atlas, so every
-value is computed in one place.
+value is computed in one place.  rho(g, r, d) strictly decreases in r
+and the rows strictly increase in r, so only the last row, at r = R,
+can be zero-dimensional and carry a point count: the enumerated count
+and the zero-dimensional note read that row alone.  The canonical block
+then needs only canonical_analysis's range check (g >= 3, k < g), as
+g and k are known ints.
 """
 
 from __future__ import annotations
@@ -178,7 +183,8 @@ def _paper_count(comps: list, g: int, d: int, k: int, kind: str, R: int) -> int:
 
 
 def _count(comps: list, g: int, d: int, k: int, kind: str, R: int) -> dict:
-    enumerated = sum(c["multiplicity"] for c in comps)
+    # every row but the top one has multiplicity 1 (see _component_rows)
+    enumerated = len(comps) - 1 + comps[-1]["multiplicity"] if comps else 0
     formula = _paper_count(comps, g, d, k, kind, R)
     return {"enumerated": enumerated, "paper_formula": formula, "agrees": enumerated == formula}
 
@@ -196,11 +202,28 @@ def canonical_analysis(g: int, k: int) -> dict:
     formula of sub_dim (its private core, on the arguments checked
     here), so it goes through normalize_e.  It exceeds the hand count
     C(g-1, k-1) - (g-1) by one at k = 2 with even g and at k = g-2.
+
+    The checks and their messages are _check_canonical_range's.
+    atlas_report, whose count and zero-dimensional note read its top
+    component row, reuses its own checks here too: g and k are ints
+    with k >= 2 there, so it runs only the range part (g >= 3, k < g)
+    and then the core _canonical_analysis.
     """
-    if not isinstance(g, int) or g < 3:
+    _check_canonical_range(g, k, isinstance(g, int), isinstance(k, int))
+    return _canonical_analysis(g, k)
+
+
+def _check_canonical_range(g, k, g_int: bool = True, k_int: bool = True) -> None:
+    """canonical_analysis's errors: g must be an int >= 3 and k an int
+    with 2 <= k < g; g_int and k_int say whether each is an int."""
+    if not g_int or g < 3:
         raise ValueError(f"genus must be an integer >= 3, got {g}")
-    if not isinstance(k, int) or not 2 <= k < g:
+    if not k_int or not 2 <= k < g:
         raise ValueError(f"need 2 <= k < genus, got k={k}")
+
+
+def _canonical_analysis(g: int, k: int) -> dict:
+    """canonical_analysis on checked arguments."""
     canonical_dim = _power_dim(g, k, SKEW) - 1
     main_dim = g + _power_dim(g - 1, k, SKEW) - 1
     gap = canonical_dim - main_dim
@@ -246,7 +269,9 @@ def atlas_report(
 
     The arguments are checked once, and one walk over the strata builds
     the component dicts, which the intersection dicts and the count then
-    reuse; the dicts come straight from plain integers.
+    reuse; the dicts come straight from plain integers.  Every row but
+    the last has multiplicity 1, so the count and the zero-dimensional
+    note read the top row.
 
     - "components": one row per stratum r where the enclosing bound e
       strictly jumps, in increasing r and e: the support W^r_d with its
@@ -309,7 +334,7 @@ def atlas_report(
                 "have full rank); the parity-dropping convention is available via "
                 "the paper-sym compat switch"
             )
-    if any(c["multiplicity"] > 1 for c in comps):
+    if comps and comps[-1]["multiplicity"] > 1:
         notes.append(
             "top stratum is zero-dimensional; each of its points carries a "
             "distinct component (multiplicity column)"
@@ -329,5 +354,6 @@ def atlas_report(
         "notes": notes,
     }
     if include_canonical:
-        report["canonical"] = canonical_analysis(g, k)
+        _check_canonical_range(g, k)
+        report["canonical"] = _canonical_analysis(g, k)
     return report

@@ -261,10 +261,13 @@ def _chart_columns(w: dict, pattern: tuple, blocks: int) -> list:
     columns, then for each j the derivative of w along e_j, the pairs
     (face index, coefficient times factor) of the terms of w present in
     direction j, placed for each row i >= e on the rows U + (i - e) * F
-    + face index."""
+    + face index.  With no varied rows (n = e) the unit columns are the
+    whole chart, and no derivative is made."""
     units, faces, directions = pattern
-    get = w.get
     cols = [{r: 1} for r in range(units)]
+    if not blocks:
+        return cols
+    get = w.get
     for entries in directions:
         derivative = [(f, m * c) for key, f, m in entries if (c := get(key))]
         for base in range(units, units + blocks * faces, faces):

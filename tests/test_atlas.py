@@ -221,6 +221,37 @@ def test_canonical_analysis_domain():
         canonical_analysis(5, 1)
 
 
+@pytest.mark.parametrize(
+    "g, k, message",
+    [
+        (2, 2, "genus must be an integer >= 3, got 2"),
+        (3.0, 2, "genus must be an integer >= 3, got 3.0"),
+        (5, 5, "need 2 <= k < genus, got k=5"),
+        (5, 1, "need 2 <= k < genus, got k=1"),
+        (5, "2", "need 2 <= k < genus, got k=2"),
+    ],
+)
+def test_canonical_analysis_bad_arguments_raise_with_message(g, k, message):
+    with pytest.raises(ValueError) as info:
+        canonical_analysis(g, k)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("g, d, k", [(2, 1, 2), (2, 3, 2), (2, 4, 3), (5, 4, 5), (5, 9, 6), (3, 4, 4)])
+@pytest.mark.parametrize("kind", [SKEW, SYM])
+def test_atlas_report_canonical_raises_canonical_analysis_messages(g, d, k, kind):
+    # the report checks only g >= 3 and k < g before its canonical block
+    # (k >= 2 and both ints are known there), with canonical_analysis's
+    # own messages; without the block the same report is fine
+    atlas_report(g, d, k, kind)
+    with pytest.raises(ValueError) as expected:
+        canonical_analysis(g, k)
+    with pytest.raises(ValueError) as info:
+        atlas_report(g, d, k, kind, include_canonical=True)
+    assert str(info.value) == str(expected.value)
+    assert str(info.value).startswith("genus must" if g < 3 else "need 2 <= k")
+
+
 def test_resolution_flag():
     comps = atlas_report(37, 36, 2, SKEW)["components"]
     assert [c["is_resolution"] for c in comps] == [True, False, False]

@@ -4,7 +4,9 @@ The report keeps a stratum exactly when its enclosing bound strictly
 exceeds every bound before it, so the (r, e) pairs of its component
 rows strictly increase in both r and e, and they are the pairs that
 walk keeps, restated here from the achieved section counts and the
-bounds; every two components meet once.  verify's coherence grid stops
+bounds; every two components meet once.  Only the last row can carry a
+point count (multiplicity above 1), which is what the count and the
+zero-dimensional note read.  verify's coherence grid stops
 at g <= 40 and k <= 4; this draws from g <= 200, k <= 8.
 """
 
@@ -47,3 +49,10 @@ def test_jump_strata_are_the_component_rows(cell):
             best = e
     assert strata == jumps
     assert len(report["intersections"]) == math.comb(len(strata), 2)
+    # rho strictly decreases in r, so only the last row can sit at rho = 0:
+    # the count and the zero-dimensional note read that row alone
+    multiplicities = [c["multiplicity"] for c in report["components"]]
+    assert all(m == 1 for m in multiplicities[:-1])
+    assert report["counts"]["enumerated"] == sum(multiplicities)
+    zero_dimensional = [n for n in report["notes"] if n.startswith("top stratum is zero-dimensional")]
+    assert len(zero_dimensional) == (1 if multiplicities and multiplicities[-1] > 1 else 0)

@@ -660,6 +660,30 @@ def test_chart_row_labels_stay_below_the_jacobian_height():
             assert max(labels) == height - 1, (kind, k, n, e)
 
 
+def test_chart_at_n_equal_e_is_the_unit_columns(monkeypatch):
+    # with no varied rows the chart is the U tensor directions alone, whatever
+    # w is; sub_dim_tangent still ranks every one of those columns (the pass
+    # mod p sees them), so its value U - 1 comes from a rank, not a formula
+    ranked = []
+
+    def recording(columns):
+        ranked.append(columns)
+        return _independent_mod_p(columns)
+
+    monkeypatch.setattr(subspaces, "_independent_mod_p", recording)
+    for kind, ks in verify.TANGENT_GRID:
+        for k in ks:
+            for e in range(1 if kind == SYM else k, 9):
+                units = [{r: 1} for r in range(_power_dim(kind, k, e))]
+                pattern = _chart_pattern(kind, e, k)
+                w = random_tensor(e, k, kind, random.Random(f"chart-units:{kind}:{k}:{e}")).coeffs
+                for coeffs in (w, {}):
+                    assert _chart_columns(coeffs, pattern, 0) == units, (kind, k, e)
+                ranked.clear()
+                assert sub_dim_tangent(e, k, e, kind, seed=5) == len(units) - 1, (kind, k, e)
+                assert ranked == [units], (kind, k, e)
+
+
 @pytest.mark.parametrize("kind, k, n, e", [(SYM, 4, 40, 5), (SKEW, 5, 30, 8), (SKEW, 3, 61, 7)])
 def test_tangent_oracle_on_large_n(kind, k, n, e):
     # n far above e, where the chart's rows are a small share of the
