@@ -18,10 +18,7 @@ from .tensors import (
     is_in_power_of,
     random_decomposable,
     random_tensor,
-    subset_rank,
-    subset_unrank,
     sym_power,
-    sym_product,
     tensor_from_json,
     tensor_to_json,
     wedge,

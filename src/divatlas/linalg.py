@@ -123,10 +123,10 @@ def as_vector(entries) -> Vector:
 class RationalMatrix:
     """Immutable dense matrix of exact rationals.
 
-    Construct from a row-major nested sequence, or use one of the
-    classmethods.  Entries may be ints, Fractions or 'p/q' strings;
-    they are stored as as_exact gives them: ints, and Fractions only
-    where not integral.
+    Construct from a row-major nested sequence, or from columns with its
+    one classmethod, from_columns.  Entries may be ints, Fractions or
+    'p/q' strings; they are stored as as_exact gives them: ints, and
+    Fractions only where not integral.
     """
 
     __slots__ = ("rows", "cols", "_m")
@@ -142,14 +142,6 @@ class RationalMatrix:
         self.rows = len(m)
         self.cols = width
         self._m = m
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_columns(cls, columns, rows: int | None = None) -> "RationalMatrix":

@@ -102,49 +102,11 @@ def _check_shape(n: int, k: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# combinadic indexing of the wedge basis
-
-
-def subset_rank(subset, n: int) -> int:
-    """Lexicographic position of a strictly increasing k-subset of range(n)."""
-    sub = tuple(subset)
-    k = len(sub)
-    prev = -1
-    for x in sub:
-        # a bool's type is not int: True is not an index
-        if type(x) is not int or x <= prev or x >= n:
-            raise ValueError(f"{sub} is not a strictly increasing subset of range({n})")
-        prev = x
-    r = 0
-    prev = -1
-    for pos, c in enumerate(sub):
-        for x in range(prev + 1, c):
-            r += math.comb(n - 1 - x, k - 1 - pos)
-        prev = c
-    return r
-
-
-def subset_unrank(r: int, k: int, n: int):
-    """Inverse of subset_rank: the r-th k-subset of range(n) in lex order."""
-    total = math.comb(n, k)
-    if not 0 <= r < total:
-        raise ValueError(f"rank {r} out of range for {k}-subsets of range({n})")
-    out = []
-    x = 0
-    for pos in range(k):
-        while True:
-            cnt = math.comb(n - 1 - x, k - 1 - pos)
-            if r < cnt:
-                out.append(x)
-                x += 1
-                break
-            r -= cnt
-            x += 1
-    return tuple(out)
+# the bases of the k-th exterior and symmetric powers, in a fixed order
 
 
 def k_subsets(n: int, k: int):
-    """All k-subsets of range(n) in lexicographic (combinadic) order."""
+    """All k-subsets of range(n) in lexicographic order."""
     return list(itertools.combinations(range(n), k))
 
 
@@ -468,8 +430,7 @@ def sym_power(v, k: int) -> SymTensor:
     """k-th power v^k of a vector, expanded in the monomial convention."""
     vec = as_vector(v)
     n = len(vec)
-    if k < 0:
-        raise ValueError("negative power")
+    _check_shape(n, k)
     coeffs = {}
     for alpha in exponent_vectors(n, k):
         c = math.factorial(k)
@@ -481,14 +442,6 @@ def sym_power(v, k: int) -> SymTensor:
         if c:
             coeffs[alpha] = c
     return SymTensor(n, k, coeffs)
-
-
-def sym_product(f: SymTensor, g: SymTensor) -> SymTensor:
-    """Product of two symmetric tensors (polynomial multiplication)."""
-    if f.n != g.n:
-        raise ValueError("symmetric tensors over spaces of different dimension")
-    coeffs = _poly_mul(f.coeffs, g.coeffs)
-    return SymTensor(f.n, f.k + g.k, coeffs)
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -684,9 +637,10 @@ def enc(t) -> int:
 
 
 def _matrix_rows(mat) -> list:
-    if isinstance(mat, RationalMatrix):
-        return [list(mat.row(i)) for i in range(mat.rows)]
-    return [list(as_vector(row)) for row in mat]
+    if not isinstance(mat, RationalMatrix):
+        # the constructor refuses rows of unequal lengths
+        mat = RationalMatrix(mat)
+    return [list(mat.row(i)) for i in range(mat.rows)]
 
 
 def apply_linear_map(mat, t):
@@ -834,6 +788,8 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
     shares a helper with enc, and it is an exact certificate.
     """
     kind = _kind(t)
+    if not isinstance(W, SubspaceBasis):
+        raise TypeError(f"not a subspace basis: {type(W).__name__}")
     if W.ambient_dim != t.n:
         raise ValueError("subspace ambient dimension does not match tensor")
     if not t.k or not t.coeffs:

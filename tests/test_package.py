@@ -1,13 +1,16 @@
 """The package's public names, and the Python versions its sources parse on.
 
 The names are pinned one to a line, so a change to the public API shows
-as a one-line diff here.  pyproject.toml asks for Python >= 3.10 and the
-CI matrix runs 3.10, so every source file must parse under 3.10's
-grammar, whichever interpreter runs the tests.
+as a one-line diff here, and each of them is either used by the program
+or named in README, so that no export lives only for its tests.
+pyproject.toml asks for Python >= 3.10 and the CI matrix runs 3.10, so
+every source file must parse under 3.10's grammar, whichever interpreter
+runs the tests.
 """
 
 import ast
 import pathlib
+import re
 import types
 
 import divatlas
@@ -47,10 +50,7 @@ PUBLIC_NAMES = (
     "small_r",
     "sub_dim",
     "sub_dim_tangent",
-    "subset_rank",
-    "subset_unrank",
     "sym_power",
-    "sym_product",
     "tensor_from_json",
     "tensor_to_json",
     "w_dim",
@@ -68,6 +68,32 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == list(PUBLIC_NAMES)
+
+
+def _program_references() -> set:
+    """Every name, attribute and identifier-shaped string in the modules
+    that are not tests: the package's own (its __init__ only re-exports)
+    and those under tools/ and perfbench/."""
+    paths = [p for p in (ROOT / "src" / "divatlas").rglob("*.py") if p.name != "__init__.py"]
+    paths += [p for d in ("tools", "perfbench") for p in (ROOT / d).rglob("*.py") if not p.name.startswith("test_")]
+    refs = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                refs.add(node.value)
+    return refs
+
+
+def test_every_export_is_used_or_documented():
+    # an export that only tests call is dead code: use it, name it in
+    # README as part of the interface, or remove it
+    documented = set(re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text()))
+    used = _program_references()
+    assert [name for name in PUBLIC_NAMES if name not in used and name not in documented] == []
 
 
 def test_every_source_parses_as_python_3_10():

@@ -1,14 +1,11 @@
-"""Property tests: the JSON interchange and the combinadic indexing invert.
+"""Property tests: the JSON interchange inverts.
 
 * tensor_from_json(tensor_to_json(t)) == t for skew and symmetric tensors
   with int and Fraction coefficients, also through json.dumps and
-  json.loads;
-* subset_rank and subset_unrank are inverse bijections between
-  range(C(n, k)) and the k-subsets of range(n), for n <= 12.
+  json.loads.
 """
 
 import json
-import math
 from fractions import Fraction
 
 import pytest
@@ -24,8 +21,6 @@ from divatlas.tensors import (  # noqa: E402
     SymTensor,
     exponent_vectors,
     k_subsets,
-    subset_rank,
-    subset_unrank,
     tensor_from_json,
     tensor_to_json,
 )
@@ -52,17 +47,3 @@ def test_tensor_json_round_trip(t):
     for parsed in (tensor_from_json(obj), tensor_from_json(json.loads(json.dumps(obj)))):
         assert parsed == t
         assert list(map(type, parsed.coeffs.values())) == [type(t.coeffs[key]) for key in parsed.coeffs]
-
-
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(st.data())
-def test_subset_rank_and_unrank_are_inverse_bijections(data):
-    n = data.draw(st.integers(0, 12))
-    k = data.draw(st.integers(0, n))
-    subsets = [subset_unrank(r, k, n) for r in range(math.comb(n, k))]
-    assert [subset_rank(s, n) for s in subsets] == list(range(len(subsets)))
-    # distinct strictly increasing k-subsets of range(n), as many as there are
-    assert len(set(subsets)) == len(subsets)
-    assert all(len(s) == k and list(s) == sorted(set(s)) and set(s) <= set(range(n)) for s in subsets)
-    chosen = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k)))) if n else ()
-    assert subset_unrank(subset_rank(chosen, n), k, n) == chosen

@@ -37,51 +37,13 @@ from divatlas.tensors import (
     random_subspace,
     random_tensor,
     random_vector,
-    subset_rank,
-    subset_unrank,
     sym_power,
-    sym_product,
     tensor_from_json,
     tensor_to_json,
     wedge,
 )
 
 SYMPLECTIC4 = SkewTensor(4, 2, {(0, 1): 1, (2, 3): 1})
-
-
-# ---------------------------------------------------------------------------
-# combinadics
-
-
-def test_subset_rank_first_and_last():
-    assert subset_rank((0, 1), 4) == 0
-    assert subset_unrank(math.comb(7, 3) - 1, 3, 7) == (4, 5, 6)
-
-
-def test_subset_rank_against_enumeration_oracle():
-    for n, k in [(4, 2), (5, 3), (6, 1), (6, 6)]:
-        ordered = list(itertools.combinations(range(n), k))
-        for pos, sub in enumerate(ordered):
-            assert subset_rank(sub, n) == pos
-            assert subset_unrank(pos, k, n) == sub
-    # the worked instance: {0,2} sits at position 1 among 2-subsets of range(4)
-    assert subset_rank((0, 2), 4) == 1
-
-
-def test_subset_rank_rejects_bad_input():
-    with pytest.raises(ValueError):
-        subset_rank((1, 0), 4)
-    with pytest.raises(ValueError):
-        subset_rank((0, 4), 4)
-    with pytest.raises(ValueError):
-        subset_unrank(6, 2, 4)
-
-
-@pytest.mark.parametrize("subset", [(False, True), (0, True), (True,), (0, 1.0), (0, "1")])
-def test_subset_rank_refuses_non_int_entries(subset):
-    # (False, True) would otherwise rank as (0, 1)
-    with pytest.raises(ValueError, match="strictly increasing subset"):
-        subset_rank(subset, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +108,25 @@ def test_sym_power_of_basis_vector():
     assert t.coeffs == {(3, 0): Fraction(1)}
 
 
-def test_sym_product_xy():
-    x = SymTensor(2, 1, {(1, 0): 1})
-    y = SymTensor(2, 1, {(0, 1): 1})
-    assert sym_product(x, y).coeffs == {(1, 1): Fraction(1)}
-
-
 def test_sym_power_binomial_expansion():
     t = sym_power((1, 1), 2)
     assert t.coeffs == {(2, 0): Fraction(1), (1, 1): Fraction(2), (0, 2): Fraction(1)}
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        (2.0, "k must be an integer, got 2.0"),
+        (True, "k must be an integer, got True"),
+        (-1, "n and k must be nonnegative"),
+    ],
+    ids=repr,
+)
+def test_sym_power_refuses_bad_k(k, message):
+    # sym_power((1, 0), 2.0) raised TypeError from inside itertools
+    with pytest.raises(ValueError) as info:
+        sym_power((1, 0), k)
+    assert str(info.value) == message
 
 
 def test_sym_tensor_validation():
@@ -176,7 +148,7 @@ def test_contraction_skew_plane():
 
 def test_contraction_skew_zero():
     M = contraction_matrix(SkewTensor(3, 2, {}))
-    assert M == RationalMatrix.zero(3, 3)
+    assert M == RationalMatrix([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
 
 
 def test_contraction_skew_symplectic_explicit():
@@ -580,6 +552,19 @@ def _expanded_product(forms, n_out: int) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
+@pytest.mark.parametrize(
+    "p, q, product",
+    [
+        ({(1, 0): 1}, {(0, 1): 1}, {(1, 1): 1}),
+        # the xy terms cancel and are dropped
+        ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}, {(2, 0): 1, (0, 2): -1}),
+    ],
+    ids=["x*y", "(x+y)(x-y)"],
+)
+def test_poly_mul_multiplies_two_forms(p, q, product):
+    assert tensors._poly_mul(p, q) == product
+
+
 def test_substitution_matches_direct_products(monkeypatch):
     # each monomial is built from the one below it and memoized for the
     # life of the map; the reference multiplies out the form powers afresh
@@ -649,6 +634,29 @@ def test_entries_refuse_a_non_tensor_before_reading_it(entry, not_tensor):
     with pytest.raises(TypeError) as err:
         entry(not_tensor)
     assert str(err.value) == f"not a tensor: {type(not_tensor).__name__}"
+
+
+@pytest.mark.parametrize("not_subspace", [[(1, 0, 0, 0)], None, "x"], ids=["list", "None", "str"])
+def test_is_in_power_of_refuses_a_non_subspace(not_subspace):
+    # is_in_power_of(t, None) read W.ambient_dim and raised AttributeError
+    with pytest.raises(TypeError) as err:
+        is_in_power_of(SYMPLECTIC4, not_subspace)
+    assert str(err.value) == f"not a subspace basis: {type(not_subspace).__name__}"
+
+
+@pytest.mark.parametrize(
+    "mat, message",
+    [
+        ([[1, 0], [0, 1]], "matrix width does not match tensor dimension"),
+        # a ragged matrix was read row by row and gave SkewTensor(n=2, ...)
+        ([[1, 0, 0], [0, 1]], "rows have unequal lengths"),
+    ],
+    ids=["narrow", "ragged"],
+)
+def test_apply_linear_map_refuses_a_bad_matrix(mat, message):
+    with pytest.raises(ValueError) as err:
+        apply_linear_map(mat, wedge([(1, 0, 0), (0, 1, 0)]))
+    assert str(err.value) == message
 
 
 def test_symplectic_never_in_three_dims():
