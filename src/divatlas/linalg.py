@@ -34,34 +34,27 @@ max_s ||y_s||_1 * bound.  The kernel packs its covectors at the first
 dependent column after a pivot and skips the later columns, within its
 entry bound, whose packed product is 0.
 
-The tangent-space oracle's integer Jacobians have independent columns
-in the generic case and are mostly zeros.  They come as sparse
-columns, {row: nonzero int} maps, and take two steps.  The pass,
-``_independent_mod_p``, eliminates them modulo ``RANK_PRIME`` =
-2^30 - 35, touching only nonzero entries, and stops at the first column
-that is dependent mod p.  A rank mod p is at most the rank over QQ, so
-columns independent mod p are certified independent, whatever the
-prime.  It is the largest prime below 2^30 so that every residue is one
-30-bit digit of a CPython int: a product of two residues fits in two
-digits, and each reduction divides by a one-digit int.  Most Jacobian
-columns are units (one entry, on a tensor direction): the pass stores a
-one-entry column whose row holds no lead and whose entry is nonzero
-mod p at once, with no reduction.  The exact fallback,
-``_densified_rank``, is ``_bareiss`` on the columns made dense, up to
-their highest row; a rank mod p below the column count is never
-returned.  The chart builders number the Jacobian's own rows (the
-tensor directions, then one block of faces per varied row of A), so
-that height is the Jacobian's row count, not the dimension of the k-th
-power of QQ^n.  ``_certified_rank`` is the pass with its fallback
-behind it, the exact rank that the tests check;
-``subspaces.sub_dim_tangent`` calls the two steps itself, since it
-tests w between them.  None of this is used where deficient ranks
-are expected (the contraction matrices of enc, the membership test).
+The tangent-space oracle ranks one integer block per sample, the
+derivatives of w (``subspaces.sub_dim_tangent``), whose columns are
+independent in the generic case and mostly zeros.  They come as sparse
+columns, {row: nonzero int} maps, and ``_certified_rank`` takes their
+exact rank in two steps.  The pass, ``_independent_mod_p``, eliminates
+them modulo ``RANK_PRIME`` = 2^30 - 35, touching only nonzero entries,
+and stops at the first column that is dependent mod p.  A rank mod p is
+at most the rank over QQ, so columns independent mod p are certified
+independent, whatever the prime.  It is the largest prime below 2^30 so
+that every residue is one 30-bit digit of a CPython int: a product of
+two residues fits in two digits, and each reduction divides by a
+one-digit int.  Only a dependency mod p takes the exact fallback,
+``_bareiss`` on the columns made dense on the rows that they reach, so
+a rank mod p below the column count is never returned.  None of this
+is used where deficient ranks are expected (the contraction matrices
+of enc, the membership test).
 
 The production route (enc, enclosing_space, SubspaceBasis and the
 membership test, sub_dim_tangent, the atlas, and the CLI's enc and
 components) uses only the kernels and the coercions: ``_eliminate``,
-``_bareiss``, ``_independent_mod_p``, ``_densified_rank``,
+``_bareiss``, ``_independent_mod_p``, ``_certified_rank``,
 ``_packed_rows``, ``_int_vector``, ``as_exact``, ``as_vector``,
 ``_check_ints`` and ``_random_ints`` (the seeded draws of
 ``tensors.random_tensor``, which ``random_matrix`` shares).  The oracles
@@ -351,25 +344,16 @@ def _independent_mod_p(columns) -> bool:
     vanish mod p, input entries included, are dropped.  Each vector that
     gains a pivot is stored under its lead row (its smallest row after
     reduction), divided by its lead entry, which is then left out: a
-    stored vector has entries only below its lead row.  A one-entry
-    vector on a row that holds no lead, with its entry nonzero mod p
-    (the unit tensor-direction columns of the tangent oracle's chart
-    Jacobian), is stored empty at once, with no dict, heap or inverse;
-    a one-entry vector that is 0 mod p or meets a lead goes the general
-    way.  A new vector that meets no stored lead row is not reduced at
-    all; otherwise it is reduced by the stored vectors of the lead rows
-    it meets, smallest row first, from a heap.  A subtraction changes
-    only rows below the one it clears (fill-in), and a lead row it fills
-    is pushed, so the vector leaves with a zero on every lead row.
+    stored vector has entries only below its lead row.  A new vector
+    that meets no stored lead row is not reduced at all; otherwise it is
+    reduced by the stored vectors of the lead rows it meets, smallest
+    row first, from a heap.  A subtraction changes only rows below the
+    one it clears (fill-in), and a lead row it fills is pushed, so the
+    vector leaves with a zero on every lead row.
     """
     p = RANK_PRIME
     pivots = {}
     for col in columns:
-        if len(col) == 1:
-            [(r, x)] = col.items()
-            if r not in pivots and x % p:
-                pivots[r] = {}
-                continue
         v = {r: y for r, x in col.items() if (y := x % p)}
         todo = [r for r in v if r in pivots]
         if todo:
@@ -398,18 +382,16 @@ def _independent_mod_p(columns) -> bool:
     return True
 
 
-def _densified_rank(columns) -> int:
-    """Exact rank of sparse integer vectors, each a {row: nonzero int} map:
-    _bareiss on them made dense."""
-    height = 1 + max((r for c in columns for r in c), default=-1)
-    return _bareiss([[c.get(r, 0) for r in range(height)] for c in columns])[0]
-
-
 def _certified_rank(columns) -> int:
     """Exact rank of a list of sparse integer vectors, each a {row: nonzero
     int} map: their count when _independent_mod_p certifies them, else
-    _densified_rank.  A deficient rank mod p is never returned."""
-    return len(columns) if _independent_mod_p(columns) else _densified_rank(columns)
+    _bareiss on them made dense on the rows that they reach (the rows
+    that no vector reaches are zero and change no rank).  A deficient
+    rank mod p is never returned."""
+    if _independent_mod_p(columns):
+        return len(columns)
+    rows = {r for c in columns for r in c}
+    return _bareiss([[c.get(r, 0) for r in rows] for c in columns])[0]
 
 
 def rank(M: RationalMatrix) -> int:

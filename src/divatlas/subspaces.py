@@ -9,45 +9,42 @@ Every dimension comes from one Grassmannian-bundle count, for every k:
 e(n-e) + dim(k-th power of QQ^e) - 1, with e normalized.  For k = 2 the
 loci are the classical rank strata of (skew-)symmetric matrices, and
 the count equals their determinantal dimensions identically (see
-sub_dim).  An independent tangent-space oracle, sub_dim_tangent,
-recomputes each dimension as the exact rank of the Jacobian of that
-parametrization at a random integer point, and the two are required to
-agree in the test suites.
+sub_dim).  A tangent-space oracle, sub_dim_tangent, measures each
+dimension as the exact rank of the Jacobian of that parametrization at
+a random integer point, and the two are required to agree in the test
+suites.
 
 The parametrization is GL_n-equivariant and every injective A lies in
 the GL_n-orbit of A = [I_e ; 0], so the rank is taken there and only
 the rows of A below the identity block are varied: the top rows give
 GL_e-orbit directions, which add nothing to the image of the
-differential.  That leaves e(n-e) + dim(power of QQ^e) columns, exactly
-the generic rank when e is normalized.  At this chart point the
-Jacobian is read straight off w's integer coefficients, with no minors
-and no substitution: a unit column for each tensor direction, and for
-each varied row a signed copy of a derivative of w (the interior
-derivative for skew tensors, the partial derivative for symmetric
-ones), each entry from one term of w.  The builders emit each column
-as a sparse {row: nonzero int} map on the Jacobian's own rows, which
-they number compactly: the tensor directions first, then one block of
-the faces of degree k-1 on QQ^e for each varied row of A.  That is the
-Jacobian on the basis of the k-th power of QQ^n up to a row
-permutation, which changes no rank, and no map over that basis is
-made.
+differential.  At this chart point the Jacobian is block diagonal, up
+to a row permutation: U = dim(power of QQ^e) unit columns on the tensor
+directions, then for each varied row i >= e one copy of a single F x e
+block D, placed on the faces of degree k-1 on QQ^e times e_i.  Column j
+of D is the derivative of w along e_j (the interior derivative for skew
+tensors, the partial derivative for symmetric ones), each entry from one
+term of w, so D is w's contraction matrix transposed, up to one global
+sign, and rank D = enc(w).  The chart's rank is therefore
+U + (n-e) rank D, and the oracle ranks D alone.
 
-The face pattern of a chart (which term of w lands on which face, and
-with which sign or multiplicity) is the face table of the basis of the
-k-th power of QQ^e (tensors._skew_faces, _sym_faces), the table that
+The face pattern of D (which term of w lands on which face, and with
+which sign or multiplicity) is the face table of the basis of the k-th
+power of QQ^e (tensors._skew_faces, _sym_faces), the table that
 membership's face sums also read: the derivative of w along e_j is the
 table's entries on row j.  It depends on the shape (kind, e, k) alone,
 so _chart_pattern makes it once per shape and caches it; a sample only
-reads w's coefficients into it (_chart_columns).
+reads w's coefficients into it (_derivatives).
 
-Each sample takes one pass mod linalg.RANK_PRIME, a prime below 2^30,
-over its columns (linalg._independent_mod_p, a sparse elimination)
-before anything else.  Columns independent mod p are independent over
-QQ, and full column rank also proves that w is nondegenerate (the lemma
-in sub_dim_tangent), so that sample is done without computing enc(w).
-Only a pass that meets a dependency computes enc(w): a degenerate w is
-redrawn, and for a nondegenerate one the rank is recomputed exactly
-(linalg._densified_rank), so no sample takes the pass twice.
+Each sample ranks D exactly (linalg._certified_rank: one pass mod
+linalg.RANK_PRIME over its e sparse columns, with a Bareiss fallback
+only on a dependency).  A w with rank D below the maximal enclosing
+dimension on QQ^e is degenerate and is redrawn.  So the oracle checks
+that this maximum (_e_bound) is attained at a random w and that
+normalize_e is right; it does not recompute enc's kernel, and it reads
+no contraction column.  A lower bound on the rank at a general A, which
+would not rest on the block lemma, is what would make it independent of
+the formula it checks.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ import math
 import random
 
 # rank is not called here; perfbench's tracer tests expect to find it bound in this module
-from .linalg import _check_ints, _densified_rank, _independent_mod_p, rank  # noqa: F401
+from .linalg import _certified_rank, _check_ints, rank  # noqa: F401
 from .tensors import (
     SKEW,
     SYM,
@@ -67,7 +64,6 @@ from .tensors import (
     _sym_codes,
     _sym_faces,
     check_kind,
-    enc,
     exponent_vectors,
     k_subsets,
     random_tensor,
@@ -216,22 +212,21 @@ def sec_dim_printed(s: int, n: int, kind: str) -> int:
 
 @functools.cache
 def _chart_pattern(kind: str, e: int, k: int) -> tuple:
-    """(U, F, directions), the face pattern of sub_dim_tangent's chart
-    columns on QQ^e: U tensor directions (the basis of the k-th power of
-    QQ^e), F faces of degree k - 1 on QQ^e, and for each j < e a tuple
-    of (basis key, face index, factor), one for each entry on row j of
-    the face table of the basis (tensors._skew_faces, _sym_faces).
+    """(U, directions), the face pattern of sub_dim_tangent's chart on
+    QQ^e: U tensor directions (the basis of the k-th power of QQ^e), and
+    for each j < e a tuple of (basis key, face index, factor), one for
+    each entry on row j of the face table of the basis
+    (tensors._skew_faces, _sym_faces).
 
     At A = [I_e ; 0], the column along an entry A[i][j], i >= e, is e_i
     times the derivative of w along e_j.  Skew: a term c e_I with j at
     position q of I gives (-1)^q c e_M, M = I minus j, the table's face
     and sign on row j; moving e_i past the k - 1 indices of M, all below
-    it, gives (-1)^(q+k-1) c on the row of M + (i,), so the factor is
-    the table's times (-1)^(k-1).  Sym: a term c x^alpha gives alpha_j c
-    on beta = alpha - e_j, the table's face and factor, times x_i.  Each
-    entry comes from one term of w, and the row of face f times e_i is
-    labelled U + (i - e) * F + f, f the face's index in combinations or
-    exponent_vectors order.
+    it, gives (-1)^(q+k-1) c on M + (i,), so the factor is the table's
+    times (-1)^(k-1).  Sym: a term c x^alpha gives alpha_j c on
+    beta = alpha - e_j, the table's face and factor, times x_i.  Each
+    entry comes from one term of w; a face's index is its place in
+    combinations or exponent_vectors order.
 
     The pattern depends on neither w nor n, and functools.cache keeps it
     for the process, as tensors._EXPONENT_VECTORS is kept; it is made of
@@ -251,28 +246,16 @@ def _chart_pattern(kind: str, e: int, k: int) -> tuple:
         factors = itertools.repeat(factor) if type(factor) is int else factor
         for face, j, m, key in zip(faces, rows, factors, keys):
             directions[j].append((key, index[face], sign * m))
-    return len(basis), len(index), tuple(map(tuple, directions))
+    return len(basis), tuple(map(tuple, directions))
 
 
-def _chart_columns(w: dict, pattern: tuple, blocks: int) -> list:
-    """The chart columns of w, a map from basis keys on QQ^e to nonzero
-    ints, on its _chart_pattern and blocks = n - e varied rows, each a
-    sparse {row: nonzero int} map on the Jacobian's own rows: the U unit
-    columns, then for each j the derivative of w along e_j, the pairs
-    (face index, coefficient times factor) of the terms of w present in
-    direction j, placed for each row i >= e on the rows U + (i - e) * F
-    + face index.  With no varied rows (n = e) the unit columns are the
-    whole chart, and no derivative is made."""
-    units, faces, directions = pattern
-    cols = [{r: 1} for r in range(units)]
-    if not blocks:
-        return cols
+def _derivatives(w: dict, directions: tuple) -> list:
+    """The e columns of the block D for w, a map from basis keys on QQ^e
+    to nonzero ints: for each j the derivative of w along e_j, as a
+    sparse {face index: nonzero int} map of the terms of w present in
+    direction j of the pattern, each coefficient times its factor."""
     get = w.get
-    for entries in directions:
-        derivative = [(f, m * c) for key, f, m in entries if (c := get(key))]
-        for base in range(units, units + blocks * faces, faces):
-            cols.append({base + f: v for f, v in derivative})
-    return cols
+    return [{f: m * c for key, f, m in entries if (c := get(key))} for entries in directions]
 
 
 # redraws of w in sub_dim_tangent before it gives up
@@ -280,62 +263,52 @@ MAX_RETRIES = 8
 
 
 def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0) -> int:
-    """Dimension of Sub_e measured at a random point, independent of sub_dim.
+    """Dimension of Sub_e measured at a random point.
 
-    Evaluates the Jacobian of the parametrization (A, w) -> (power of A
+    Takes the Jacobian of the parametrization (A, w) -> (power of A
     applied to w) at A = [I_e ; 0], with w a random integer degree-k
     tensor on QQ^e, and returns its exact rank minus 1 (the
     projectivization).  The map is GL_n-equivariant, so the rank at any
     injective A equals the rank at [I_e ; 0] and depends on w alone.
     Only the rows of A below the identity block are varied, since the
-    top rows give GL_e-orbit directions: e(n-e) + dim(power of QQ^e)
-    columns, the generic rank in every cell whose e is normalized.  The
-    columns are built straight from w's coefficients on the cached face
-    pattern of the shape (_chart_columns on _chart_pattern, which reads
-    the face table of tensors), with no minors or substitution, on
-    compact row labels: the U = dim(power of QQ^e) tensor directions are
-    rows 0 .. U - 1, and the row of face f (of degree k - 1 on QQ^e)
-    times e_i is U + (i - e) * F + f, with F the number of faces.  Every
-    column is still ranked; the labels only leave out the rows of the
-    k-th power of QQ^n that no column reaches.
+    top rows give GL_e-orbit directions.
 
-    A w whose enclosing dimension is below the maximum on QQ^e lies in
-    a smaller Sub_e, so it must not be measured.  Each sample goes:
+    Block lemma: at this chart the Jacobian is, up to a row permutation,
+    the U x U identity on the U = dim(power of QQ^e) tensor directions,
+    then n - e copies of one F x e block D, F the number of faces of
+    degree k - 1 on QQ^e.  The column along A[i][j], i >= e, is e_i
+    times the derivative of w along e_j, so it lies on the rows of the
+    faces times e_i, which are disjoint for distinct i and from the
+    tensor directions, and its entries there are column j of D, the same
+    for every i.  So the rank is U + (n - e) rank D.  The derivative is
+    linear in the direction, and the covectors y on QQ^e along which it
+    vanishes (i_y w = 0 skew, d_y w = 0 sym) are those that vanish on
+    w's enclosing space, so D's kernel has dimension e - enc(w) and
+    rank D = enc(w).  D is w's
+    contraction matrix transposed, up to one global sign, built from w's
+    coefficients on the cached face pattern of the shape (_derivatives
+    on _chart_pattern, which reads the face table of tensors), so no
+    contraction column and no enc is run.
 
-    1. draw w and build its columns;
-    2. one pass mod a prime (linalg._independent_mod_p); if it finds
-       every column independent, return the column count minus 1;
-    3. else compute enc(w), and redraw w if it is below the maximum;
-    4. else return the exact rank (linalg._densified_rank) minus 1.
-
-    Step 2 needs no check of w.  Lemma: for n > e, if enc(w) < e there
-    is a covector y != 0 on QQ^e with i_y w = 0 (d_y w = 0 for
-    symmetric w; take y vanishing on a smaller space that encloses w).
-    The column along A[i][j] is e_i times the derivative of w along
-    e_j, which is linear in the direction, so sum_j y_j column(A[i][j])
-    is e_i times the derivative of w along y, which is 0, for each row
-    i >= e: the columns are dependent.  So full column rank proves
-    enc(w) = e, which is then the maximum; when the maximum is below e
-    (k = 1 < e; skew k = 2 at odd e; skew k = e - 1) and n > e, every
-    sample reaches step 3.  For n = e the columns are the unit tensor
-    directions alone, independent whatever w is, and the value does not
-    depend on w.  So the draws and the value are those of the order
-    that checks enc(w) first: a w that step 2 accepts would pass that
-    check, and step 3 sees the same w that it would.  After MAX_RETRIES
-    degenerate draws a RuntimeError is raised; for n = e the first draw
-    returns at step 2, so it is reachable only for n > e.  e, k and n
-    must be ints (not bools).
+    A w whose enclosing dimension is below the maximum on QQ^e
+    (_e_bound) lies in a smaller Sub_e, so it must not be measured.
+    Each sample draws w and takes the exact rank of D
+    (linalg._certified_rank: a pass mod a prime over e columns, with a
+    Bareiss fallback only on a dependency); a rank below the maximum is
+    redrawn, and otherwise U + (n - e) rank D - 1 is returned.  So the
+    oracle checks that the maximum is attained at a random w and that
+    normalize_e is right.  For n = e it returns U - 1 before any draw,
+    since nothing is varied; after MAX_RETRIES degenerate draws a
+    RuntimeError is raised, so that is reachable only for n > e.  e, k
+    and n must be ints (not bools).
     """
     _check_cell(e, k, n, kind)
-    full = _e_bound(k, e, kind)
+    if n == e:
+        return _power_dim(e, k, kind) - 1
     rng = random.Random(f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}")
-    pattern = _chart_pattern(kind, e, k)
+    units, directions = _chart_pattern(kind, e, k)
     for _ in range(MAX_RETRIES):
-        omega = random_tensor(e, k, kind, rng)
-        columns = _chart_columns(omega.coeffs, pattern, n - e)
-        if _independent_mod_p(columns):
-            return len(columns) - 1
-        if enc(omega) < full:
-            continue
-        return _densified_rank(columns) - 1
+        rank_d = _certified_rank(_derivatives(random_tensor(e, k, kind, rng).coeffs, directions))
+        if rank_d == _e_bound(k, e, kind):
+            return units + (n - e) * rank_d - 1
     raise RuntimeError(f"no nondegenerate sample after {MAX_RETRIES} retries")

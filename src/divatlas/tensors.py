@@ -495,11 +495,22 @@ def _substitution(columns, n_out: int):
 MAX_CONTRACTION_ENTRIES = 10**6
 
 
-def _check_contraction_size(t, cols: int) -> None:
-    if t.n * cols > MAX_CONTRACTION_ENTRIES:
+def _check_contraction_size(t, kind: str) -> None:
+    """Refuse t if its contraction matrix, n x C(top, r) with top = n
+    (skew) or n + k - 2 (sym) and r = k - 1, would hold more than
+    MAX_CONTRACTION_ENTRIES entries.  The column count is reached
+    through the products C(top - r + i, i), i = 0 .. r, taken with
+    r <= top - r, which never decrease; any() stops at the first one
+    past the limit, so a huge shape is refused in a few steps and no
+    unfinished count is printed."""
+    r = t.k - 1
+    top = t.n + r - 1 if kind == SYM else t.n
+    first, r = int(0 <= r <= top), min(r, top - r)
+    counts = itertools.accumulate(range(1, r + 1), lambda c, i: c * (top - r + i) // i, initial=first)
+    if any(t.n * c > MAX_CONTRACTION_ENTRIES for c in counts):
         raise ValueError(
-            f"contraction matrix of the {t.kind} tensor with n={t.n}, k={t.k} would be "
-            f"{t.n} x {cols}, above the limit of {MAX_CONTRACTION_ENTRIES} entries"
+            f"contraction matrix of the {t.kind} tensor with n={t.n}, k={t.k} would hold more than the "
+            f"limit of {MAX_CONTRACTION_ENTRIES} entries"
         )
 
 
@@ -513,7 +524,7 @@ def _contraction_columns(t):
     kind = _kind(t)
     if t.k < 1:
         raise ValueError("contraction needs degree k >= 1")
-    _check_contraction_size(t, _power_dim(t.n, t.k - 1, kind))
+    _check_contraction_size(t, kind)
     return _skew_columns(t) if kind == SKEW else _sym_columns(t)
 
 

@@ -355,8 +355,13 @@ def test_enc_json_booleans_exit_2(tmp_path, capsys, obj, message):
     [
         {"n": 200, "k": 10, "kind": "skew", "terms": [{"index": list(range(10)), "coeff": "1"}]},
         {"n": 200, "k": 10, "kind": "sym", "terms": [{"index": [10] + [0] * 199, "coeff": "1"}]},
+        # shapes whose column count alone has more digits than str() prints:
+        # refused in a few steps of the bounded product, with no count
+        {"n": 1000000, "k": 500000, "kind": "skew", "terms": []},
+        {"n": 200000, "k": 100000, "kind": "sym", "terms": []},
+        {"n": 2000000, "k": 1000000, "kind": "sym", "terms": []},
     ],
-    ids=["skew", "sym"],
+    ids=["skew", "sym", "skew-huge", "sym-huge", "sym-huger"],
 )
 def test_enc_oversized_contraction_exits_2(tmp_path, capsys, obj):
     path = tmp_path / "big.json"
@@ -364,7 +369,9 @@ def test_enc_oversized_contraction_exits_2(tmp_path, capsys, obj):
     rc, out, err = run_cli(capsys, "enc", str(path))
     assert rc == 2
     assert out == ""
-    assert f"{obj['kind']} tensor with n=200, k=10" in err
+    assert err.count("\n") == 1
+    assert f"{obj['kind']} tensor with n={obj['n']}, k={obj['k']}" in err
+    assert "limit of 1000000 entries" in err
 
 
 def test_enc_superscript_digit_coefficient_exits_2(tmp_path, capsys):

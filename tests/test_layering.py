@@ -4,9 +4,9 @@ Every exact rank on the production route (enc, enclosing_space,
 is_in_power_of, sub_dim_tangent, the atlas and the CLI) comes from one
 integer kernel in linalg: _eliminate, with _bareiss in front of it and
 _packed_rows, the packed covector test of _eliminate and is_in_power_of,
-behind it.  The tangent Jacobian takes the pass mod p,
-_independent_mod_p, and its exact fallback _densified_rank (_bareiss on
-dense columns); _certified_rank composes the two.  The names in ORACLES
+behind it.  The tangent oracle's block D takes _certified_rank: the pass
+mod p, _independent_mod_p, and behind it _bareiss on dense columns.
+The names in ORACLES
 are independent second routes, kept so that verify, the tests and
 perfbench can check that kernel.  If
 a production function loaded one, a check would quietly become the
@@ -19,7 +19,12 @@ _sym_faces) and _face_sums, from which is_in_power_of's True answer
 comes, must load none of enc's dense column builders and not the
 kernel, directly or through another function of the module; so
 membership stays a check on enc rather than a second reading of enc's
-columns.
+columns.  A third runs inside subspaces: the tangent oracle
+(sub_dim_tangent, _derivatives, _chart_pattern) must load neither enc
+nor enclosing_space nor any of the contraction column builders, in the
+same way; its rank D equals enc(w), read off the face table, so it
+stays a second route to the enclosing dimension and does not rerun
+enc's.
 
 Module-level imports are not loads.  tensors and subspaces still import
 rank with a "# noqa: F401", only because perfbench's tracer tests expect
@@ -54,13 +59,27 @@ ORACLES = frozenset(
     }
 )
 KERNEL = frozenset(
-    {"_eliminate", "_bareiss", "_independent_mod_p", "_densified_rank", "_certified_rank", "_packed_rows"}
+    {"_eliminate", "_bareiss", "_independent_mod_p", "_certified_rank", "_packed_rows"}
 )
 # the face table, from which is_in_power_of's True answer comes, and the
 # dense side that it is checked against: enc's column builders and kernel
 FACE_TABLE = ("_skew_faces", "_sym_faces", "_face_sums")
 DENSE_SIDE = frozenset(
     {"_contraction_columns", "_skew_columns", "_sym_columns", "_skew_column", "_sym_column", "_eliminate"}
+)
+# the tangent oracle, and enc's route, which its rank D must not rerun
+TANGENT = ("sub_dim_tangent", "_derivatives", "_chart_pattern")
+ENC_SIDE = frozenset(
+    {
+        "enc",
+        "enclosing_space",
+        "_pivot_columns",
+        "_contraction_columns",
+        "_skew_columns",
+        "_sym_columns",
+        "_skew_column",
+        "_sym_column",
+    }
 )
 
 
@@ -132,18 +151,18 @@ def test_the_check_sees_both_directions():
     ]
 
 
-def _face_table_loads(source: str) -> list:
-    """(function, name) pairs: a DENSE_SIDE name loaded by a function of
-    FACE_TABLE, or by a module-level function that one of them loads,
+def _fence_loads(source: str, roots, forbidden) -> list:
+    """(function, name) pairs: a forbidden name loaded by a function of
+    roots, or by a module-level function that one of them loads,
     followed to any depth."""
     defs = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
-    seen, todo = set(), [name for name in FACE_TABLE if name in defs]
+    seen, todo = set(), [name for name in roots if name in defs]
     while todo:
         name = todo.pop()
         if name not in seen:
             seen.add(name)
             todo += _loads(defs[name]) & defs.keys()
-    return sorted((name, loaded) for name in seen for loaded in _loads(defs[name]) & DENSE_SIDE)
+    return sorted((name, loaded) for name in seen for loaded in _loads(defs[name]) & forbidden)
 
 
 def test_the_face_table_reads_no_dense_column():
@@ -154,7 +173,7 @@ def test_the_face_table_reads_no_dense_column():
     defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
     # a renamed function would leave a stale fence; _eliminate is linalg's
     assert set(FACE_TABLE) | DENSE_SIDE <= defined | KERNEL
-    assert _face_table_loads(source) == []
+    assert _fence_loads(source, FACE_TABLE, DENSE_SIDE) == []
 
 
 def test_the_face_table_fence_sees_direct_and_indirect_loads():
@@ -173,4 +192,40 @@ def test_the_face_table_fence_sees_direct_and_indirect_loads():
             return _skew_column(t.coeffs.get, (), t.n)
         """
     )
-    assert _face_table_loads(source) == [("_codes", "_sym_column"), ("_face_sums", "_contraction_columns")]
+    assert _fence_loads(source, FACE_TABLE, DENSE_SIDE) == [
+        ("_codes", "_sym_column"),
+        ("_face_sums", "_contraction_columns"),
+    ]
+
+
+def test_the_tangent_oracle_runs_no_enc():
+    # sub_dim_tangent's redraw reads rank D, which equals enc(w) and comes
+    # from the face table; if the oracle loaded enc or a contraction column
+    # builder, it would measure w through the route that it checks
+    source = inspect.getsource(subspaces)
+    defined = {
+        node.name
+        for module in (subspaces, tensors)
+        for node in ast.parse(inspect.getsource(module)).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    # a renamed function would leave a stale fence
+    assert set(TANGENT) | ENC_SIDE <= defined
+    assert _fence_loads(source, TANGENT, ENC_SIDE) == []
+
+
+def test_the_tangent_fence_sees_direct_and_indirect_loads():
+    source = textwrap.dedent(
+        """
+        def sub_dim_tangent(e, k, n, kind, seed=0):
+            if enc(omega) < full:
+                return _helper(omega)
+
+        def _helper(omega):
+            return tensors.enclosing_space(omega).dim
+
+        def _chart_pattern(kind, e, k):
+            return _skew_faces(basis, basis)
+        """
+    )
+    assert _fence_loads(source, TANGENT, ENC_SIDE) == [("_helper", "enclosing_space"), ("sub_dim_tangent", "enc")]

@@ -309,9 +309,9 @@ def test_rank_prime_is_a_prime_of_one_cpython_digit():
 
 
 def test_certified_rank_on_one_entry_columns(monkeypatch):
-    # a one-entry column on a row with no lead and an entry nonzero mod p
-    # is stored at once; every other one-entry column takes the general
-    # elimination, and a dependency mod p takes the exact fallback
+    # one-entry columns take the general elimination like any other: on
+    # a row with no lead and nonzero mod p they are stored, and a
+    # dependency mod p takes the exact fallback
     fallbacks = _count_fallbacks(monkeypatch)
     for columns, independent in (
         # 0 mod p: dependent mod p, independent over QQ

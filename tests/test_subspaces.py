@@ -7,12 +7,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_linalg import _count_fallbacks
 
 from divatlas import linalg, subspaces, tensors, verify
-from divatlas.linalg import RationalMatrix, _certified_rank, _independent_mod_p, rank
+from divatlas.linalg import RationalMatrix, _certified_rank, rank
 from divatlas.subspaces import (
-    _chart_columns,
     _chart_pattern,
+    _derivatives,
     e_max,
     e_max_sym,
     normalize_e,
@@ -299,17 +300,19 @@ def test_tangent_oracle_redraws_degenerate_omega(monkeypatch):
 
 def test_tangent_oracle_small_grid(monkeypatch):
     # the full grid runs in the acceptance suite; spot a diagonal here.
-    # Each sample runs the pass mod p once, on its chart Jacobian, which
-    # has exactly sub_dim + 1 columns when e is normalized; the last
-    # sample is certified, and any before it had a degenerate w (one
-    # cell here draws w = 0 first)
+    # Each sample runs the pass mod p once, on the e columns of its block
+    # D; the last sample is certified, and any before it had a degenerate
+    # w (one cell here draws w = 0 first), which alone takes the exact
+    # fallback
     passes = []
+    independent = linalg._independent_mod_p
 
     def recording(columns):
-        passes.append((len(columns), _independent_mod_p(columns)))
+        passes.append((len(columns), independent(columns)))
         return passes[-1][1]
 
-    monkeypatch.setattr(subspaces, "_independent_mod_p", recording)
+    monkeypatch.setattr(linalg, "_independent_mod_p", recording)
+    fallbacks = _count_fallbacks(monkeypatch)
     redrawn = 0
     for kind in (SKEW, SYM):
         for k in (2, 3):
@@ -318,14 +321,18 @@ def test_tangent_oracle_small_grid(monkeypatch):
                     if normalize_e(e, k, kind) != e:
                         continue
                     passes.clear()
+                    fallbacks.clear()
                     assert sub_dim_tangent(e, k, n, kind, seed=3) == sub_dim(e, k, n, kind)
-                    width = sub_dim(e, k, n, kind) + 1
-                    assert passes == [(width, False)] * (len(passes) - 1) + [(width, True)]
+                    if n == e:  # nothing varied, nothing ranked
+                        assert passes == fallbacks == []
+                        continue
+                    assert passes == [(e, False)] * (len(passes) - 1) + [(e, True)]
+                    assert len(fallbacks) == len(passes) - 1
                     redrawn += len(passes) - 1
     assert redrawn == 1
 
 
-def test_tangent_oracle_computes_enc_and_the_exact_rank_only_on_a_shortfall(monkeypatch):
+def test_tangent_oracle_computes_the_exact_rank_only_on_a_shortfall(monkeypatch):
     calls = []
 
     def counting(name, f):
@@ -335,46 +342,63 @@ def test_tangent_oracle_computes_enc_and_the_exact_rank_only_on_a_shortfall(monk
 
         return counted
 
-    monkeypatch.setattr(subspaces, "enc", counting("enc", enc))
-    monkeypatch.setattr(subspaces, "_independent_mod_p", counting("pass", _independent_mod_p))
+    monkeypatch.setattr(tensors, "enc", counting("enc", enc))
+    monkeypatch.setattr(tensors, "_contraction_columns", counting("enc", tensors._contraction_columns))
+    monkeypatch.setattr(linalg, "_independent_mod_p", counting("pass", linalg._independent_mod_p))
     monkeypatch.setattr(linalg, "_bareiss", counting("bareiss", linalg._bareiss))
-    # a nondegenerate w: the pass certifies full rank, with no enc(w)
-    # and no exact rank
+    # a nondegenerate w: the pass certifies rank D = e, with no exact rank
     assert sub_dim_tangent(5, 3, 6, SKEW, seed=1) == 14
     assert calls == ["pass"]
-    # a degenerate first draw: the pass meets a dependency, enc(w) = 1
-    # redraws, and the second w is certified mod p
+    # a degenerate first draw: the pass meets a dependency, the exact
+    # rank D = 1 redraws, and the second w is certified mod p
     calls.clear()
     assert sub_dim_tangent(2, 2, 6, SYM, seed=468) == sub_dim(2, 2, 6, SYM)
-    assert calls == ["pass", "enc", "pass"]
-    # skew 2-forms on QQ^3 have rank 2, so the chart columns are always
-    # dependent: one pass, one enc(w) at its maximum, one exact rank
+    assert calls == ["pass", "bareiss", "pass"]
+    # skew 2-forms on QQ^3 have rank 2, so D's three columns are always
+    # dependent: one pass, one exact rank, at the maximum
     calls.clear()
     assert sub_dim_tangent(3, 2, 5, SKEW) == sub_dim(3, 2, 5, SKEW)
-    assert calls == ["pass", "enc", "bareiss"]
+    assert calls == ["pass", "bareiss"]
+    # n = e varies nothing: no draw and no rank
+    calls.clear()
+    assert sub_dim_tangent(3, 2, 3, SKEW) == sub_dim(3, 2, 3, SKEW)
+    assert calls == []
 
 
-def _chart(kind: str, w: dict, e: int, n: int, k: int) -> list:
-    """The chart columns of w as sub_dim_tangent builds them."""
-    return _chart_columns(w, _chart_pattern(kind, e, k), n - e)
+def _lemma_rank(kind: str, w: dict, e: int, n: int, k: int) -> int:
+    """The chart's rank as sub_dim_tangent takes it: U + (n - e) rank D."""
+    units, directions = _chart_pattern(kind, e, k)
+    return units + (n - e) * _certified_rank(_derivatives(w, directions))
+
+
+def _full_chart(kind: str, w: dict, e: int, n: int, k: int) -> list:
+    """The whole chart Jacobian of w, from the general-A builders below at
+    A = [I_e ; 0] with the rows e .. n - 1 varied: the U unit columns, then
+    every column along A[i][j], i >= e."""
+    general = _skew_jacobian_columns if kind == SKEW else _sym_jacobian_columns
+    identity = [tuple(int(i == j) for i in range(n)) for j in range(e)]
+    return general(identity, w, n, k, range(e, n))
 
 
 def _enc_first_tangent(e: int, k: int, n: int, kind: str, seed: int) -> int:
     """Reference for sub_dim_tangent in the order that checks w first: draw
-    w, redraw while enc(w) is below the maximum, then _certified_rank."""
+    w, redraw while enc(w) is below the maximum, then the certified rank
+    of the whole chart, built without the block lemma."""
     full = subspaces._e_bound(k, e, kind)
     rng = random.Random(f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}")
     for _ in range(subspaces.MAX_RETRIES):
         omega = random_tensor(e, k, kind, rng)
         if enc(omega) < full:
             continue
-        return _certified_rank(_chart(kind, omega.coeffs, e, n, k)) - 1
+        return _certified_rank(_full_chart(kind, omega.coeffs, e, n, k)) - 1
     raise RuntimeError("no nondegenerate sample")
 
 
 def test_tangent_oracle_equals_the_enc_first_reference():
     # every cell of verify's tangent grid with n <= 8, unnormalized e
-    # included, then the exorbitance cells, then two degenerate first draws
+    # included, then the exorbitance cells, then two degenerate first
+    # draws; the reference ranks the whole chart, so this checks the block
+    # lemma as well as the order of the draws
     cells = [
         (kind, k, n, e, seed)
         for kind, ks in verify.TANGENT_GRID
@@ -393,11 +417,13 @@ def test_tangent_oracle_equals_the_enc_first_reference():
 # ---------------------------------------------------------------------------
 # the Jacobian at a general A: the oracle for the chart builders
 #
-# sub_dim_tangent builds its columns at A = [I_e ; 0] straight from w
-# (_chart_columns on its face pattern, _chart_pattern).  The builders
-# below take any integer A, through its minors (skew) or a substitution
-# by its column forms (sym), and vary any rows of A; at the chart and the
-# rows below the identity block they must give the same columns.
+# sub_dim_tangent builds one block D at A = [I_e ; 0] straight from w
+# (_derivatives on its face pattern, _chart_pattern) and ranks the chart
+# as U + (n - e) rank D.  The builders below take any integer A, through
+# its minors (skew) or a substitution by its column forms (sym), and
+# vary any rows of A; at the chart and the rows below the identity block
+# their columns must be the U unit columns and a copy of D on each
+# varied row, and their rank that of the block lemma.
 
 
 def _skew_jacobian_columns(a_cols, w: dict, n: int, k: int, varied=None):
@@ -530,18 +556,14 @@ def test_chart_rank_equals_full_jacobian_rank(monkeypatch):
     # At A = [I_e ; 0] the columns along the top e rows of A add nothing
     # to the image of the differential: they are GL_e-orbit directions
     # plus tensor directions.  The map is GL_n-equivariant, so the chart's
-    # certified rank is the exact rank of the full Jacobian (every row of
-    # A varied, ranked through RationalMatrix) at a random injective A
-    # and the same w.  In a collapsed cell (normalize_e(e) != e)
-    # the chart has more columns than the rank, so the mod-p rank cannot
-    # certify it and the exact fallback must still give sub_dim + 1.
-    fallbacks = []
-    bareiss = linalg._bareiss
-
-    def counting(mat):
-        fallbacks.append(len(mat))
-        return bareiss(mat)
-
+    # rank by the block lemma, U + (n - e) rank D, is the exact rank of
+    # the full Jacobian (every row of A varied, ranked through
+    # RationalMatrix) at a random injective A and the same w: for a
+    # nondegenerate w it is sub_dim + 1, and it matches for a degenerate
+    # w (one term) and w = 0 too.  In a collapsed cell (normalize_e(e) !=
+    # e) rank D < e, so the mod-p pass cannot certify D and the exact
+    # fallback must still give sub_dim + 1.
+    fallbacks = _count_fallbacks(monkeypatch)
     deficient = 0
     for kind in (SKEW, SYM):
         build = _skew_jacobian_columns if kind == SKEW else _sym_jacobian_columns
@@ -556,24 +578,18 @@ def test_chart_rank_equals_full_jacobian_rank(monkeypatch):
                     omega = random_tensor(e, k, kind, rng)
                     while enc(omega) < top(k, e):
                         omega = random_tensor(e, k, kind, rng)
-                    identity = [tuple(int(i == j) for i in range(n)) for j in range(e)]
-                    chart = build(identity, omega.coeffs, n, k, range(e, n))
-                    expected = sub_dim(e, k, n, kind) + 1
-                    monkeypatch.setattr(linalg, "_bareiss", counting)
-                    fallbacks.clear()
-                    got = _certified_rank(chart)
-                    monkeypatch.undo()
-                    full_cols = _dense(build(a_cols, omega.coeffs, n, k), _power_dim(kind, k, n))
-                    full = rank(RationalMatrix.from_columns(full_cols))
-                    assert got == full == expected, (kind, k, n, e)
-                    if normalize_e(e, k, kind) == e:
-                        assert len(chart) == expected and not fallbacks, (kind, k, n, e)
-                    else:
-                        # deficient unless e = n, where the chart is the whole power
-                        assert (len(chart) > expected) is (e < n), (kind, k, n, e)
-                        assert len(fallbacks) == (e < n), (kind, k, n, e)
-                        deficient += e < n
-    assert deficient == 6
+                    one_term = dict(itertools.islice(omega.coeffs.items(), 1))
+                    for w in (omega.coeffs, one_term, {}):
+                        fallbacks.clear()
+                        got, exact = _lemma_rank(kind, w, e, n, k), len(fallbacks)
+                        full_cols = _dense(build(a_cols, w, n, k), _power_dim(kind, k, n))
+                        assert got == rank(RationalMatrix.from_columns(full_cols)), (kind, k, n, e, w)
+                        if w is omega.coeffs:
+                            assert got == sub_dim(e, k, n, kind) + 1, (kind, k, n, e)
+                            # one exact fallback exactly where e collapses
+                            assert exact == (normalize_e(e, k, kind) != e), (kind, k, n, e)
+                            deficient += exact
+    assert deficient == 9
 
 
 def _golden_cells() -> list:
@@ -590,98 +606,77 @@ def test_tangent_oracle_reproduces_the_golden_values():
         assert got == values, (kind, k, n, e)
 
 
-def _chart_row_positions(kind: str, k: int, n: int, e: int) -> list:
-    """For each compact row label of the chart builders, in label order,
-    its position in the basis of the k-th power of QQ^n (k_subsets or
-    exponent_vectors order): first the tensor directions on QQ^e, then,
-    for each i from e to n - 1, each face of degree k - 1 on QQ^e times
-    e_i (skew: M + (i,); sym: beta padded, plus 1 at position i)."""
+def _chart_row_positions(kind: str, k: int, n: int, e: int, i: int) -> list:
+    """For each face of degree k - 1 on QQ^e, in index order, the position
+    of that face times e_i (skew: M + (i,); sym: beta padded, plus 1 at
+    position i) in the basis of the k-th power of QQ^n (k_subsets or
+    exponent_vectors order); i >= e."""
     if kind == SKEW:
         position = {J: r for r, J in enumerate(k_subsets(n, k))}
-        units = [position[I] for I in k_subsets(e, k)]
-        return units + [position[M + (i,)] for i in range(e, n) for M in k_subsets(e, k - 1)]
+        return [position[M + (i,)] for M in k_subsets(e, k - 1)]
     position = {a: r for r, a in enumerate(exponent_vectors(n, k))}
-    pad = (0,) * (n - e)
-    units = [position[alpha + pad] for alpha in exponent_vectors(e, k)]
-    blocks = [
-        position[beta + pad[: i - e] + (1,) + pad[i - e + 1 :]]
-        for i in range(e, n)
-        for beta in exponent_vectors(e, k - 1)
-    ]
-    return units + blocks
+    return [position[beta + tuple(int(t == i) for t in range(e, n))] for beta in exponent_vectors(e, k - 1)]
 
 
 def test_chart_columns_match_the_general_builders():
     # at A = [I_e ; 0], varying the rows below the identity block, on the
-    # golden cells with a generic w, a sparse (degenerate) w and w = 0:
-    # each compact row label, mapped back to its k-subset or exponent
-    # vector on QQ^n, gives the general builder's columns entry for entry.
-    # Each shape is then built again from its cached face pattern, with a
-    # w from another seed and with that w missing some terms.
+    # golden cells with n > e and a generic w, a sparse (degenerate) w and
+    # w = 0: the general builder gives U unit columns on distinct rows,
+    # then along each A[i][j] column j of D with each face f relabelled to
+    # f times e_i, entry for entry.  This is the block lemma.  Each shape
+    # is then built again from its cached face pattern, with a w from
+    # another seed and with that w missing some terms.
     _chart_pattern.cache_clear()
+
+    def check(kind, k, n, e, w):
+        units, directions = _chart_pattern(kind, e, k)
+        general = _full_chart(kind, w, e, n, k)
+        assert len(general) == units + e * (n - e)
+        assert all(len(col) == 1 and set(col.values()) == {1} for col in general[:units])
+        assert len({r for col in general[:units] for r in col}) == units
+        blocks = general[units:]
+        for j, column in enumerate(_derivatives(w, directions)):
+            for i in range(e, n):
+                position = _chart_row_positions(kind, k, n, e, i)
+                expected = {position[f]: v for f, v in column.items()}
+                assert expected == blocks[j * (n - e) + i - e], (kind, k, n, e, i, j, w)
+
     for kind, k, n, e, _ in _golden_cells():
-        general = _skew_jacobian_columns if kind == SKEW else _sym_jacobian_columns
-        identity = [tuple(int(i == j) for i in range(n)) for j in range(e)]
-        position = _chart_row_positions(kind, k, n, e)
-        assert len(set(position)) == len(position), (kind, k, n, e)
+        if n == e:
+            continue
         rng = random.Random(f"chart-columns:{kind}:{k}:{n}:{e}")
         generic = random_tensor(e, k, kind, rng).coeffs
         sparse = dict(rng.sample(sorted(generic.items()), min(2, len(generic))))
         for w in (generic, sparse, {}):
-            relabelled = [{position[r]: v for r, v in col.items()} for col in _chart(kind, w, e, n, k)]
-            assert relabelled == general(identity, w, n, k, range(e, n)), (kind, k, n, e, w)
+            check(kind, k, n, e, w)
         hits = _chart_pattern.cache_info().hits
         other = random_tensor(e, k, kind, random.Random(f"chart-columns-again:{kind}:{k}:{n}:{e}")).coeffs
         dropped = {key: c for i, (key, c) in enumerate(other.items()) if i % 3}
         for w in (other, dropped):
-            relabelled = [{position[r]: v for r, v in col.items()} for col in _chart(kind, w, e, n, k)]
-            assert relabelled == general(identity, w, n, k, range(e, n)), (kind, k, n, e, w)
+            check(kind, k, n, e, w)
         assert _chart_pattern.cache_info().hits == hits + 2, (kind, k, n, e)
         # the cached pattern is immutable all the way down
-        units, faces, directions = _chart_pattern(kind, e, k)
+        units, directions = _chart_pattern(kind, e, k)
         assert type(directions) is tuple and len(directions) == e
         assert all(type(d) is tuple and all(type(x) is tuple and type(x[0]) is tuple for x in d) for d in directions)
 
 
-def test_chart_row_labels_stay_below_the_jacobian_height():
-    # the compact labels number the Jacobian's own rows: dim of the k-th
-    # power of QQ^e for the tensor directions, then n - e blocks of the
-    # faces of degree k - 1 on QQ^e; each seeded w here reaches the last
-    # label, so the dense fallback is exactly that high
-    for kind, k, n, e, _ in _golden_cells():
-        height = _power_dim(kind, k, e) + (n - e) * _power_dim(kind, k - 1, e)
-        if kind == SKEW:
-            assert height == math.comb(e, k) + (n - e) * math.comb(e, k - 1)
-        assert len(_chart_row_positions(kind, k, n, e)) == height
-        w = random_tensor(e, k, kind, random.Random(f"chart-height:{kind}:{k}:{n}:{e}")).coeffs
-        labels = {r for col in _chart(kind, w, e, n, k) for r in col}
-        assert all(0 <= r < height for r in labels), (kind, k, n, e)
-        if w and n > e:
-            assert max(labels) == height - 1, (kind, k, n, e)
-
-
 def test_chart_at_n_equal_e_is_the_unit_columns(monkeypatch):
-    # with no varied rows the chart is the U tensor directions alone, whatever
-    # w is; sub_dim_tangent still ranks every one of those columns (the pass
-    # mod p sees them), so its value U - 1 comes from a rank, not a formula
-    ranked = []
-
-    def recording(columns):
-        ranked.append(columns)
-        return _independent_mod_p(columns)
-
-    monkeypatch.setattr(subspaces, "_independent_mod_p", recording)
+    # with no varied rows the chart is the U tensor directions alone,
+    # whatever w is, so its rank is U: sub_dim_tangent returns U - 1
+    # before any draw, and ranks nothing
+    drawn = []
+    monkeypatch.setattr(subspaces, "random_tensor", lambda *args: drawn.append(args))
+    monkeypatch.setattr(subspaces, "_certified_rank", lambda columns: drawn.append(columns))
     for kind, ks in verify.TANGENT_GRID:
         for k in ks:
             for e in range(1 if kind == SYM else k, 9):
                 units = [{r: 1} for r in range(_power_dim(kind, k, e))]
-                pattern = _chart_pattern(kind, e, k)
                 w = random_tensor(e, k, kind, random.Random(f"chart-units:{kind}:{k}:{e}")).coeffs
                 for coeffs in (w, {}):
-                    assert _chart_columns(coeffs, pattern, 0) == units, (kind, k, e)
-                ranked.clear()
+                    assert _full_chart(kind, coeffs, e, e, k) == units, (kind, k, e)
                 assert sub_dim_tangent(e, k, e, kind, seed=5) == len(units) - 1, (kind, k, e)
-                assert ranked == [units], (kind, k, e)
+                assert drawn == [], (kind, k, e)
 
 
 @pytest.mark.parametrize("kind, k, n, e", [(SYM, 4, 40, 5), (SKEW, 5, 30, 8), (SKEW, 3, 61, 7)])

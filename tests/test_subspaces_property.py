@@ -1,13 +1,14 @@
-"""Property test: the chart rank equals the full Jacobian rank.
+"""Property test: the chart's rank by the block lemma equals the full Jacobian rank.
 
 sub_dim_tangent ranks the Jacobian of (A, w) -> (power of A)(w) at the
 chart point A = [I_e ; 0], varying only the rows of A below the
-identity block.  The map is GL_n-equivariant and the top rows of A give
-directions already spanned by the tensor columns, so for every w, the
-zero tensor and degenerate tensors included, the certified rank of the
-chart columns must equal the exact rank of the full Jacobian (every row
-of A varied, built by the general-A builders of test_subspaces) at any
-injective integer A.
+identity block, as U + (n - e) rank D: U unit columns, then one copy of
+the derivative block D of w per varied row.  The map is
+GL_n-equivariant and the top rows of A give directions already spanned
+by the tensor columns, so for every w, the zero tensor and degenerate
+tensors included, that rank must equal the exact rank of the full
+Jacobian (every row of A varied, built by the general-A builders of
+test_subspaces) at any injective integer A.
 """
 
 import pytest
@@ -15,9 +16,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from test_subspaces import _chart, _dense, _power_dim, _skew_jacobian_columns, _sym_jacobian_columns  # noqa: E402
+from test_subspaces import _dense, _lemma_rank, _power_dim, _skew_jacobian_columns, _sym_jacobian_columns  # noqa: E402
 
-from divatlas.linalg import RationalMatrix, _certified_rank, rank  # noqa: E402
+from divatlas.linalg import RationalMatrix, rank  # noqa: E402
 from divatlas.tensors import SKEW, SYM, exponent_vectors, k_subsets  # noqa: E402
 
 small = st.integers(-3, 3)
@@ -47,7 +48,6 @@ def chart_cases(draw):
 def test_chart_rank_equals_full_jacobian_rank_at_an_injective_a(case):
     kind, k, n, e, a_cols, w = case
     assert rank(RationalMatrix.from_columns(a_cols)) == e
-    chart = _chart(kind, w, e, n, k)
     general = _skew_jacobian_columns if kind == SKEW else _sym_jacobian_columns
     full = _dense(general(a_cols, w, n, k), _power_dim(kind, k, n))
-    assert _certified_rank(chart) == rank(RationalMatrix.from_columns(full))
+    assert _lemma_rank(kind, w, e, n, k) == rank(RationalMatrix.from_columns(full))
