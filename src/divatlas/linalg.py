@@ -35,26 +35,27 @@ dependent column after a pivot and skips the later columns, within its
 entry bound, whose packed product is 0.
 
 The tangent-space oracle ranks one integer block per sample, the
-derivatives of w (``subspaces.sub_dim_tangent``), whose columns are
-independent in the generic case and mostly zeros.  They come as sparse
-columns, {row: nonzero int} maps, and ``_certified_rank`` takes their
-exact rank in two steps.  The pass, ``_independent_mod_p``, eliminates
-them modulo ``RANK_PRIME`` = 2^30 - 35, touching only nonzero entries,
-and stops at the first column that is dependent mod p.  A rank mod p is
-at most the rank over QQ, so columns independent mod p are certified
-independent, whatever the prime.  It is the largest prime below 2^30 so
-that every residue is one 30-bit digit of a CPython int: a product of
-two residues fits in two digits, and each reduction divides by a
-one-digit int.  Only a dependency mod p takes the exact fallback,
-``_bareiss`` on the columns made dense on the rows that they reach, so
-a rank mod p below the column count is never returned.  None of this
-is used where deficient ranks are expected (the contraction matrices
-of enc, the membership test).
+derivatives of w (``subspaces.sub_dim_tangent``), which has full column
+rank in the generic case and many more rows than columns.  Its rows
+come as a stream of dense vectors, the input that ``_eliminate`` takes,
+and ``_certified_rank`` takes their exact rank in two steps.  The pass,
+``_rank_mod_p``, counts their rank modulo ``RANK_PRIME`` = 2^30 - 35 by
+fraction-free steps on reduced residues, and stops at the vector that
+brings it to full row rank.  A rank mod p is at most the rank over QQ,
+whatever the prime, so a rank mod p that equals the row count or the
+vector count, which no rank exceeds, is certified.  The prime is the
+largest below 2^30 so that every residue is one 30-bit digit of a
+CPython int: a product of two residues fits in two digits, and each
+reduction divides by a one-digit int.  Any other rank mod p takes the
+exact fallback, ``_eliminate`` on the vectors the pass read, which are
+all of them, so a rank lost mod p is never returned.  None of this is
+used where deficient ranks are expected (the contraction matrices of
+enc, the membership test).
 
 The production route (enc, enclosing_space, SubspaceBasis and the
 membership test, sub_dim_tangent, the atlas, and the CLI's enc and
 components) uses only the kernels and the coercions: ``_eliminate``,
-``_bareiss``, ``_independent_mod_p``, ``_certified_rank``,
+``_bareiss``, ``_rank_mod_p``, ``_certified_rank``,
 ``_packed_rows``, ``_int_vector``, ``as_exact``, ``as_vector``,
 ``_check_ints`` and ``_random_ints`` (the seeded draws of
 ``tensors.random_tensor``, which ``random_matrix`` shares).  The oracles
@@ -69,7 +70,6 @@ function loads an oracle or if gauss_rank loads a kernel.
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 import random
@@ -334,64 +334,53 @@ def _bareiss(mat) -> tuple[int, list, int]:
 RANK_PRIME = 2**30 - 35
 
 
-def _independent_mod_p(columns) -> bool:
-    """True when the sparse integer vectors, each a {row: nonzero int} map,
-    are independent mod RANK_PRIME, and so independent over QQ: the rank
-    mod p never exceeds the rank over QQ.  False at the first vector that
-    is dependent mod p on those before it, and the rest are not read.
+def _rank_mod_p(columns, n_rows: int) -> int:
+    """Rank mod RANK_PRIME of a stream of integer vectors, each a sequence
+    of n_rows ints (_eliminate's input); the stream is not advanced past
+    the vector that brings the rank to n_rows.  A rank mod p is at most
+    the rank over QQ, whatever the prime.
 
-    The elimination mod p touches only nonzero entries: residues that
-    vanish mod p, input entries included, are dropped.  Each vector that
-    gains a pivot is stored under its lead row (its smallest row after
-    reduction), divided by its lead entry, which is then left out: a
-    stored vector has entries only below its lead row.  A new vector
-    that meets no stored lead row is not reduced at all; otherwise it is
-    reduced by the stored vectors of the lead rows it meets, smallest
-    row first, from a heap.  A subtraction changes only rows below the
-    one it clears (fill-in), and a lead row it fills is pushed, so the
-    vector leaves with a zero on every lead row.
+    Each vector is reduced mod p and scanned from its first entry.  At
+    an index that holds a pivot, with lead a and the vector's entry x
+    there, the vector becomes a * v - x * pivot, which clears that entry
+    and changes only the entries after it, since a pivot is 0 before its
+    lead.  At the first nonzero entry without a pivot the vector becomes
+    the pivot of that index, kept as its lead and the entries after it.
+    A vector that reaches the end is dependent mod p.  The steps are
+    fraction-free, so no inverse mod p is taken, and every residue is
+    reduced at once, so it stays one 30-bit digit.
     """
     p = RANK_PRIME
-    pivots = {}
-    for col in columns:
-        v = {r: y for r, x in col.items() if (y := x % p)}
-        todo = [r for r in v if r in pivots]
-        if todo:
-            heapq.heapify(todo)
-            while todo:
-                r = heapq.heappop(todo)
-                f = v.pop(r)
-                if not f:
-                    continue
-                for s, b in pivots[r].items():
-                    if s in v:
-                        v[s] = (v[s] - f * b) % p
-                    else:
-                        v[s] = -f * b % p
-                        if s in pivots:
-                            heapq.heappush(todo, s)
-            v = {r: x for r, x in v.items() if x}
-        if not v:
-            return False
-        lead = min(v)
-        x = v.pop(lead)
-        if v:
-            inv = pow(x, -1, p)
-            v = {s: y * inv % p for s, y in v.items()}
-        pivots[lead] = v
-    return True
+    pivots = [None] * n_rows  # (lead, entries after it) for each index that has a pivot
+    r = 0
+    for col in columns if n_rows else ():
+        v = [x % p for x in col]
+        for i, pivot in enumerate(pivots):
+            x = v[i]
+            if not x:
+                continue
+            if pivot is None:
+                pivots[i] = (x, v[i + 1 :])
+                r += 1
+                break
+            a, tail = pivot
+            v[i + 1 :] = [(a * y - x * b) % p for y, b in zip(v[i + 1 :], tail)]
+        if r == n_rows:
+            break
+    return r
 
 
-def _certified_rank(columns) -> int:
-    """Exact rank of a list of sparse integer vectors, each a {row: nonzero
-    int} map: their count when _independent_mod_p certifies them, else
-    _bareiss on them made dense on the rows that they reach (the rows
-    that no vector reaches are zero and change no rank).  A deficient
-    rank mod p is never returned."""
-    if _independent_mod_p(columns):
-        return len(columns)
-    rows = {r for c in columns for r in c}
-    return _bareiss([[c.get(r, 0) for r in rows] for c in columns])[0]
+def _certified_rank(columns, n_rows: int) -> int:
+    """Exact rank of a stream of integer vectors, each a sequence of n_rows
+    ints: their rank mod p (_rank_mod_p) when that is n_rows or their
+    count, which no rank over QQ exceeds, else _eliminate on the vectors
+    read.  A rank lost mod p is never returned; short of n_rows the pass
+    has read every vector, so the exact rank is theirs."""
+    seen = []
+    r = _rank_mod_p((seen.append(v) or v for v in columns), n_rows)
+    if r == n_rows or r == len(seen):
+        return r
+    return len(_eliminate(seen, n_rows)[0])
 
 
 def rank(M: RationalMatrix) -> int:

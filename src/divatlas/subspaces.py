@@ -31,20 +31,24 @@ U + (n-e) rank D, and the oracle ranks D alone.
 The face pattern of D (which term of w lands on which face, and with
 which sign or multiplicity) is the face table of the basis of the k-th
 power of QQ^e (tensors._skew_faces, _sym_faces), the table that
-membership's face sums also read: the derivative of w along e_j is the
-table's entries on row j.  It depends on the shape (kind, e, k) alone,
-so _chart_pattern makes it once per shape and caches it; a sample only
-reads w's coefficients into it (_derivatives).
+membership's face sums also read: row f of D holds the table's entries
+on face f.  It depends on the shape (kind, e, k) alone, so
+_chart_pattern makes it once per shape and caches it, face by face; a
+sample only reads w's coefficients into it, one row when it is asked
+for (_d_rows).
 
-Each sample ranks D exactly (linalg._certified_rank: one pass mod
-linalg.RANK_PRIME over its e sparse columns, with a Bareiss fallback
-only on a dependency).  A w with rank D below the maximal enclosing
-dimension on QQ^e is degenerate and is redrawn.  So the oracle checks
-that this maximum (_e_bound) is attained at a random w and that
-normalize_e is right; it does not recompute enc's kernel, and it reads
-no contraction column.  A lower bound on the rank at a general A, which
-would not rest on the block lemma, is what would make it independent of
-the formula it checks.
+Each sample ranks D exactly by its rows (linalg._certified_rank: a
+rank-counting pass mod linalg.RANK_PRIME that stops at the row that
+brings the rank to e, with an exact fallback only when the rank mod p
+falls short).  No row after that one is made: on a generic w, 7 of the
+28 rows for sym k = 3, e = 7, and 16 of the 35 for skew k = 4, e = 7.
+A w with rank D below the maximal enclosing dimension on QQ^e is
+degenerate and is redrawn.  So the oracle checks that this maximum
+(_e_bound) is attained at a random w and that normalize_e is right; it
+does not recompute enc's kernel, and it reads no contraction column.  A
+lower bound on the rank at a general A, which would not rest on the
+block lemma, is what would make it independent of the formula it
+checks.
 """
 
 from __future__ import annotations
@@ -212,11 +216,12 @@ def sec_dim_printed(s: int, n: int, kind: str) -> int:
 
 @functools.cache
 def _chart_pattern(kind: str, e: int, k: int) -> tuple:
-    """(U, directions), the face pattern of sub_dim_tangent's chart on
-    QQ^e: U tensor directions (the basis of the k-th power of QQ^e), and
-    for each j < e a tuple of (basis key, face index, factor), one for
-    each entry on row j of the face table of the basis
-    (tensors._skew_faces, _sym_faces).
+    """(U, faces), the face pattern of sub_dim_tangent's chart on QQ^e: U
+    tensor directions (the basis of the k-th power of QQ^e), and for each
+    face of degree k - 1 on QQ^e, in combinations or exponent_vectors
+    order, a tuple of (basis key, direction j, factor), one for each
+    entry of the face table of the basis (tensors._skew_faces,
+    _sym_faces) on that face.
 
     At A = [I_e ; 0], the column along an entry A[i][j], i >= e, is e_i
     times the derivative of w along e_j.  Skew: a term c e_I with j at
@@ -225,8 +230,7 @@ def _chart_pattern(kind: str, e: int, k: int) -> tuple:
     it, gives (-1)^(q+k-1) c on M + (i,), so the factor is the table's
     times (-1)^(k-1).  Sym: a term c x^alpha gives alpha_j c on
     beta = alpha - e_j, the table's face and factor, times x_i.  Each
-    entry comes from one term of w; a face's index is its place in
-    combinations or exponent_vectors order.
+    entry of D, a face and a direction, comes from one term of w.
 
     The pattern depends on neither w nor n, and functools.cache keeps it
     for the process, as tensors._EXPONENT_VECTORS is kept; it is made of
@@ -239,23 +243,27 @@ def _chart_pattern(kind: str, e: int, k: int) -> tuple:
     else:
         basis = exponent_vectors(e, k)
         table, face_keys, sign = _sym_faces(basis, basis, k), _sym_codes(exponent_vectors(e, k - 1), k), 1
-    index = {face: f for f, face in enumerate(face_keys)}
-    directions = [[] for _ in range(e)]
-    for faces, row, factor, keys in table:
+    faces = {face: [] for face in face_keys}
+    for table_faces, row, factor, keys in table:
         rows = itertools.repeat(row) if type(row) is int else row
         factors = itertools.repeat(factor) if type(factor) is int else factor
-        for face, j, m, key in zip(faces, rows, factors, keys):
-            directions[j].append((key, index[face], sign * m))
-    return len(basis), tuple(map(tuple, directions))
+        for face, j, m, key in zip(table_faces, rows, factors, keys):
+            faces[face].append((key, j, sign * m))
+    return len(basis), tuple(map(tuple, faces.values()))
 
 
-def _derivatives(w: dict, directions: tuple) -> list:
-    """The e columns of the block D for w, a map from basis keys on QQ^e
-    to nonzero ints: for each j the derivative of w along e_j, as a
-    sparse {face index: nonzero int} map of the terms of w present in
-    direction j of the pattern, each coefficient times its factor."""
+def _d_rows(w: dict, faces: tuple, e: int):
+    """The rows of the block D for w, a map from basis keys on QQ^e to
+    nonzero ints, one for each face of the pattern, in order: row f is a
+    list of e ints, its entry j the coefficient of the term of w on face
+    f and direction j times its factor, 0 where w has no such term.
+    Each row is made when it is asked for."""
     get = w.get
-    return [{f: m * c for key, f, m in entries if (c := get(key))} for entries in directions]
+    for entries in faces:
+        row = [0] * e
+        for key, j, m in entries:
+            row[j] = m * get(key, 0)
+        yield row
 
 
 # redraws of w in sub_dim_tangent before it gives up
@@ -285,17 +293,18 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0) -> int:
     vanishes (i_y w = 0 skew, d_y w = 0 sym) are those that vanish on
     w's enclosing space, so D's kernel has dimension e - enc(w) and
     rank D = enc(w).  D is w's
-    contraction matrix transposed, up to one global sign, built from w's
-    coefficients on the cached face pattern of the shape (_derivatives
-    on _chart_pattern, which reads the face table of tensors), so no
-    contraction column and no enc is run.
+    contraction matrix transposed, up to one global sign, built row by
+    row from w's coefficients on the cached face pattern of the shape
+    (_d_rows on _chart_pattern, which reads the face table of tensors),
+    so no contraction column and no enc is run.
 
     A w whose enclosing dimension is below the maximum on QQ^e
     (_e_bound) lies in a smaller Sub_e, so it must not be measured.
     Each sample draws w and takes the exact rank of D
-    (linalg._certified_rank: a pass mod a prime over e columns, with a
-    Bareiss fallback only on a dependency); a rank below the maximum is
-    redrawn, and otherwise U + (n - e) rank D - 1 is returned.  So the
+    (linalg._certified_rank on D's rows: a pass mod a prime that stops
+    at rank e, with an exact fallback only when it falls short of both e
+    and the row count); a rank below the maximum is redrawn, and
+    otherwise U + (n - e) rank D - 1 is returned.  So the
     oracle checks that the maximum is attained at a random w and that
     normalize_e is right.  For n = e it returns U - 1 before any draw,
     since nothing is varied; after MAX_RETRIES degenerate draws a
@@ -306,9 +315,10 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0) -> int:
     if n == e:
         return _power_dim(e, k, kind) - 1
     rng = random.Random(f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}")
-    units, directions = _chart_pattern(kind, e, k)
+    units, faces = _chart_pattern(kind, e, k)
+    full = _e_bound(k, e, kind)
     for _ in range(MAX_RETRIES):
-        rank_d = _certified_rank(_derivatives(random_tensor(e, k, kind, rng).coeffs, directions))
-        if rank_d == _e_bound(k, e, kind):
+        rank_d = _certified_rank(_d_rows(random_tensor(e, k, kind, rng).coeffs, faces, e), e)
+        if rank_d == full:
             return units + (n - e) * rank_d - 1
     raise RuntimeError(f"no nondegenerate sample after {MAX_RETRIES} retries")

@@ -28,7 +28,7 @@ import random
 from fractions import Fraction
 
 from . import atlas, brill_noether as bn
-from .linalg import RationalMatrix, gauss_rank, image_basis, random_matrix, rank
+from .linalg import RANK_PRIME, RationalMatrix, _certified_rank, gauss_rank, image_basis, random_matrix, rank
 from .subspaces import _e_bound, e_max, normalize_e, sub_dim, sub_dim_tangent
 from .tensors import (
     SKEW,
@@ -46,11 +46,23 @@ from .tensors import (
 
 def _rank_mismatch(M: RationalMatrix, b: int) -> str | None:
     """What the rank kernel, which gave rank b, gets wrong on M against the
-    elimination oracle, if anything."""
+    elimination oracle, if anything.
+
+    The certified rank (the pass mod p, then the exact fallback) is taken
+    on M's columns, and again on the shorter side's vectors with the
+    first one times RANK_PRIME: that vector is 0 mod p, so the rank mod p
+    falls short of both their count and their length, and the rank
+    must come from the fallback."""
     if b != gauss_rank(M):
         return "bareiss/gauss mismatch"
     if b != rank(M.transpose()):
         return "rank(M) != rank(M^T)"
+    if b != _certified_rank(M.columns(), M.rows):
+        return "certified rank mismatch"
+    vectors = M.columns() if M.cols <= M.rows else [M.row(i) for i in range(M.rows)]
+    vectors[0] = tuple(RANK_PRIME * x for x in vectors[0])
+    if b != _certified_rank(vectors, len(vectors[0])):
+        return "certified rank mismatch with a vector 0 mod p"
     basis = image_basis(M)
     if len(basis) != b:
         return "image basis of the wrong size"
@@ -83,7 +95,8 @@ def _rank_oracle_matrices(seed: int, count: int):
 
 def check_rank_oracle(seed: int = 0) -> tuple:
     """Bareiss rank equals naive rational elimination rank; rank(M) = rank(M^T);
-    the image basis is independent.
+    the image basis is independent; the certified rank agrees, from the
+    pass mod p and from its exact fallback (_rank_mismatch).
 
     Uniform random matrices are almost always of full rank, so after
     every other one the check also draws a product of r x s and s x c

@@ -4,9 +4,9 @@ Every exact rank on the production route (enc, enclosing_space,
 is_in_power_of, sub_dim_tangent, the atlas and the CLI) comes from one
 integer kernel in linalg: _eliminate, with _bareiss in front of it and
 _packed_rows, the packed covector test of _eliminate and is_in_power_of,
-behind it.  The tangent oracle's block D takes _certified_rank: the pass
-mod p, _independent_mod_p, and behind it _bareiss on dense columns.
-The names in ORACLES
+behind it.  The tangent oracle's block D takes _certified_rank: the
+rank-counting pass mod p, _rank_mod_p, on D's rows, and behind it
+_eliminate on the same rows.  The names in ORACLES
 are independent second routes, kept so that verify, the tests and
 perfbench can check that kernel.  If
 a production function loaded one, a check would quietly become the
@@ -20,7 +20,7 @@ comes, must load none of enc's dense column builders and not the
 kernel, directly or through another function of the module; so
 membership stays a check on enc rather than a second reading of enc's
 columns.  A third runs inside subspaces: the tangent oracle
-(sub_dim_tangent, _derivatives, _chart_pattern) must load neither enc
+(sub_dim_tangent, _d_rows, _chart_pattern) must load neither enc
 nor enclosing_space nor any of the contraction column builders, in the
 same way; its rank D equals enc(w), read off the face table, so it
 stays a second route to the enclosing dimension and does not rerun
@@ -59,7 +59,7 @@ ORACLES = frozenset(
     }
 )
 KERNEL = frozenset(
-    {"_eliminate", "_bareiss", "_independent_mod_p", "_certified_rank", "_packed_rows"}
+    {"_eliminate", "_bareiss", "_rank_mod_p", "_certified_rank", "_packed_rows"}
 )
 # the face table, from which is_in_power_of's True answer comes, and the
 # dense side that it is checked against: enc's column builders and kernel
@@ -68,7 +68,7 @@ DENSE_SIDE = frozenset(
     {"_contraction_columns", "_skew_columns", "_sym_columns", "_skew_column", "_sym_column", "_eliminate"}
 )
 # the tangent oracle, and enc's route, which its rank D must not rerun
-TANGENT = ("sub_dim_tangent", "_derivatives", "_chart_pattern")
+TANGENT = ("sub_dim_tangent", "_d_rows", "_chart_pattern")
 ENC_SIDE = frozenset(
     {
         "enc",

@@ -16,7 +16,7 @@ from divatlas.linalg import (
     _bareiss,
     _certified_rank,
     _eliminate,
-    _independent_mod_p,
+    _rank_mod_p,
     _int_rows,
     as_exact,
     exact_det,
@@ -218,21 +218,26 @@ def test_int_rows_copies_integral_rows_without_rescaling(monkeypatch):
     assert _int_rows([(Fraction(1, 2), 1), (2, Fraction(2, 3))]) == [[1, 2], [6, 2]]
 
 
-def _sparse(columns) -> list:
-    """Dense integer columns as the {row: nonzero int} maps _certified_rank takes."""
-    return [{r: x for r, x in enumerate(col) if x} for col in columns]
-
-
 def _count_fallbacks(monkeypatch) -> list:
+    """Record the n_rows of every _eliminate call: _certified_rank's exact
+    fallback (rank, _bareiss and the determinants go through it too)."""
     calls = []
-    bareiss = linalg._bareiss
+    eliminate = linalg._eliminate
 
-    def counting(mat):
-        calls.append(len(mat))
-        return bareiss(mat)
+    def counting(columns, n_rows):
+        calls.append(n_rows)
+        return eliminate(columns, n_rows)
 
-    monkeypatch.setattr(linalg, "_bareiss", counting)
+    monkeypatch.setattr(linalg, "_eliminate", counting)
     return calls
+
+
+def _stopping_at(columns, stop: int):
+    """The columns as a stream that raises if it is read past column stop."""
+    for j, col in enumerate(columns):
+        if j > stop:
+            raise AssertionError(f"column {j} read past column {stop}")
+        yield col
 
 
 def test_certified_rank_never_returns_a_rank_lost_mod_p(monkeypatch):
@@ -245,42 +250,47 @@ def test_certified_rank_never_returns_a_rank_lost_mod_p(monkeypatch):
         [(1, 2, 3, 0), (2, 4, 6 + RANK_PRIME, 0), (0, 0, 1, 1)],
     ):
         fallbacks.clear()
-        got = _certified_rank(_sparse(columns))
-        assert len(fallbacks) == 1
+        got = _certified_rank(columns, len(columns[0]))
+        assert fallbacks == [len(columns[0])]
         assert got == rank(RationalMatrix.from_columns(columns)) == len(columns)
-    # only independence certifies: more vectors than their length always
-    # take the exact pass
+    # full row rank mod p certifies at the column that reaches it, and no
+    # column after it is read
     fallbacks.clear()
-    assert _certified_rank(_sparse([(1, 2), (0, 1), (5, 0)])) == 2
-    assert len(fallbacks) == 1
+    assert _certified_rank(_stopping_at([(1, 2), (0, 1), (5, 0)], 1), 2) == 2
+    assert _rank_mod_p(_stopping_at([(0, 0), (3, 0), (RANK_PRIME, 1), (1, 1)], 2), 2) == 2
+    assert not fallbacks
+    # no rows: rank 0, and no column is read
+    assert _certified_rank(_stopping_at([(), ()], -1), 0) == 0
+    assert not fallbacks
 
 
-def test_sparse_certified_rank_fill_in_and_lost_ranks(monkeypatch):
+def test_certified_rank_reductions_and_lost_ranks(monkeypatch):
     fallbacks = _count_fallbacks(monkeypatch)
-    # a chain: column i has lead row i and fills row i + 1, so reducing
-    # e_0 fills every lead row in turn before it reaches row m
+    # a chain: column i is e_i + e_(i+1), so reducing e_0 runs through
+    # every pivot in turn before it reaches row m
     m = 6
-    chain = [{i: 1, i + 1: 1} for i in range(m)]
-    assert _certified_rank(chain + [{0: 1}]) == m + 1
+    chain = [tuple(int(r in (i, i + 1)) for r in range(m + 1)) for i in range(m)]
+    e0 = tuple(int(r == 0) for r in range(m + 1))
+    assert _certified_rank(chain + [e0], m + 1) == m + 1
     assert not fallbacks
     # e_0 - (-1)^m e_m lies in the span of the chain: a dependency found
-    # only through the filled rows
-    assert _certified_rank(chain + [{0: 1, m: (-1) ** (m + 1)}]) == m
-    assert len(fallbacks) == 1
+    # only through the reductions
+    dependent = tuple(int(r == 0) - (-1) ** m * int(r == m) for r in range(m + 1))
+    assert _certified_rank(chain + [dependent], m + 1) == m
+    assert fallbacks == [m + 1]
     # deficient mod p, through entries that vanish mod p (the first three,
     # of full rank over QQ) or a dependency over QQ (the last): each takes
-    # the exact pass on the dense columns, where rows missing from every
-    # column are zero rows, which do not change the rank
-    for columns, expected in (
-        ([{0: 1, 5: 1}, {0: 1, 5: 1 + RANK_PRIME}], 2),
-        ([{3: RANK_PRIME}], 1),
-        ([{2: 1}, {2: 1 + RANK_PRIME, 7: RANK_PRIME}], 2),
-        ([{0: 2, 4: 1}, {0: 4, 4: 2}], 1),
+    # the exact pass on every column
+    for columns, n_rows, expected in (
+        ([(1, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 1 + RANK_PRIME)], 6, 2),
+        ([(0, 0, 0, RANK_PRIME)], 4, 1),
+        ([(0, 0, 1) + (0,) * 5, (0, 0, 1 + RANK_PRIME, 0, 0, 0, 0, RANK_PRIME)], 8, 2),
+        ([(2, 0, 0, 0, 1), (4, 0, 0, 0, 2)], 5, 1),
     ):
         fallbacks.clear()
-        assert _certified_rank(columns) == expected
-        assert len(fallbacks) == 1
-    # random sparse columns against the dense rank
+        assert _certified_rank(columns, n_rows) == expected
+        assert fallbacks == [n_rows]
+    # random columns against the exact rank
     rng = random.Random("sparse-certified-rank")
     for _ in range(150):
         rows, cols = rng.randint(1, 12), rng.randint(1, 10)
@@ -289,15 +299,20 @@ def test_sparse_certified_rank_fill_in_and_lost_ranks(monkeypatch):
         ]
         dense += [tuple(a - b for a, b in zip(dense[0], dense[-1]))] * rng.randint(0, 1)
         fallbacks.clear()
-        got = _certified_rank(_sparse(dense))
-        # one exact pass at most, and always when the rank is deficient
-        assert len(fallbacks) <= 1 and (got == len(dense) or fallbacks)
+        got = _certified_rank(dense, rows)
+        # one exact pass at most, and always when the rank is short of
+        # both the row and the column count
+        assert len(fallbacks) <= 1 and (got in (len(dense), rows) or fallbacks)
         assert got == rank(RationalMatrix.from_columns(dense))
 
 
-def _gauss_rank_of_sparse(columns) -> int:
-    height = 1 + max((r for c in columns for r in c), default=-1)
-    return gauss_rank(RationalMatrix.from_columns([[c.get(r, 0) for r in range(height)] for c in columns]))
+def _gauss_rank_of_sparse(columns, height: int) -> int:
+    return gauss_rank(RationalMatrix.from_columns(_dense_columns(columns, height), height))
+
+
+def _dense_columns(columns, height: int) -> list:
+    """{row: int} maps as dense tuples of the given height."""
+    return [tuple(c.get(r, 0) for r in range(height)) for c in columns]
 
 
 def test_rank_prime_is_a_prime_of_one_cpython_digit():
@@ -309,50 +324,53 @@ def test_rank_prime_is_a_prime_of_one_cpython_digit():
 
 
 def test_certified_rank_on_one_entry_columns(monkeypatch):
-    # one-entry columns take the general elimination like any other: on
-    # a row with no lead and nonzero mod p they are stored, and a
-    # dependency mod p takes the exact fallback
+    # unit columns take the general elimination like any other: on an
+    # index with no pivot and nonzero mod p they become pivots, and a
+    # rank mod p short of both counts takes the exact fallback
     fallbacks = _count_fallbacks(monkeypatch)
-    for columns, independent in (
+    for columns, height, rank_p in (
         # 0 mod p: dependent mod p, independent over QQ
-        ([{0: RANK_PRIME}], False),
-        ([{1: 1}, {0: 2 * RANK_PRIME}], False),
+        ([{0: RANK_PRIME}], 1, 0),
+        ([{1: 1}, {0: 2 * RANK_PRIME}], 2, 1),
         # a repeated unit column
-        ([{2: 1}, {2: 1}], False),
-        ([{0: 1}, {3: -4}, {0: 7}], False),
-        # a unit column on a row that already holds a lead
-        ([{0: 1, 3: 2}, {0: 5}], True),
-        ([{1: 1, 2: 1}, {1: 7}, {2: 1}], False),
-        ([{4: 3}, {2: 1, 4: 1}, {2: 5}], False),
+        ([{2: 1}, {2: 1}], 3, 1),
+        ([{0: 1}, {3: -4}, {0: 7}], 4, 2),
+        # a unit column on an index that already holds a pivot
+        ([{0: 1, 3: 2}, {0: 5}], 4, 2),
+        ([{1: 1, 2: 1}, {1: 7}, {2: 1}], 3, 2),
+        ([{4: 3}, {2: 1, 4: 1}, {2: 5}], 5, 2),
     ):
+        dense = _dense_columns(columns, height)
         fallbacks.clear()
-        assert _independent_mod_p(columns) is independent, columns
-        assert _certified_rank(columns) == _gauss_rank_of_sparse(columns), columns
-        assert len(fallbacks) == (not independent), columns
-    assert _certified_rank([{0: RANK_PRIME}]) == 1
-    # unit columns interleaved with random sparse columns, as in the
-    # dense cases above
+        assert _rank_mod_p(dense, height) == rank_p, columns
+        assert _certified_rank(dense, height) == _gauss_rank_of_sparse(columns, height), columns
+        assert len(fallbacks) == (rank_p < min(len(columns), height)), columns
+    assert _certified_rank([(RANK_PRIME,)], 1) == 1
+    # unit columns interleaved with random columns, as in the cases above
     rng = random.Random("one-entry-columns")
     for _ in range(150):
         rows, cols = rng.randint(1, 10), rng.randint(0, 6)
-        columns = _sparse(
-            tuple(rng.choice((0, 0, 0, 1, -1, 3, RANK_PRIME)) for _ in range(rows)) for _ in range(cols)
-        )
+        columns = [
+            {r: x for r in range(rows) if (x := rng.choice((0, 0, 0, 1, -1, 3, RANK_PRIME)))} for _ in range(cols)
+        ]
         for _ in range(rng.randint(1, 4)):
             unit = {rng.randrange(rows): rng.choice((1, 1, -2, RANK_PRIME))}
             columns.insert(rng.randint(0, len(columns)), unit)
+        dense = _dense_columns(columns, rows)
+        rank_p = _rank_mod_p(dense, rows)
         fallbacks.clear()
-        got = _certified_rank(columns)
-        assert got == _gauss_rank_of_sparse(columns), columns
-        assert len(fallbacks) == (not _independent_mod_p(columns))
+        got = _certified_rank(dense, rows)
+        assert got == _gauss_rank_of_sparse(columns, rows), columns
+        assert len(fallbacks) == (rank_p < min(len(columns), rows))
 
 
 def test_certified_rank_agrees_with_rank(monkeypatch):
     fallbacks = _count_fallbacks(monkeypatch)
     rng = random.Random("certified-rank")
     certified = 0
-    assert _certified_rank([]) == 0
-    assert _certified_rank(_sparse([(), ()])) == 0
+    assert _certified_rank([], 3) == 0
+    assert _certified_rank([(), ()], 0) == 0
+    assert not fallbacks
     for _ in range(120):
         rows, cols = rng.randint(1, 9), rng.randint(1, 9)
         inner = rng.randint(0, min(rows, cols))
@@ -366,11 +384,11 @@ def test_certified_rank_agrees_with_rank(monkeypatch):
                 cols=cols,
             )
         fallbacks.clear()
-        got = _certified_rank(_sparse(M.columns()))
-        # an exact pass exactly when the columns are dependent
-        assert len(fallbacks) == (got < cols)
+        got = _certified_rank(M.columns(), rows)
+        # an exact pass exactly when the rank is short of both counts
+        assert len(fallbacks) == (got < min(rows, cols))
         assert got == rank(M) == gauss_rank(M)
-        certified += got == cols
+        certified += got == min(rows, cols)
     assert 20 < certified < 100
 
 

@@ -13,7 +13,7 @@ from divatlas import linalg, subspaces, tensors, verify
 from divatlas.linalg import RationalMatrix, _certified_rank, rank
 from divatlas.subspaces import (
     _chart_pattern,
-    _derivatives,
+    _d_rows,
     e_max,
     e_max_sym,
     normalize_e,
@@ -298,20 +298,43 @@ def test_tangent_oracle_redraws_degenerate_omega(monkeypatch):
         assert [enc(t) for t in drawn] == [1, 2], (n, seed)
 
 
+def test_tangent_oracle_gives_up_after_max_retries(monkeypatch):
+    # every draw is the zero tensor, whose rank D is 0: the oracle draws
+    # MAX_RETRIES times and raises, and at n = e it draws nothing
+    drawn = []
+
+    def zero(e, k, kind, rng):
+        drawn.append(kind)
+        return (SkewTensor if kind == SKEW else SymTensor)(e, k, {})
+
+    monkeypatch.setattr(subspaces, "random_tensor", zero)
+    for kind, e in ((SKEW, 4), (SYM, 3)):
+        drawn.clear()
+        with pytest.raises(RuntimeError, match=f"after {subspaces.MAX_RETRIES} retries"):
+            sub_dim_tangent(e, 2, e + 1, kind)
+        assert drawn == [kind] * subspaces.MAX_RETRIES
+        drawn.clear()
+        assert sub_dim_tangent(e, 2, e, kind) == sub_dim(e, 2, e, kind)
+        assert drawn == []
+
+
 def test_tangent_oracle_small_grid(monkeypatch):
     # the full grid runs in the acceptance suite; spot a diagonal here.
-    # Each sample runs the pass mod p once, on the e columns of its block
-    # D; the last sample is certified, and any before it had a degenerate
-    # w (one cell here draws w = 0 first), which alone takes the exact
-    # fallback
+    # Each sample runs the pass mod p once, on the rows of its block D of
+    # length e; the last sample reaches rank e and reads no row after the
+    # one that completes it, and any before it had a degenerate w (one
+    # cell here draws w = 0 first), which alone takes the exact fallback
     passes = []
-    independent = linalg._independent_mod_p
+    rank_mod_p = linalg._rank_mod_p
 
-    def recording(columns):
-        passes.append((len(columns), independent(columns)))
+    def recording(rows, n_rows):
+        read = []
+        passes.append((n_rows, rank_mod_p((read.append(row) or row for row in rows), n_rows)))
+        if passes[-1][1] == n_rows:
+            assert rank_mod_p(read[:-1], n_rows) == n_rows - 1
         return passes[-1][1]
 
-    monkeypatch.setattr(linalg, "_independent_mod_p", recording)
+    monkeypatch.setattr(linalg, "_rank_mod_p", recording)
     fallbacks = _count_fallbacks(monkeypatch)
     redrawn = 0
     for kind in (SKEW, SYM):
@@ -326,8 +349,8 @@ def test_tangent_oracle_small_grid(monkeypatch):
                     if n == e:  # nothing varied, nothing ranked
                         assert passes == fallbacks == []
                         continue
-                    assert passes == [(e, False)] * (len(passes) - 1) + [(e, True)]
-                    assert len(fallbacks) == len(passes) - 1
+                    assert passes[-1] == (e, e) and all(n_rows == e > r for n_rows, r in passes[:-1])
+                    assert fallbacks == [e] * (len(passes) - 1)
                     redrawn += len(passes) - 1
     assert redrawn == 1
 
@@ -344,21 +367,21 @@ def test_tangent_oracle_computes_the_exact_rank_only_on_a_shortfall(monkeypatch)
 
     monkeypatch.setattr(tensors, "enc", counting("enc", enc))
     monkeypatch.setattr(tensors, "_contraction_columns", counting("enc", tensors._contraction_columns))
-    monkeypatch.setattr(linalg, "_independent_mod_p", counting("pass", linalg._independent_mod_p))
-    monkeypatch.setattr(linalg, "_bareiss", counting("bareiss", linalg._bareiss))
+    monkeypatch.setattr(linalg, "_rank_mod_p", counting("pass", linalg._rank_mod_p))
+    monkeypatch.setattr(linalg, "_eliminate", counting("eliminate", linalg._eliminate))
     # a nondegenerate w: the pass certifies rank D = e, with no exact rank
     assert sub_dim_tangent(5, 3, 6, SKEW, seed=1) == 14
     assert calls == ["pass"]
-    # a degenerate first draw: the pass meets a dependency, the exact
-    # rank D = 1 redraws, and the second w is certified mod p
+    # a degenerate first draw: the pass falls short, the exact rank D = 1
+    # redraws, and the second w is certified mod p
     calls.clear()
     assert sub_dim_tangent(2, 2, 6, SYM, seed=468) == sub_dim(2, 2, 6, SYM)
-    assert calls == ["pass", "bareiss", "pass"]
-    # skew 2-forms on QQ^3 have rank 2, so D's three columns are always
-    # dependent: one pass, one exact rank, at the maximum
+    assert calls == ["pass", "eliminate", "pass"]
+    # skew 2-forms on QQ^3 have rank 2, so D's rank is always short of
+    # its three columns and rows: one pass, one exact rank, at the maximum
     calls.clear()
     assert sub_dim_tangent(3, 2, 5, SKEW) == sub_dim(3, 2, 5, SKEW)
-    assert calls == ["pass", "bareiss"]
+    assert calls == ["pass", "eliminate"]
     # n = e varies nothing: no draw and no rank
     calls.clear()
     assert sub_dim_tangent(3, 2, 3, SKEW) == sub_dim(3, 2, 3, SKEW)
@@ -367,8 +390,8 @@ def test_tangent_oracle_computes_the_exact_rank_only_on_a_shortfall(monkeypatch)
 
 def _lemma_rank(kind: str, w: dict, e: int, n: int, k: int) -> int:
     """The chart's rank as sub_dim_tangent takes it: U + (n - e) rank D."""
-    units, directions = _chart_pattern(kind, e, k)
-    return units + (n - e) * _certified_rank(_derivatives(w, directions))
+    units, faces = _chart_pattern(kind, e, k)
+    return units + (n - e) * _certified_rank(_d_rows(w, faces, e), e)
 
 
 def _full_chart(kind: str, w: dict, e: int, n: int, k: int) -> list:
@@ -390,7 +413,8 @@ def _enc_first_tangent(e: int, k: int, n: int, kind: str, seed: int) -> int:
         omega = random_tensor(e, k, kind, rng)
         if enc(omega) < full:
             continue
-        return _certified_rank(_full_chart(kind, omega.coeffs, e, n, k)) - 1
+        height = _power_dim(kind, k, n)
+        return _certified_rank(_dense(_full_chart(kind, omega.coeffs, e, n, k), height), height) - 1
     raise RuntimeError("no nondegenerate sample")
 
 
@@ -418,7 +442,7 @@ def test_tangent_oracle_equals_the_enc_first_reference():
 # the Jacobian at a general A: the oracle for the chart builders
 #
 # sub_dim_tangent builds one block D at A = [I_e ; 0] straight from w
-# (_derivatives on its face pattern, _chart_pattern) and ranks the chart
+# (_d_rows on its face pattern, _chart_pattern) and ranks the chart
 # as U + (n - e) rank D.  The builders below take any integer A, through
 # its minors (skew) or a substitution by its column forms (sym), and
 # vary any rows of A; at the chart and the rows below the identity block
@@ -622,23 +646,26 @@ def test_chart_columns_match_the_general_builders():
     # at A = [I_e ; 0], varying the rows below the identity block, on the
     # golden cells with n > e and a generic w, a sparse (degenerate) w and
     # w = 0: the general builder gives U unit columns on distinct rows,
-    # then along each A[i][j] column j of D with each face f relabelled to
-    # f times e_i, entry for entry.  This is the block lemma.  Each shape
-    # is then built again from its cached face pattern, with a w from
-    # another seed and with that w missing some terms.
+    # then along each A[i][j] the entries j of D's rows, row f relabelled
+    # to face f times e_i, entry for entry.  This is the block lemma.
+    # Each shape is then built again from its cached face pattern, with a
+    # w from another seed and with that w missing some terms.
     _chart_pattern.cache_clear()
 
     def check(kind, k, n, e, w):
-        units, directions = _chart_pattern(kind, e, k)
+        units, faces = _chart_pattern(kind, e, k)
         general = _full_chart(kind, w, e, n, k)
         assert len(general) == units + e * (n - e)
         assert all(len(col) == 1 and set(col.values()) == {1} for col in general[:units])
         assert len({r for col in general[:units] for r in col}) == units
         blocks = general[units:]
-        for j, column in enumerate(_derivatives(w, directions)):
-            for i in range(e, n):
-                position = _chart_row_positions(kind, k, n, e, i)
-                expected = {position[f]: v for f, v in column.items()}
+        rows = list(_d_rows(w, faces, e))
+        assert all(type(row) is list and len(row) == e for row in rows)
+        for i in range(e, n):
+            position = _chart_row_positions(kind, k, n, e, i)
+            assert len(rows) == len(position)
+            for j in range(e):
+                expected = {position[f]: row[j] for f, row in enumerate(rows) if row[j]}
                 assert expected == blocks[j * (n - e) + i - e], (kind, k, n, e, i, j, w)
 
     for kind, k, n, e, _ in _golden_cells():
@@ -656,9 +683,9 @@ def test_chart_columns_match_the_general_builders():
             check(kind, k, n, e, w)
         assert _chart_pattern.cache_info().hits == hits + 2, (kind, k, n, e)
         # the cached pattern is immutable all the way down
-        units, directions = _chart_pattern(kind, e, k)
-        assert type(directions) is tuple and len(directions) == e
-        assert all(type(d) is tuple and all(type(x) is tuple and type(x[0]) is tuple for x in d) for d in directions)
+        units, faces = _chart_pattern(kind, e, k)
+        assert type(faces) is tuple
+        assert all(type(f) is tuple and all(type(x) is tuple and type(x[0]) is tuple for x in f) for f in faces)
 
 
 def test_chart_at_n_equal_e_is_the_unit_columns(monkeypatch):
@@ -667,7 +694,7 @@ def test_chart_at_n_equal_e_is_the_unit_columns(monkeypatch):
     # before any draw, and ranks nothing
     drawn = []
     monkeypatch.setattr(subspaces, "random_tensor", lambda *args: drawn.append(args))
-    monkeypatch.setattr(subspaces, "_certified_rank", lambda columns: drawn.append(columns))
+    monkeypatch.setattr(subspaces, "_certified_rank", lambda *args: drawn.append(args))
     for kind, ks in verify.TANGENT_GRID:
         for k in ks:
             for e in range(1 if kind == SYM else k, 9):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from divatlas import linalg, verify
 from divatlas.verify import SUITES, run_suites
 
 GOLDEN = Path(__file__).parent / "data" / "verify-seed0.txt"
@@ -38,6 +39,15 @@ def test_enc_oracle_alternate_seed():
 def test_subdim_oracle_alternate_seed():
     ok, detail = SUITES["subdim-oracle"][0](seed=7, seeds_per_cell=1, n_max=6)
     assert ok, detail
+
+
+def test_rank_oracle_catches_a_certified_rank_without_its_fallback(monkeypatch):
+    # the rank mod p alone, with the exact fallback dropped: each matrix
+    # is ranked again with one vector times RANK_PRIME, so the first fails
+    monkeypatch.setattr(verify, "_certified_rank", linalg._rank_mod_p)
+    ok, detail = verify.check_rank_oracle(0)
+    assert not ok
+    assert detail.startswith("certified rank mismatch with a vector 0 mod p on matrix 0 ")
 
 
 def test_run_suites_reports_every_suite():
