@@ -30,8 +30,9 @@ value is computed in one place.  rho(g, r, d) strictly decreases in r
 and the rows strictly increase in r, so only the last row, at r = R,
 can be zero-dimensional and carry a point count: the enumerated count
 and the zero-dimensional note read that row alone.  The canonical block
-then needs only canonical_analysis's range check (g >= 3, k < g), as
-g and k are known ints.
+runs canonical_analysis's own check and core.  Each switch must be a
+bool, and atlas_report refuses any other value before it does any work:
+a truthy string would select a convention while the report echoed it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,13 @@ from .brill_noether import _rho, _small_r, _top_points, _w_dim, big_R, w_dim  # 
 from .linalg import _check_ints
 from .subspaces import _e_bound, _sub_dim, e_max, e_max_sym, sec_dim_printed
 from .tensors import SKEW, SYM, _power_dim, check_kind
+
+
+def _check_switches(**switches) -> None:
+    """Refuse any switch that is not a bool, naming it."""
+    for name, value in switches.items():
+        if type(value) is not bool:
+            raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 def _check_atlas_args(g: int, d: int, k: int, kind: str) -> int:
@@ -203,22 +211,19 @@ def canonical_analysis(g: int, k: int) -> dict:
     here), so it goes through normalize_e.  It exceeds the hand count
     C(g-1, k-1) - (g-1) by one at k = 2 with even g and at k = g-2.
 
-    The checks and their messages are _check_canonical_range's.
-    atlas_report, whose count and zero-dimensional note read its top
-    component row, reuses its own checks here too: g and k are ints
-    with k >= 2 there, so it runs only the range part (g >= 3, k < g)
-    and then the core _canonical_analysis.
+    The checks and their messages are _check_canonical_range's, which
+    atlas_report runs too before it calls the core _canonical_analysis.
     """
-    _check_canonical_range(g, k, isinstance(g, int), isinstance(k, int))
+    _check_canonical_range(g, k)
     return _canonical_analysis(g, k)
 
 
-def _check_canonical_range(g, k, g_int: bool = True, k_int: bool = True) -> None:
+def _check_canonical_range(g, k) -> None:
     """canonical_analysis's errors: g must be an int >= 3 and k an int
-    with 2 <= k < g; g_int and k_int say whether each is an int."""
-    if not g_int or g < 3:
+    with 2 <= k < g."""
+    if not isinstance(g, int) or g < 3:
         raise ValueError(f"genus must be an integer >= 3, got {g}")
-    if not k_int or not 2 <= k < g:
+    if not isinstance(k, int) or not 2 <= k < g:
         raise ValueError(f"need 2 <= k < genus, got k={k}")
 
 
@@ -296,8 +301,12 @@ def atlas_report(
     for the code paths where the implemented values and the retained
     closed forms are known to disagree (component counts, k = 2 secant
     dimensions, the symmetric parity convention); transparency is
-    preferred to reconciliation.
+    preferred to reconciliation.  A switch that is not a bool is refused
+    with a ValueError that names it.
     """
+    # one test on the common path; _check_switches names the offender
+    if not (type(paper_sym) is type(printed_secdim) is type(include_canonical) is bool):
+        _check_switches(paper_sym=paper_sym, printed_secdim=printed_secdim, include_canonical=include_canonical)
     R = _check_atlas_args(g, d, k, kind)
     comps = _component_rows(g, d, k, kind, paper_sym, R)
     inters = _intersection_rows(comps, k, kind, printed_secdim)

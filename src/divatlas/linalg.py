@@ -20,9 +20,8 @@ before its last column).  The covectors left at the end span the
 annihilator of the column space: ``tensors.SubspaceBasis`` keeps those
 of its vectors, and the membership test contracts with them.  Rows or
 columns with a Fraction entry are scaled by the lcm of their
-denominators first, which changes neither the rank nor the pivot
-columns.  ``_bareiss`` is the same kernel on the columns of a list of
-rows.
+denominators first (``_int_vector``), which changes neither the rank
+nor the pivot columns.
 
 Both the kernel and the membership test apply many covectors y_s to
 the same integer columns, and ``_packed_rows`` makes that one product
@@ -55,17 +54,17 @@ enc, the membership test).
 The production route (enc, enclosing_space, SubspaceBasis and the
 membership test, sub_dim_tangent, the atlas, and the CLI's enc and
 components) uses only the kernels and the coercions: ``_eliminate``,
-``_bareiss``, ``_rank_mod_p``, ``_certified_rank``,
-``_packed_rows``, ``_int_vector``, ``as_exact``, ``as_vector``,
-``_check_ints`` and ``_random_ints`` (the seeded draws of
-``tensors.random_tensor``, which ``random_matrix`` shares).  The oracles
+``_rank_mod_p``, ``_certified_rank``, ``_packed_rows``,
+``_int_vector``, ``as_exact``, ``as_vector``, ``_check_ints`` and
+``_random_ints`` (the seeded draws of ``tensors.random_tensor`` and of
+sub_dim_tangent's w, which ``random_matrix`` shares).  The oracles
 here, kept for ``verify``, the tests and the benchmark, are the dense
 ``RationalMatrix`` with ``rank``, ``image_basis`` and ``in_span`` on
-it, ``exact_det`` and ``int_det`` (``_bareiss`` on rows from
-``_int_rows``), ``random_matrix``, and ``gauss_rank``, a plain rational
-Gaussian elimination that shares no code with the kernel, so it checks
-the kernel independently.  tests/test_layering.py fails if a production
-function loads an oracle or if gauss_rank loads a kernel.
+it, ``exact_det`` and ``int_det`` (``_eliminate`` on the columns of
+their integer rows), ``random_matrix``, and ``gauss_rank``, a plain
+rational Gaussian elimination that shares no code with the kernel, so
+it checks the kernel independently.  tests/test_layering.py fails if a
+production function loads an oracle or if gauss_rank loads a kernel.
 """
 
 from __future__ import annotations
@@ -183,11 +182,6 @@ def _int_vector(v) -> list:
         return list(v)
     den = math.lcm(*(x.denominator for x in v))
     return [x.numerator * (den // x.denominator) for x in v]
-
-
-def _int_rows(rows) -> list:
-    """Fresh integer rows, each rescaled as _int_vector does (rank-preserving)."""
-    return [_int_vector(row) for row in rows]
 
 
 def _packed_rows(covectors, n: int, bound: int) -> list:
@@ -321,13 +315,6 @@ def _dense_covectors(rows, covectors, pivot_rows, prev, n_rows):
         yield y
 
 
-def _bareiss(mat) -> tuple[int, list, int]:
-    """(rank, pivot column indices, sign * last pivot) of the integer rows
-    mat, which are read column by column and never written (_eliminate)."""
-    pivots, last, _ = _eliminate(zip(*mat), len(mat))
-    return len(pivots), pivots, last
-
-
 # the largest prime below 2^30: a residue mod it is one 30-bit digit of a
 # CPython int, so the pass's products and reductions stay on one- and
 # two-digit ints; a rank mod any prime is at most the rank over QQ
@@ -384,13 +371,15 @@ def _certified_rank(columns, n_rows: int) -> int:
 
 
 def rank(M: RationalMatrix) -> int:
-    """Exact rank over the rationals (Bareiss elimination)."""
-    return _bareiss(_int_rows(M._m))[0]
+    """Exact rank over the rationals (_eliminate on M's columns, each
+    scaled to integers, which keeps the rank)."""
+    return len(_eliminate(map(_int_vector, zip(*M._m)), M.rows)[0])
 
 
 def image_basis(M: RationalMatrix) -> list:
-    """Pivot columns of M: a basis of the column space, length = rank(M)."""
-    _, pivots, _ = _bareiss(_int_rows(M._m))
+    """Pivot columns of M: a basis of the column space, length = rank(M).
+    Scaling a column to integers keeps the pivot columns."""
+    pivots, _, _ = _eliminate(map(_int_vector, zip(*M._m)), M.rows)
     return [M.column(j) for j in pivots]
 
 
@@ -441,15 +430,17 @@ def exact_det(rows) -> int | Fraction:
     """
     m = [as_vector(row) for row in rows]
     scale = math.prod(math.lcm(*(x.denominator for x in row)) for row in m)
-    return as_exact(Fraction(int_det(_int_rows(m)), scale))
+    return as_exact(Fraction(int_det([_int_vector(row) for row in m]), scale))
 
 
 def int_det(rows) -> int:
-    """Determinant of a square integer matrix, by Bareiss elimination (1 for 0 x 0)."""
+    """Determinant of a square integer matrix, by Bareiss elimination (1 for
+    0 x 0): _eliminate on its columns, whose last pivot is the determinant
+    at full rank."""
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    r, _, det = _bareiss(rows)
-    return det if r == len(rows) else 0
+    pivots, det, _ = _eliminate(zip(*rows), len(rows))
+    return det if len(pivots) == len(rows) else 0
 
 
 def _random_ints(rng: random.Random, count: int) -> list:

@@ -33,9 +33,12 @@ which sign or multiplicity) is the face table of the basis of the k-th
 power of QQ^e (tensors._skew_faces, _sym_faces), the table that
 membership's face sums also read: row f of D holds the table's entries
 on face f.  It depends on the shape (kind, e, k) alone, so
-_chart_pattern makes it once per shape and caches it, face by face; a
-sample only reads w's coefficients into it, one row when it is asked
-for (_d_rows).
+_chart_pattern makes it once per shape and caches it, face by face,
+each entry naming its term of w by the term's index in the basis.  A
+sample draws w as the plain list of its coefficients in basis order,
+the draws that tensors.random_tensor reads from the same generator, and
+only reads them into the pattern, one row when it is asked for
+(_d_rows).
 
 Each sample ranks D exactly by its rows (linalg._certified_rank: a
 rank-counting pass mod linalg.RANK_PRIME that stops at the row that
@@ -59,7 +62,7 @@ import math
 import random
 
 # rank is not called here; perfbench's tracer tests expect to find it bound in this module
-from .linalg import _certified_rank, _check_ints, rank  # noqa: F401
+from .linalg import _certified_rank, _check_ints, _random_ints, rank  # noqa: F401
 from .tensors import (
     SKEW,
     SYM,
@@ -70,7 +73,6 @@ from .tensors import (
     check_kind,
     exponent_vectors,
     k_subsets,
-    random_tensor,
 )
 
 
@@ -219,9 +221,9 @@ def _chart_pattern(kind: str, e: int, k: int) -> tuple:
     """(U, faces), the face pattern of sub_dim_tangent's chart on QQ^e: U
     tensor directions (the basis of the k-th power of QQ^e), and for each
     face of degree k - 1 on QQ^e, in combinations or exponent_vectors
-    order, a tuple of (basis key, direction j, factor), one for each
+    order, a tuple of (basis index i, direction j, factor), one for each
     entry of the face table of the basis (tensors._skew_faces,
-    _sym_faces) on that face.
+    _sym_faces, with the indices range(U) as the payload) on that face.
 
     At A = [I_e ; 0], the column along an entry A[i][j], i >= e, is e_i
     times the derivative of w along e_j.  Skew: a term c e_I with j at
@@ -239,30 +241,30 @@ def _chart_pattern(kind: str, e: int, k: int) -> tuple:
     lives one round."""
     if kind == SKEW:
         basis = k_subsets(e, k)
-        table, face_keys, sign = _skew_faces(basis, basis), k_subsets(e, k - 1), -1 if (k - 1) % 2 else 1
+        table, face_keys, sign = _skew_faces(basis, range(len(basis))), k_subsets(e, k - 1), -1 if (k - 1) % 2 else 1
     else:
         basis = exponent_vectors(e, k)
-        table, face_keys, sign = _sym_faces(basis, basis, k), _sym_codes(exponent_vectors(e, k - 1), k), 1
+        table, face_keys, sign = _sym_faces(basis, range(len(basis)), k), _sym_codes(exponent_vectors(e, k - 1), k), 1
     faces = {face: [] for face in face_keys}
-    for table_faces, row, factor, keys in table:
+    for table_faces, row, factor, indices in table:
         rows = itertools.repeat(row) if type(row) is int else row
         factors = itertools.repeat(factor) if type(factor) is int else factor
-        for face, j, m, key in zip(table_faces, rows, factors, keys):
-            faces[face].append((key, j, sign * m))
+        for face, j, m, i in zip(table_faces, rows, factors, indices):
+            faces[face].append((i, j, sign * m))
     return len(basis), tuple(map(tuple, faces.values()))
 
 
-def _d_rows(w: dict, faces: tuple, e: int):
-    """The rows of the block D for w, a map from basis keys on QQ^e to
-    nonzero ints, one for each face of the pattern, in order: row f is a
-    list of e ints, its entry j the coefficient of the term of w on face
-    f and direction j times its factor, 0 where w has no such term.
-    Each row is made when it is asked for."""
-    get = w.get
+def _d_rows(w: list, faces: tuple, e: int):
+    """The rows of the block D for w, the list of its coefficients in the
+    basis order of the k-th power of QQ^e, zeros included, one for each
+    face of the pattern, in order: row f is a list of e ints, its entry j
+    the coefficient of the term of w on face f and direction j times its
+    factor, 0 where the face has no term along j.  Each row is made when
+    it is asked for."""
     for entries in faces:
         row = [0] * e
-        for key, j, m in entries:
-            row[j] = m * get(key, 0)
+        for i, j, m in entries:
+            row[j] = m * w[i]
         yield row
 
 
@@ -300,11 +302,13 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0) -> int:
 
     A w whose enclosing dimension is below the maximum on QQ^e
     (_e_bound) lies in a smaller Sub_e, so it must not be measured.
-    Each sample draws w and takes the exact rank of D
-    (linalg._certified_rank on D's rows: a pass mod a prime that stops
-    at rank e, with an exact fallback only when it falls short of both e
-    and the row count); a rank below the maximum is redrawn, and
-    otherwise U + (n - e) rank D - 1 is returned.  So the
+    Each sample draws w as the list of its U coefficients in basis order
+    (linalg._random_ints, zeros included: the draws, and the state left
+    in the generator, of random_tensor(e, k, kind, rng)) and takes the
+    exact rank of D (linalg._certified_rank on D's rows: a pass mod a
+    prime that stops at rank e, with an exact fallback only when it falls
+    short of both e and the row count); a rank below the maximum is
+    redrawn, and otherwise U + (n - e) rank D - 1 is returned.  So the
     oracle checks that the maximum is attained at a random w and that
     normalize_e is right.  For n = e it returns U - 1 before any draw,
     since nothing is varied; after MAX_RETRIES degenerate draws a
@@ -318,7 +322,7 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0) -> int:
     units, faces = _chart_pattern(kind, e, k)
     full = _e_bound(k, e, kind)
     for _ in range(MAX_RETRIES):
-        rank_d = _certified_rank(_d_rows(random_tensor(e, k, kind, rng).coeffs, faces, e), e)
+        rank_d = _certified_rank(_d_rows(_random_ints(rng, units), faces, e), e)
         if rank_d == full:
             return units + (n - e) * rank_d - 1
     raise RuntimeError(f"no nondegenerate sample after {MAX_RETRIES} retries")

@@ -879,19 +879,6 @@ def random_decomposable(n: int, k: int, kind: str, seed):
     raise RuntimeError("failed to sample a nonzero decomposable tensor")
 
 
-def random_subspace(n: int, dim: int, seed) -> SubspaceBasis:
-    """Deterministic random dim-dimensional subspace of QQ^n: dim random
-    vectors, drawn again together (_draw_subspace) until independent.  n
-    and dim must be ints (not bools)."""
-    _check_ints(n=n, dim=dim)
-    if not 0 <= dim <= n:
-        raise ValueError("subspace dimension out of range")
-    rng = _rng(seed)
-    return _draw_subspace(
-        n, lambda: tuple(random_vector(n, rng) for _ in range(dim)), "an independent spanning set"
-    )
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange
 

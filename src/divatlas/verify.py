@@ -13,11 +13,12 @@ Every check is called as chk(seed).  The sizes that no caller varies
 are module constants: RANK_ORACLE_COUNT matrices for the rank oracle,
 ENC_HYPERPLANES sampled hyperplanes per tensor of the ENC_GRID cells,
 DEFORM_SAMPLES tensors per DEFORM_GRID cell with DEFORM_TRIALS probe
-subspaces per rejected stratum, and FLIP_SAMPLES tensors per cell of the
-membership flip.  The enclosing-dimension oracle's samples and the
-tangent grid's seeds_per_cell and n_max stay arguments, which the tests
-lower to rerun those suites cheaply at a second seed.  The sampled
-subspaces come from one retry loop, tensors._draw_subspace.
+subspaces per rejected stratum, FLIP_SAMPLES tensors per cell of the
+membership flip, ENC_SAMPLES tensors per skew cell of the enclosing
+dimension oracle, and TANGENT_SEEDS seeds per cell of the tangent grid,
+whose n runs up to TANGENT_N_MAX.  A test that reruns a suite cheaply
+at a second seed lowers these constants.  The sampled subspaces come
+from one retry loop, tensors._draw_subspace.
 """
 
 from __future__ import annotations
@@ -135,6 +136,7 @@ ENC_GRID = (
     (SYM, 4, 4),
 )
 ENC_HYPERPLANES = 3
+ENC_SAMPLES = 100
 
 
 def _random_hyperplane(basis: SubspaceBasis, rng: random.Random) -> SubspaceBasis:
@@ -150,7 +152,7 @@ def _random_hyperplane(basis: SubspaceBasis, rng: random.Random) -> SubspaceBasi
     return _draw_subspace(basis.ambient_dim, draw, "a hyperplane")
 
 
-def check_enc_oracle(seed: int = 0, samples: int = 100) -> tuple:
+def check_enc_oracle(seed: int = 0) -> tuple:
     """Genericity and self-consistency of the enclosing dimension.
 
     Over the (kind, k, n) grid: decomposables (wedges, k-th powers) have
@@ -158,15 +160,15 @@ def check_enc_oracle(seed: int = 0, samples: int = 100) -> tuple:
     tensors equals the closed-form bound (e_max with both parity drops,
     or e_max_sym), every sample lies in the power of its own enclosing
     space, and no sampled codimension-1 subspace of that space contains
-    it.  A symmetric cell takes a quarter of the samples: its bound is
-    attained by almost every sample.
+    it.  A skew cell takes ENC_SAMPLES samples, a symmetric cell a
+    quarter of them: its bound is attained by almost every sample.
     """
     for kind, k, n in ENC_GRID:
         where = f"(k,n)=({k},{n})" if kind == SKEW else f"sym (k,n)=({k},{n})"
         tag = f"{seed}:{k}:{n}" if kind == SKEW else f"sym:{seed}:{k}:{n}"
         rank_one = k if kind == SKEW else 1
         bound = _e_bound(k, n, kind)
-        count = samples if kind == SKEW else max(1, samples // 4)
+        count = ENC_SAMPLES if kind == SKEW else max(1, ENC_SAMPLES // 4)
         observed = 0
         for s in range(count):
             d = random_decomposable(n, k, kind, f"enc-dec:{tag}:{s}")
@@ -192,30 +194,33 @@ def check_enc_oracle(seed: int = 0, samples: int = 100) -> tuple:
     skew = sum(kind == SKEW for kind, _, _ in ENC_GRID)
     return (
         True,
-        f"{skew} skew (k,n) cells x {samples} samples and {len(ENC_GRID) - skew} sym cells x "
-        f"{max(1, samples // 4)}: bounds attained, enclosure exact",
+        f"{skew} skew (k,n) cells x {ENC_SAMPLES} samples and {len(ENC_GRID) - skew} sym cells x "
+        f"{max(1, ENC_SAMPLES // 4)}: bounds attained, enclosure exact",
     )
 
 
-# (kind, degrees); n runs from k to n_max
+# (kind, degrees); n runs from k to TANGENT_N_MAX, each cell at TANGENT_SEEDS seeds
 TANGENT_GRID = ((SKEW, (2, 3, 4, 5)), (SYM, (2, 3, 4)))
+TANGENT_SEEDS = 3
+TANGENT_N_MAX = 9
 
 
-def check_subdim_tangent_grid(seed: int = 0, seeds_per_cell: int = 3, n_max: int = 9) -> tuple:
+def check_subdim_tangent_grid(seed: int = 0) -> tuple:
     """Tangent-space dimension oracle agrees with the closed-form dimensions.
 
     Skew k = 2..5 with e from k and symmetric k = 2..4 with e from 1, for
-    k <= n <= n_max (582 evaluations at the defaults).
+    k <= n <= TANGENT_N_MAX, each normalized cell at TANGENT_SEEDS seeds
+    (582 evaluations).
     """
     checked = 0
     for kind, ks in TANGENT_GRID:
         for k in ks:
-            for n in range(k, n_max + 1):
+            for n in range(k, TANGENT_N_MAX + 1):
                 for e in range(1 if kind == SYM else k, n + 1):
                     if normalize_e(e, k, kind) != e:
                         continue
                     expected = sub_dim(e, k, n, kind)
-                    for s in range(seeds_per_cell):
+                    for s in range(TANGENT_SEEDS):
                         got = sub_dim_tangent(e, k, n, kind, seed=seed + s)
                         if got != expected:
                             return (

@@ -90,12 +90,14 @@ def test_criterion_6_lambda_constant():
 
 
 def test_criterion_7_enclosing_dimension_oracle():
-    ok, detail = verify.check_enc_oracle(seed=0, samples=100)
+    assert verify.ENC_SAMPLES == 100  # the stated grid
+    ok, detail = verify.check_enc_oracle(0)
     _report(7, ok, detail)
 
 
 def test_criterion_8_tangent_oracle_agreement():
-    ok, detail = verify.check_subdim_tangent_grid(seed=0, seeds_per_cell=3)
+    assert (verify.TANGENT_SEEDS, verify.TANGENT_N_MAX) == (3, 9)  # the stated grid
+    ok, detail = verify.check_subdim_tangent_grid(0)
     _report(8, ok, detail)
 
 

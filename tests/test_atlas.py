@@ -433,6 +433,18 @@ def test_atlas_bad_arguments_raise_with_message(switches, args, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("switch", ["paper_sym", "printed_secdim", "include_canonical"])
+@pytest.mark.parametrize("value", ["no", 0, 1, None], ids=repr)
+def test_atlas_report_refuses_a_switch_that_is_not_a_bool(monkeypatch, switch, value):
+    # paper_sym="no" selected the compat strata while params echoed "no",
+    # and printed_secdim=0 came back as 0; a non-bool is refused, by name,
+    # before the arguments are checked or any row is built
+    monkeypatch.setattr(brill_noether, "_check_args", lambda *a: pytest.fail("arguments checked first"))
+    with pytest.raises(ValueError) as info:
+        atlas_report(8, 9, 2, SYM, **{switch: value})
+    assert str(info.value) == f"{switch} must be a bool, got {value!r}"
+
+
 def test_fiber_dim_bad_arguments_raise_with_message():
     with pytest.raises(ValueError) as info:
         fiber_dim(-1, 2, SKEW)

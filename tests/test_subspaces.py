@@ -10,7 +10,7 @@ import pytest
 from test_linalg import _count_fallbacks
 
 from divatlas import linalg, subspaces, tensors, verify
-from divatlas.linalg import RationalMatrix, _certified_rank, rank
+from divatlas.linalg import RationalMatrix, _certified_rank, _random_ints, rank
 from divatlas.subspaces import (
     _chart_pattern,
     _d_rows,
@@ -281,21 +281,45 @@ def test_tangent_oracle_sym_spot_checks():
     assert sub_dim_tangent(3, 3, 5, SYM, seed=0) == sub_dim(3, 3, 5, SYM)
 
 
+def _basis(kind: str, e: int, k: int) -> list:
+    return k_subsets(e, k) if kind == SKEW else exponent_vectors(e, k)
+
+
+def _in_basis_order(kind: str, e: int, k: int, w: dict) -> list:
+    """The coefficient list of w in the basis order of the k-th power of
+    QQ^e, zeros included: the w that sub_dim_tangent draws."""
+    return [w.get(key, 0) for key in _basis(kind, e, k)]
+
+
+def test_tangent_draw_is_the_stream_of_random_tensor():
+    # sub_dim_tangent draws w as U coefficients in basis order; they are
+    # random_tensor's coefficients, and the generator is left in the same
+    # state, so the oracle's redraws see random_tensor's stream
+    for kind, k, e in [(SKEW, 2, 4), (SKEW, 3, 6), (SKEW, 5, 5), (SYM, 1, 3), (SYM, 3, 4), (SYM, 4, 3)]:
+        ours, theirs = random.Random(f"stream:{kind}:{k}:{e}"), random.Random(f"stream:{kind}:{k}:{e}")
+        for _ in range(3):
+            w = _random_ints(ours, _power_dim(kind, k, e))
+            t = random_tensor(e, k, kind, theirs)
+            assert _in_basis_order(kind, e, k, t.coeffs) == w, (kind, k, e)
+        assert ours.getstate() == theirs.getstate()
+
+
 def test_tangent_oracle_redraws_degenerate_omega(monkeypatch):
     # the first w drawn at each seed is the square of a linear form, so
     # it lies in Sub_1 and its tangent rank is too low; the recorded
     # draws pin that the oracle rejected it and drew a second w
     drawn = []
 
-    def recording(*args):
-        drawn.append(random_tensor(*args))
+    def recording(rng, count):
+        drawn.append(_random_ints(rng, count))
         return drawn[-1]
 
-    monkeypatch.setattr(subspaces, "random_tensor", recording)
+    monkeypatch.setattr(subspaces, "_random_ints", recording)
     for n, seed in [(6, 468), (5, 259)]:
         drawn.clear()
         assert sub_dim_tangent(2, 2, n, SYM, seed) == sub_dim(2, 2, n, SYM)
-        assert [enc(t) for t in drawn] == [1, 2], (n, seed)
+        drawn_tensors = [SymTensor(2, 2, dict(zip(_basis(SYM, 2, 2), w))) for w in drawn]
+        assert [enc(t) for t in drawn_tensors] == [1, 2], (n, seed)
 
 
 def test_tangent_oracle_gives_up_after_max_retries(monkeypatch):
@@ -303,16 +327,16 @@ def test_tangent_oracle_gives_up_after_max_retries(monkeypatch):
     # MAX_RETRIES times and raises, and at n = e it draws nothing
     drawn = []
 
-    def zero(e, k, kind, rng):
-        drawn.append(kind)
-        return (SkewTensor if kind == SKEW else SymTensor)(e, k, {})
+    def zero(rng, count):
+        drawn.append(count)
+        return [0] * count
 
-    monkeypatch.setattr(subspaces, "random_tensor", zero)
+    monkeypatch.setattr(subspaces, "_random_ints", zero)
     for kind, e in ((SKEW, 4), (SYM, 3)):
         drawn.clear()
         with pytest.raises(RuntimeError, match=f"after {subspaces.MAX_RETRIES} retries"):
             sub_dim_tangent(e, 2, e + 1, kind)
-        assert drawn == [kind] * subspaces.MAX_RETRIES
+        assert drawn == [_power_dim(kind, 2, e)] * subspaces.MAX_RETRIES
         drawn.clear()
         assert sub_dim_tangent(e, 2, e, kind) == sub_dim(e, 2, e, kind)
         assert drawn == []
@@ -391,7 +415,7 @@ def test_tangent_oracle_computes_the_exact_rank_only_on_a_shortfall(monkeypatch)
 def _lemma_rank(kind: str, w: dict, e: int, n: int, k: int) -> int:
     """The chart's rank as sub_dim_tangent takes it: U + (n - e) rank D."""
     units, faces = _chart_pattern(kind, e, k)
-    return units + (n - e) * _certified_rank(_d_rows(w, faces, e), e)
+    return units + (n - e) * _certified_rank(_d_rows(_in_basis_order(kind, e, k, w), faces, e), e)
 
 
 def _full_chart(kind: str, w: dict, e: int, n: int, k: int) -> list:
@@ -523,7 +547,7 @@ def _dense(columns, height: int) -> list:
 
 
 def _power_dim(kind: str, k: int, n: int) -> int:
-    return len(k_subsets(n, k) if kind == SKEW else exponent_vectors(n, k))
+    return len(_basis(kind, n, k))
 
 
 def _linear_coefficient(values):
@@ -659,7 +683,7 @@ def test_chart_columns_match_the_general_builders():
         assert all(len(col) == 1 and set(col.values()) == {1} for col in general[:units])
         assert len({r for col in general[:units] for r in col}) == units
         blocks = general[units:]
-        rows = list(_d_rows(w, faces, e))
+        rows = list(_d_rows(_in_basis_order(kind, e, k, w), faces, e))
         assert all(type(row) is list and len(row) == e for row in rows)
         for i in range(e, n):
             position = _chart_row_positions(kind, k, n, e, i)
@@ -685,7 +709,7 @@ def test_chart_columns_match_the_general_builders():
         # the cached pattern is immutable all the way down
         units, faces = _chart_pattern(kind, e, k)
         assert type(faces) is tuple
-        assert all(type(f) is tuple and all(type(x) is tuple and type(x[0]) is tuple for x in f) for f in faces)
+        assert all(type(f) is tuple and all(type(x) is tuple and type(x[0]) is int for x in f) for f in faces)
 
 
 def test_chart_at_n_equal_e_is_the_unit_columns(monkeypatch):
@@ -693,7 +717,7 @@ def test_chart_at_n_equal_e_is_the_unit_columns(monkeypatch):
     # whatever w is, so its rank is U: sub_dim_tangent returns U - 1
     # before any draw, and ranks nothing
     drawn = []
-    monkeypatch.setattr(subspaces, "random_tensor", lambda *args: drawn.append(args))
+    monkeypatch.setattr(subspaces, "_random_ints", lambda *args: drawn.append(args))
     monkeypatch.setattr(subspaces, "_certified_rank", lambda *args: drawn.append(args))
     for kind, ks in verify.TANGENT_GRID:
         for k in ks:

@@ -10,8 +10,8 @@ import pytest
 from divatlas import linalg, tensors
 from divatlas.linalg import (
     RationalMatrix,
-    _bareiss,
-    _int_rows,
+    _eliminate,
+    _int_vector,
     exact_det,
     gauss_rank,
     image_basis,
@@ -26,6 +26,7 @@ from divatlas.tensors import (
     SkewTensor,
     SubspaceBasis,
     SymTensor,
+    _draw_subspace,
     apply_linear_map,
     contraction_matrix,
     enc,
@@ -34,7 +35,6 @@ from divatlas.tensors import (
     is_in_power_of,
     k_subsets,
     random_decomposable,
-    random_subspace,
     random_tensor,
     random_vector,
     sym_power,
@@ -260,7 +260,8 @@ def test_enclosing_space_reads_no_column_after_the_last_pivot(monkeypatch):
     for kind, n, k in [(SKEW, 5, 2), (SKEW, 7, 3), (SKEW, 8, 4), (SYM, 4, 2), (SYM, 6, 3), (SYM, 5, 4)]:
         for s in range(3):
             t = random_tensor(n, k, kind, f"last-pivot:{kind}:{s}")
-            _, pivots, _ = _bareiss(tensors.contraction_matrix(t)._m)
+            rows = tensors.contraction_matrix(t)._m
+            pivots, _, _ = _eliminate(zip(*rows), len(rows))
             if len(pivots) < n:
                 continue
             last = pivots[-1]
@@ -356,6 +357,13 @@ def test_is_in_power_of_examples():
     assert not is_in_power_of(SymTensor(4, 2, {(0, 1, 0, 1): 1}), small)
 
 
+def _random_subspace(n: int, dim: int, seed) -> SubspaceBasis:
+    """A seeded dim-dimensional subspace of QQ^n: dim random vectors, drawn
+    again together until independent."""
+    rng = random.Random(seed)
+    return _draw_subspace(n, lambda: tuple(random_vector(n, rng) for _ in range(dim)), "a test subspace")
+
+
 def _count_eliminations(monkeypatch) -> list:
     """Wrap tensors._eliminate: each call appends the list of the columns
     that it reads, filled as the kernel reads them."""
@@ -395,15 +403,16 @@ def test_is_in_power_of_degree_zero():
     for t in (SkewTensor(n, 0, {(): 5}), SymTensor(n, 0, {(0,) * n: 5})):
         assert is_in_power_of(t, enclosing_space(t))
         for dim in (0, 1, n):
-            assert is_in_power_of(t, random_subspace(n, dim, f"deg0:{dim}"))
+            assert is_in_power_of(t, _random_subspace(n, dim, f"deg0:{dim}"))
 
 
-def test_random_subspace_eliminates_once(monkeypatch):
+def test_subspace_basis_eliminates_once(monkeypatch):
     calls = _count_eliminations(monkeypatch)
-    W = random_subspace(6, 3, "x")
-    assert len(calls) == 1
     rng = random.Random("x")
-    assert W.vectors == tuple(random_vector(6, rng) for _ in range(3))
+    vectors = tuple(random_vector(6, rng) for _ in range(3))
+    W = SubspaceBasis(6, vectors)
+    assert len(calls) == 1
+    assert W.vectors == vectors
     # membership reads the covectors that construction kept
     for t in (random_tensor(6, 2, SKEW, 2), random_tensor(6, 2, SYM, 2)):
         assert not is_in_power_of(t, W)
@@ -489,49 +498,14 @@ def test_random_decomposable_refuses_bad_sizes(kind, n, k, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize(
-    "n, dim, seed, vectors",
-    [
-        (4, 2, 0, ((3, 4, -8, -1), (7, 6, 3, 0))),
-        (5, 3, "pin:1", ((9, 7, -6, 1, -2), (5, 7, -2, -2, 9), (8, -8, 9, 0, 4))),
-        (3, 0, 1, ()),
-        # the first draw, ((0, 0), (9, -5)), is dependent and drawn again
-        (2, 2, 60, ((-1, -2), (6, 5))),
-    ],
-    ids=repr,
-)
-def test_random_subspace_keeps_its_draws(n, dim, seed, vectors):
-    # pinned draws: a change to the retry loop or to the generator's stream shows here
-    assert random_subspace(n, dim, seed).vectors == vectors
-
-
-def test_random_subspace_gives_up_after_64_draws(monkeypatch):
-    draws = []
-    monkeypatch.setattr(tensors, "random_vector", lambda n, rng: draws.append(n) or (0,) * n)
+def test_draw_subspace_redraws_and_gives_up_after_64_draws():
+    draws = iter([((1, 2), (2, 4)), ((1, 2), (0, 1))])
+    assert _draw_subspace(2, lambda: next(draws), "a plane").vectors == ((1, 2), (0, 1))
+    calls = []
     with pytest.raises(RuntimeError) as info:
-        random_subspace(3, 1, 0)
-    assert str(info.value) == "failed to sample an independent spanning set"
-    assert len(draws) == 64
-
-
-@pytest.mark.parametrize(
-    "n, dim, message",
-    [
-        (3, True, "dim must be an integer, got True"),
-        (3, 1.0, "dim must be an integer, got 1.0"),
-        (3.0, 1, "n must be an integer, got 3.0"),
-        (False, 0, "n must be an integer, got False"),
-        (3, -1, "subspace dimension out of range"),
-        (-1, 0, "subspace dimension out of range"),
-    ],
-    ids=repr,
-)
-def test_random_subspace_refuses_bad_sizes(n, dim, message):
-    # random_subspace(3, True, 0) gave a 1-dimensional subspace, and
-    # random_subspace(3, 1.0, 0) raised TypeError from range
-    with pytest.raises(ValueError) as info:
-        random_subspace(n, dim, 0)
-    assert str(info.value) == message
+        _draw_subspace(3, lambda: calls.append(1) or ((0, 0, 0),), "a line")
+    assert str(info.value) == "failed to sample a line"
+    assert len(calls) == 64
 
 
 def test_exponent_vectors_are_made_once_and_returned_fresh():
@@ -661,7 +635,7 @@ def test_apply_linear_map_refuses_a_bad_matrix(mat, message):
 
 def test_symplectic_never_in_three_dims():
     for s in range(20):
-        W = random_subspace(4, 3, f"threedim:{s}")
+        W = _random_subspace(4, 3, f"threedim:{s}")
         assert not is_in_power_of(SYMPLECTIC4, W)
 
 
@@ -767,7 +741,7 @@ def _transport_membership(t, W):
     span(W) onto the first dim(W) coordinates; t lies in the power of
     span(W) iff no coefficient of A t touches a later coordinate."""
     m, n = W.dim, t.n
-    aug = _int_rows([[w[i] for w in W.vectors] + [int(i == j) for j in range(n)] for i in range(n)])
+    aug = [_int_vector([w[i] for w in W.vectors] + [int(i == j) for j in range(n)]) for i in range(n)]
     _eliminate_block(aug, m)
     image = apply_linear_map([row[m:] for row in aug], t)
     if t.kind == SKEW:

@@ -5,6 +5,7 @@ stated grids; this file sweeps the complete registry so a regression in
 any suite fails pytest as well as the CLI.
 """
 
+import inspect
 from pathlib import Path
 
 import pytest
@@ -31,14 +32,27 @@ def test_check_passes(name, check):
     assert ok, f"{name}/{check.__name__}: {detail}"
 
 
-def test_enc_oracle_alternate_seed():
-    ok, detail = SUITES["enc-oracle"][0](seed=7, samples=25)
-    assert ok, detail
+@pytest.mark.parametrize("name,check", ALL_CHECKS, ids=[c.__name__ for _, c in ALL_CHECKS])
+def test_every_check_takes_the_seed_alone(name, check):
+    # run_suites calls chk(seed); a size that only a test varies is a module
+    # constant, not a parameter
+    assert list(inspect.signature(check).parameters) == ["seed"], f"{name}/{check.__name__}"
 
 
-def test_subdim_oracle_alternate_seed():
-    ok, detail = SUITES["subdim-oracle"][0](seed=7, seeds_per_cell=1, n_max=6)
+def test_enc_oracle_alternate_seed(monkeypatch):
+    monkeypatch.setattr(verify, "ENC_SAMPLES", 25)
+    ok, detail = SUITES["enc-oracle"][0](7)
     assert ok, detail
+    assert "x 25 samples" in detail
+
+
+def test_subdim_oracle_alternate_seed(monkeypatch):
+    monkeypatch.setattr(verify, "TANGENT_SEEDS", 1)
+    monkeypatch.setattr(verify, "TANGENT_N_MAX", 6)
+    ok, detail = SUITES["subdim-oracle"][0](7)
+    assert ok, detail
+    # one seed on each of the 22 skew and 53 sym normalized cells with n <= 6
+    assert detail.startswith("75 tangent-rank evaluations")
 
 
 def test_rank_oracle_catches_a_certified_rank_without_its_fallback(monkeypatch):
