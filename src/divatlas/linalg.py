@@ -49,15 +49,17 @@ reduction divides by a one-digit int.  Any other rank mod p takes the
 exact fallback, ``_eliminate`` on the vectors the pass read, which are
 all of them, so a rank lost mod p is never returned.  None of this is
 used where deficient ranks are expected (the contraction matrices of
-enc, the membership test).
+enc, the membership test, and the tangent cells whose block D can never
+reach full column rank, which take ``_eliminate`` alone).
 
 The production route (enc, enclosing_space, SubspaceBasis and the
 membership test, sub_dim_tangent, the atlas, and the CLI's enc and
 components) uses only the kernels and the coercions: ``_eliminate``,
 ``_rank_mod_p``, ``_certified_rank``, ``_packed_rows``,
-``_int_vector``, ``as_exact``, ``as_vector``, ``_check_ints`` and
-``_random_ints`` (the seeded draws of ``tensors.random_tensor`` and of
-sub_dim_tangent's w, which ``random_matrix`` shares).  The oracles
+``_int_vector``, ``as_exact``, ``as_vector`` and ``_check_ints``.
+``_random_ints`` makes the seeded draws of ``tensors.random_tensor``
+and ``random_vector``, which ``random_matrix`` shares; sub_dim_tangent
+draws its w from digests of its own (``subspaces._draw_w``).  The oracles
 here, kept for ``verify``, the tests and the benchmark, are the dense
 ``RationalMatrix`` with ``rank``, ``image_basis`` and ``in_span`` on
 it, ``exact_det`` and ``int_det`` (``_eliminate`` on the columns of

@@ -36,22 +36,26 @@ on face f.  It depends on the shape (kind, e, k) alone, so
 _chart_pattern makes it once per shape and caches it, face by face,
 each entry naming its term of w by the term's index in the basis.  A
 sample draws w as the plain list of its coefficients in basis order,
-the draws that tensors.random_tensor reads from the same generator, and
-only reads them into the pattern, one row when it is asked for
-(_d_rows).
+uniform on [-9, 9] like tensors.random_tensor's, from the BLAKE2b
+digests of the cell, the seed and the attempt (_draw_w): one digest
+gives up to 64 coefficients for less than seeding a Mersenne Twister
+per sample would cost.  It only reads them into the pattern, one row
+when it is asked for (_d_rows).
 
 Each sample ranks D exactly by its rows (linalg._certified_rank: a
 rank-counting pass mod linalg.RANK_PRIME that stops at the row that
 brings the rank to e, with an exact fallback only when the rank mod p
 falls short).  No row after that one is made: on a generic w, 7 of the
 28 rows for sym k = 3, e = 7, and 16 of the 35 for skew k = 4, e = 7.
-A w with rank D below the maximal enclosing dimension on QQ^e is
-degenerate and is redrawn.  So the oracle checks that this maximum
-(_e_bound) is attained at a random w and that normalize_e is right; it
-does not recompute enc's kernel, and it reads no contraction column.  A
-lower bound on the rank at a general A, which would not rest on the
-block lemma, is what would make it independent of the formula it
-checks.
+Where the maximal enclosing dimension on QQ^e is below e (skew k = 2
+at odd e, e = k + 1, and k = 1 at e > 1), no pass could reach rank e,
+so those cells take linalg._eliminate's exact rank alone.  A w with
+rank D below that maximum is degenerate and is redrawn.  So the oracle
+checks that the maximum (_e_bound) is attained at a random w and that
+normalize_e is right; it does not recompute enc's kernel, and it reads
+no contraction column.  A lower bound on the rank at a general A,
+which would not rest on the block lemma, is what would make it
+independent of the formula it checks.
 """
 
 from __future__ import annotations
@@ -59,10 +63,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
+from array import array
+
+try:
+    # the builtin module that hashlib wraps; hashlib also loads OpenSSL
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 # rank is not called here; perfbench's tracer tests expect to find it bound in this module
-from .linalg import _certified_rank, _check_ints, _random_ints, rank  # noqa: F401
+from .linalg import _certified_rank, _check_ints, _eliminate, rank  # noqa: F401
 from .tensors import (
     SKEW,
     SYM,
@@ -268,6 +278,27 @@ def _d_rows(w: list, faces: tuple, e: int):
         yield row
 
 
+# sub_dim_tangent's draws: a digest byte b < 247 = 13 * 19 becomes b % 19 - 9
+# (as a signed byte), uniform on [-9, 9], and the bytes 247..255 are dropped
+_DRAW_TABLE = bytes((b % 19 - 9) % 256 for b in range(256))
+_DRAW_DROPPED = bytes(range(247, 256))
+
+
+def _draw_w(cell: str, attempt: int, count: int) -> list:
+    """count ints uniform on [-9, 9], the coefficients of sub_dim_tangent's
+    w at one attempt: the bytes of the BLAKE2b digests of
+    f"{cell}:{attempt}:{block}" for block 0, 1, ..., in order, each byte
+    below 247 read as b % 19 - 9 and the others dropped.  The mapping
+    runs in C (bytes.translate into a signed array), and a shorter draw
+    is a prefix of a longer one."""
+    data = b""
+    block = 0
+    while len(data) < count:
+        data += blake2b(f"{cell}:{attempt}:{block}".encode()).digest().translate(_DRAW_TABLE, _DRAW_DROPPED)
+        block += 1
+    return array("b", data[:count]).tolist()
+
+
 # redraws of w in sub_dim_tangent before it gives up
 MAX_RETRIES = 8
 
@@ -302,27 +333,32 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0) -> int:
 
     A w whose enclosing dimension is below the maximum on QQ^e
     (_e_bound) lies in a smaller Sub_e, so it must not be measured.
-    Each sample draws w as the list of its U coefficients in basis order
-    (linalg._random_ints, zeros included: the draws, and the state left
-    in the generator, of random_tensor(e, k, kind, rng)) and takes the
-    exact rank of D (linalg._certified_rank on D's rows: a pass mod a
-    prime that stops at rank e, with an exact fallback only when it falls
-    short of both e and the row count); a rank below the maximum is
-    redrawn, and otherwise U + (n - e) rank D - 1 is returned.  So the
-    oracle checks that the maximum is attained at a random w and that
-    normalize_e is right.  For n = e it returns U - 1 before any draw,
-    since nothing is varied; after MAX_RETRIES degenerate draws a
+    Attempt a draws w as the list of its U coefficients in basis order,
+    uniform on [-9, 9], zeros included, from the BLAKE2b digests of
+    f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}:{a}" and its blocks
+    (_draw_w), and takes the exact rank of D: where the maximum is e,
+    linalg._certified_rank on D's rows (a pass mod a prime that stops at
+    rank e, with an exact fallback only when it falls short of both e
+    and the row count); where it is below e (skew k = 2 at odd e,
+    e = k + 1, and k = 1 at e > 1), so that the pass could never
+    certify, linalg._eliminate on D's rows alone.  A rank below the
+    maximum is redrawn, and otherwise U + (n - e) rank D - 1 is
+    returned.  So the oracle checks that the maximum is attained at a
+    random w and that normalize_e is right, and the draw decides only
+    how many attempts that takes.  For n = e it returns U - 1 before any
+    draw, since nothing is varied; after MAX_RETRIES degenerate draws a
     RuntimeError is raised, so that is reachable only for n > e.  e, k
     and n must be ints (not bools).
     """
     _check_cell(e, k, n, kind)
     if n == e:
         return _power_dim(e, k, kind) - 1
-    rng = random.Random(f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}")
+    cell = f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}"
     units, faces = _chart_pattern(kind, e, k)
     full = _e_bound(k, e, kind)
-    for _ in range(MAX_RETRIES):
-        rank_d = _certified_rank(_d_rows(_random_ints(rng, units), faces, e), e)
+    for attempt in range(MAX_RETRIES):
+        rows = _d_rows(_draw_w(cell, attempt, units), faces, e)
+        rank_d = _certified_rank(rows, e) if full == e else len(_eliminate(rows, e)[0])
         if rank_d == full:
             return units + (n - e) * rank_d - 1
     raise RuntimeError(f"no nondegenerate sample after {MAX_RETRIES} retries")

@@ -365,18 +365,6 @@ class SubspaceBasis:
         return len(self.vectors)
 
 
-def _draw_subspace(n: int, draw, what: str) -> SubspaceBasis:
-    """The first of up to 64 draws that is a basis of a subspace of QQ^n:
-    draw() gives a tuple of vectors, and a draw that SubspaceBasis
-    refuses is drawn again."""
-    for _ in range(64):
-        try:
-            return SubspaceBasis(n, draw())
-        except ValueError:
-            continue
-    raise RuntimeError(f"failed to sample {what}")
-
-
 # ---------------------------------------------------------------------------
 # constructors
 

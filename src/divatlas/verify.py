@@ -18,7 +18,7 @@ membership flip, ENC_SAMPLES tensors per skew cell of the enclosing
 dimension oracle, and TANGENT_SEEDS seeds per cell of the tangent grid,
 whose n runs up to TANGENT_N_MAX.  A test that reruns a suite cheaply
 at a second seed lowers these constants.  The sampled subspaces come
-from one retry loop, tensors._draw_subspace.
+from one retry loop, _draw_subspace.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .tensors import (
     SKEW,
     SYM,
     SubspaceBasis,
-    _draw_subspace,
     enc,
     enclosing_space,
     is_in_power_of,
@@ -137,6 +136,18 @@ ENC_GRID = (
 )
 ENC_HYPERPLANES = 3
 ENC_SAMPLES = 100
+
+
+def _draw_subspace(n: int, draw, what: str) -> SubspaceBasis:
+    """The first of up to 64 draws that is a basis of a subspace of QQ^n:
+    draw() gives a tuple of vectors, and a draw that SubspaceBasis
+    refuses is drawn again."""
+    for _ in range(64):
+        try:
+            return SubspaceBasis(n, draw())
+        except ValueError:
+            continue
+    raise RuntimeError(f"failed to sample {what}")
 
 
 def _random_hyperplane(basis: SubspaceBasis, rng: random.Random) -> SubspaceBasis:

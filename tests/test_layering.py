@@ -5,7 +5,8 @@ is_in_power_of, sub_dim_tangent, the atlas and the CLI) comes from one
 integer kernel in linalg: _eliminate, with _packed_rows, the packed
 covector test of _eliminate and is_in_power_of, behind it.  The tangent oracle's block D takes _certified_rank: the
 rank-counting pass mod p, _rank_mod_p, on D's rows, and behind it
-_eliminate on the same rows.  The names in ORACLES
+_eliminate on the same rows; where D can never reach full column rank,
+_eliminate alone.  The names in ORACLES
 are independent second routes, kept so that verify, the tests and
 perfbench can check that kernel.  If
 a production function loaded one, a check would quietly become the

@@ -5,12 +5,14 @@ as a one-line diff here, and each of them is either used by the program
 or named in README, so that no export lives only for its tests.
 pyproject.toml asks for Python >= 3.10 and the CI matrix runs 3.10, so
 every source file must parse under 3.10's grammar, whichever interpreter
-runs the tests.
+runs the tests.  Importing the package must not load OpenSSL.
 """
 
 import ast
 import pathlib
 import re
+import subprocess
+import sys
 import types
 
 import divatlas
@@ -101,3 +103,12 @@ def test_every_source_parses_as_python_3_10():
     assert len(paths) >= 35
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_import_loads_no_openssl():
+    # the tangent oracle draws from the builtin _blake2 module; hashlib,
+    # which wraps it, also loads OpenSSL's _hashlib, a few MB per process
+    code = "import sys, divatlas; print(sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

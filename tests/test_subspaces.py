@@ -291,10 +291,10 @@ def _in_basis_order(kind: str, e: int, k: int, w: dict) -> list:
     return [w.get(key, 0) for key in _basis(kind, e, k)]
 
 
-def test_tangent_draw_is_the_stream_of_random_tensor():
-    # sub_dim_tangent draws w as U coefficients in basis order; they are
-    # random_tensor's coefficients, and the generator is left in the same
-    # state, so the oracle's redraws see random_tensor's stream
+def test_random_tensor_draws_its_coefficients_as_random_ints():
+    # random_tensor draws its U coefficients in basis order, zeros
+    # included, as _random_ints does, and leaves the generator in the
+    # same state, so seeded tensors keep their stream
     for kind, k, e in [(SKEW, 2, 4), (SKEW, 3, 6), (SKEW, 5, 5), (SYM, 1, 3), (SYM, 3, 4), (SYM, 4, 3)]:
         ours, theirs = random.Random(f"stream:{kind}:{k}:{e}"), random.Random(f"stream:{kind}:{k}:{e}")
         for _ in range(3):
@@ -304,18 +304,36 @@ def test_tangent_draw_is_the_stream_of_random_tensor():
         assert ours.getstate() == theirs.getstate()
 
 
+def test_draw_w_is_a_seeded_uniform_stream():
+    # each attempt's draw is fixed by the cell and the attempt, lies in
+    # [-9, 9] and takes every value there; a shorter draw is a prefix of a
+    # longer one (200 values read a fourth digest block), and the
+    # attempts of a cell draw different w
+    cell = "subdim-tangent:sym:3:7:9:0"
+    long = subspaces._draw_w(cell, 0, 200)
+    assert type(long) is list and len(long) == 200 and all(type(x) is int for x in long)
+    assert long == subspaces._draw_w(cell, 0, 200)
+    assert set(long) == set(range(-9, 10))
+    for count in (0, 1, 3, 28, 61, 62, 84):
+        assert subspaces._draw_w(cell, 0, count) == long[:count], count
+    attempts = [tuple(subspaces._draw_w(cell, a, 84)) for a in range(subspaces.MAX_RETRIES)]
+    assert len(set(attempts)) == subspaces.MAX_RETRIES
+    assert subspaces._draw_w("subdim-tangent:sym:3:7:9:1", 0, 84) != long[:84]
+
+
 def test_tangent_oracle_redraws_degenerate_omega(monkeypatch):
     # the first w drawn at each seed is the square of a linear form, so
     # it lies in Sub_1 and its tangent rank is too low; the recorded
     # draws pin that the oracle rejected it and drew a second w
     drawn = []
+    draw_w = subspaces._draw_w
 
-    def recording(rng, count):
-        drawn.append(_random_ints(rng, count))
+    def recording(cell, attempt, count):
+        drawn.append(draw_w(cell, attempt, count))
         return drawn[-1]
 
-    monkeypatch.setattr(subspaces, "_random_ints", recording)
-    for n, seed in [(6, 468), (5, 259)]:
+    monkeypatch.setattr(subspaces, "_draw_w", recording)
+    for n, seed in [(6, 82), (5, 79)]:
         drawn.clear()
         assert sub_dim_tangent(2, 2, n, SYM, seed) == sub_dim(2, 2, n, SYM)
         drawn_tensors = [SymTensor(2, 2, dict(zip(_basis(SYM, 2, 2), w))) for w in drawn]
@@ -327,16 +345,16 @@ def test_tangent_oracle_gives_up_after_max_retries(monkeypatch):
     # MAX_RETRIES times and raises, and at n = e it draws nothing
     drawn = []
 
-    def zero(rng, count):
-        drawn.append(count)
+    def zero(cell, attempt, count):
+        drawn.append((attempt, count))
         return [0] * count
 
-    monkeypatch.setattr(subspaces, "_random_ints", zero)
+    monkeypatch.setattr(subspaces, "_draw_w", zero)
     for kind, e in ((SKEW, 4), (SYM, 3)):
         drawn.clear()
         with pytest.raises(RuntimeError, match=f"after {subspaces.MAX_RETRIES} retries"):
             sub_dim_tangent(e, 2, e + 1, kind)
-        assert drawn == [_power_dim(kind, 2, e)] * subspaces.MAX_RETRIES
+        assert drawn == [(a, _power_dim(kind, 2, e)) for a in range(subspaces.MAX_RETRIES)]
         drawn.clear()
         assert sub_dim_tangent(e, 2, e, kind) == sub_dim(e, 2, e, kind)
         assert drawn == []
@@ -347,7 +365,8 @@ def test_tangent_oracle_small_grid(monkeypatch):
     # Each sample runs the pass mod p once, on the rows of its block D of
     # length e; the last sample reaches rank e and reads no row after the
     # one that completes it, and any before it had a degenerate w (one
-    # cell here draws w = 0 first), which alone takes the exact fallback
+    # cell here, skew k = 3, e = 3, n = 4, draws w = 0 first), which alone
+    # takes the exact fallback
     passes = []
     rank_mod_p = linalg._rank_mod_p
 
@@ -369,7 +388,7 @@ def test_tangent_oracle_small_grid(monkeypatch):
                         continue
                     passes.clear()
                     fallbacks.clear()
-                    assert sub_dim_tangent(e, k, n, kind, seed=3) == sub_dim(e, k, n, kind)
+                    assert sub_dim_tangent(e, k, n, kind, seed=2) == sub_dim(e, k, n, kind)
                     if n == e:  # nothing varied, nothing ranked
                         assert passes == fallbacks == []
                         continue
@@ -392,20 +411,28 @@ def test_tangent_oracle_computes_the_exact_rank_only_on_a_shortfall(monkeypatch)
     monkeypatch.setattr(tensors, "enc", counting("enc", enc))
     monkeypatch.setattr(tensors, "_contraction_columns", counting("enc", tensors._contraction_columns))
     monkeypatch.setattr(linalg, "_rank_mod_p", counting("pass", linalg._rank_mod_p))
-    monkeypatch.setattr(linalg, "_eliminate", counting("eliminate", linalg._eliminate))
+    # the exact rank: the fallback in linalg, or subspaces' own call where no pass could certify
+    eliminate = counting("eliminate", linalg._eliminate)
+    for module in (linalg, subspaces):
+        monkeypatch.setattr(module, "_eliminate", eliminate)
     # a nondegenerate w: the pass certifies rank D = e, with no exact rank
     assert sub_dim_tangent(5, 3, 6, SKEW, seed=1) == 14
     assert calls == ["pass"]
     # a degenerate first draw: the pass falls short, the exact rank D = 1
     # redraws, and the second w is certified mod p
     calls.clear()
-    assert sub_dim_tangent(2, 2, 6, SYM, seed=468) == sub_dim(2, 2, 6, SYM)
+    assert sub_dim_tangent(2, 2, 6, SYM, seed=82) == sub_dim(2, 2, 6, SYM)
     assert calls == ["pass", "eliminate", "pass"]
     # skew 2-forms on QQ^3 have rank 2, so D's rank is always short of
-    # its three columns and rows: one pass, one exact rank, at the maximum
+    # its three columns, which the pass could never certify: one exact
+    # rank and no pass, at the maximum
     calls.clear()
     assert sub_dim_tangent(3, 2, 5, SKEW) == sub_dim(3, 2, 5, SKEW)
-    assert calls == ["pass", "eliminate"]
+    assert calls == ["eliminate"]
+    # likewise at e = k + 1, where every 3-vector on QQ^4 is decomposable
+    calls.clear()
+    assert sub_dim_tangent(4, 3, 6, SKEW) == sub_dim(4, 3, 6, SKEW)
+    assert calls == ["eliminate"]
     # n = e varies nothing: no draw and no rank
     calls.clear()
     assert sub_dim_tangent(3, 2, 3, SKEW) == sub_dim(3, 2, 3, SKEW)
@@ -413,7 +440,9 @@ def test_tangent_oracle_computes_the_exact_rank_only_on_a_shortfall(monkeypatch)
 
 
 def _lemma_rank(kind: str, w: dict, e: int, n: int, k: int) -> int:
-    """The chart's rank as sub_dim_tangent takes it: U + (n - e) rank D."""
+    """The chart's rank by the block lemma, U + (n - e) rank D, with rank D
+    certified (_certified_rank, as sub_dim_tangent takes it where D can
+    reach full column rank)."""
     units, faces = _chart_pattern(kind, e, k)
     return units + (n - e) * _certified_rank(_d_rows(_in_basis_order(kind, e, k, w), faces, e), e)
 
@@ -429,12 +458,13 @@ def _full_chart(kind: str, w: dict, e: int, n: int, k: int) -> list:
 
 def _enc_first_tangent(e: int, k: int, n: int, kind: str, seed: int) -> int:
     """Reference for sub_dim_tangent in the order that checks w first: draw
-    w, redraw while enc(w) is below the maximum, then the certified rank
-    of the whole chart, built without the block lemma."""
+    w as the oracle does, redraw while enc(w) is below the maximum, then
+    the certified rank of the whole chart, built without the block lemma."""
     full = subspaces._e_bound(k, e, kind)
-    rng = random.Random(f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}")
-    for _ in range(subspaces.MAX_RETRIES):
-        omega = random_tensor(e, k, kind, rng)
+    tensor, basis = SkewTensor if kind == SKEW else SymTensor, _basis(kind, e, k)
+    for attempt in range(subspaces.MAX_RETRIES):
+        w = subspaces._draw_w(f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}", attempt, len(basis))
+        omega = tensor(e, k, {key: c for key, c in zip(basis, w) if c})
         if enc(omega) < full:
             continue
         height = _power_dim(kind, k, n)
@@ -456,7 +486,7 @@ def test_tangent_oracle_equals_the_enc_first_reference():
         for seed in range(10)
     ]
     cells += [(SKEW, k, g, g - 1, seed) for g in range(3, 10) for k in range(2, g) for seed in range(10)]
-    cells += [(SYM, 2, 6, 2, 468), (SYM, 2, 5, 2, 259)]
+    cells += [(SYM, 2, 6, 2, 82), (SYM, 2, 5, 2, 79)]
     assert len(cells) == 2002
     for kind, k, n, e, seed in cells:
         assert sub_dim_tangent(e, k, n, kind, seed) == _enc_first_tangent(e, k, n, kind, seed), (kind, k, n, e, seed)
@@ -717,8 +747,8 @@ def test_chart_at_n_equal_e_is_the_unit_columns(monkeypatch):
     # whatever w is, so its rank is U: sub_dim_tangent returns U - 1
     # before any draw, and ranks nothing
     drawn = []
-    monkeypatch.setattr(subspaces, "_random_ints", lambda *args: drawn.append(args))
-    monkeypatch.setattr(subspaces, "_certified_rank", lambda *args: drawn.append(args))
+    for name in ("_draw_w", "_certified_rank", "_eliminate"):
+        monkeypatch.setattr(subspaces, name, lambda *args: drawn.append(args))
     for kind, ks in verify.TANGENT_GRID:
         for k in ks:
             for e in range(1 if kind == SYM else k, 9):

@@ -26,7 +26,6 @@ from divatlas.tensors import (
     SkewTensor,
     SubspaceBasis,
     SymTensor,
-    _draw_subspace,
     apply_linear_map,
     contraction_matrix,
     enc,
@@ -42,6 +41,7 @@ from divatlas.tensors import (
     tensor_to_json,
     wedge,
 )
+from divatlas.verify import _draw_subspace
 
 SYMPLECTIC4 = SkewTensor(4, 2, {(0, 1): 1, (2, 3): 1})
 
@@ -431,7 +431,7 @@ def test_subspace_basis_checks_independence():
 def test_random_tensor_matches_the_public_constructor(monkeypatch):
     # the draws are wrapped without a second validation pass; they must
     # give the tensor the public constructor gives for the same draws, and
-    # leave the generator where randint would (sub_dim_tangent redraws from it)
+    # leave the generator where randint would (a caller may draw on from it)
     cases = [(0, 0), (3, 0), (1, 1), (2, 3), (4, 2), (5, 3), (4, 4), (6, 3)]
     expected = {}
     states = {}
