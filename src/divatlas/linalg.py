@@ -74,10 +74,20 @@ from __future__ import annotations
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 Vector = tuple  # tuple of exact scalars (see as_exact)
 _INT = frozenset((int,))  # _INT.issuperset(map(type, xs)): every x is a plain int
+# The spellings that Fraction reads under Python 3.11: PEP 515 underscores
+# only between digits, and no space around the slash.  Fraction's own
+# grammar moves with the interpreter (3.10 reads no underscore, 3.12 reads
+# "1 / 2"), so as_exact checks a string here and hands Fraction the
+# spelling without its underscores, which every version reads alike.
+_DIGITS = r"\d+(?:_\d+)*"
+_RATIONAL = re.compile(
+    rf"\s*[-+]?(?=\d|\.\d)(?:{_DIGITS})?(?:/{_DIGITS}|(?:\.(?:{_DIGITS})?)?(?:[eE][-+]?{_DIGITS})?)\s*"
+)
 
 
 def as_exact(x) -> int | Fraction:
@@ -87,14 +97,17 @@ def as_exact(x) -> int | Fraction:
     value comes back as a plain int (so Fraction(4, 2) and '6/3' give 2),
     and only a non-integral value as a Fraction.  Python's int and
     Fraction mix exactly, so the rest of the package uses plain
-    arithmetic.  Floats and bools are rejected.
+    arithmetic.  Floats and bools are rejected.  A string must be one
+    of the spellings of ``_RATIONAL`` on every Python version.
     """
     if isinstance(x, bool):
         raise TypeError("expected an exact rational, got bool")
     if isinstance(x, int):
         return x
     if isinstance(x, str):
-        x = Fraction(x)
+        if not _RATIONAL.fullmatch(x):
+            raise ValueError(f"Invalid literal for Fraction: {x!r}")
+        x = Fraction(x.replace("_", ""))
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")

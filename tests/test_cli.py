@@ -255,6 +255,36 @@ def test_importing_the_cli_builds_no_parser():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, loads_verify",
+    [
+        (["enc", str(DATA / "skew-k3-n7.json"), "--format", "json"], False),
+        (["components", "--genus", "37", "--degree", "36", "--k", "2"], False),
+        (["--help"], False),
+        (["verify", "--suite", "bn-forms"], True),
+    ],
+    ids=["enc", "components", "help", "verify"],
+)
+def test_only_the_verify_command_imports_the_suites(argv, loads_verify):
+    # each enc or components process would otherwise compile verify's
+    # source, close to a third of the package's, and never run it
+    code = (
+        "import sys\n"
+        "from divatlas.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('divatlas.verify' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loads_verify)
+
+
+def test_suite_choices_are_the_verify_suites():
+    from divatlas import cli, verify
+
+    assert cli.SUITE_NAMES == tuple(verify.SUITES)
+
+
 def test_components_genus_cap_exits_2_before_computing(capsys, monkeypatch):
     import divatlas.cli as cli
 

@@ -90,8 +90,8 @@ def reference_from_json(obj):
 # generated inputs
 
 # every spelling of test_json_coefficient_spellings, then the refused ones
-SPELLINGS = ["+3", " 5 ", "1_0", "-0", "007", "1.5", "1e3", "3/6", 4]
-REFUSED = ["x", "²", "1/0", True, None]
+SPELLINGS = ["+3", " 5 ", "1_0", "-0", "007", "1.5", "1e3", "3/6", "1/2_0", "1e1_0", "1_0.2_5", 4]
+REFUSED = ["x", "²", "1/0", "1__0", "_1", "1_", "1_/2", "1 / 2", True, None]
 HUGE = "7" * 4301  # past int()'s 4,300-digit limit for str
 
 

@@ -927,14 +927,28 @@ def test_json_coefficient_strings():
         ("1.5", Fraction(3, 2)),
         ("1e3", 1000),
         ("3/6", Fraction(1, 2)),
+        ("1/2_0", Fraction(1, 20)),
+        ("1e1_0", 10**10),
+        ("1_0.2_5", Fraction(41, 4)),
         (4, 4),
     ],
 )
 def test_json_coefficient_spellings(coeff, expected):
-    # every spelling Fraction accepts keeps its value and number type
+    # every spelling of as_exact's grammar keeps its value and number type,
+    # on every Python version: Python 3.10's Fraction reads no underscore
     obj = {"n": 2, "k": 1, "kind": "skew", "terms": [{"index": [1], "coeff": coeff}]}
     got = tensor_from_json(obj).coefficient((1,))
     assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize("coeff", ["1__0", "_1", "1_", "1_/2", "1 / 2"])
+def test_json_coefficient_spellings_refused_on_every_python(coeff):
+    # underscores stand only between digits, and no space stands around the
+    # slash, though Fraction reads "1 / 2" from Python 3.12 on
+    obj = {"n": 2, "k": 1, "kind": "skew", "terms": [{"index": [1], "coeff": coeff}]}
+    with pytest.raises(ValueError) as info:
+        tensor_from_json(obj)
+    assert str(info.value) == f"bad coefficient {coeff!r}: Invalid literal for Fraction: {coeff!r}"
 
 
 @pytest.mark.parametrize(
