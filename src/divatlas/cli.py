@@ -12,7 +12,10 @@ errors and ``--help`` write to the ``sys.stderr`` and ``sys.stdout`` of
 the moment.  Only the ``verify`` command imports ``divatlas.verify``,
 so an ``enc`` or ``components`` process never compiles the suites; the
 parser takes their names from ``SUITE_NAMES``, which a test holds equal
-to ``verify.SUITES``.
+to ``verify.SUITES``.  ``enc`` refuses a ``--sub`` below 0 before it
+reads the file, and writes its JSON answer through ``_enc_json``, the
+text of ``json.dumps(indent=2, sort_keys=True)`` without json's
+pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -211,7 +214,31 @@ def _cmd_components(args) -> int:
     return 0
 
 
+def _enc_json(result: dict) -> str:
+    """json.dumps(result, indent=2, sort_keys=True) for _cmd_enc's result,
+    byte for byte, without the pure-Python encoder that json runs
+    whenever indent is set: each string goes through json's C string
+    encoder, and the layout around them is written here.  A basis vector
+    is never empty: it has n >= enc >= 1 entries."""
+    encode = json.encoder.encode_basestring_ascii
+    vectors = ["[\n      " + ",\n      ".join(map(encode, v)) + "\n    ]" for v in result["basis"]]
+    lines = [
+        '  "basis": ' + ("[\n    " + ",\n    ".join(vectors) + "\n  ]" if vectors else "[]"),
+        f'  "enc": {result["enc"]}',
+        f'  "k": {result["k"]}',
+        f'  "kind": {encode(result["kind"])}',
+        f'  "n": {result["n"]}',
+    ]
+    if "sub" in result:
+        sub = result["sub"]
+        member = "true" if sub["member"] else "false"
+        lines.append(f'  "sub": {{\n    "e": {sub["e"]},\n    "member": {member}\n  }}')
+    return "{\n" + ",\n".join(lines) + "\n}"
+
+
 def _cmd_enc(args) -> int:
+    if args.sub is not None and args.sub < 0:
+        raise ValueError(f"--sub {args.sub} is below 0")
     try:
         with open(args.tensor, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -227,12 +254,12 @@ def _cmd_enc(args) -> int:
         "k": t.k,
         "kind": t.kind,
         "enc": value,
-        "basis": [[str(x) for x in v] for v in basis.vectors],
+        "basis": [list(map(str, v)) for v in basis.vectors],
     }
     if args.sub is not None:
         result["sub"] = {"e": args.sub, "member": value <= args.sub}
     if args.format == "json":
-        print(json.dumps(result, indent=2, sort_keys=True))
+        print(_enc_json(result))
         return 0
     print(f"kind: {t.kind}  n: {t.n}  k: {t.k}")
     print(f"enc: {value}")

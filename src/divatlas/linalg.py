@@ -31,7 +31,10 @@ holding the sum of y_s[i] << (w * s), and for a column v with every
 every y_s . v is 0, once the slot width w exceeds the bit length of
 max_s ||y_s||_1 * bound.  The kernel packs its covectors at the first
 dependent column after a pivot and skips the later columns, within its
-entry bound, whose packed product is 0.
+entry bound, whose packed product is 0.  That bound is ``_PACK_BOUND``,
+against which each such column is checked, or one that the caller
+guarantees for its whole stream (enc passes its tensor's), which packs
+narrower rows and checks no column.
 
 The tangent-space oracle ranks one integer block per sample, the
 derivatives of w (``subspaces.sub_dim_tangent``), which has full column
@@ -229,7 +232,7 @@ def _packed_rows(covectors, n: int, bound: int) -> list:
 _PACK_BOUND = 2**62 - 1
 
 
-def _eliminate(columns, n_rows: int) -> tuple:
+def _eliminate(columns, n_rows: int, bound: int | None = None) -> tuple:
     """Fraction-free elimination of a stream of integer columns, each a
     sequence of n_rows ints.
 
@@ -269,6 +272,9 @@ def _eliminate(columns, n_rows: int) -> tuple:
     nonzero packed product or an entry past the bound, takes the exact
     products, so the pivots, the last pivot and the covectors are those
     of the per-covector test.  The next pivot drops the packed rows.
+    A caller that guarantees |entry| <= bound for every column of the
+    stream passes that bound: the rows are packed with it, narrower for
+    small entries, and no column's entries are checked against it.
     """
     pivot_cols = []
     pivot_rows = []
@@ -277,20 +283,22 @@ def _eliminate(columns, n_rows: int) -> tuple:
     prev = 1
     sign = 1
     packed = None  # the covectors packed, once a column since the last pivot was dependent
+    # without a bound of the caller's, each column is checked against _PACK_BOUND
+    checked, bound = (True, _PACK_BOUND) if bound is None else (False, bound)
     mul = operator.mul
     for col, v in enumerate(columns if rows else ()):
         if not any(v):
             continue
         if pivot_rows:
             if packed is not None and not sum(map(mul, v, packed)):
-                if max(v) <= _PACK_BOUND and min(v) >= -_PACK_BOUND:
+                if not checked or max(v) <= bound and min(v) >= -bound:
                     continue
             vp = pivot_entries(v)
             ds = [sum(map(mul, b, vp), prev * v[q]) for q, b in zip(rows, covectors)]
             if not any(ds):
                 if packed is None:
                     dense = _dense_covectors(rows, covectors, pivot_rows, prev, n_rows)
-                    packed = _packed_rows(dense, n_rows, _PACK_BOUND)
+                    packed = _packed_rows(dense, n_rows, bound)
                 continue
         else:
             ds = list(v)  # every y_q is still e_q, and the rows are in order

@@ -46,7 +46,7 @@ Each sample ranks D exactly by its rows (linalg._certified_rank: a
 rank-counting pass mod linalg.RANK_PRIME that stops at the row that
 brings the rank to e, with an exact fallback only when the rank mod p
 falls short).  No row after that one is made: on a generic w, 7 of the
-28 rows for sym k = 3, e = 7, and 16 of the 35 for skew k = 4, e = 7.
+28 rows for sym k = 3, e = 7, and 7 of the 35 for skew k = 4, e = 7.
 Where the maximal enclosing dimension on QQ^e is below e (skew k = 2
 at odd e, e = k + 1, and k = 1 at e > 1), no pass could reach rank e,
 so those cells take linalg._eliminate's exact rank alone.  A w with
@@ -230,10 +230,16 @@ def sec_dim_printed(s: int, n: int, kind: str) -> int:
 def _chart_pattern(kind: str, e: int, k: int) -> tuple:
     """(U, faces), the face pattern of sub_dim_tangent's chart on QQ^e: U
     tensor directions (the basis of the k-th power of QQ^e), and for each
-    face of degree k - 1 on QQ^e, in combinations or exponent_vectors
-    order, a tuple of (basis index i, direction j, factor), one for each
-    entry of the face table of the basis (tensors._skew_faces,
-    _sym_faces, with the indices range(U) as the payload) on that face.
+    face of degree k - 1 on QQ^e a tuple of (basis index i, direction j,
+    factor), one for each entry of the face table of the basis
+    (tensors._skew_faces, _sym_faces, with the indices range(U) as the
+    payload) on that face.  The faces are taken from both ends of
+    combinations or exponent_vectors order in turn (first, last, second,
+    second to last, ...): the first skew faces in that order share their
+    low indices, so their rows span few directions, while the two ends
+    cover all of them; a generic skew sample with k = 4, e = 8 reaches
+    rank e after 8 rows, not 22.  The rank of D does not depend on the
+    order of its rows.
 
     At A = [I_e ; 0], the column along an entry A[i][j], i >= e, is e_i
     times the derivative of w along e_j.  Skew: a term c e_I with j at
@@ -261,7 +267,9 @@ def _chart_pattern(kind: str, e: int, k: int) -> tuple:
         factors = itertools.repeat(factor) if type(factor) is int else factor
         for face, j, m, i in zip(table_faces, rows, factors, indices):
             faces[face].append((i, j, sign * m))
-    return len(basis), tuple(map(tuple, faces.values()))
+    listed = list(faces.values())
+    ends = itertools.chain.from_iterable(zip(listed, reversed(listed)))
+    return len(basis), tuple(map(tuple, itertools.islice(ends, len(listed))))
 
 
 def _d_rows(w: list, faces: tuple, e: int):

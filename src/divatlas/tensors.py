@@ -27,7 +27,8 @@ face holds factor * coefficient on the row of each term above it.
   stream these into the elimination kernel (linalg._eliminate), which
   stops at full row rank, so a generic tensor's columns after the last
   pivot are never made, and the oracle contraction_matrix collects the
-  same columns into a RationalMatrix.
+  same columns into a RationalMatrix.  An integral tensor also hands
+  the kernel the bound on its column entries, max |c| or k * max |c|.
 * From the terms to their faces: the face table of each kind
   (_skew_faces, _sym_faces) lists, per position or coordinate, the
   face, row, factor and an item of any payload for every term at once,
@@ -57,7 +58,6 @@ import itertools
 import math
 import operator
 import random
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -281,12 +281,19 @@ class SymTensor(_Tensor):
     @staticmethod
     def _keys_valid(keys: list, n: int, k: int) -> bool:
         """Keys of int entries are exponent vectors: n entries, nonnegative,
-        summing to k."""
+        summing to k.  The lengths and degrees are read from bytes(key),
+        which refuses any entry outside 0..255, so the bytes need no sign
+        check; when it refuses (a negative entry, or one past 255 for
+        k >= 256), the keys themselves take all three checks."""
+        try:
+            keys, signed = list(map(bytes, keys)), False
+        except ValueError:
+            signed = True
         return (
             {n}.issuperset(map(len, keys))
             and {k}.issuperset(map(sum, keys))
             # for n = 0 every key is () and has no min
-            and (not n or min(map(min, keys), default=0) >= 0)
+            and (not signed or not n or min(map(min, keys), default=0) >= 0)
         )
 
     @staticmethod
@@ -601,12 +608,16 @@ def _pivot_columns(t) -> tuple:
     is needed to enclose.  A non-tensor raises TypeError first.  The
     kernel takes each column scaled by the lcm of its denominators, and
     stops at full row rank: the columns after the last pivot of a tensor
-    with enc = n are never made."""
-    _kind(t)
+    with enc = n are never made.  For an integral t it also takes the
+    bound on every column entry, max |c| (skew) or k * max |c| (sym, a
+    factor a_i + 1 <= k), so it packs for t's own entries and checks no
+    column against its default bound."""
+    kind = _kind(t)
     if not t.k:
         return ()
     columns = _contraction_columns(t)
     integral = _integral(t)
+    bound = max(map(abs, t.coeffs.values()), default=0) * (1 if kind == SKEW else t.k) if integral else None
     seen = []
 
     def scaled():
@@ -614,7 +625,7 @@ def _pivot_columns(t) -> tuple:
             seen.append(col)
             yield col if integral else _int_vector(col)
 
-    pivots, _, _ = _eliminate(scaled(), t.n)
+    pivots, _, _ = _eliminate(scaled(), t.n, bound)
     return tuple(seen[j] for j in pivots)
 
 
@@ -900,16 +911,17 @@ def _coeff_from_json(c):
 _DICT = frozenset((dict,))
 _LIST = frozenset((list,))
 _STR = frozenset((str,))
-# decimal integer literals, one a line ([0-9] is ASCII only)
-_DECIMAL_LINES = re.compile(r"-?[0-9]+(?:\n-?[0-9]+)*")
 
 
 def _coeffs_from_json(cs: list) -> list:
-    """The coefficients as _coeff_from_json gives them one by one.  Decimal
-    integer strings are converted by int() in one pass; any other list,
-    or a literal past int()'s digit limit, is converted one by one, and
-    the first bad coefficient raises."""
-    if _STR.issuperset(map(type, cs)) and _DECIMAL_LINES.fullmatch("\n".join(cs)):
+    """The coefficients as _coeff_from_json gives them one by one.  A list
+    of strings is converted by int() in one pass: every string that int()
+    reads (Unicode digits and spaces, PEP 515 underscores and a sign
+    included) is an integer spelling of as_exact's with the same value.
+    Any other list, or one with a string that int() refuses (a fraction,
+    a decimal, a literal past int()'s digit limit or a bad one), is
+    converted one by one, and the first bad coefficient raises."""
+    if _STR.issuperset(map(type, cs)):
         try:
             return list(map(int, cs))
         except ValueError:
@@ -927,8 +939,8 @@ def _terms_from_json(terms: list) -> tuple:
     """
     if _DICT.issuperset(map(type, terms)):
         try:
-            idxs = [term["index"] for term in terms]
-            cs = [term["coeff"] for term in terms]
+            idxs = list(map(operator.itemgetter("index"), terms))
+            cs = list(map(operator.itemgetter("coeff"), terms))
         except KeyError:
             pass
         else:

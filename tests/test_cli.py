@@ -164,6 +164,25 @@ def test_enc_output_matches_committed_file(capsys, name):
     assert out == expected.read_text()
 
 
+@pytest.mark.parametrize("name", ENC_CASES)
+def test_enc_text_output_matches_committed_file(capsys, name):
+    # the text form of the same five answers, sub line included
+    rc, out, err = run_cli(capsys, "enc", str(DATA / f"{name}.json"), "--sub", "6")
+    assert (rc, err) == (0, "")
+    assert out == (DATA / f"{name}.enc.txt").read_text()
+
+
+def test_enc_refuses_a_negative_sub_before_reading_the_file(capsys):
+    # no enclosing dimension is below 0, so Sub_-1 is no locus to test; the
+    # refusal comes before the file is opened
+    for tensor in (DATA / "skew-k3-n7.json", DATA / "absent.json"):
+        for fmt in ("text", "json"):
+            got = run_cli(capsys, "enc", str(tensor), "--sub", "-1", "--format", fmt)
+            assert got == (2, "", "divatlas: --sub -1 is below 0\n"), (tensor, fmt)
+    rc, out, err = run_cli(capsys, "enc", str(DATA / "skew-k3-n7.json"), "--sub", "0")
+    assert (rc, err) == (0, "") and out.endswith("member of Sub_0: false\n")
+
+
 @pytest.mark.parametrize("name,argv", COMPONENTS_CASES)
 def test_components_output_matches_committed_file(capsys, name, argv):
     # the genus-4 atlas has a two-point top stratum (multiplicity 2); in the

@@ -571,12 +571,13 @@ def _per_covector_eliminate(columns, n_rows):
 _EDGES = (2**62 - 1, 2**62, 2**200)
 
 
-def _edge_streams(rng):
+def _edge_streams(rng, edges=_EDGES):
     """(n, columns): rank-deficient streams whose columns combine, with
     weights -1..1, fewer base columns than rows; base entries are 0,
-    small, or +-(2^62 - 1), +-2^62 or +-2^200, so dependent columns fall
-    on both sides of the packed test's entry bound."""
-    values = [0, 0, 1, -2, 3] + [s * x for x in _EDGES for s in (1, -1)]
+    small, or +-edges, by default +-(2^62 - 1), +-2^62 or +-2^200, so
+    dependent columns fall on both sides of the packed test's entry
+    bound."""
+    values = [0, 0, 1, -2, 3] + [s * x for x in edges for s in (1, -1)]
     for n in range(2, 8):
         for _ in range(30):
             base = [[rng.choice(values) for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
@@ -608,6 +609,28 @@ def test_packed_kernel_matches_the_per_covector_reference_at_the_entry_bound(mon
                 dependent["2^200"] += top >= 2**200
     assert packs and set(packs) == {2**62 - 1}
     assert min(dependent.values()) >= 50, dependent
+
+
+def test_eliminate_with_a_covering_bound_matches_the_checked_kernel(monkeypatch):
+    # a caller's bound that covers every entry of its stream, tight or
+    # loose, packs with that bound and gives the triple of the kernel that
+    # checks each column against its own bound
+    packs = []
+    real = linalg._packed_rows
+    monkeypatch.setattr(linalg, "_packed_rows", lambda *args: packs.append(args[2]) or real(*args))
+    rng = random.Random("covering-bound")
+    streams = list(_edge_streams(rng, edges=())) + list(_edge_streams(rng, edges=(7, 2**62, 2**200)))
+    packed = 0
+    for n, columns in streams:
+        expected = _per_covector_eliminate(columns, n)
+        top = max(abs(x) for v in columns for x in v)
+        for bound in (None, top, top + 1, 3 * top + 5, 2**300):
+            packs.clear()
+            pivots, last, annihilator = _eliminate(iter(columns), n, bound)
+            assert (pivots, last, list(annihilator)) == expected, (n, columns, bound)
+            assert set(packs) <= {2**62 - 1 if bound is None else bound}
+            packed += bool(packs)
+    assert packed > len(streams), packed
 
 
 def test_eliminate_checks_the_entry_bound_before_a_packed_skip():

@@ -684,16 +684,37 @@ def test_tangent_oracle_reproduces_the_golden_values():
         assert got == values, (kind, k, n, e)
 
 
+def _from_both_ends(xs: list) -> list:
+    """xs in the order first, last, second, second to last, ..."""
+    order = []
+    lo, hi = 0, len(xs) - 1
+    while lo <= hi:
+        order.append(xs[lo])
+        if lo < hi:
+            order.append(xs[hi])
+        lo, hi = lo + 1, hi - 1
+    return order
+
+
+def test_from_both_ends():
+    assert _from_both_ends([]) == []
+    assert _from_both_ends([0]) == [0]
+    assert _from_both_ends(list(range(5))) == [0, 4, 1, 3, 2]
+    assert _from_both_ends(list(range(6))) == [0, 5, 1, 4, 2, 3]
+
+
 def _chart_row_positions(kind: str, k: int, n: int, e: int, i: int) -> list:
-    """For each face of degree k - 1 on QQ^e, in index order, the position
-    of that face times e_i (skew: M + (i,); sym: beta padded, plus 1 at
-    position i) in the basis of the k-th power of QQ^n (k_subsets or
-    exponent_vectors order); i >= e."""
+    """For each face of degree k - 1 on QQ^e, in the pattern's order (index
+    order taken from both ends in turn), the position of that face times
+    e_i (skew: M + (i,); sym: beta padded, plus 1 at position i) in the
+    basis of the k-th power of QQ^n (k_subsets or exponent_vectors
+    order); i >= e."""
     if kind == SKEW:
         position = {J: r for r, J in enumerate(k_subsets(n, k))}
-        return [position[M + (i,)] for M in k_subsets(e, k - 1)]
+        return [position[M + (i,)] for M in _from_both_ends(k_subsets(e, k - 1))]
     position = {a: r for r, a in enumerate(exponent_vectors(n, k))}
-    return [position[beta + tuple(int(t == i) for t in range(e, n))] for beta in exponent_vectors(e, k - 1)]
+    faces = _from_both_ends(exponent_vectors(e, k - 1))
+    return [position[beta + tuple(int(t == i) for t in range(e, n))] for beta in faces]
 
 
 def test_chart_columns_match_the_general_builders():
@@ -740,6 +761,29 @@ def test_chart_columns_match_the_general_builders():
         units, faces = _chart_pattern(kind, e, k)
         assert type(faces) is tuple
         assert all(type(f) is tuple and all(type(x) is tuple and type(x[0]) is int for x in f) for f in faces)
+
+
+@pytest.mark.parametrize(
+    "kind, k, e",
+    # in index order the pass read 7, 16, 22 and 57 or 58 rows on the skew shapes
+    [(SKEW, 3, 6), (SKEW, 4, 7), (SKEW, 4, 8), (SKEW, 5, 9), (SYM, 3, 7), (SYM, 4, 6)],
+)
+def test_tangent_pass_reads_e_rows_of_d(monkeypatch, kind, k, e):
+    # D's faces come from both ends of index order in turn, so on each of
+    # these shapes the first draw of every seed is certified at the e-th row
+    read = []
+
+    def counted(*args):
+        read.append(0)
+        for row in _d_rows(*args):
+            read[-1] += 1
+            yield row
+
+    monkeypatch.setattr(subspaces, "_d_rows", counted)
+    for seed in range(10):
+        read.clear()
+        assert sub_dim_tangent(e, k, e + 1, kind, seed) == sub_dim(e, k, e + 1, kind)
+        assert read == [e], (seed, read)
 
 
 def test_chart_at_n_equal_e_is_the_unit_columns(monkeypatch):

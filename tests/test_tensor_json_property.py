@@ -14,8 +14,18 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import itertools  # noqa: E402
+
 from divatlas.linalg import as_exact  # noqa: E402
-from divatlas.tensors import SKEW, SYM, SkewTensor, SymTensor, tensor_from_json  # noqa: E402
+from divatlas.tensors import (  # noqa: E402
+    SKEW,
+    SYM,
+    SkewTensor,
+    SymTensor,
+    _coeff_from_json,
+    _coeffs_from_json,
+    tensor_from_json,
+)
 
 # ---------------------------------------------------------------------------
 # reference parser, one term at a time
@@ -182,3 +192,56 @@ def _outcome(parse, obj):
 def test_tensor_from_json_matches_per_term_reference(obj):
     # the same keys in the same order, with the same values and number types
     assert _outcome(_parse, obj) == _outcome(reference_from_json, obj)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass coefficient conversion
+
+# ASCII and other decimal digits (Arabic-Indic three, Devanagari zero, a
+# double-struck one), a superscript two (a digit to str.isdigit, not to
+# int), spaces to str.isspace (ASCII, no-break, em, ideographic, the file
+# separator, the line separator) and a zero-width space (not a space),
+# underscores, signs and the characters of fractions, decimals and
+# exponents
+COEFF_CHARS = "0179" + "\u0663\u0966\U0001d7d9" + "\u00b2" + " \t\n\xa0\u2003\u3000\x1c\u2028\u200b" + "_+-/.eE"
+LONG_LITERALS = ["1" * 4300, "-" + "1" * 4300, HUGE, "1_" * 2150 + "1", "1/2", "0.5", "1e3", "-3/4", "6/3"]
+
+
+def _one_by_one(cs):
+    try:
+        return "values", [(type(c), c) for c in map(_coeff_from_json, cs)]
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _one_pass(cs):
+    try:
+        return "values", [(type(c), c) for c in _coeffs_from_json(cs)]
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def test_coeffs_from_json_matches_one_by_one_on_every_short_string():
+    # every string of up to three characters over COEFF_CHARS, alone and
+    # after a good coefficient, so a refused one is the first error
+    accepted = 0
+    for size in range(4):
+        for chars in itertools.product(COEFF_CHARS, repeat=size):
+            c = "".join(chars)
+            assert _one_pass([c]) == _one_by_one([c]), c
+            assert _one_pass(["5", c]) == _one_by_one(["5", c]), c
+            accepted += _one_by_one([c])[0] == "values"
+    assert accepted > 1000
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.one_of(st.text(COEFF_CHARS, max_size=8), st.sampled_from(LONG_LITERALS)), max_size=5))
+@example(["1", "2", HUGE, "x"])
+@example(["1", "x", HUGE])
+@example([" \u0663_\u0966 ", "+0_7", "-\U0001d7d9"])
+def test_coeffs_from_json_gives_the_values_or_the_first_error_of_one_by_one(cs):
+    # int() reads every string of a list in one pass; on one that it
+    # refuses, the list goes one by one, so a fraction keeps its value and
+    # the first bad coefficient, a literal past int()'s digit limit
+    # included, raises its own message
+    assert _one_pass(cs) == _one_by_one(cs)

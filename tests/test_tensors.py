@@ -370,10 +370,10 @@ def _count_eliminations(monkeypatch) -> list:
     calls = []
     eliminate = tensors._eliminate
 
-    def counted(columns, n_rows):
+    def counted(columns, n_rows, bound=None):
         seen = []
         calls.append(seen)
-        return eliminate((seen.append(col) or col for col in columns), n_rows)
+        return eliminate((seen.append(col) or col for col in columns), n_rows, bound)
 
     monkeypatch.setattr(tensors, "_eliminate", counted)
     return calls
@@ -395,6 +395,39 @@ def test_enclosing_space_skips_independence_recheck(monkeypatch):
         assert is_in_power_of(t, basis)
         assert len(calls) == 2
         calls.clear()
+
+
+def test_enc_columns_stay_within_the_bound_it_passes(monkeypatch):
+    # an integral tensor passes max |c| (skew) or k * max |c| (sym) to the
+    # kernel, which then checks no column against it: every column that
+    # enc streams must lie within it, and the sym bound is reached where
+    # a k-th power term's face holds k * c; a Fraction tensor passes none
+    seen = []
+    eliminate = tensors._eliminate
+
+    def bounded(columns, n_rows, bound=None):
+        seen.append((bound, []))
+        return eliminate((seen[-1][1].append(col) or col for col in columns), n_rows, bound)
+
+    monkeypatch.setattr(tensors, "_eliminate", bounded)
+    reached = {SKEW: 0, SYM: 0}
+    rng = random.Random("enc-bound")
+    for kind, n, k in [(SKEW, 6, 2), (SKEW, 7, 3), (SKEW, 8, 4), (SYM, 4, 2), (SYM, 5, 3), (SYM, 4, 4)]:
+        for scale in (1, -7, 2**70):
+            t = random_tensor(n, k, kind, rng) * scale
+            sparse = type(t)(n, k, dict(itertools.islice(t.coeffs.items(), 3)))
+            for u in (t, sparse, random_decomposable(n, k, kind, rng) * scale):
+                seen.clear()
+                enc(u)
+                (bound, columns), = seen
+                top = max(map(abs, u.coeffs.values()))
+                assert bound == (top if kind == SKEW else k * top), (kind, n, k)
+                assert all(abs(x) <= bound for col in columns for x in col), (kind, n, k)
+                reached[kind] += any(abs(x) == bound for col in columns for x in col)
+    assert min(reached.values()) > 0, reached
+    seen.clear()
+    enc(SymTensor(3, 2, {(2, 0, 0): Fraction(1, 2), (0, 1, 1): 3}))
+    assert seen[0][0] is None
 
 
 def test_is_in_power_of_degree_zero():
@@ -1096,6 +1129,41 @@ def test_constructor_reports_the_first_bad_key(cls, n, k, keys, message):
     with pytest.raises(ValueError) as err:
         cls(n, k, dict.fromkeys(keys, 1))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "key, message, json_message",
+    [
+        ((True, 1), "exponent vector (True, 1) does not have total degree 2", "malformed index: [True, 1]"),
+        ((1.0, 1), "exponent vector (1.0, 1) does not have total degree 2", "malformed index: [1.0, 1]"),
+        ((-1, 3), "exponent vector (-1, 3) does not have total degree 2", None),
+        ((256, -254), "exponent vector (256, -254) does not have total degree 2", None),
+    ],
+)
+def test_sym_key_check_refuses_bool_float_and_negative_entries(key, message, json_message):
+    # the key check reads lengths and degrees from bytes(key), which takes
+    # True as 1 and refuses a float or an entry outside 0..255; each
+    # route still refuses with its own message
+    with pytest.raises(ValueError) as err:
+        SymTensor(2, 2, {(2, 0): 1, key: 1})
+    assert str(err.value) == message
+    terms = [{"index": [2, 0], "coeff": "1"}, {"index": list(key), "coeff": "1"}]
+    with pytest.raises(ValueError) as err:
+        tensor_from_json({"n": 2, "k": 2, "kind": SYM, "terms": terms})
+    assert str(err.value) == (json_message or message)
+
+
+def test_sym_keys_with_entries_past_255_are_accepted():
+    # bytes() refuses an entry past 255, so k >= 256 takes the key checks on
+    # the keys themselves
+    coeffs = {(300, 0): 1, (256, 44): 2, (0, 300): 3}
+    t = SymTensor(2, 300, coeffs)
+    assert t.coeffs == coeffs and enc(t) == 2
+    terms = [{"index": list(key), "coeff": str(c)} for key, c in coeffs.items()]
+    assert tensor_from_json({"n": 2, "k": 300, "kind": SYM, "terms": terms}) == t
+    assert SymTensor(1, 256, {(256,): 5}).coeffs == {(256,): 5}
+    with pytest.raises(ValueError, match=r"exponent vector \(256, 45\) does not have total degree 300"):
+        SymTensor(2, 300, {(300, 0): 1, (256, 45): 2})
 
 
 def test_constructor_accumulates_keys_that_become_equal():
