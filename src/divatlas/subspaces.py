@@ -28,19 +28,20 @@ term of w, so D is w's contraction matrix transposed, up to one global
 sign, and rank D = enc(w).  The chart's rank is therefore
 U + (n-e) rank D, and the oracle ranks D alone.
 
-The face pattern of D (which term of w lands on which face, and with
-which sign or multiplicity) is the face table of the basis of the k-th
-power of QQ^e (tensors._skew_faces, _sym_faces), the table that
-membership's face sums also read: row f of D holds the table's entries
-on face f.  It depends on the shape (kind, e, k) alone, so
-_chart_pattern makes it once per shape and caches it, face by face,
-each entry naming its term of w by the term's index in the basis.  A
-sample draws w as the plain list of its coefficients in basis order,
-uniform on [-9, 9] like tensors.random_tensor's, from the BLAKE2b
-digests of the cell, the seed and the attempt (_draw_w): one digest
-gives up to 64 coefficients for less than seeding a Mersenne Twister
-per sample would cost.  It only reads them into the pattern, one row
-when it is asked for (_d_rows).
+The entries of D (which term of w lands on which face, and with which
+sign or multiplicity) depend on the shape (kind, e, k) alone, so
+_chart_pattern keeps one chart per shape: its faces in D's row order,
+the position of each basis key, and the entries of each face, each
+naming its term of w by the term's index in the basis.  A face's
+entries are worked out from the face alone (_face_entries) when a
+sample first reads its row, and kept, so a shape pays only for the
+faces that its samples read: e of them on a generic w.  A sample draws
+w as the plain list of its coefficients in basis order, uniform on
+[-9, 9] like tensors.random_tensor's, from the BLAKE2b digests of the
+cell, the seed and the attempt (_draw_w): one digest gives up to 64
+coefficients for less than seeding a Mersenne Twister per sample would
+cost.  It only reads them into the chart's entries, one row when it is
+asked for (_d_rows).
 
 Each sample ranks D exactly by its rows (linalg._certified_rank: a
 rank-counting pass mod linalg.RANK_PRIME that stops at the row that
@@ -73,17 +74,7 @@ except ImportError:
 
 # rank is not called here; perfbench's tracer tests expect to find it bound in this module
 from .linalg import _certified_rank, _check_ints, _eliminate, rank  # noqa: F401
-from .tensors import (
-    SKEW,
-    SYM,
-    _power_dim,
-    _skew_faces,
-    _sym_codes,
-    _sym_faces,
-    check_kind,
-    exponent_vectors,
-    k_subsets,
-)
+from .tensors import SKEW, SYM, _power_dim, check_kind
 
 
 def e_max(k: int, n: int) -> int:
@@ -226,62 +217,101 @@ def sec_dim_printed(s: int, n: int, kind: str) -> int:
 # tangent-space oracle
 
 
+class _Chart:
+    """The chart of one shape (kind, e, k), as _chart_pattern makes it."""
+
+    __slots__ = ("kind", "e", "k", "units", "faces", "index", "entries")
+
+    def __init__(self, kind: str, e: int, k: int, units: int, faces: tuple, index: dict, entries: list):
+        self.kind, self.e, self.k, self.units = kind, e, k, units
+        self.faces, self.index, self.entries = faces, index, entries
+
+
 @functools.cache
-def _chart_pattern(kind: str, e: int, k: int) -> tuple:
-    """(U, faces), the face pattern of sub_dim_tangent's chart on QQ^e: U
-    tensor directions (the basis of the k-th power of QQ^e), and for each
-    face of degree k - 1 on QQ^e a tuple of (basis index i, direction j,
-    factor), one for each entry of the face table of the basis
-    (tensors._skew_faces, _sym_faces, with the indices range(U) as the
-    payload) on that face.  The faces are taken from both ends of
-    combinations or exponent_vectors order in turn (first, last, second,
-    second to last, ...): the first skew faces in that order share their
-    low indices, so their rows span few directions, while the two ends
-    cover all of them; a generic skew sample with k = 4, e = 8 reaches
-    rank e after 8 rows, not 22.  The rank of D does not depend on the
-    order of its rows.
+def _chart_pattern(kind: str, e: int, k: int) -> _Chart:
+    """The chart of sub_dim_tangent on QQ^e, its face entries made lazily.
+
+    units is the number U of tensor directions, the basis of the k-th
+    power of QQ^e; faces lists the faces of degree k - 1 on QQ^e in D's
+    row order; index maps each basis key to its position in the basis;
+    entries holds one slot per face, None until some sample first reads
+    the face's row and _face_entries fills it.  A key or face is a sorted
+    tuple of indices in range(e): a k-subset for skew, with
+    itertools.combinations giving the order of tensors.k_subsets, and a
+    multiset for sym, the exponent vector alpha holding alpha_j copies
+    of j, with itertools.combinations_with_replacement giving the order
+    of tensors.exponent_vectors.  The faces are taken from both ends of
+    that order in turn (first, last, second, second to last, ...): the
+    first skew faces in that order share their low indices, so their
+    rows span few directions, while the two ends cover all of them; a
+    generic skew sample with k = 4, e = 8 reaches rank e after 8 rows,
+    not 22.  The rank of D does not depend on the order of its rows.
+
+    Every sample reads D's rows in that order and stops where its rank
+    is certified, after e rows on a generic w: the first sample of a
+    shape makes the entries of the faces it reads, a later one only
+    those of the faces that no earlier one reached.  A slot is only ever
+    filled with its own face's entries, so two streams of rows, or two
+    threads, that make one face at once write equal tuples.  The face
+    table of tensors (_skew_faces, _sym_faces), which lists the entries
+    of every face at once, is not read.
+
+    The chart depends on neither w nor n, and functools.cache keeps it
+    for the process, as tensors._EXPONENT_VECTORS is kept; every entry
+    handed out is a tuple of int triples, so no caller can change one.
+    perfbench and tools/ab.py import the package afresh before each
+    round, so there a chart lives one round."""
+    combos = itertools.combinations if kind == SKEW else itertools.combinations_with_replacement
+    faces = list(combos(range(e), k - 1))
+    ends = itertools.islice(itertools.chain.from_iterable(zip(faces, reversed(faces))), len(faces))
+    index = dict(zip(combos(range(e), k), itertools.count()))
+    return _Chart(kind, e, k, len(index), tuple(ends), index, [None] * len(faces))
+
+
+def _face_entries(chart: _Chart, f: int) -> tuple:
+    """The entries of chart.faces[f], kept in the slot chart.entries[f]:
+    one (basis index i, direction j, factor) for each term of w on the
+    face, in increasing j.
 
     At A = [I_e ; 0], the column along an entry A[i][j], i >= e, is e_i
-    times the derivative of w along e_j.  Skew: a term c e_I with j at
-    position q of I gives (-1)^q c e_M, M = I minus j, the table's face
-    and sign on row j; moving e_i past the k - 1 indices of M, all below
-    it, gives (-1)^(q+k-1) c on M + (i,), so the factor is the table's
-    times (-1)^(k-1).  Sym: a term c x^alpha gives alpha_j c on
-    beta = alpha - e_j, the table's face and factor, times x_i.  Each
-    entry of D, a face and a direction, comes from one term of w.
-
-    The pattern depends on neither w nor n, and functools.cache keeps it
-    for the process, as tensors._EXPONENT_VECTORS is kept; it is made of
-    tuples only, so no caller can change it.  perfbench and tools/ab.py
-    import the package afresh before each round, so there a pattern
-    lives one round."""
-    if kind == SKEW:
-        basis = k_subsets(e, k)
-        table, face_keys, sign = _skew_faces(basis, range(len(basis))), k_subsets(e, k - 1), -1 if (k - 1) % 2 else 1
-    else:
-        basis = exponent_vectors(e, k)
-        table, face_keys, sign = _sym_faces(basis, range(len(basis)), k), _sym_codes(exponent_vectors(e, k - 1), k), 1
-    faces = {face: [] for face in face_keys}
-    for table_faces, row, factor, indices in table:
-        rows = itertools.repeat(row) if type(row) is int else row
-        factors = itertools.repeat(factor) if type(factor) is int else factor
-        for face, j, m, i in zip(table_faces, rows, factors, indices):
-            faces[face].append((i, j, sign * m))
-    listed = list(faces.values())
-    ends = itertools.chain.from_iterable(zip(listed, reversed(listed)))
-    return len(basis), tuple(map(tuple, itertools.islice(ends, len(listed))))
+    times the derivative of w along e_j.  Skew: for each j not in the
+    face M, the term c e_I, I = M with j inserted at position q, gives
+    (-1)^q c e_M, and moving e_i past the k - 1 indices of M, all below
+    it, gives (-1)^(q+k-1) c on M + (i,).  Sym: for each j, the term
+    c x^alpha, alpha = beta + e_j, gives alpha_j c = (beta_j + 1) c on
+    the face beta, times x_i.  Each entry of D, a face and a direction,
+    comes from one term of w.  For both kinds the term's key is the
+    face with j inserted at position q, the number of the face's indices
+    below j: key holds the face with a slot at q, and c - q counts the
+    face's copies of j, which is beta_j for sym, and for skew is 1
+    exactly when j is in M, which then has no entry along j."""
+    face, index, k = chart.faces[f], chart.index, chart.k
+    made, key, q = [], [0, *face], 0
+    for j in range(chart.e):
+        key[q], c = j, q
+        while c < k - 1 and face[c] == j:
+            c += 1
+        if chart.kind == SYM:
+            made.append((index[tuple(key)], j, c - q + 1))
+        elif c == q:
+            made.append((index[tuple(key)], j, (-1) ** (q + k - 1)))
+        q = c
+    chart.entries[f] = made = tuple(made)
+    return made
 
 
-def _d_rows(w: list, faces: tuple, e: int):
+def _d_rows(w: list, chart: _Chart):
     """The rows of the block D for w, the list of its coefficients in the
     basis order of the k-th power of QQ^e, zeros included, one for each
-    face of the pattern, in order: row f is a list of e ints, its entry j
+    face of the chart, in order: row f is a list of e ints, its entry j
     the coefficient of the term of w on face f and direction j times its
     factor, 0 where the face has no term along j.  Each row is made when
-    it is asked for."""
-    for entries in faces:
+    it is asked for, and a face's entries when its row is first asked
+    for by any sample."""
+    e = chart.e
+    for f, made in enumerate(chart.entries):
         row = [0] * e
-        for i, j, m in entries:
+        for i, j, m in made or _face_entries(chart, f):
             row[j] = m * w[i]
         yield row
 
@@ -335,9 +365,9 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0) -> int:
     w's enclosing space, so D's kernel has dimension e - enc(w) and
     rank D = enc(w).  D is w's
     contraction matrix transposed, up to one global sign, built row by
-    row from w's coefficients on the cached face pattern of the shape
-    (_d_rows on _chart_pattern, which reads the face table of tensors),
-    so no contraction column and no enc is run.
+    row from w's coefficients on the cached chart of the shape (_d_rows
+    on _chart_pattern, whose face entries _face_entries makes as the
+    rows are first read), so no contraction column and no enc is run.
 
     A w whose enclosing dimension is below the maximum on QQ^e
     (_e_bound) lies in a smaller Sub_e, so it must not be measured.
@@ -362,10 +392,10 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0) -> int:
     if n == e:
         return _power_dim(e, k, kind) - 1
     cell = f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}"
-    units, faces = _chart_pattern(kind, e, k)
-    full = _e_bound(k, e, kind)
+    chart = _chart_pattern(kind, e, k)
+    units, full = chart.units, _e_bound(k, e, kind)
     for attempt in range(MAX_RETRIES):
-        rows = _d_rows(_draw_w(cell, attempt, units), faces, e)
+        rows = _d_rows(_draw_w(cell, attempt, units), chart)
         rank_d = _certified_rank(rows, e) if full == e else len(_eliminate(rows, e)[0])
         if rank_d == full:
             return units + (n - e) * rank_d - 1

@@ -33,8 +33,10 @@ face holds factor * coefficient on the row of each term above it.
   (_skew_faces, _sym_faces) lists, per position or coordinate, the
   face, row, factor and an item of any payload for every term at once,
   a symmetric face keyed by an integer (_sym_codes) rather than a
-  tuple.  Membership's face sums (_face_sums) and the tangent chart's
-  face pattern (subspaces._chart_pattern) read it.
+  tuple.  Membership's face sums (_face_sums) read it.  The tangent
+  chart does not: it reads D's faces one at a time and stops after a
+  few, so subspaces._face_entries works out the entries of each face
+  it reads from the face alone, by the same rule.
 
 Membership in the k-th power of a subspace (is_in_power_of) reads the
 covectors that span the subspace's annihilator: SubspaceBasis makes

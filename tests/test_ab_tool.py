@@ -13,7 +13,9 @@ def test_a_against_itself_on_membership(capsys):
     # both sides run every op of the round, and neither side is far ahead
     tree = str(ROOT / "src" / "divatlas")
     assert ab.main([tree, tree, "--workload", "membership", "--seed", "5", "--rounds", "1"]) == 0
-    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 4
+    result = json.loads(out[-1])
     assert result["failed"] == 0 and result["ops_per_side"] == 270
     assert set(result["sides"]) == {"a", "b"}
     assert 0.5 < result["ops_per_s_ratio_b_over_a"] < 2
@@ -21,18 +23,22 @@ def test_a_against_itself_on_membership(capsys):
     lo, hi = result["median_chunk_ratio_ci95"]
     assert lo <= result["median_chunk_ratio_a_over_b"] <= hi
     assert ab.Tree("ab_a", tree).tensors.__name__ == "ab_a.tensors"
-    # the per-label split covers exactly the workload's op labels, and its
-    # sums are each side's whole op time
-    with ab.tempfile.TemporaryDirectory() as workdir:
-        recipes = ab.workloads.WORKLOADS["membership"](5, workdir)
-        labels = {op.label for op in ab.workloads.bind(ab.Tree("ab_a", tree), recipes)}
-    assert set(result["labels"]) == labels
-    for side in "ab":
-        total = sum(split[f"{side}_s"] for split in result["labels"].values())
-        assert abs(total * result["sides"][side]["ops_per_s"] / 270 - 1) < 1e-9
-    assert all(split["b_over_a"] == split["b_s"] / split["a_s"] for split in result["labels"].values())
-    # with one round, each label's interval is its one ratio
-    assert all(split["ci95"] == [split["b_over_a"]] * 2 for split in result["labels"].values())
+    # the result has no per-label split, and the summed ops_per_s ratio
+    # is printed after the chunk ratio's interval, marked as having none
+    assert set(result) == {
+        "workload",
+        "seed",
+        "ops_per_side",
+        "failed",
+        "sides",
+        "ops_per_s_ratio_b_over_a",
+        "median_chunk_ratio_a_over_b",
+        "median_chunk_ratio_ci95",
+    }
+    assert result["ops_per_s_ratio_b_over_a"] == result["sides"]["b"]["ops_per_s"] / result["sides"]["a"]["ops_per_s"]
+    summary = out[-2]
+    assert summary.index("95% bootstrap") < summary.index("summed ops_per_s b/a")
+    assert summary.endswith(f"summed ops_per_s b/a {result['ops_per_s_ratio_b_over_a']:.4f} (no interval)")
 
 
 def test_bootstrap_interval_is_seeded_and_holds_the_median():
@@ -43,11 +49,14 @@ def test_bootstrap_interval_is_seeded_and_holds_the_median():
     assert ab.bootstrap_interval([1.5] * 4, ab.random.Random(3)) == (1.5, 1.5)
 
 
-def test_each_round_loads_the_trees_afresh():
+def test_each_round_loads_the_trees_afresh(monkeypatch):
     # a module-level cache filled in round 1 is empty in round 2, as in
-    # perfbench, which imports the package afresh before each round
+    # perfbench, which imports the package afresh before each round and
+    # collects the garbage before timing it
     tree = str(ROOT / "src" / "divatlas")
     seen = []
+    collected = []
+    monkeypatch.setattr(ab.gc, "collect", lambda: collected.append(len(seen)))
 
     def recipe(pkg):
         def call():
@@ -57,42 +66,11 @@ def test_each_round_loads_the_trees_afresh():
 
         return ab.workloads.Op("exponent vectors", call, lambda result: result == 6)
 
-    latencies, ratios, failed, labels = ab.run([("ab_a", tree), ("ab_b", tree)], [recipe], 2, ab.random.Random(0))
+    latencies, ratios, failed = ab.run([("ab_a", tree), ("ab_b", tree)], [recipe], 2, ab.random.Random(0))
     assert failed == 0 and len(ratios) == 2 and [len(lat) for lat in latencies] == [2, 2]
-    assert labels == ["exponent vectors"]
+    # one collection per round, before its first op
+    assert collected == [0, 2]
     assert sorted(name for name, _, _ in seen) == ["ab_a.tensors"] * 2 + ["ab_b.tensors"] * 2
     assert not any(cached for _, _, cached in seen)
     # four distinct module objects, held by seen: each side, each round
     assert len({id(module) for _, module, _ in seen}) == 4
-
-
-def test_label_split_sums_each_label_over_rounds():
-    # two rounds of three ops, one label repeated within the round
-    labels = ["x", "y", "x"]
-    latencies = [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2.0, 2.0, 2.0, 2.0, 2.0, 2.0]]
-    split = ab.label_split(latencies, labels, 7)
-    assert {label: {key: v for key, v in s.items() if key != "ci95"} for label, s in split.items()} == {
-        "x": {"a_s": 14.0, "b_s": 8.0, "b_over_a": 8 / 14},
-        "y": {"a_s": 7.0, "b_s": 4.0, "b_over_a": 4 / 7},
-    }
-    # each label's interval is of its per-round ratios: x reads 4/4, then
-    # 4/10; y reads 2/2, then 2/5
-    rounds = {"x": [1.0, 0.4], "y": [1.0, 0.4]}
-    for label, ratios in rounds.items():
-        lo, hi = split[label]["ci95"]
-        assert lo <= ab.statistics.median(ratios) <= hi
-        assert (lo, hi) == ab.bootstrap_interval(ratios, ab.random.Random(f"ab-bootstrap:7:{label}"))
-    # seeded: the same seed gives the same intervals
-    assert ab.label_split(latencies, labels, 7) == split
-
-
-def test_label_interval_is_seeded_and_holds_the_median():
-    # five rounds of one label: the interval holds the median of the
-    # per-round ratios, and one round's ratio is a point interval
-    labels = ["x"]
-    a = [1.0, 2.0, 1.5, 1.2, 0.8]
-    b = [1.1, 1.8, 1.5, 1.5, 0.9]
-    lo, hi = ab.label_split([a, b], labels, 3)["x"]["ci95"]
-    assert lo <= ab.statistics.median(y / x for x, y in zip(a, b)) <= hi
-    assert ab.label_split([a, b], labels, 3)["x"]["ci95"] == (lo, hi)
-    assert ab.label_split([[2.0], [3.0]], labels, 3)["x"]["ci95"] == (1.5, 1.5)

@@ -20,11 +20,11 @@ comes, must load none of enc's dense column builders and not the
 kernel, directly or through another function of the module; so
 membership stays a check on enc rather than a second reading of enc's
 columns.  A third runs inside subspaces: the tangent oracle
-(sub_dim_tangent, _d_rows, _chart_pattern) must load neither enc
-nor enclosing_space nor any of the contraction column builders, in the
-same way; its rank D equals enc(w), read off the face table, so it
-stays a second route to the enclosing dimension and does not rerun
-enc's.
+(sub_dim_tangent, _d_rows, _chart_pattern, _face_entries) must load
+neither enc nor enclosing_space nor any of the contraction column
+builders, in the same way; its rank D equals enc(w), read off the
+entries that its chart makes for each face, so it stays a second route
+to the enclosing dimension and does not rerun enc's.
 
 Module-level imports are not loads.  tensors and subspaces still import
 rank with a "# noqa: F401", only because perfbench's tracer tests expect
@@ -65,7 +65,7 @@ DENSE_SIDE = frozenset(
     {"_contraction_columns", "_skew_columns", "_sym_columns", "_skew_column", "_sym_column", "_eliminate"}
 )
 # the tangent oracle, and enc's route, which its rank D must not rerun
-TANGENT = ("sub_dim_tangent", "_d_rows", "_chart_pattern")
+TANGENT = ("sub_dim_tangent", "_d_rows", "_chart_pattern", "_face_entries")
 ENC_SIDE = frozenset(
     {
         "enc",
@@ -197,7 +197,7 @@ def test_the_face_table_fence_sees_direct_and_indirect_loads():
 
 def test_the_tangent_oracle_runs_no_enc():
     # sub_dim_tangent's redraw reads rank D, which equals enc(w) and comes
-    # from the face table; if the oracle loaded enc or a contraction column
+    # from its chart's face entries; if the oracle loaded enc or a contraction column
     # builder, it would measure w through the route that it checks
     source = inspect.getsource(subspaces)
     defined = {

@@ -27,7 +27,10 @@ from divatlas.tensors import (
     SkewTensor,
     SymTensor,
     _minors,
+    _skew_faces,
     _substitution,
+    _sym_codes,
+    _sym_faces,
     apply_linear_map,
     enc,
     exponent_vectors,
@@ -443,8 +446,8 @@ def _lemma_rank(kind: str, w: dict, e: int, n: int, k: int) -> int:
     """The chart's rank by the block lemma, U + (n - e) rank D, with rank D
     certified (_certified_rank, as sub_dim_tangent takes it where D can
     reach full column rank)."""
-    units, faces = _chart_pattern(kind, e, k)
-    return units + (n - e) * _certified_rank(_d_rows(_in_basis_order(kind, e, k, w), faces, e), e)
+    chart = _chart_pattern(kind, e, k)
+    return chart.units + (n - e) * _certified_rank(_d_rows(_in_basis_order(kind, e, k, w), chart), e)
 
 
 def _full_chart(kind: str, w: dict, e: int, n: int, k: int) -> list:
@@ -496,7 +499,7 @@ def test_tangent_oracle_equals_the_enc_first_reference():
 # the Jacobian at a general A: the oracle for the chart builders
 #
 # sub_dim_tangent builds one block D at A = [I_e ; 0] straight from w
-# (_d_rows on its face pattern, _chart_pattern) and ranks the chart
+# (_d_rows on its lazy chart, _chart_pattern) and ranks the chart
 # as U + (n - e) rank D.  The builders below take any integer A, through
 # its minors (skew) or a substitution by its column forms (sym), and
 # vary any rows of A; at the chart and the rows below the identity block
@@ -723,18 +726,19 @@ def test_chart_columns_match_the_general_builders():
     # w = 0: the general builder gives U unit columns on distinct rows,
     # then along each A[i][j] the entries j of D's rows, row f relabelled
     # to face f times e_i, entry for entry.  This is the block lemma.
-    # Each shape is then built again from its cached face pattern, with a
-    # w from another seed and with that w missing some terms.
+    # Each shape is then built again from its cached chart, with a w from
+    # another seed and with that w missing some terms.
     _chart_pattern.cache_clear()
 
     def check(kind, k, n, e, w):
-        units, faces = _chart_pattern(kind, e, k)
+        chart = _chart_pattern(kind, e, k)
+        units = chart.units
         general = _full_chart(kind, w, e, n, k)
         assert len(general) == units + e * (n - e)
         assert all(len(col) == 1 and set(col.values()) == {1} for col in general[:units])
         assert len({r for col in general[:units] for r in col}) == units
         blocks = general[units:]
-        rows = list(_d_rows(_in_basis_order(kind, e, k, w), faces, e))
+        rows = list(_d_rows(_in_basis_order(kind, e, k, w), chart))
         assert all(type(row) is list and len(row) == e for row in rows)
         for i in range(e, n):
             position = _chart_row_positions(kind, k, n, e, i)
@@ -757,10 +761,13 @@ def test_chart_columns_match_the_general_builders():
         for w in (other, dropped):
             check(kind, k, n, e, w)
         assert _chart_pattern.cache_info().hits == hits + 2, (kind, k, n, e)
-        # the cached pattern is immutable all the way down
-        units, faces = _chart_pattern(kind, e, k)
-        assert type(faces) is tuple
-        assert all(type(f) is tuple and all(type(x) is tuple and type(x[0]) is int for x in f) for f in faces)
+        # every entry handed out is a tuple of int triples, so no caller
+        # can change one; only the slots that hold them are filled
+        chart = _chart_pattern(kind, e, k)
+        assert type(chart.faces) is tuple and len(chart.entries) == len(chart.faces)
+        for entries in chart.entries:
+            assert type(entries) is tuple
+            assert all(type(x) is tuple and len(x) == 3 and all(type(v) is int for v in x) for x in entries)
 
 
 @pytest.mark.parametrize(
@@ -784,6 +791,98 @@ def test_tangent_pass_reads_e_rows_of_d(monkeypatch, kind, k, e):
         read.clear()
         assert sub_dim_tangent(e, k, e + 1, kind, seed) == sub_dim(e, k, e + 1, kind)
         assert read == [e], (seed, read)
+
+
+def _face_table_entries(kind: str, e: int, k: int) -> list:
+    """Reference for the chart's face entries, all made at once from the
+    face table of tensors (_skew_faces, _sym_faces over the basis of the
+    k-th power of QQ^e, with the indices range(U) as the payload): each
+    face's entries in table order as (i, j, factor), the skew factors
+    times (-1)^(k-1), the faces taken from both ends of index order."""
+    if kind == SKEW:
+        basis = k_subsets(e, k)
+        table, faces, sign = _skew_faces(basis, range(len(basis))), k_subsets(e, k - 1), (-1) ** (k - 1)
+    else:
+        basis = exponent_vectors(e, k)
+        table, faces, sign = _sym_faces(basis, range(len(basis)), k), _sym_codes(exponent_vectors(e, k - 1), k), 1
+    grouped = {face: [] for face in faces}
+    for table_faces, row, factor, indices in table:
+        rows = itertools.repeat(row) if type(row) is int else row
+        factors = itertools.repeat(factor) if type(factor) is int else factor
+        for face, j, m, i in zip(table_faces, rows, factors, indices):
+            grouped[face].append((i, j, sign * m))
+    return [tuple(entries) for entries in _from_both_ends(list(grouped.values()))]
+
+
+def _as_basis_key(kind: str, e: int, key: tuple) -> tuple:
+    """A chart key or face, a sorted tuple of indices, as the key of
+    tensors' basis: itself for skew, its exponent vector for sym."""
+    return key if kind == SKEW else tuple(key.count(j) for j in range(e))
+
+
+def test_lazy_face_entries_equal_the_face_table():
+    # every shape of verify's tangent grid with e <= 8: the entries of
+    # each face, made one face at a time as D's rows are asked for, equal
+    # the face table's on that face, in order, and the chart's faces and
+    # keys are tensors' bases in the same order
+    _chart_pattern.cache_clear()
+    shapes = [(kind, e, k) for kind, ks in verify.TANGENT_GRID for k in ks for e in range(1 if kind == SYM else k, 9)]
+    assert len(shapes) == 46
+    for kind, e, k in shapes:
+        chart = _chart_pattern(kind, e, k)
+        assert chart.entries == [None] * len(chart.faces)
+        assert [_as_basis_key(kind, e, key) for key in chart.faces] == _from_both_ends(_basis(kind, e, k - 1))
+        assert [_as_basis_key(kind, e, key) for key in chart.index] == _basis(kind, e, k)
+        assert list(chart.index.values()) == list(range(chart.units))
+        reference = _face_table_entries(kind, e, k)
+        assert len(reference) == len(chart.faces)
+        rows = _d_rows([0] * chart.units, chart)
+        for f, entries in enumerate(reference):
+            assert next(rows) == [0] * e
+            assert chart.entries[f] == entries, (kind, e, k, f)
+            assert chart.entries[f + 1 :] == [None] * (len(reference) - f - 1)
+        assert next(rows, None) is None
+    # the chart reads no face table
+    assert not {"_skew_faces", "_sym_faces", "_sym_codes"} & set(vars(subspaces))
+
+
+@pytest.mark.parametrize("kind, k, e", [(SKEW, 4, 8), (SYM, 3, 7)])
+def test_a_generic_sample_makes_e_faces(kind, k, e):
+    # on a cleared cache one generic sample reads e rows of D, so it fills
+    # the slots of the chart's first e faces and no others; a second
+    # sample of the shape reads the same e faces and makes none again
+    _chart_pattern.cache_clear()
+    assert sub_dim_tangent(e, k, e + 1, kind, 0) == sub_dim(e, k, e + 1, kind)
+    chart = _chart_pattern(kind, e, k)
+    assert e < len(chart.faces)
+    assert [made is not None for made in chart.entries] == [True] * e + [False] * (len(chart.faces) - e)
+    made = list(chart.entries)
+    assert sub_dim_tangent(e, k, e + 1, kind, 1) == sub_dim(e, k, e + 1, kind)
+    assert all(x is y for x, y in zip(chart.entries, made))
+
+
+def test_interleaved_streams_give_the_rows_of_one_stream():
+    # two streams of D's rows over one chart, read in a seeded random
+    # interleaving, so that each reads faces the other made as well as
+    # faces it makes: each gives the rows that it gives alone on a fresh
+    # chart
+    for kind, k, e in [(SKEW, 4, 8), (SKEW, 2, 5), (SYM, 3, 6)]:
+        units = _power_dim(kind, k, e)
+        ws = [subspaces._draw_w(f"interleave:{kind}:{k}:{e}", attempt, units) for attempt in range(2)]
+        alone = []
+        for w in ws:
+            _chart_pattern.cache_clear()
+            alone.append(list(_d_rows(w, _chart_pattern(kind, e, k))))
+        _chart_pattern.cache_clear()
+        chart = _chart_pattern(kind, e, k)
+        streams, got, done = [_d_rows(w, chart) for w in ws], [[], []], [False, False]
+        rng = random.Random(f"interleave:{kind}:{k}:{e}")
+        while not all(done):
+            side, wanted = rng.randrange(2), rng.randint(1, 3)
+            rows = list(itertools.islice(streams[side], wanted))
+            got[side] += rows
+            done[side] = len(rows) < wanted
+        assert got == alone, (kind, k, e)
 
 
 def test_chart_at_n_equal_e_is_the_unit_columns(monkeypatch):

@@ -12,31 +12,31 @@ loads both trees afresh, its modules dropped from ``sys.modules`` first,
 and binds the ops to the new modules, as perfbench imports the package
 afresh before each round: a module-level cache
 (``tensors._EXPONENT_VECTORS``, ``cli._build_parser``) serves repeats
-within a round and dies with it.  The ops of a round run in chunks of
-CHUNK = 16; for each chunk a coin picks which tree runs it first, and
-then the other runs the same chunk, so both see the same spells of a
-shared machine.
+within a round and dies with it.  As in perfbench, the garbage of the
+last round is collected before the next one starts, outside the timing:
+otherwise a full collection now and then falls inside one op, which
+then outweighs hundreds of others in the summed time.  The ops of a
+round run in chunks of CHUNK = 16; for each chunk a coin picks which
+tree runs it first, and then the other runs the same chunk, so both see
+the same spells of a shared machine.
 
 Every answer is checked.  For each tree the tool prints ``ops_per_s``
 (ops over the summed op latencies) and the p50 and p90 op latencies,
-by perfbench's ``quantile``, then the ratio of the ops_per_s of B to A
-and the median over chunks of the ratio of A's chunk time to B's, with
-a 95% percentile bootstrap interval of that median (BOOTSTRAP resamples
-of the chunk ratios, drawn with replacement from a generator seeded by
-``--seed``).  A value above 1 means B is faster.  One workload mixes
-cells that can move in opposite directions, so a split by op label
-follows: for each label, each tree's summed op latency over all rounds,
-the ratio of B's sum to A's (below 1 means B is faster there), and a
-seeded 95% bootstrap interval of the median of that ratio taken round
-by round, so a label whose few ops leave it unresolved shows a wide
-interval.  The last line is one JSON object, with the split under
-``labels``.  It is no gate: a speed claim still needs perfbench's paired
-runs.
+by perfbench's ``quantile``, then the median over chunks of the ratio
+of A's chunk time to B's, with a 95% percentile bootstrap interval of
+that median (BOOTSTRAP resamples of the chunk ratios, drawn with
+replacement from a generator seeded by ``--seed``), and last the ratio
+of the summed ops_per_s of B to A, marked "no interval": one slow op or
+slow spell moves that sum, so only the chunk ratio's interval says
+whether B differs.  A value above 1 means B is faster.  The last line
+is one JSON object.  It is no gate: a speed claim still needs
+perfbench's paired runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import json
@@ -77,17 +77,15 @@ class Tree:
 
 def run(trees: list, recipes: list, rounds: int, rng: random.Random) -> tuple:
     """For trees given as (package name, src/divatlas directory) pairs: per
-    tree, the op latencies; the per-chunk time ratios A / B; failures;
-    the op labels of one round, in op order, which each tree's latencies
-    follow round after round.  Both trees are loaded afresh at the start
-    of every round, outside the timing."""
+    tree, the op latencies; the per-chunk time ratios A / B; failures.
+    Both trees are loaded afresh at the start of every round, and the
+    garbage collected, outside the timing."""
     latencies = [[] for _ in trees]
     ratios = []
     failed = 0
-    labels = []
     for _ in range(rounds):
         ops = [workloads.bind(Tree(name, path), recipes) for name, path in trees]
-        labels = [op.label for op in ops[0]]
+        gc.collect()
         for start in range(0, len(recipes), CHUNK):
             order = [0, 1]
             rng.shuffle(order)
@@ -101,27 +99,7 @@ def run(trees: list, recipes: list, rounds: int, rng: random.Random) -> tuple:
                     latencies[side].append(latency)
                     spent[side] += latency
             ratios.append(spent[0] / spent[1])
-    return latencies, ratios, failed, labels
-
-
-def label_split(latencies: list, labels: list, seed: int) -> dict:
-    """{label: {"a_s", "b_s", "b_over_a", "ci95"}}: per op label, in sorted
-    order, each tree's summed latency over every op with that label, B's
-    sum over A's, and the 95% bootstrap interval (bootstrap_interval, its
-    generator seeded by seed and the label) of the median of the
-    per-round ratios of B's sum to A's."""
-    rounds = len(latencies[0]) // len(labels)
-    sums = {label: [[0.0] * rounds, [0.0] * rounds] for label in sorted(labels)}
-    for side, lat in enumerate(latencies):
-        for i, latency in enumerate(lat):
-            r, op = divmod(i, len(labels))
-            sums[labels[op]][side][r] += latency
-    split = {}
-    for label, (a, b) in sums.items():
-        ratios = [y / x for x, y in zip(a, b)]
-        ci95 = bootstrap_interval(ratios, random.Random(f"ab-bootstrap:{seed}:{label}"))
-        split[label] = {"a_s": sum(a), "b_s": sum(b), "b_over_a": sum(b) / sum(a), "ci95": ci95}
-    return split
+    return latencies, ratios, failed
 
 
 def bootstrap_interval(ratios: list, rng: random.Random) -> tuple:
@@ -145,7 +123,7 @@ def main(argv=None) -> int:
     trees = [("ab_a", os.path.abspath(args.a)), ("ab_b", os.path.abspath(args.b))]
     with tempfile.TemporaryDirectory() as workdir:
         recipes = workloads.WORKLOADS[args.workload](args.seed, workdir)
-        latencies, ratios, failed, labels = run(trees, recipes, args.rounds, random.Random(args.seed))
+        latencies, ratios, failed = run(trees, recipes, args.rounds, random.Random(args.seed))
     sides = {}
     for name, lat in zip("ab", latencies):
         sides[name] = {
@@ -163,22 +141,13 @@ def main(argv=None) -> int:
         "ops_per_s_ratio_b_over_a": sides["b"]["ops_per_s"] / sides["a"]["ops_per_s"],
         "median_chunk_ratio_a_over_b": statistics.median(ratios),
         "median_chunk_ratio_ci95": bootstrap_interval(ratios, random.Random(f"ab-bootstrap:{args.seed}")),
-        "labels": label_split(latencies, labels, args.seed),
     }
     lo, hi = result["median_chunk_ratio_ci95"]
     print(
         f"{len(latencies[0])} ops per side in {len(ratios)} chunks, {failed} failed; "
-        f"ops_per_s b/a {result['ops_per_s_ratio_b_over_a']:.4f}, "
-        f"median chunk time a/b {result['median_chunk_ratio_a_over_b']:.4f} (95% bootstrap {lo:.4f}-{hi:.4f})"
+        f"median chunk time a/b {result['median_chunk_ratio_a_over_b']:.4f} (95% bootstrap {lo:.4f}-{hi:.4f}); "
+        f"summed ops_per_s b/a {result['ops_per_s_ratio_b_over_a']:.4f} (no interval)"
     )
-    width = max(map(len, result["labels"]))
-    print(f"{'label':<{width}}  {'a ms':>10}  {'b ms':>10}  {'b/a':>7}  {'ci lo':>7}  {'ci hi':>7}")
-    for label, split in result["labels"].items():
-        lo, hi = split["ci95"]
-        print(
-            f"{label:<{width}}  {split['a_s'] * 1e3:10.3f}  {split['b_s'] * 1e3:10.3f}  "
-            f"{split['b_over_a']:7.4f}  {lo:7.4f}  {hi:7.4f}"
-        )
     print(json.dumps(result))
     return 1 if failed else 0
 
