@@ -89,8 +89,15 @@ _INT = frozenset((int,))  # _INT.issuperset(map(type, xs)): every x is a plain i
 # spelling without its underscores, which every version reads alike.
 _DIGITS = r"\d+(?:_\d+)*"
 _RATIONAL = re.compile(
-    rf"\s*[-+]?(?=\d|\.\d)(?:{_DIGITS})?(?:/{_DIGITS}|(?:\.(?:{_DIGITS})?)?(?:[eE][-+]?{_DIGITS})?)\s*"
+    rf"\s*[-+]?(?=\d|\.\d)(?:{_DIGITS})?(?:/{_DIGITS}|(?:\.(?:{_DIGITS})?)?(?:[eE][-+]?(?P<exponent>{_DIGITS}))?)\s*"
 )
+# int()'s default limit on the digits of a decimal string.  A spelling
+# whose exponent passes it is refused before Fraction computes 10**exponent,
+# a number of that many digits whatever the mantissa ("0e..." included), and
+# a value read from a string whose numerator or denominator passes it is
+# refused rather than failing later, when str() prints it.
+_MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**_MAX_DIGITS
 
 
 def as_exact(x) -> int | Fraction:
@@ -101,16 +108,25 @@ def as_exact(x) -> int | Fraction:
     and only a non-integral value as a Fraction.  Python's int and
     Fraction mix exactly, so the rest of the package uses plain
     arithmetic.  Floats and bools are rejected.  A string must be one
-    of the spellings of ``_RATIONAL`` on every Python version.
+    of the spellings of ``_RATIONAL`` on every Python version, with an
+    exponent of at most _MAX_DIGITS in absolute value and a value whose
+    numerator and denominator have at most _MAX_DIGITS digits.
     """
     if isinstance(x, bool):
         raise TypeError("expected an exact rational, got bool")
     if isinstance(x, int):
         return x
     if isinstance(x, str):
-        if not _RATIONAL.fullmatch(x):
+        spelling = _RATIONAL.fullmatch(x)
+        if not spelling:
             raise ValueError(f"Invalid literal for Fraction: {x!r}")
+        # the exponent's digits are counted before int() reads them
+        exponent = (spelling["exponent"] or "").replace("_", "").lstrip("0")
+        if len(exponent) > len(str(_MAX_DIGITS)) or int(exponent or 0) > _MAX_DIGITS:
+            raise ValueError(f"exponent past {_MAX_DIGITS} in absolute value")
         x = Fraction(x.replace("_", ""))
+        if abs(x.numerator) >= _DIGITS_BOUND or x.denominator >= _DIGITS_BOUND:
+            raise ValueError(f"numerator or denominator of more than {_MAX_DIGITS} digits")
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")

@@ -252,9 +252,9 @@ def _chart_pattern(kind: str, e: int, k: int) -> _Chart:
     shape makes the entries of the faces it reads, a later one only
     those of the faces that no earlier one reached.  A slot is only ever
     filled with its own face's entries, so two streams of rows, or two
-    threads, that make one face at once write equal tuples.  The face
-    table of tensors (_skew_faces, _sym_faces), which lists the entries
-    of every face at once, is not read.
+    threads, that make one face at once write equal tuples.  Nothing
+    makes the entries of every face at once, and none of tensors' face
+    code is read.
 
     The chart depends on neither w nor n, and functools.cache keeps it
     for the process, as tensors._EXPONENT_VECTORS is kept; every entry

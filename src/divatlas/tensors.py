@@ -29,14 +29,13 @@ face holds factor * coefficient on the row of each term above it.
   pivot are never made, and the oracle contraction_matrix collects the
   same columns into a RationalMatrix.  An integral tensor also hands
   the kernel the bound on its column entries, max |c| or k * max |c|.
-* From the terms to their faces: the face table of each kind
-  (_skew_faces, _sym_faces) lists, per position or coordinate, the
-  face, row, factor and an item of any payload for every term at once,
-  a symmetric face keyed by an integer (_sym_codes) rather than a
-  tuple.  Membership's face sums (_face_sums) read it.  The tangent
-  chart does not: it reads D's faces one at a time and stops after a
-  few, so subspaces._face_entries works out the entries of each face
-  it reads from the face alone, by the same rule.
+* From the terms to their faces: membership's face sums of each kind
+  (_skew_face_sums, _sym_face_sums) walk the terms once per position
+  or coordinate and add each term's entry times its row into the sum
+  of its face, a symmetric face keyed by an integer rather than a
+  tuple.  The tangent chart reads D's faces one at a time and stops
+  after a few, so subspaces._face_entries works out the entries of
+  each face it reads from the face alone, by the same rule.
 
 Membership in the k-th power of a subspace (is_in_power_of) reads the
 covectors that span the subspace's annihilator: SubspaceBasis makes
@@ -46,11 +45,11 @@ its own vectors on first use rather than reuse enc's elimination.  It
 dots them with the column of one face, that of the first term, made by
 enc's one-face helper, whose nonzero product certifies a non-member.
 Then it packs the covectors into n integer rows (linalg._packed_rows)
-and, in one pass over the face table, adds each term's entry times its
+and, by the face sums of t's kind, adds each term's entry times its
 row into one sum per face of the support; t is a member iff every sum
 is 0, and no face column is made.  A True answer thus comes from the
-face table alone, which loads no column builder and not the kernel
-(tests/test_layering.py fences it), so membership stays a route
+face sums alone, which load no column builder and not the kernel
+(tests/test_layering.py fences them), so membership stays a route
 independent of the enclosing space it checks.
 """
 
@@ -690,71 +689,45 @@ def apply_linear_map(mat, t):
     return SymTensor(n_out, t.k, out)
 
 
-# A face table lists the faces of a list of terms, one entry per position
-# (skew) or coordinate (sym): (faces, row, factor, items), over the terms
-# in key order, each read once.  A term's face, row and factor say that
-# the face's contraction column holds factor * coefficient on that row;
-# items runs over a payload given in key order.  Each kind has one of row
-# and factor fixed for the whole entry, as an int, and the other an
-# iterable with one value per term.
-
-
-def _skew_faces(keys, payload) -> list:
-    """The face table of skew terms: at position pos, the term I has the
-    face I minus I[pos], on row I[pos] (one per term), with the factor
-    (-1)^pos (one for the entry).  The faces of one position are zipped
-    from the other index columns of the keys."""
+def _skew_face_sums(keys, cs: list, rows: list) -> dict:
+    """{face: sum_i v_i * rows[i]}, v the contraction column of the face,
+    over the faces of skew terms (keys, coefficients cs in key order): at
+    position pos, the term I adds (-1)^pos * c * rows[I[pos]] to the face
+    I minus I[pos].  Each (face, row) pair comes from one term, so v_i is
+    that one term's entry.  The faces of one position are zipped from the
+    other index columns of the keys, and the rows are negated once, for
+    the odd positions."""
     columns = list(zip(*keys))
-    table = []
+    signed = (rows, [-y for y in rows])
+    sums = {}
+    get = sums.get
     for pos, column in enumerate(columns):
         others = columns[:pos] + columns[pos + 1 :]
         faces = zip(*others) if others else itertools.repeat(())
-        table.append((faces, column, -1 if pos % 2 else 1, payload))
-    return table
+        for face, y, c in zip(faces, map(signed[pos % 2].__getitem__, column), cs):
+            sums[face] = get(face, 0) + c * y
+    return sums
 
 
-def _sym_codes(keys: list, k: int) -> list:
-    """Each exponent vector of degree at most k as the integer whose digits
-    in base k + 1 are its entries: sum_j a_j * (k+1)^j."""
-    units = [(k + 1) ** j for j in range(len(keys[0]))] if keys else []
-    return [sum(map(operator.mul, alpha, units)) for alpha in keys]
-
-
-def _sym_faces(keys, payload, k: int) -> list:
-    """The face table of symmetric terms: at coordinate i, the term alpha
-    with alpha_i > 0 has the face alpha - e_i, on row i (one for the
-    entry), with the factor alpha_i (one per term); compress picks those
-    terms.  A face is keyed by its _sym_codes integer, alpha's code less
-    (k+1)^i, so no face tuple is made."""
-    keys = list(keys)
-    codes = _sym_codes(keys, k)
-    compress = itertools.compress
-    table = []
-    for i, es in enumerate(zip(*keys)):
-        unit = (k + 1) ** i
-        faces = [code - unit for code in compress(codes, es)]
-        table.append((faces, i, compress(es, es), compress(payload, es)))
-    return table
-
-
-def _face_sums(table, rows: list) -> dict:
+def _sym_face_sums(keys, cs: list, k: int, rows: list) -> dict:
     """{face: sum_i v_i * rows[i]}, v the contraction column of the face,
-    over the faces of a face table whose items are the coefficients: each
-    term adds factor * item * rows[row] to its face.  Each (face, row)
-    pair comes from one term, so v_i is that one term's entry.  An
-    entry's one row is read once, and its one factor scales the rows
-    once."""
+    over the faces of symmetric terms (keys, coefficients cs in key order):
+    at coordinate i, the term alpha with alpha_i > 0 adds
+    alpha_i * c * rows[i] to the face alpha - e_i.  Each (face, row) pair
+    comes from one term, as for skew.  An exponent vector of degree at
+    most k is keyed by the integer whose digits in base k + 1 are its
+    entries, so the face is alpha's code less (k+1)^i, and no face tuple
+    is made."""
+    units = [(k + 1) ** i for i in range(len(rows))]
+    mul = operator.mul
+    codes = [sum(map(mul, alpha, units)) for alpha in keys]
     sums = {}
     get = sums.get
-    for faces, row, factor, items in table:
-        if type(row) is int:
-            y = rows[row]
-            for face, m, c in zip(faces, factor, items):
-                sums[face] = get(face, 0) + m * c * y
-        else:
-            scaled = rows if factor == 1 else [factor * y for y in rows]
-            for face, y, c in zip(faces, map(scaled.__getitem__, row), items):
-                sums[face] = get(face, 0) + c * y
+    for es, unit, y in zip(zip(*keys), units, rows):
+        for code, a, c in zip(codes, es, cs):
+            if a:
+                face = code - unit
+                sums[face] = get(face, 0) + a * c * y
     return sums
 
 
@@ -785,9 +758,9 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
        their denominators, and the covectors are packed into n integer
        rows (linalg._packed_rows), with the largest entry of a scaled
        face column as the bound: max |c| (skew) or k * max |c| (sym).
-       One pass over t's face table (_skew_faces, _sym_faces) adds each
-       term's entry times its row into one sum per face of the support
-       (_face_sums), and t is a member iff every sum is 0: by the
+       The face sums of t's kind (_skew_face_sums, _sym_face_sums) add
+       each term's entry times its row into one sum per face of the
+       support, and t is a member iff every sum is 0: by the
        packing lemma, a face's sum is 0 exactly when every covector
        annihilates its column.  The cost scales with the support
        (nnz * k products), never with C(n, k-1), and no face column is
@@ -822,12 +795,10 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
     if any(sum(map(mul, y, col)) for y in covectors):
         return False
     cs = _int_vector(t.coeffs.values())
-    if kind == SKEW:
-        table, entry = _skew_faces(t.coeffs, cs), 1
-    else:
-        table, entry = _sym_faces(t.coeffs, cs, t.k), t.k
+    entry = 1 if kind == SKEW else t.k
     rows = _packed_rows(covectors, t.n, entry * max(max(cs), -min(cs)))
-    return not any(_face_sums(table, rows).values())
+    sums = _skew_face_sums(t.coeffs, cs, rows) if kind == SKEW else _sym_face_sums(t.coeffs, cs, t.k, rows)
+    return not any(sums.values())
 
 
 # ---------------------------------------------------------------------------

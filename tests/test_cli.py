@@ -432,6 +432,19 @@ def test_enc_superscript_digit_coefficient_exits_2(tmp_path, capsys):
     assert err == "divatlas: bad coefficient '\u00b2': Invalid literal for Fraction: '\u00b2'\n"
 
 
+@pytest.mark.parametrize("coeff", ["1e99999999", "1e4301"])
+def test_enc_long_exponent_exits_2_at_once(tmp_path, coeff):
+    # "1e99999999" once ran until killed, and "1e4301" was ranked and then
+    # failed at print; in a child process with a time limit, as in CI
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"n": 3, "k": 2, "kind": "skew", "terms": [{"index": [0, 1], "coeff": coeff}]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "divatlas", "enc", str(path)], capture_output=True, text=True, timeout=10
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"divatlas: bad coefficient {coeff!r}: exponent past 4300 in absolute value\n"
+
+
 def test_enc_missing_file_exits_2(tmp_path, capsys):
     path = tmp_path / "absent.json"
     rc, _, err = run_cli(capsys, "enc", str(path))

@@ -1,19 +1,19 @@
-"""Property test: the face table gives exactly the nonzero dense
-contraction columns.
+"""Property test: membership's face sums are the nonzero dense contraction
+columns dotted with the rows.
 
-The face table of a tensor's terms (tensors._skew_faces, _sym_faces)
-lists each term's faces, each with a row and a factor: the skew term I
-has the face I minus I[pos] on row I[pos] with factor (-1)^pos, and the
-symmetric term alpha the face alpha - e_i on row i with factor alpha_i.
-Grouping the entries by face, with factor * coefficient on the entry's
-row, must give every nonzero column of _contraction_columns (the dense
-generator that enc ranks) under its face, and no other column; and
-_face_sums on integer rows must give each of these columns' dot product
-with the rows.  The tensors are sparse, of both kinds, k <= 4 and
-n <= 7, with one term or a few, and integer or Fraction coefficients.
+The face sums of a tensor's terms (tensors._skew_face_sums,
+_sym_face_sums) add, for each term, its entry times a row into the sum
+of each of its faces: the skew term I adds (-1)^pos * c * rows[I[pos]]
+to the face I minus I[pos], and the symmetric term alpha adds
+alpha_i * c * rows[i] to the face alpha - e_i, keyed by its code in base
+k + 1.  Each function's dict must be {face: column . rows} over exactly
+the nonzero columns of _contraction_columns (the dense generator that
+enc ranks), each under its face.  The tensors are sparse, of both kinds,
+k <= 4 and n <= 7, with one term or a few, and integer or Fraction
+coefficients, scaled to integers by the lcm of their denominators as
+is_in_power_of scales them.
 """
 
-import itertools
 import operator
 from fractions import Fraction
 
@@ -23,16 +23,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from divatlas.linalg import _int_vector  # noqa: E402
 from divatlas.tensors import (  # noqa: E402
     SKEW,
     SYM,
     SkewTensor,
     SymTensor,
     _contraction_columns,
-    _face_sums,
-    _skew_faces,
-    _sym_codes,
-    _sym_faces,
+    _skew_face_sums,
+    _sym_face_sums,
     exponent_vectors,
     k_subsets,
 )
@@ -54,36 +53,26 @@ def sparse_tensors(draw):
     return (SkewTensor if kind == SKEW else SymTensor)(n, k, coeffs)
 
 
-def _table(t):
-    """t's face table, its items the coefficients in key order."""
-    cs = list(t.coeffs.values())
-    return _skew_faces(t.coeffs, cs) if t.kind == SKEW else _sym_faces(t.coeffs, cs, t.k)
-
-
-def _dense_columns(t) -> dict:
-    """{face: column} for the nonzero columns of _contraction_columns, with
-    the face keys of the face table: (k-1)-subsets, or _sym_codes."""
+def _dense_dots(t, cs: list, ys: list) -> dict:
+    """{face: column . ys} over the nonzero columns of _contraction_columns
+    of t with its coefficients replaced by cs, keyed as the face sums key
+    them: a (k-1)-subset, or an exponent vector's digits in base k + 1."""
+    scaled = type(t)(t.n, t.k, dict(zip(t.coeffs, cs)))
     if t.kind == SKEW:
         faces = k_subsets(t.n, t.k - 1)
     else:
-        faces = _sym_codes(exponent_vectors(t.n, t.k - 1), t.k)
-    return {face: col for face, col in zip(faces, _contraction_columns(t)) if any(col)}
+        faces = [sum(a * (t.k + 1) ** i for i, a in enumerate(alpha)) for alpha in exponent_vectors(t.n, t.k - 1)]
+    columns = zip(faces, _contraction_columns(scaled))
+    return {face: sum(map(operator.mul, col, ys)) for face, col in columns if any(col)}
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(sparse_tensors(), st.data())
-def test_face_table_grouped_by_face_is_the_nonzero_dense_columns(t, data):
-    grouped = {}
-    for faces, row, factor, items in _table(t):
-        rows = itertools.repeat(row) if type(row) is int else row
-        factors = itertools.repeat(factor) if type(factor) is int else factor
-        for face, i, m, c in zip(faces, rows, factors, items):
-            col = grouped.setdefault(face, [0] * t.n)
-            # each (face, row) pair comes from one term
-            assert col[i] == 0, (face, i)
-            col[i] = m * c
-    dense = _dense_columns(t)
-    assert {face: tuple(col) for face, col in grouped.items()} == dense
+def test_face_sums_are_the_nonzero_dense_columns_dotted_with_the_rows(t, data):
+    cs = _int_vector(t.coeffs.values())
     ys = data.draw(st.lists(st.integers(-50, 50), min_size=t.n, max_size=t.n))
-    dots = {face: sum(map(operator.mul, col, ys)) for face, col in dense.items()}
-    assert _face_sums(_table(t), ys) == dots
+    if t.kind == SKEW:
+        sums = _skew_face_sums(t.coeffs, cs, ys)
+    else:
+        sums = _sym_face_sums(t.coeffs, cs, t.k, ys)
+    assert sums == _dense_dots(t, cs, ys)

@@ -14,9 +14,9 @@ route it checks; if gauss_rank loaded the kernel, the cross-check would
 compare the kernel with itself.  This test reads the source of each
 production module and fails on either.
 
-One more fence runs inside tensors: the face table (_skew_faces,
-_sym_faces) and _face_sums, from which is_in_power_of's True answer
-comes, must load none of enc's dense column builders and not the
+One more fence runs inside tensors: membership's face sums
+(_skew_face_sums, _sym_face_sums), from which is_in_power_of's True
+answer comes, must load none of enc's dense column builders and not the
 kernel, directly or through another function of the module; so
 membership stays a check on enc rather than a second reading of enc's
 columns.  A third runs inside subspaces: the tangent oracle
@@ -58,9 +58,10 @@ ORACLES = frozenset(
     }
 )
 KERNEL = frozenset({"_eliminate", "_rank_mod_p", "_certified_rank", "_packed_rows"})
-# the face table, from which is_in_power_of's True answer comes, and the
-# dense side that it is checked against: enc's column builders and kernel
-FACE_TABLE = ("_skew_faces", "_sym_faces", "_face_sums")
+# membership's face sums, from which is_in_power_of's True answer comes,
+# and the dense side that they are checked against: enc's column builders
+# and kernel
+FACE_TABLE = ("_skew_face_sums", "_sym_face_sums")
 DENSE_SIDE = frozenset(
     {"_contraction_columns", "_skew_columns", "_sym_columns", "_skew_column", "_sym_column", "_eliminate"}
 )
@@ -163,9 +164,9 @@ def _fence_loads(source: str, roots, forbidden) -> list:
 
 
 def test_the_face_table_reads_no_dense_column():
-    # membership's True answer comes from _face_sums on the face table
-    # alone; if the table read a dense column or the kernel, membership
-    # would check enc against enc's own columns
+    # membership's True answer comes from the face sums alone; if they
+    # read a dense column or the kernel, membership would check enc
+    # against enc's own columns
     source = inspect.getsource(tensors)
     defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
     # a renamed function would leave a stale fence; _eliminate is linalg's
@@ -176,10 +177,10 @@ def test_the_face_table_reads_no_dense_column():
 def test_the_face_table_fence_sees_direct_and_indirect_loads():
     source = textwrap.dedent(
         """
-        def _face_sums(table, rows):
-            return tensors._contraction_columns(table)
+        def _skew_face_sums(keys, cs, rows):
+            return tensors._contraction_columns(keys)
 
-        def _sym_faces(keys, payload, k):
+        def _sym_face_sums(keys, cs, k, rows):
             return _codes(keys)
 
         def _codes(keys):
@@ -191,7 +192,7 @@ def test_the_face_table_fence_sees_direct_and_indirect_loads():
     )
     assert _fence_loads(source, FACE_TABLE, DENSE_SIDE) == [
         ("_codes", "_sym_column"),
-        ("_face_sums", "_contraction_columns"),
+        ("_skew_face_sums", "_contraction_columns"),
     ]
 
 
@@ -222,7 +223,7 @@ def test_the_tangent_fence_sees_direct_and_indirect_loads():
             return tensors.enclosing_space(omega).dim
 
         def _chart_pattern(kind, e, k):
-            return _skew_faces(basis, range(len(basis)))
+            return _skew_face_sums(basis, range(len(basis)), rows)
         """
     )
     assert _fence_loads(source, TANGENT, ENC_SIDE) == [("_helper", "enclosing_space"), ("sub_dim_tangent", "enc")]

@@ -4,6 +4,8 @@ import math
 import operator
 import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -87,12 +89,32 @@ def test_as_exact_decides_number_type():
     assert type(as_exact("6/3")) is int and as_exact("6/3") == 2
     assert type(as_exact(Fraction(4, 2))) is int
     assert as_exact("1/2") == Fraction(1, 2) and type(as_exact("1/2")) is Fraction
+    # exponents up to the 4,300-digit limit
+    for spelling, value in (("1e4299", 10**4299), ("1e-4299", Fraction(1, 10**4299)), ("1e3", 1000), ("1e1_0", 10**10)):
+        assert as_exact(spelling) == value and type(as_exact(spelling)) is type(value), spelling
     for bad in (0.5, True):
         with pytest.raises(TypeError):
             as_exact(bad)
     M = RationalMatrix.from_columns([(1, Fraction(4, 2)), ("6/3", "1/2")])
     assert [type(x) for col in M.columns() for x in col] == [int, int, int, Fraction]
     assert type(exact_det([["1/2", 0], [0, 4]])) is int
+
+
+def test_as_exact_refuses_a_long_exponent_or_value_at_once():
+    # unchecked, the last three would have Fraction build 10**99999999, so
+    # they run in a child process with a time limit
+    code = (
+        "from divatlas.linalg import as_exact\n"
+        "for c in ('1e4300', '1e-4300', '0e99999999', '1.5e99999999', '1e99999999'):\n"
+        "    try:\n"
+        "        print(as_exact(c))\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    digits = "numerator or denominator of more than 4300 digits"
+    assert proc.stdout.splitlines() == [digits] * 2 + ["exponent past 4300 in absolute value"] * 3
 
 
 def test_gauss_rank_pivots_stay_exact():

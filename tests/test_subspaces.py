@@ -26,11 +26,9 @@ from divatlas.tensors import (
     SYM,
     SkewTensor,
     SymTensor,
+    _contraction_columns,
     _minors,
-    _skew_faces,
     _substitution,
-    _sym_codes,
-    _sym_faces,
     apply_linear_map,
     enc,
     exponent_vectors,
@@ -793,25 +791,23 @@ def test_tangent_pass_reads_e_rows_of_d(monkeypatch, kind, k, e):
         assert read == [e], (seed, read)
 
 
-def _face_table_entries(kind: str, e: int, k: int) -> list:
+def _contraction_entries(kind: str, e: int, k: int) -> list:
     """Reference for the chart's face entries, all made at once from the
-    face table of tensors (_skew_faces, _sym_faces over the basis of the
-    k-th power of QQ^e, with the indices range(U) as the payload): each
-    face's entries in table order as (i, j, factor), the skew factors
-    times (-1)^(k-1), the faces taken from both ends of index order."""
-    if kind == SKEW:
-        basis = k_subsets(e, k)
-        table, faces, sign = _skew_faces(basis, range(len(basis))), k_subsets(e, k - 1), (-1) ** (k - 1)
-    else:
-        basis = exponent_vectors(e, k)
-        table, faces, sign = _sym_faces(basis, range(len(basis)), k), _sym_codes(exponent_vectors(e, k - 1), k), 1
-    grouped = {face: [] for face in faces}
-    for table_faces, row, factor, indices in table:
-        rows = itertools.repeat(row) if type(row) is int else row
-        factors = itertools.repeat(factor) if type(factor) is int else factor
-        for face, j, m, i in zip(table_faces, rows, factors, indices):
-            grouped[face].append((i, j, sign * m))
-    return [tuple(entries) for entries in _from_both_ends(list(grouped.values()))]
+    contraction columns that enc ranks (tensors._contraction_columns) of
+    the U unit tensors of the k-th power of QQ^e: the unit tensor on
+    basis index i puts a factor on row j of a face's column exactly when
+    that face has an entry (i, j, factor).  Each face's entries in
+    increasing j, the skew factors times (-1)^(k-1), the faces taken from
+    both ends of index order.  Each (face, j) comes from one term."""
+    cls, sign = (SkewTensor, (-1) ** (k - 1)) if kind == SKEW else (SymTensor, 1)
+    grouped = [{} for _ in _basis(kind, e, k - 1)]
+    for i, key in enumerate(_basis(kind, e, k)):
+        for entries, col in zip(grouped, _contraction_columns(cls(e, k, {key: 1}))):
+            for j, m in enumerate(col):
+                if m:
+                    assert j not in entries, (kind, e, k, i, j)
+                    entries[j] = (i, j, sign * m)
+    return [tuple(entries[j] for j in sorted(entries)) for entries in _from_both_ends(grouped)]
 
 
 def _as_basis_key(kind: str, e: int, key: tuple) -> tuple:
@@ -823,8 +819,9 @@ def _as_basis_key(kind: str, e: int, key: tuple) -> tuple:
 def test_lazy_face_entries_equal_the_face_table():
     # every shape of verify's tangent grid with e <= 8: the entries of
     # each face, made one face at a time as D's rows are asked for, equal
-    # the face table's on that face, in order, and the chart's faces and
-    # keys are tensors' bases in the same order
+    # the ones that the contraction columns of the unit tensors put on
+    # that face, in order, and the chart's faces and keys are tensors'
+    # bases in the same order
     _chart_pattern.cache_clear()
     shapes = [(kind, e, k) for kind, ks in verify.TANGENT_GRID for k in ks for e in range(1 if kind == SYM else k, 9)]
     assert len(shapes) == 46
@@ -834,7 +831,7 @@ def test_lazy_face_entries_equal_the_face_table():
         assert [_as_basis_key(kind, e, key) for key in chart.faces] == _from_both_ends(_basis(kind, e, k - 1))
         assert [_as_basis_key(kind, e, key) for key in chart.index] == _basis(kind, e, k)
         assert list(chart.index.values()) == list(range(chart.units))
-        reference = _face_table_entries(kind, e, k)
+        reference = _contraction_entries(kind, e, k)
         assert len(reference) == len(chart.faces)
         rows = _d_rows([0] * chart.units, chart)
         for f, entries in enumerate(reference):
@@ -842,8 +839,8 @@ def test_lazy_face_entries_equal_the_face_table():
             assert chart.entries[f] == entries, (kind, e, k, f)
             assert chart.entries[f + 1 :] == [None] * (len(reference) - f - 1)
         assert next(rows, None) is None
-    # the chart reads no face table
-    assert not {"_skew_faces", "_sym_faces", "_sym_codes"} & set(vars(subspaces))
+    # the chart reads none of membership's face sums
+    assert not {"_skew_face_sums", "_sym_face_sums"} & set(vars(subspaces))
 
 
 @pytest.mark.parametrize("kind, k, e", [(SKEW, 4, 8), (SYM, 3, 7)])
