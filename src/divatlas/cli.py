@@ -27,7 +27,7 @@ import os
 import sys
 
 from .atlas import atlas_report, class_to_kind
-from .tensors import enclosing_space, tensor_from_json
+from .tensors import _MAX_DIGITS, enclosing_space, tensor_from_json
 
 # verify.SUITES's names in its order, the choices of verify --suite
 SUITE_NAMES = (
@@ -242,10 +242,13 @@ def _cmd_enc(args) -> int:
     try:
         with open(args.tensor, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {args.tensor}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{args.tensor} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # what is left is int()'s refusal of a JSON integer past its digit limit
+        raise ValueError(f"{args.tensor} holds an integer of more than {_MAX_DIGITS} digits") from exc
     t = tensor_from_json(obj)
     basis = enclosing_space(t)
     value = basis.dim

@@ -29,31 +29,31 @@ the same integer columns, and ``_packed_rows`` makes that one product
 holding the sum of y_s[i] << (w * s), and for a column v with every
 |v_i| <= bound the one product of v with the rows is 0 exactly when
 every y_s . v is 0, once the slot width w exceeds the bit length of
-max_s ||y_s||_1 * bound.  The kernel packs its covectors at the first
-dependent column after a pivot and skips the later columns, within its
-entry bound, whose packed product is 0.  That bound is ``_PACK_BOUND``,
-against which each such column is checked, or one that the caller
-guarantees for its whole stream (enc passes its tensor's), which packs
-narrower rows and checks no column.
+max_s ||y_s||_1 * bound.  The kernel packs only on a bound that its
+caller guarantees for every entry of its stream (enc passes its
+tensor's): then it packs its covectors at the first dependent column
+after a pivot and skips each later column whose packed product is 0.
+Without a bound (SubspaceBasis, _certified_rank's fallback and the
+oracles) it takes the per-covector products on every column.
 
 The tangent-space oracle ranks one integer block per sample, the
 derivatives of w (``subspaces.sub_dim_tangent``), which has full column
 rank in the generic case and many more rows than columns.  Its rows
 come as a stream of dense vectors, the input that ``_eliminate`` takes,
-and ``_certified_rank`` takes their exact rank in two steps.  The pass,
-``_rank_mod_p``, counts their rank modulo ``RANK_PRIME`` = 2^30 - 35 by
-fraction-free steps on reduced residues, and stops at the vector that
-brings it to full row rank.  A rank mod p is at most the rank over QQ,
+and in every cell ``_certified_rank`` takes their exact rank in two
+steps.  The pass, ``_rank_mod_p``, counts their rank modulo
+``RANK_PRIME`` = 2^30 - 35 by fraction-free steps on reduced residues,
+and stops at the vector that brings it to full row rank.  A rank mod p is at most the rank over QQ,
 whatever the prime, so a rank mod p that equals the row count or the
 vector count, which no rank exceeds, is certified.  The prime is the
 largest below 2^30 so that every residue is one 30-bit digit of a
 CPython int: a product of two residues fits in two digits, and each
 reduction divides by a one-digit int.  Any other rank mod p takes the
 exact fallback, ``_eliminate`` on the vectors the pass read, which are
-all of them, so a rank lost mod p is never returned.  None of this is
-used where deficient ranks are expected (the contraction matrices of
-enc, the membership test, and the tangent cells whose block D can never
-reach full column rank, which take ``_eliminate`` alone).
+all of them, so a rank lost mod p is never returned: the tangent cells
+whose block D can never reach full column rank take the pass and then
+the fallback.  The contraction matrices of enc and the membership test,
+where deficient ranks are expected, take ``_eliminate`` alone.
 
 The production route (enc, enclosing_space, SubspaceBasis and the
 membership test, sub_dim_tangent, the atlas, and the CLI's enc and
@@ -91,9 +91,11 @@ _DIGITS = r"\d+(?:_\d+)*"
 _RATIONAL = re.compile(
     rf"\s*[-+]?(?=\d|\.\d)(?:{_DIGITS})?(?:/{_DIGITS}|(?:\.(?:{_DIGITS})?)?(?:[eE][-+]?(?P<exponent>{_DIGITS}))?)\s*"
 )
-# int()'s default limit on the digits of a decimal string.  A spelling
-# whose exponent passes it is refused before Fraction computes 10**exponent,
-# a number of that many digits whatever the mantissa ("0e..." included), and
+# int()'s default limit on the digits of a decimal string.  A spelling with
+# a longer run of digits is refused before Fraction reads the run by int(),
+# whose own limit moves with PYTHONINTMAXSTRDIGITS; one whose exponent
+# passes the limit is refused before Fraction computes 10**exponent, a
+# number of that many digits whatever the mantissa ("0e..." included); and
 # a value read from a string whose numerator or denominator passes it is
 # refused rather than failing later, when str() prints it.
 _MAX_DIGITS = 4300
@@ -108,9 +110,11 @@ def as_exact(x) -> int | Fraction:
     and only a non-integral value as a Fraction.  Python's int and
     Fraction mix exactly, so the rest of the package uses plain
     arithmetic.  Floats and bools are rejected.  A string must be one
-    of the spellings of ``_RATIONAL`` on every Python version, with an
+    of the spellings of ``_RATIONAL`` on every Python version, with no
+    run of more than _MAX_DIGITS digits (underscores left out), an
     exponent of at most _MAX_DIGITS in absolute value and a value whose
-    numerator and denominator have at most _MAX_DIGITS digits.
+    numerator and denominator have at most _MAX_DIGITS digits, whatever
+    int()'s digit limit.
     """
     if isinstance(x, bool):
         raise TypeError("expected an exact rational, got bool")
@@ -120,11 +124,12 @@ def as_exact(x) -> int | Fraction:
         spelling = _RATIONAL.fullmatch(x)
         if not spelling:
             raise ValueError(f"Invalid literal for Fraction: {x!r}")
-        # the exponent's digits are counted before int() reads them
-        exponent = (spelling["exponent"] or "").replace("_", "").lstrip("0")
-        if len(exponent) > len(str(_MAX_DIGITS)) or int(exponent or 0) > _MAX_DIGITS:
+        plain = x.replace("_", "")
+        if len(plain) > _MAX_DIGITS and max(map(len, re.findall(r"\d+", plain))) > _MAX_DIGITS:
+            raise ValueError(f"a run of more than {_MAX_DIGITS} digits")
+        if int(spelling["exponent"] or 0) > _MAX_DIGITS:
             raise ValueError(f"exponent past {_MAX_DIGITS} in absolute value")
-        x = Fraction(x.replace("_", ""))
+        x = Fraction(plain)
         if abs(x.numerator) >= _DIGITS_BOUND or x.denominator >= _DIGITS_BOUND:
             raise ValueError(f"numerator or denominator of more than {_MAX_DIGITS} digits")
     if isinstance(x, Fraction):
@@ -244,10 +249,6 @@ def _packed_rows(covectors, n: int, bound: int) -> list:
     return rows
 
 
-# the entry bound of the columns that _eliminate tests on its packed covectors
-_PACK_BOUND = 2**62 - 1
-
-
 def _eliminate(columns, n_rows: int, bound: int | None = None) -> tuple:
     """Fraction-free elimination of a stream of integer columns, each a
     sequence of n_rows ints.
@@ -280,17 +281,15 @@ def _eliminate(columns, n_rows: int, bound: int | None = None) -> tuple:
     each made when it is asked for, so a caller that needs only the
     pivots (enc) makes none.
 
-    Between two pivots the covectors do not change, so the first column
-    found dependent after a pivot has them packed (_packed_rows, with
-    bound _PACK_BOUND): a later column with every entry within the
-    bound whose one product with the packed rows is 0 is dependent and
-    skipped without the per-covector products.  Every other column, a
-    nonzero packed product or an entry past the bound, takes the exact
-    products, so the pivots, the last pivot and the covectors are those
-    of the per-covector test.  The next pivot drops the packed rows.
     A caller that guarantees |entry| <= bound for every column of the
-    stream passes that bound: the rows are packed with it, narrower for
-    small entries, and no column's entries are checked against it.
+    stream passes that bound.  Between two pivots the covectors do not
+    change, so then the first column found dependent after a pivot has
+    them packed (_packed_rows, with that bound), and a later column whose
+    one product with the packed rows is 0 is dependent and skipped
+    without the per-covector products; a nonzero packed product takes
+    them, so the pivots, the last pivot and the covectors are those of
+    the per-covector test.  The next pivot drops the packed rows.  With
+    no bound every nonzero column takes the per-covector products.
     """
     pivot_cols = []
     pivot_rows = []
@@ -299,20 +298,17 @@ def _eliminate(columns, n_rows: int, bound: int | None = None) -> tuple:
     prev = 1
     sign = 1
     packed = None  # the covectors packed, once a column since the last pivot was dependent
-    # without a bound of the caller's, each column is checked against _PACK_BOUND
-    checked, bound = (True, _PACK_BOUND) if bound is None else (False, bound)
     mul = operator.mul
     for col, v in enumerate(columns if rows else ()):
         if not any(v):
             continue
         if pivot_rows:
             if packed is not None and not sum(map(mul, v, packed)):
-                if not checked or max(v) <= bound and min(v) >= -bound:
-                    continue
+                continue
             vp = pivot_entries(v)
             ds = [sum(map(mul, b, vp), prev * v[q]) for q, b in zip(rows, covectors)]
             if not any(ds):
-                if packed is None:
+                if packed is None and bound is not None:
                     dense = _dense_covectors(rows, covectors, pivot_rows, prev, n_rows)
                     packed = _packed_rows(dense, n_rows, bound)
                 continue
@@ -331,10 +327,8 @@ def _eliminate(columns, n_rows: int, bound: int | None = None) -> tuple:
         b_piv = covectors[piv]
         rows[piv], covectors[piv], ds[piv] = rows[0], covectors[0], ds[0]
         del rows[0], covectors[0], ds[0]
-        if b_piv:
-            covectors = [[(a * x - d * y) // prev for x, y in zip(b, b_piv)] + [-d] for b, d in zip(covectors, ds)]
-        else:  # the first pivot: every B[q] was empty
-            covectors = [[-d] for d in ds]
+        # at the first pivot every B[q] is empty, so each becomes [-d]
+        covectors = [[(a * x - d * y) // prev for x, y in zip(b, b_piv)] + [-d] for b, d in zip(covectors, ds)]
         pivot_cols.append(col)
         prev = a
         packed = None

@@ -43,18 +43,20 @@ coefficients for less than seeding a Mersenne Twister per sample would
 cost.  It only reads them into the chart's entries, one row when it is
 asked for (_d_rows).
 
-Each sample ranks D exactly by its rows (linalg._certified_rank: a
-rank-counting pass mod linalg.RANK_PRIME that stops at the row that
-brings the rank to e, with an exact fallback only when the rank mod p
-falls short).  No row after that one is made: on a generic w, 7 of the
-28 rows for sym k = 3, e = 7, and 7 of the 35 for skew k = 4, e = 7.
-Where the maximal enclosing dimension on QQ^e is below e (skew k = 2
-at odd e, e = k + 1, and k = 1 at e > 1), no pass could reach rank e,
-so those cells take linalg._eliminate's exact rank alone.  A w with
-rank D below that maximum is degenerate and is redrawn.  So the oracle
-checks that the maximum (_e_bound) is attained at a random w and that
-normalize_e is right; it does not recompute enc's kernel, and it reads
-no contraction column.  A lower bound on the rank at a general A,
+Each sample ranks D exactly by its rows, in every cell
+(linalg._certified_rank: a rank-counting pass mod linalg.RANK_PRIME that
+stops at the row that brings the rank to e, with an exact fallback only
+when the rank mod p falls short of both e and the rows read).  No row
+after that one is made: on a generic w, 7 of the 28 rows for sym k = 3,
+e = 7, and 7 of the 35 for skew k = 4, e = 7.  Where the maximal
+enclosing dimension on QQ^e is below e (skew k = 2 at odd e, e = k + 1,
+and k = 1 at e > 1), the pass reads every row and falls short of e, so
+the exact fallback gives the rank unless the pass's count is the number
+of rows (k = 1, whose D is one row).  A w with rank D below that
+maximum is degenerate and is redrawn.  So the oracle checks that the
+maximum (_e_bound) is attained at a random w and that normalize_e is
+right; it does not recompute enc's kernel, and it reads no contraction
+column.  A lower bound on the rank at a general A,
 which would not rest on the block lemma, is what would make it
 independent of the formula it checks.
 """
@@ -73,7 +75,7 @@ except ImportError:
     from hashlib import blake2b
 
 # rank is not called here; perfbench's tracer tests expect to find it bound in this module
-from .linalg import _certified_rank, _check_ints, _eliminate, rank  # noqa: F401
+from .linalg import _certified_rank, _check_ints, rank  # noqa: F401
 from .tensors import SKEW, SYM, _power_dim, check_kind
 
 
@@ -374,13 +376,12 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0) -> int:
     Attempt a draws w as the list of its U coefficients in basis order,
     uniform on [-9, 9], zeros included, from the BLAKE2b digests of
     f"subdim-tangent:{kind}:{k}:{e}:{n}:{seed}:{a}" and its blocks
-    (_draw_w), and takes the exact rank of D: where the maximum is e,
-    linalg._certified_rank on D's rows (a pass mod a prime that stops at
-    rank e, with an exact fallback only when it falls short of both e
-    and the row count); where it is below e (skew k = 2 at odd e,
-    e = k + 1, and k = 1 at e > 1), so that the pass could never
-    certify, linalg._eliminate on D's rows alone.  A rank below the
-    maximum is redrawn, and otherwise U + (n - e) rank D - 1 is
+    (_draw_w), and takes the exact rank of D by linalg._certified_rank on
+    D's rows: a pass mod a prime that stops at rank e, with an exact
+    fallback only when it falls short of both e and the row count, which
+    it always does where the maximum is below e (skew k = 2 at odd e and
+    e = k + 1; not k = 1 at e > 1, whose D is one row).  A rank below
+    the maximum is redrawn, and otherwise U + (n - e) rank D - 1 is
     returned.  So the oracle checks that the maximum is attained at a
     random w and that normalize_e is right, and the draw decides only
     how many attempts that takes.  For n = e it returns U - 1 before any
@@ -395,8 +396,7 @@ def sub_dim_tangent(e: int, k: int, n: int, kind: str, seed=0) -> int:
     chart = _chart_pattern(kind, e, k)
     units, full = chart.units, _e_bound(k, e, kind)
     for attempt in range(MAX_RETRIES):
-        rows = _d_rows(_draw_w(cell, attempt, units), chart)
-        rank_d = _certified_rank(rows, e) if full == e else len(_eliminate(rows, e)[0])
+        rank_d = _certified_rank(_d_rows(_draw_w(cell, attempt, units), chart), e)
         if rank_d == full:
             return units + (n - e) * rank_d - 1
     raise RuntimeError(f"no nondegenerate sample after {MAX_RETRIES} retries")

@@ -27,8 +27,9 @@ face holds factor * coefficient on the row of each term above it.
   stream these into the elimination kernel (linalg._eliminate), which
   stops at full row rank, so a generic tensor's columns after the last
   pivot are never made, and the oracle contraction_matrix collects the
-  same columns into a RationalMatrix.  An integral tensor also hands
-  the kernel the bound on its column entries, max |c| or k * max |c|.
+  same columns into a RationalMatrix.  Every tensor also hands the
+  kernel the bound on its scaled column entries (_entry_bound), which
+  membership packs with too.
 * From the terms to their faces: membership's face sums of each kind
   (_skew_face_sums, _sym_face_sums) walk the terms once per position
   or coordinate and add each term's entry times its row into the sum
@@ -63,7 +64,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import (
+    _DIGITS_BOUND,
     _INT,
+    _MAX_DIGITS,
     RationalMatrix,
     _check_ints,
     _eliminate,
@@ -603,30 +606,31 @@ def contraction_matrix(t) -> RationalMatrix:
     return RationalMatrix.from_columns(_contraction_columns(t), t.n)
 
 
+def _entry_bound(t, cs) -> int:
+    """A bound on every entry of t's contraction columns, each scaled to
+    integers by the lcm of its denominators: max |c| (skew) or k * max |c|
+    (sym, a factor a_i + 1 <= k) over cs, t's coefficients scaled by the
+    lcm L of all their denominators.  It covers a column scaled by its own
+    lcm, since that lcm divides L."""
+    return max(map(abs, cs), default=0) * (1 if t.kind == SKEW else t.k)
+
+
 def _pivot_columns(t) -> tuple:
     """The pivot columns of t's contraction matrix, as _contraction_columns
     makes them, and none for a degree-0 tensor, a scalar, which no vector
     is needed to enclose.  A non-tensor raises TypeError first.  The
     kernel takes each column scaled by the lcm of its denominators, and
     stops at full row rank: the columns after the last pivot of a tensor
-    with enc = n are never made.  For an integral t it also takes the
-    bound on every column entry, max |c| (skew) or k * max |c| (sym, a
-    factor a_i + 1 <= k), so it packs for t's own entries and checks no
-    column against its default bound."""
-    kind = _kind(t)
+    with enc = n are never made.  It also takes _entry_bound, so it packs
+    its covectors for t's own entries."""
+    _kind(t)
     if not t.k:
         return ()
-    columns = _contraction_columns(t)
-    integral = _integral(t)
-    bound = max(map(abs, t.coeffs.values()), default=0) * (1 if kind == SKEW else t.k) if integral else None
     seen = []
-
-    def scaled():
-        for col in columns:
-            seen.append(col)
-            yield col if integral else _int_vector(col)
-
-    pivots, _, _ = _eliminate(scaled(), t.n, bound)
+    stream = (seen.append(col) or col for col in _contraction_columns(t))
+    integral = _integral(t)
+    bound = _entry_bound(t, t.coeffs.values() if integral else _int_vector(t.coeffs.values()))
+    pivots, _, _ = _eliminate(stream if integral else map(_int_vector, stream), t.n, bound)
     return tuple(seen[j] for j in pivots)
 
 
@@ -756,8 +760,8 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
        exact certificate that t is not a member.
     3. Otherwise t's coefficients are scaled to integers by the lcm of
        their denominators, and the covectors are packed into n integer
-       rows (linalg._packed_rows), with the largest entry of a scaled
-       face column as the bound: max |c| (skew) or k * max |c| (sym).
+       rows (linalg._packed_rows), with enc's bound on the entries of a
+       scaled face column (_entry_bound).
        The face sums of t's kind (_skew_face_sums, _sym_face_sums) add
        each term's entry times its row into one sum per face of the
        support, and t is a member iff every sum is 0: by the
@@ -795,8 +799,7 @@ def is_in_power_of(t, W: SubspaceBasis) -> bool:
     if any(sum(map(mul, y, col)) for y in covectors):
         return False
     cs = _int_vector(t.coeffs.values())
-    entry = 1 if kind == SKEW else t.k
-    rows = _packed_rows(covectors, t.n, entry * max(max(cs), -min(cs)))
+    rows = _packed_rows(covectors, t.n, _entry_bound(t, cs))
     sums = _skew_face_sums(t.coeffs, cs, rows) if kind == SKEW else _sym_face_sums(t.coeffs, cs, t.k, rows)
     return not any(sums.values())
 
@@ -870,9 +873,13 @@ def tensor_to_json(t) -> dict:
 
 def _coeff_from_json(c):
     """A term's coefficient as an exact scalar: a JSON int as it is, and a
-    string by as_exact, whose errors are reported."""
+    string by as_exact, whose errors are reported.  An int of 10^4300 or
+    more in absolute value, which json reads under a raised int() digit
+    limit, is refused as as_exact refuses a string of that value."""
     if type(c) is int:
-        return c
+        if -_DIGITS_BOUND < c < _DIGITS_BOUND:
+            return c
+        raise ValueError(f"bad coefficient: an integer of more than {_MAX_DIGITS} digits")
     if not isinstance(c, (str, int)):
         raise ValueError(f"coefficient must be an int or a 'p/q' string: {c!r}")
     try:
@@ -888,13 +895,14 @@ _STR = frozenset((str,))
 
 def _coeffs_from_json(cs: list) -> list:
     """The coefficients as _coeff_from_json gives them one by one.  A list
-    of strings is converted by int() in one pass: every string that int()
-    reads (Unicode digits and spaces, PEP 515 underscores and a sign
-    included) is an integer spelling of as_exact's with the same value.
-    Any other list, or one with a string that int() refuses (a fraction,
-    a decimal, a literal past int()'s digit limit or a bad one), is
-    converted one by one, and the first bad coefficient raises."""
-    if _STR.issuperset(map(type, cs)):
+    of strings of at most _MAX_DIGITS characters each is converted by
+    int() in one pass: every such string that int() reads (Unicode digits
+    and spaces, PEP 515 underscores and a sign included) is an integer
+    spelling of as_exact's with the same value, whatever int()'s digit
+    limit.  Any other list, or one with a string that int() refuses (a
+    fraction, a decimal or a bad one), is converted one by one, and the
+    first bad coefficient raises."""
+    if _STR.issuperset(map(type, cs)) and max(map(len, cs), default=0) <= _MAX_DIGITS:
         try:
             return list(map(int, cs))
         except ValueError:

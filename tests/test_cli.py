@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -443,6 +444,56 @@ def test_enc_long_exponent_exits_2_at_once(tmp_path, coeff):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"divatlas: bad coefficient {coeff!r}: exponent past 4300 in absolute value\n"
+
+
+def _enc_in_a_child(path, limit=None):
+    """(exit code, stdout, stderr) of divatlas enc on path in a fresh
+    process, under int()'s default digit limit or PYTHONINTMAXSTRDIGITS=limit."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONINTMAXSTRDIGITS"}
+    if limit is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = str(limit)
+    proc = subprocess.run(
+        [sys.executable, "-m", "divatlas", "enc", str(path)], capture_output=True, text=True, timeout=30, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_enc_json_integer_past_the_digit_limit_exits_2_naming_the_file(tmp_path):
+    # json.load reads a JSON integer by int(), which refuses one of more
+    # than 4,300 digits with Python's own hint; the CLI names the file
+    path = tmp_path / "bigint.json"
+    path.write_text('{"n": 3, "k": 2, "kind": "skew", "terms": [{"index": [0, 1], "coeff": ' + "7" * 4301 + "}]}")
+    assert _enc_in_a_child(path) == (2, "", f"divatlas: {path} holds an integer of more than 4300 digits\n")
+
+
+def test_enc_bad_utf8_is_a_read_error(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"n": 1, "k": 1, "kind": "skew", "terms": [], "\xff": 0}')
+    rc, out, err = run_cli(capsys, "enc", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"divatlas: cannot read {path}: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+
+
+def test_enc_long_coefficients_do_not_depend_on_the_int_digit_limit(tmp_path):
+    # with PYTHONINTMAXSTRDIGITS=0 json reads any integer and int() any
+    # string; a 4,301-digit coefficient is still refused, alone, next to
+    # a fraction or as a bare JSON integer, with the error that a string
+    # gets under the default limit
+    digits = "7" * 4301
+    terms = {
+        "alone": [{"index": [0, 1], "coeff": digits}],
+        "beside a fraction": [{"index": [0, 1], "coeff": digits}, {"index": [0, 2], "coeff": "1/2"}],
+        "leading zeros": [{"index": [0, 1], "coeff": "0" * 4301 + "1"}],
+    }
+    for name, listed in terms.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": 3, "k": 2, "kind": "skew", "terms": listed}))
+        coeff = listed[0]["coeff"]
+        expected = (2, "", f"divatlas: bad coefficient {coeff!r}: a run of more than 4300 digits\n")
+        assert _enc_in_a_child(path, 0) == _enc_in_a_child(path) == expected, name
+    path = tmp_path / "bare.json"
+    path.write_text('{"n": 3, "k": 2, "kind": "skew", "terms": [{"index": [0, 1], "coeff": -' + digits + "}]}")
+    assert _enc_in_a_child(path, 0) == (2, "", "divatlas: bad coefficient: an integer of more than 4300 digits\n")
 
 
 def test_enc_missing_file_exits_2(tmp_path, capsys):

@@ -2,13 +2,13 @@
 
 Every exact rank on the production route (enc, enclosing_space,
 is_in_power_of, sub_dim_tangent, the atlas and the CLI) comes from one
-integer kernel in linalg: _eliminate, with _packed_rows, the packed
-covector test of _eliminate and is_in_power_of, behind it.  The tangent oracle's block D takes _certified_rank: the
-rank-counting pass mod p, _rank_mod_p, on D's rows, and behind it
-_eliminate on the same rows; where D can never reach full column rank,
-_eliminate alone.  The names in ORACLES
-are independent second routes, kept so that verify, the tests and
-perfbench can check that kernel.  If
+integer kernel in linalg: _eliminate, with _packed_rows behind it, the
+packed covector test of is_in_power_of and of _eliminate on a bound
+that its caller passes (enc's).  The tangent oracle's block D takes
+_certified_rank in every cell: the rank-counting pass mod p,
+_rank_mod_p, on D's rows, and behind it _eliminate on the same rows.
+The names in ORACLES are independent second routes, kept so that
+verify, the tests and perfbench can check that kernel.  If
 a production function loaded one, a check would quietly become the
 route it checks; if gauss_rank loaded the kernel, the cross-check would
 compare the kernel with itself.  This test reads the source of each
@@ -61,7 +61,7 @@ KERNEL = frozenset({"_eliminate", "_rank_mod_p", "_certified_rank", "_packed_row
 # membership's face sums, from which is_in_power_of's True answer comes,
 # and the dense side that they are checked against: enc's column builders
 # and kernel
-FACE_TABLE = ("_skew_face_sums", "_sym_face_sums")
+FACE_SUMS = ("_skew_face_sums", "_sym_face_sums")
 DENSE_SIDE = frozenset(
     {"_contraction_columns", "_skew_columns", "_sym_columns", "_skew_column", "_sym_column", "_eliminate"}
 )
@@ -163,18 +163,18 @@ def _fence_loads(source: str, roots, forbidden) -> list:
     return sorted((name, loaded) for name in seen for loaded in _loads(defs[name]) & forbidden)
 
 
-def test_the_face_table_reads_no_dense_column():
+def test_the_face_sums_read_no_dense_column():
     # membership's True answer comes from the face sums alone; if they
     # read a dense column or the kernel, membership would check enc
     # against enc's own columns
     source = inspect.getsource(tensors)
     defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
     # a renamed function would leave a stale fence; _eliminate is linalg's
-    assert set(FACE_TABLE) | DENSE_SIDE <= defined | KERNEL
-    assert _fence_loads(source, FACE_TABLE, DENSE_SIDE) == []
+    assert set(FACE_SUMS) | DENSE_SIDE <= defined | KERNEL
+    assert _fence_loads(source, FACE_SUMS, DENSE_SIDE) == []
 
 
-def test_the_face_table_fence_sees_direct_and_indirect_loads():
+def test_the_face_sums_fence_sees_direct_and_indirect_loads():
     source = textwrap.dedent(
         """
         def _skew_face_sums(keys, cs, rows):
@@ -190,7 +190,7 @@ def test_the_face_table_fence_sees_direct_and_indirect_loads():
             return _skew_column(t.coeffs.get, (), t.n)
         """
     )
-    assert _fence_loads(source, FACE_TABLE, DENSE_SIDE) == [
+    assert _fence_loads(source, FACE_SUMS, DENSE_SIDE) == [
         ("_codes", "_sym_column"),
         ("_skew_face_sums", "_contraction_columns"),
     ]

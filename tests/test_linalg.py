@@ -552,8 +552,8 @@ def test_bareiss_stops_at_full_row_rank():
 
 def _per_covector_eliminate(columns, n_rows):
     """_eliminate with one product per covector on every nonzero column,
-    as the kernel was before it packed its covectors: the reference for
-    the packed test.  Returns the dense covectors as a list."""
+    written apart from the kernel: the reference for its packed test and
+    for its run with no bound.  Returns the dense covectors as a list."""
     pivot_cols, pivot_rows = [], []
     rows = list(range(n_rows))
     covectors = [()] * n_rows
@@ -597,8 +597,7 @@ def _edge_streams(rng, edges=_EDGES):
     """(n, columns): rank-deficient streams whose columns combine, with
     weights -1..1, fewer base columns than rows; base entries are 0,
     small, or +-edges, by default +-(2^62 - 1), +-2^62 or +-2^200, so
-    dependent columns fall on both sides of the packed test's entry
-    bound."""
+    dependent columns hold entries past one machine word."""
     values = [0, 0, 1, -2, 3] + [s * x for x in edges for s in (1, -1)]
     for n in range(2, 8):
         for _ in range(30):
@@ -613,11 +612,12 @@ def _edge_streams(rng, edges=_EDGES):
             yield n, columns
 
 
-def test_packed_kernel_matches_the_per_covector_reference_at_the_entry_bound(monkeypatch):
+def test_kernel_with_no_bound_matches_the_per_covector_reference_and_never_packs(monkeypatch):
+    # with no bound of its caller's the kernel takes the per-covector
+    # products on every column, whatever the size of its entries
     packs = []
-    real = linalg._packed_rows
-    monkeypatch.setattr(linalg, "_packed_rows", lambda *args: packs.append(args[2]) or real(*args))
-    dependent = {"at the bound": 0, "2^62": 0, "2^200": 0}
+    monkeypatch.setattr(linalg, "_packed_rows", lambda *args: packs.append(args[2]))
+    dependent = {"2^62 - 1": 0, "2^62": 0, "2^200": 0}
     for n, columns in _edge_streams(random.Random("packed-kernel")):
         pivots, last, annihilator = _eliminate(iter(columns), n)
         expected = _per_covector_eliminate(columns, n)
@@ -626,17 +626,17 @@ def test_packed_kernel_matches_the_per_covector_reference_at_the_entry_bound(mon
         for j, v in enumerate(columns):
             top = max(map(abs, v))
             if j not in pivots and top:
-                dependent["at the bound"] += top == 2**62 - 1
+                dependent["2^62 - 1"] += top == 2**62 - 1
                 dependent["2^62"] += top == 2**62
                 dependent["2^200"] += top >= 2**200
-    assert packs and set(packs) == {2**62 - 1}
+    assert packs == []
     assert min(dependent.values()) >= 50, dependent
 
 
-def test_eliminate_with_a_covering_bound_matches_the_checked_kernel(monkeypatch):
+def test_eliminate_with_a_covering_bound_matches_the_per_covector_reference(monkeypatch):
     # a caller's bound that covers every entry of its stream, tight or
-    # loose, packs with that bound and gives the triple of the kernel that
-    # checks each column against its own bound
+    # loose, packs with that bound and gives the triple of the
+    # per-covector reference; with no bound nothing is packed
     packs = []
     real = linalg._packed_rows
     monkeypatch.setattr(linalg, "_packed_rows", lambda *args: packs.append(args[2]) or real(*args))
@@ -650,19 +650,25 @@ def test_eliminate_with_a_covering_bound_matches_the_checked_kernel(monkeypatch)
             packs.clear()
             pivots, last, annihilator = _eliminate(iter(columns), n, bound)
             assert (pivots, last, list(annihilator)) == expected, (n, columns, bound)
-            assert set(packs) <= {2**62 - 1 if bound is None else bound}
+            assert set(packs) <= {bound} - {None}
             packed += bool(packs)
     assert packed > len(streams), packed
 
 
-def test_eliminate_checks_the_entry_bound_before_a_packed_skip():
-    # after e_0 and a dependent e_0 the covectors e_1, e_2 are packed into
-    # the rows 0, 1, 2^w; (0, 2^w, -1) has a packed product of 0 but an
-    # entry past the bound, so it takes the exact products and is a pivot
+def test_eliminate_packs_on_the_bound_its_caller_passes(monkeypatch):
+    # after e_0 and a dependent e_0 the covectors e_1, e_2 are packed; on
+    # the rows 0, 1, 2^w that a bound of 2^62 - 1 gives, (0, 2^w, -1) has
+    # a packed product of 0.  A caller whose stream holds 2^w passes a
+    # bound that covers it, the rows are packed on that bound, and the
+    # column is a pivot
     w = linalg._packed_rows([[0, 1, 0], [0, 0, 1]], 3, 2**62 - 1)[2].bit_length() - 1
-    pivots, last, annihilator = _eliminate(iter([[1, 0, 0], [1, 0, 0], [0, 2**w, -1]]), 3)
-    assert (pivots, last) == ([0, 2], 2**w)
-    assert gauss_rank(RationalMatrix.from_columns([[1, 0, 0], [1, 0, 0], [0, 2**w, -1]])) == 2
+    columns = [[1, 0, 0], [1, 0, 0], [0, 2**w, -1]]
+    packs = []
+    real = linalg._packed_rows
+    monkeypatch.setattr(linalg, "_packed_rows", lambda *args: packs.append(args[2]) or real(*args))
+    pivots, last, annihilator = _eliminate(iter(columns), 3, 2**w)
+    assert (pivots, last, packs) == ([0, 2], 2**w, [2**w])
+    assert gauss_rank(RationalMatrix.from_columns(columns)) == 2
 
 
 def _slots(total, w, m):

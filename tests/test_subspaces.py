@@ -412,10 +412,9 @@ def test_tangent_oracle_computes_the_exact_rank_only_on_a_shortfall(monkeypatch)
     monkeypatch.setattr(tensors, "enc", counting("enc", enc))
     monkeypatch.setattr(tensors, "_contraction_columns", counting("enc", tensors._contraction_columns))
     monkeypatch.setattr(linalg, "_rank_mod_p", counting("pass", linalg._rank_mod_p))
-    # the exact rank: the fallback in linalg, or subspaces' own call where no pass could certify
-    eliminate = counting("eliminate", linalg._eliminate)
-    for module in (linalg, subspaces):
-        monkeypatch.setattr(module, "_eliminate", eliminate)
+    # the exact rank: _certified_rank's fallback, the only one that subspaces reaches
+    monkeypatch.setattr(linalg, "_eliminate", counting("eliminate", linalg._eliminate))
+    assert not hasattr(subspaces, "_eliminate")
     # a nondegenerate w: the pass certifies rank D = e, with no exact rank
     assert sub_dim_tangent(5, 3, 6, SKEW, seed=1) == 14
     assert calls == ["pass"]
@@ -425,15 +424,19 @@ def test_tangent_oracle_computes_the_exact_rank_only_on_a_shortfall(monkeypatch)
     assert sub_dim_tangent(2, 2, 6, SYM, seed=82) == sub_dim(2, 2, 6, SYM)
     assert calls == ["pass", "eliminate", "pass"]
     # skew 2-forms on QQ^3 have rank 2, so D's rank is always short of
-    # its three columns, which the pass could never certify: one exact
-    # rank and no pass, at the maximum
+    # its three columns and its three rows: the pass falls short of both,
+    # and the exact fallback gives the maximum
     calls.clear()
     assert sub_dim_tangent(3, 2, 5, SKEW) == sub_dim(3, 2, 5, SKEW)
-    assert calls == ["eliminate"]
+    assert calls == ["pass", "eliminate"]
     # likewise at e = k + 1, where every 3-vector on QQ^4 is decomposable
     calls.clear()
     assert sub_dim_tangent(4, 3, 6, SKEW) == sub_dim(4, 3, 6, SKEW)
-    assert calls == ["eliminate"]
+    assert calls == ["pass", "eliminate"]
+    # a vector's D is one row, whose rank mod p is that row count: no fallback
+    calls.clear()
+    assert sub_dim_tangent(3, 1, 5, SKEW) == sub_dim(3, 1, 5, SKEW)
+    assert calls == ["pass"]
     # n = e varies nothing: no draw and no rank
     calls.clear()
     assert sub_dim_tangent(3, 2, 3, SKEW) == sub_dim(3, 2, 3, SKEW)
@@ -816,7 +819,7 @@ def _as_basis_key(kind: str, e: int, key: tuple) -> tuple:
     return key if kind == SKEW else tuple(key.count(j) for j in range(e))
 
 
-def test_lazy_face_entries_equal_the_face_table():
+def test_lazy_face_entries_equal_the_contraction_entries():
     # every shape of verify's tangent grid with e <= 8: the entries of
     # each face, made one face at a time as D's rows are asked for, equal
     # the ones that the contraction columns of the unit tensors put on
@@ -882,13 +885,28 @@ def test_interleaved_streams_give_the_rows_of_one_stream():
         assert got == alone, (kind, k, e)
 
 
+def test_unnormalized_cells_take_the_exact_fallback(monkeypatch):
+    # where the maximum on QQ^e is below e (skew k = 2 at odd e, and
+    # e = k + 1), the pass reads every row of D and falls short of e and
+    # of the row count, so every sample reaches _certified_rank's exact
+    # fallback, and the oracle still returns sub_dim
+    fallbacks = _count_fallbacks(monkeypatch)
+    cells = [(e, 2) for e in (3, 5, 7)] + [(k + 1, k) for k in (3, 4, 5)]
+    for e, k in cells:
+        assert normalize_e(e, k, SKEW) < e
+        for n in range(e + 1, 10):
+            fallbacks.clear()
+            assert sub_dim_tangent(e, k, n, SKEW, seed=n) == sub_dim(e, k, n, SKEW), (e, k, n)
+            assert fallbacks and set(fallbacks) == {e}, (e, k, n)
+
+
 def test_chart_at_n_equal_e_is_the_unit_columns(monkeypatch):
     # with no varied rows the chart is the U tensor directions alone,
     # whatever w is, so its rank is U: sub_dim_tangent returns U - 1
     # before any draw, and ranks nothing
     drawn = []
-    for name in ("_draw_w", "_certified_rank", "_eliminate"):
-        monkeypatch.setattr(subspaces, name, lambda *args: drawn.append(args))
+    for module, name in ((subspaces, "_draw_w"), (subspaces, "_certified_rank"), (linalg, "_eliminate")):
+        monkeypatch.setattr(module, name, lambda *args: drawn.append(args))
     for kind, ks in verify.TANGENT_GRID:
         for k in ks:
             for e in range(1 if kind == SYM else k, 9):

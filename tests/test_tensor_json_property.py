@@ -49,6 +49,8 @@ def _ref_check_sym(alpha, n, k):
 
 
 def _ref_coeff(c):
+    if type(c) is int and abs(c) >= 10**4300:
+        raise ValueError("bad coefficient: an integer of more than 4300 digits")
     if type(c) is int:
         return c
     if type(c) is str and (c[1:] if c[:1] == "-" else c).isdigit():
@@ -186,6 +188,7 @@ def _outcome(parse, obj):
 @given(tensor_objects())
 @example({"n": 3, "k": 1, "kind": SKEW, "terms": [{"index": [0], "coeff": "2"}, {"index": [1], "coeff": HUGE}]})
 @example({"n": 3, "k": 1, "kind": SKEW, "terms": [{"index": [2], "coeff": "1\n2"}]})
+@example({"n": 3, "k": 1, "kind": SKEW, "terms": [{"index": [0], "coeff": -(10**4400)}, {"index": [1], "coeff": "x"}]})
 @example({"n": 0, "k": 0, "kind": SYM, "terms": [{"index": [], "coeff": "3"}, {"index": [], "coeff": "1/2"}]})
 @example({"n": 0, "k": 1, "kind": SYM, "terms": [{"index": [], "coeff": "3"}]})
 @example({"n": 2, "k": 2, "kind": SKEW, "terms": [{"index": [0, 1], "coeff": "٣"}]})

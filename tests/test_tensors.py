@@ -9,6 +9,7 @@ import pytest
 
 from divatlas import linalg, tensors
 from divatlas.linalg import (
+    _INT,
     RationalMatrix,
     _eliminate,
     _int_vector,
@@ -397,11 +398,19 @@ def test_enclosing_space_skips_independence_recheck(monkeypatch):
         calls.clear()
 
 
+def _fraction_tensor(n: int, k: int, kind: str, rng: random.Random):
+    """A seeded tensor with Fraction coefficients: random_tensor's, each
+    over a denominator drawn from 1..12."""
+    t = random_tensor(n, k, kind, rng)
+    return type(t)(n, k, {key: Fraction(c, rng.randint(1, 12)) for key, c in t.coeffs.items()})
+
+
 def test_enc_columns_stay_within_the_bound_it_passes(monkeypatch):
-    # an integral tensor passes max |c| (skew) or k * max |c| (sym) to the
-    # kernel, which then checks no column against it: every column that
-    # enc streams must lie within it, and the sym bound is reached where
-    # a k-th power term's face holds k * c; a Fraction tensor passes none
+    # every tensor passes the kernel max |c| (skew) or k * max |c| (sym),
+    # over its coefficients scaled by the lcm L of all their denominators,
+    # and the kernel packs on it without looking at a column: every
+    # column that enc streams, scaled by its own lcm, must lie within it.
+    # The sym bound is reached where a k-th power term's face holds k * c
     seen = []
     eliminate = tensors._eliminate
 
@@ -425,9 +434,85 @@ def test_enc_columns_stay_within_the_bound_it_passes(monkeypatch):
                 assert all(abs(x) <= bound for col in columns for x in col), (kind, n, k)
                 reached[kind] += any(abs(x) == bound for col in columns for x in col)
     assert min(reached.values()) > 0, reached
-    seen.clear()
-    enc(SymTensor(3, 2, {(2, 0, 0): Fraction(1, 2), (0, 1, 1): 3}))
-    assert seen[0][0] is None
+    fractions = 0
+    for kind, n, k in [(SKEW, 6, 2), (SKEW, 7, 3), (SYM, 4, 2), (SYM, 5, 3), (SYM, 4, 4)]:
+        for _ in range(5):
+            t = _fraction_tensor(n, k, kind, rng)
+            seen.clear()
+            enc(t)
+            (bound, columns), = seen
+            scale = math.lcm(*(c.denominator for c in t.coeffs.values()))
+            top = max(abs(c * scale) for c in t.coeffs.values())
+            assert bound == (top if kind == SKEW else k * top), (kind, n, k)
+            assert all(abs(x) <= bound for col in columns for x in col), (kind, n, k)
+            fractions += not _INT.issuperset(map(type, t.coeffs.values()))
+    assert fractions >= 20
+
+
+def _fraction_cases(count: int, seed):
+    """count seeded Fraction tensors of both kinds, k <= 4 and n <= 7:
+    sums of one to three decomposables with Fraction weights, mostly of
+    enc below n, and every fourth one a _fraction_tensor."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = rng.choice((SKEW, SYM))
+        k = rng.randint(1, 4)
+        n = rng.randint(k + 1 if kind == SKEW else 2, 7)
+        if i % 4 == 3:
+            yield _fraction_tensor(n, k, kind, rng)
+            continue
+        t = random_decomposable(n, k, kind, rng) * Fraction(rng.randint(1, 5), rng.randint(2, 7))
+        for _ in range(rng.randint(0, 2)):
+            t = t + random_decomposable(n, k, kind, rng) * Fraction(rng.randint(-5, 5), rng.randint(2, 7))
+        yield t
+
+
+def test_enc_on_fraction_tensors_matches_gauss_rank_and_packs_on_its_bound(monkeypatch):
+    packs = []
+    real = linalg._packed_rows
+    monkeypatch.setattr(linalg, "_packed_rows", lambda *args: packs.append(args[2]) or real(*args))
+    packed = 0
+    for t in _fraction_cases(400, "fraction-enc"):
+        packs.clear()
+        assert enc(t) == gauss_rank(contraction_matrix(t)), t
+        assert set(packs) <= {tensors._entry_bound(t, _int_vector(t.coeffs.values()))}, t
+        packed += bool(packs)
+    assert packed >= 150, packed
+
+
+def test_only_enc_packs_in_the_kernel(monkeypatch):
+    # the kernel packs only on a bound that its caller passes, and only
+    # enc's column stream passes one: its own _entry_bound, on integral
+    # and Fraction tensors alike.  SubspaceBasis, rank, int_det and
+    # _certified_rank's fallback pass none, so on streams with dependent
+    # columns they make no _packed_rows call
+    packs = []
+    real = linalg._packed_rows
+    monkeypatch.setattr(linalg, "_packed_rows", lambda *args: packs.append(args[2]) or real(*args))
+    rng = random.Random("who-packs")
+    packed = {int: 0, Fraction: 0}
+    for kind, n, k in [(SKEW, 6, 2), (SKEW, 7, 3), (SYM, 4, 3), (SYM, 5, 2)]:
+        decomposable = random_decomposable(n, k, kind, rng)
+        # a sum of two decomposables with Fraction coefficients has enc below n
+        two = decomposable * Fraction(1, 6) + random_decomposable(n, k, kind, rng) * Fraction(3, 4)
+        for t in (decomposable, two):
+            packs.clear()
+            enc(t)
+            assert set(packs) <= {tensors._entry_bound(t, _int_vector(t.coeffs.values()))}, (kind, n, k)
+            packed[Fraction if any(type(c) is Fraction for c in t.coeffs.values()) else int] += bool(packs)
+    assert min(packed.values()) >= 3, packed
+    packs.clear()
+    vectors = [random_vector(6, rng) for _ in range(3)]
+    assert SubspaceBasis(6, tuple(vectors)).dim == 3
+    dependent = vectors + [tuple(a + b for a, b in zip(*vectors[:2])), tuple(2 * x for x in vectors[2])]
+    assert rank(RationalMatrix.from_columns(dependent)) == 3
+    assert linalg.int_det([[1, 2, 3], [2, 4, 6], [0, 1, 5]]) == 0
+    fallbacks = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *args: fallbacks.append(args[1:]) or eliminate(*args))
+    assert linalg._certified_rank(iter([[1, 0, 0], [2, 0, 0], [0, 1, 1], [0, 2, 2]]), 3) == 2
+    assert fallbacks == [(3,)]
+    assert packs == []
 
 
 def test_is_in_power_of_degree_zero():
